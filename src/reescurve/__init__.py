@@ -2,7 +2,7 @@
 parametrization, specialized to curves carrying a degree-2 moving line."""
 
 from .fields import DEFAULT_PRIME, PrimeField, QQ, Rationals, field_from_spec
-from .linalg import ExactMatrix, RowReducer, linear_algebra_kit
+from .linalg import ExactMatrix, RowReducer
 from .poly import BiPoly, parse_bipoly, resultant_t, t_poly
 from .syzygy import (
     MuBasis,
@@ -34,7 +34,6 @@ __all__ = [
     "implicit_equation",
     "inverse_map",
     "kernel_basis",
-    "linear_algebra_kit",
     "mingen_table",
     "mu_basis",
     "parametrization",

@@ -4,9 +4,10 @@ Everything reduces to one primitive, an incremental row-space accumulator
 (`RowReducer`) that keeps a mutually reduced pivot basis — i.e. the unique
 reduced row echelon form of whatever rows were fed in.  Three interchangeable
 cores implement it: Fraction arithmetic over Q, packed-big-integer arithmetic
-over F_p, and the optional C kernel from _native.py for large F_p problems.
-All cores produce the same canonical output; determinism does not depend on
-which one runs.
+over F_p, and the optional C kernel from _native.py for large F_p problems,
+whose pivot block, batches and residual rows live in `array('Q')` buffers
+handed to C through ctypes.  All cores produce the same canonical output;
+determinism does not depend on which one runs.
 
 Canonical conventions (shared by every consumer in this package):
   * pivot search is leftmost-column-first;
@@ -16,9 +17,11 @@ Canonical conventions (shared by every consumer in this package):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import copy
+import ctypes
+from array import array
 
-from .fields import PrimeField, ensure_same_field
+from .fields import PrimeField
 from . import _native
 
 
@@ -37,7 +40,7 @@ _NATIVE_MIN_CELLS = 4096   # below this, ctypes overhead beats the C loop
 
 
 class _FractionCore:
-    """Pure-Python core over Q (or any tiny workload over F_p, via coercion)."""
+    """Pure-Python core over Q; F_p always gets a packed or native core."""
 
     def __init__(self, field, ncols, plimit):
         self.field = field
@@ -48,9 +51,8 @@ class _FractionCore:
         self.residual = []
 
     def clone(self):
-        c = _FractionCore(self.field, self.ncols, self.plimit)
-        c.rows = [list(r) for r in self.rows]
-        c.pivcols = list(self.pivcols)
+        c = copy.copy(self)
+        c.rows, c.pivcols = [list(r) for r in self.rows], list(self.pivcols)
         c.residual = [list(r) for r in self.residual]
         return c
 
@@ -93,8 +95,16 @@ class _FractionCore:
             self.rows.append(w)
             self.pivcols.append(lead)
 
+    def seed(self, pivcols, rows):
+        F = self.field
+        self.rows = [[F.coerce(x) for x in row] for row in rows]
+        self.pivcols = list(pivcols)
+
     def snapshot(self):
         return list(self.pivcols), [list(r) for r in self.rows]
+
+    def residual_rows(self):
+        return [list(r) for r in self.residual]
 
 
 class _FpPackedCore:
@@ -116,10 +126,8 @@ class _FpPackedCore:
         self.residual = []      # packed
 
     def clone(self):
-        c = _FpPackedCore(self.field, self.ncols, self.plimit)
-        c.rows = list(self.rows)
-        c.pivcols = list(self.pivcols)
-        c.residual = list(self.residual)
+        c = copy.copy(self)
+        c.rows, c.pivcols, c.residual = list(self.rows), list(self.pivcols), list(self.residual)
         return c
 
     def _pack(self, vals):
@@ -166,82 +174,89 @@ class _FpPackedCore:
             self.rows.append(packed)
             self.pivcols.append(lead)
 
+    def seed(self, pivcols, rows):
+        p = self.p
+        self.rows = [self._pack([v % p for v in row]) for row in rows]
+        self.pivcols = list(pivcols)
+
     def snapshot(self):
         return list(self.pivcols), [self._unpack(r) for r in self.rows]
 
+    def residual_rows(self):
+        return [self._unpack(r) for r in self.residual]
+
 
 class _FpNativeCore:
-    """ctypes bridge to the compiled kernel (large F_p workloads)."""
+    """ctypes bridge to the compiled kernel (large F_p workloads).
+
+    The pivot block is one row-major ``array('Q')`` of ``cap`` rows, with the
+    pivot columns in a parallel ``array('l')`` (C long, as the kernel takes).
+    """
 
     def __init__(self, field, ncols, plimit, kernel):
-        import numpy as np
-
-        self.np = np
         self.field = field
         self.p = field.p
         self.ncols = ncols
         self.plimit = plimit
         self.kernel = kernel
         self.cap = 32
-        self.buf = np.zeros((self.cap, ncols), dtype=np.uint64)
-        self.pivbuf = np.zeros(self.cap, dtype=np.int64)
+        self.buf = array("Q", [0]) * (self.cap * ncols)
+        self.pivbuf = array("l", [0]) * self.cap
         self.npiv = 0
-        self.residual = []      # list of numpy rows
+        self.residual = []      # array('Q') rows
 
     def clone(self):
-        c = _FpNativeCore.__new__(_FpNativeCore)
-        c.np = self.np
-        c.field = self.field
-        c.p = self.p
-        c.ncols = self.ncols
-        c.plimit = self.plimit
-        c.kernel = self.kernel
-        c.cap = self.cap
-        c.buf = self.buf.copy()
-        c.pivbuf = self.pivbuf.copy()
-        c.npiv = self.npiv
-        c.residual = [r.copy() for r in self.residual]
+        c = copy.copy(self)
+        c.buf, c.pivbuf, c.residual = self.buf[:], self.pivbuf[:], list(self.residual)
         return c
 
     @property
     def pivcols(self):
         return self.pivbuf[: self.npiv].tolist()
 
-    def add_rows(self, rows, stop):
-        import ctypes
+    def _reserve(self, need):
+        if need > self.cap:
+            cap = max(need, 2 * self.cap)
+            self.buf += array("Q", [0]) * ((cap - self.cap) * self.ncols)
+            self.pivbuf += array("l", [0]) * (cap - self.cap)
+            self.cap = cap
 
-        np = self.np
+    def _flat(self, rows):
+        p = self.p
+        flat = array("Q", [v % p for vec in rows for v in vec])
+        if len(flat) != len(rows) * self.ncols:
+            raise ShapeMismatch("row length does not match the column count")
+        return flat
+
+    def seed(self, pivcols, rows):
+        flat = self._flat(rows)
+        self._reserve(len(rows))
+        self.buf[: len(flat)] = flat
+        self.pivbuf[: len(rows)] = array("l", pivcols)
+        self.npiv = len(rows)
+
+    def add_rows(self, rows, stop):
         rows = list(rows)
         if not rows:
             return
         p = self.p
-        batch = np.array(
-            [[v % p for v in vec] for vec in rows], dtype=np.uint64
-        )
-        need = self.npiv + len(rows)
-        if need > self.cap:
-            cap = max(need, 2 * self.cap)
-            newbuf = np.zeros((cap, self.ncols), dtype=np.uint64)
-            newbuf[: self.npiv] = self.buf[: self.npiv]
-            newpiv = np.zeros(cap, dtype=np.int64)
-            newpiv[: self.npiv] = self.pivbuf[: self.npiv]
-            self.buf, self.pivbuf, self.cap = newbuf, newpiv, cap
-        resid = np.zeros((len(rows), self.ncols), dtype=np.uint64)
+        n = self.ncols
+        batch = self._flat(rows)
+        self._reserve(self.npiv + len(rows))
+        resid = array("Q", [0]) * len(batch)
         nres = ctypes.c_long(0)
-        u64p = ctypes.POINTER(ctypes.c_uint64)
-        longp = ctypes.POINTER(ctypes.c_long)
         npiv = self.kernel.fp_accumulate(
-            self.buf.ctypes.data_as(u64p),
-            self.pivbuf.ctypes.data_as(longp),
+            _c_array(ctypes.c_uint64, self.buf),
+            _c_array(ctypes.c_long, self.pivbuf),
             self.npiv,
             self.cap,
-            batch.ctypes.data_as(u64p),
+            _c_array(ctypes.c_uint64, batch),
             len(rows),
-            self.ncols,
+            n,
             self.plimit,
             p,
             -1 if stop is None else stop,
-            resid.ctypes.data_as(u64p),
+            _c_array(ctypes.c_uint64, resid),
             ctypes.byref(nres),
             len(rows),
         )
@@ -249,12 +264,20 @@ class _FpNativeCore:
             raise RuntimeError("native accumulator capacity underflow")
         self.npiv = npiv
         for i in range(nres.value):
-            self.residual.append(resid[i].copy())
+            self.residual.append(resid[i * n : (i + 1) * n])
 
     def snapshot(self):
-        piv = self.pivcols
-        rows = [[int(x) for x in self.buf[t]] for t in range(self.npiv)]
-        return piv, rows
+        n = self.ncols
+        buf = self.buf
+        return self.pivcols, [buf[t * n : (t + 1) * n].tolist() for t in range(self.npiv)]
+
+    def residual_rows(self):
+        return [r.tolist() for r in self.residual]
+
+
+def _c_array(ctype, buf):
+    """A ctypes view of an array's memory, passed to C as a pointer."""
+    return (ctype * len(buf)).from_buffer(buf)
 
 
 def _make_core(field, ncols, plimit, size_hint):
@@ -306,26 +329,7 @@ class RowReducer:
         if self.rank:
             raise ValueError("seed() requires an empty reducer")
         self._snap = None
-        core = self._core
-        if isinstance(core, _FpNativeCore):
-            np = core.np
-            need = len(rows)
-            if need > core.cap:
-                core.cap = max(need * 2, core.cap)
-                core.buf = np.zeros((core.cap, core.ncols), dtype=np.uint64)
-                core.pivbuf = np.zeros(core.cap, dtype=np.int64)
-            for t, (pc, row) in enumerate(zip(pivcols, rows)):
-                core.buf[t] = row
-                core.pivbuf[t] = pc
-            core.npiv = len(rows)
-        elif isinstance(core, _FpPackedCore):
-            p = core.p
-            core.rows = [core._pack([v % p for v in row]) for row in rows]
-            core.pivcols = list(pivcols)
-        else:
-            F = core.field
-            core.rows = [[F.coerce(x) for x in row] for row in rows]
-            core.pivcols = list(pivcols)
+        self._core.seed(pivcols, rows)
 
     def add_row(self, vec):
         before = self.rank
@@ -358,12 +362,7 @@ class RowReducer:
 
     @property
     def residual_rows(self):
-        core = self._core
-        if isinstance(core, _FpPackedCore):
-            return [core._unpack(r) for r in core.residual]
-        if isinstance(core, _FpNativeCore):
-            return [[int(x) for x in r] for r in core.residual]
-        return [list(r) for r in core.residual]
+        return self._core.residual_rows()
 
 
 # ---------------------------------------------------------------------------
@@ -450,14 +449,7 @@ class ExactMatrix:
         F = self.field
         if len(v) != self.ncols:
             raise ShapeMismatch("matrix/vector shape mismatch")
-        out = []
-        for row in self.rows:
-            acc = F.zero
-            for a, x in zip(row, v):
-                if not (F.is_zero(a) or F.is_zero(x)):
-                    acc = F.add(acc, F.mul(a, x))
-            out.append(acc)
-        return out
+        return [_dot(F, row, v) for row in self.rows]
 
 
 class LinearSolver:
@@ -485,26 +477,26 @@ class LinearSolver:
         self.constraints = [r[m.ncols :] for r in red.residual_rows]
         self.rank = len(piv)
 
-    def _dot(self, coeffs, b):
-        F = self.field
-        acc = F.zero
-        for a, x in zip(coeffs, b):
-            if not (F.is_zero(a) or F.is_zero(x)):
-                acc = F.add(acc, F.mul(a, x))
-        return acc
-
     def solve(self, b):
         F = self.field
         b = [F.coerce(x) for x in b]
         if len(b) != self.nrows:
             raise ShapeMismatch("rhs length mismatch")
         for e in self.constraints:
-            if not F.is_zero(self._dot(e, b)):
+            if not F.is_zero(_dot(F, e, b)):
                 return None
         x = [F.zero] * self.ncols
         for pc, e in self.pivots:
-            x[pc] = self._dot(e, b)
+            x[pc] = _dot(F, e, b)
         return x
+
+
+def _dot(F, a, b):
+    acc = F.zero
+    for x, y in zip(a, b):
+        if not (F.is_zero(x) or F.is_zero(y)):
+            acc = F.add(acc, F.mul(x, y))
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -567,41 +559,3 @@ def _det_q(rows):
         scale *= denom
         int_rows.append([int(x * denom) for x in row])
     return Fraction(bareiss_det_int(int_rows)) / scale
-
-
-# ---------------------------------------------------------------------------
-# spec surface
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LinearAlgebraKit:
-    """Rank / nullspace / det / solve bundle for one matrix."""
-
-    matrix: ExactMatrix
-    rank: int = dc_field(init=False)
-    nullspace: list = dc_field(init=False)
-
-    def __post_init__(self):
-        self.rank = self.matrix.rank()
-        self.nullspace = self.matrix.nullspace()
-        self._solver = None
-
-    @property
-    def det(self):
-        return self.matrix.det()
-
-    def solve(self, b):
-        if self._solver is None:
-            self._solver = self.matrix.solver()
-        return self._solver.solve(b)
-
-
-def linear_algebra_kit(m: ExactMatrix) -> LinearAlgebraKit:
-    return LinearAlgebraKit(m)
-
-
-def stack_matrices(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    ensure_same_field(a.field, b.field)
-    if a.ncols != b.ncols:
-        raise ShapeMismatch("column mismatch in stack")
-    return ExactMatrix(a.field, a.rows + b.rows)

@@ -127,24 +127,9 @@ class Oracle:
                 if not F.is_zero(val):
                     rows[a1 + k][c] = val
         mat = ExactMatrix(F, rows)
-        piv, rref = mat.rref()
-        pivset = set(piv)
-        vectors = []
-        freecols = []
-        for f in range(len(monomials)):
-            if f in pivset:
-                continue
-            v = [F.zero] * len(monomials)
-            v[f] = F.one
-            for t, pc in enumerate(piv):
-                v[pc] = F.neg(rref[t][f])
-            for x in v:
-                if not F.is_zero(x):
-                    inv = F.inv(x)
-                    v = [F.mul(inv, y) for y in v]
-                    break
-            vectors.append(self._store(v))
-            freecols.append(f)
+        pivset = set(mat.rref()[0])
+        freecols = [f for f in range(len(monomials)) if f not in pivset]
+        vectors = [self._store(v) for v in mat.nullspace()]
         data = _KernelData(monomials, index, vectors, freecols)
         self._kernels[key] = data
         return data
@@ -171,11 +156,7 @@ class Oracle:
         data = self._kernel_data(i, j)
         basis = []
         for vec in data.vectors:
-            coeffs = {
-                m: F.coerce(int(c)) if isinstance(vec, array) else c
-                for m, c in zip(data.monomials, vec)
-                if not F.is_zero(c)
-            }
+            coeffs = {m: c for m, c in zip(data.monomials, vec) if not F.is_zero(c)}
             basis.append(BiPoly(F, i, j, coeffs, _clean=True))
         return GradedPiece(bidegree=(i, j), basis=basis)
 
@@ -226,11 +207,10 @@ class Oracle:
         seed_piv = []
         for vec, f in zip(seed_src.vectors, seed_src.freecols):
             w = [F.zero] * ncols
-            lead = F.coerce(int(vec[f])) if isinstance(vec, array) else vec[f]
-            inv = F.inv(lead)
+            inv = F.inv(vec[f])
             for t, c in enumerate(vec):
                 if not F.is_zero(c):
-                    w[seed_map[t]] = F.mul(inv, F.coerce(int(c)) if isinstance(vec, array) else c)
+                    w[seed_map[t]] = F.mul(inv, c)
             seed_rows.append(w)
             seed_piv.append(seed_map[f])
         red.seed(seed_piv, seed_rows)
@@ -242,7 +222,7 @@ class Oracle:
                 w = [F.zero] * ncols
                 for t, c in enumerate(vec):
                     if not F.is_zero(c):
-                        w[shift[t]] = F.coerce(int(c)) if isinstance(vec, array) else c
+                        w[shift[t]] = c
                 batch.append(w)
             red.add_rows(batch, stop_rank=n_target)
         return n_target - red.rank
@@ -264,11 +244,6 @@ class Oracle:
             for key in [k for k in self._kernels if k[1] < j - 1]:
                 del self._kernels[key]
         return MinGenTable(counts=counts, imax=imax, jmax=jmax, d=self.d, mu=self.mu)
-
-    # -- membership -----------------------------------------------------------
-
-    def ideal_piece_membership(self, g: BiPoly, gens) -> bool:
-        return ideal_piece_membership(g, gens)
 
 
 def ideal_piece_membership(g: BiPoly, gens) -> bool:

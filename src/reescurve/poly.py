@@ -381,19 +381,6 @@ class BiPoly:
         }
         return BiPoly(F, self.tdeg, 0, out, _clean=True)
 
-    def x_derivative(self, i):
-        """Partial derivative with respect to X_i (i in 0..2)."""
-        F = self.field
-        out = {}
-        for m, c in self.coeffs.items():
-            e = m[2 + i]
-            if e == 0:
-                continue
-            q = list(m)
-            q[2 + i] -= 1
-            out[tuple(q)] = F.mul(c, F.coerce(e))
-        return BiPoly(F, self.tdeg, max(self.xdeg - 1, 0), out, _clean=True)
-
     def in_x01_power(self, k) -> bool:
         """Membership in <X0, X1>^k (a monomial ideal: pure support check)."""
         return all(m[2] + m[3] >= k for m in self.coeffs)
@@ -514,25 +501,6 @@ def tpoly_dense(tp: BiPoly):
     for m, c in tp.coeffs.items():
         out[m[1]] = c
     return out
-
-
-def x_form(field, coeffs_by_xmono, degree=None) -> BiPoly:
-    """X-form from a map (b0, b1, b2) -> coeff."""
-    coeffs = {}
-    deg = degree
-    for b, c in coeffs_by_xmono.items():
-        c = field.coerce(c)
-        if field.is_zero(c):
-            continue
-        if deg is None:
-            deg = sum(b)
-        coeffs[(0, 0) + tuple(b)] = c
-    return BiPoly(field, 0, 0 if deg is None else deg, coeffs)
-
-
-def t_monomials(s):
-    """T-monomials of degree s in canonical descending order."""
-    return [(s - a, a, 0, 0, 0) for a in range(s + 1)]
 
 
 def x_monomials(j):
@@ -704,49 +672,3 @@ def resultant_t(f: BiPoly, g: BiPoly) -> BiPoly:
     if det.is_zero():
         det = BiPoly.zero(F, 0, want)
     return det
-
-
-# ---------------------------------------------------------------------------
-# X-form gcd (via sympy) and squarefree part
-# ---------------------------------------------------------------------------
-
-def _to_sympy(xp: BiPoly):
-    import sympy
-
-    from .fields import PrimeField
-
-    X = sympy.symbols("X0 X1 X2")
-    dom = sympy.GF(xp.field.p) if isinstance(xp.field, PrimeField) else sympy.QQ
-    terms = {}
-    for m, c in xp.coeffs.items():
-        if isinstance(xp.field, PrimeField):
-            terms[m[2:]] = int(c)
-        else:
-            terms[m[2:]] = sympy.Rational(c.numerator, c.denominator)
-    return sympy.Poly.from_dict(terms, *X, domain=dom), X, dom
-
-
-def xpoly_gcd(f: BiPoly, g: BiPoly) -> BiPoly:
-    """Monic gcd of two X-forms (delegated to sympy's multivariate gcd)."""
-    ensure_same_field(f.field, g.field)
-    F = f.field
-    if f.is_zero():
-        return g.normalized()
-    if g.is_zero():
-        return f.normalized()
-    pf, X, dom = _to_sympy(f)
-    pg, _, _ = _to_sympy(g)
-    h = pf.gcd(pg)
-    coeffs = {}
-    from .fields import PrimeField
-
-    for mono, c in h.terms():
-        if isinstance(F, PrimeField):
-            val = int(c) % F.p
-        else:
-            from fractions import Fraction
-
-            val = Fraction(int(c.p), int(c.q))
-        coeffs[(0, 0) + tuple(mono)] = val
-    deg = h.total_degree()
-    return BiPoly(F, 0, deg, coeffs).normalized()

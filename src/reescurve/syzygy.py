@@ -246,6 +246,10 @@ def _slice_is_squarefree(res: BiPoly, line) -> bool:
     if len(core) == 1:
         return True
     dcore = [F.mul(F.coerce(k), c) for k, c in enumerate(core)][1:]
+    while dcore and F.is_zero(dcore[-1]):
+        dcore.pop()   # k * c_k vanishes when the characteristic divides k
+    if not dcore:
+        return False
     a, b = core, dcore
     while b:
         a, b = b, _poly1_mod(a, b, F)
@@ -469,11 +473,6 @@ def pullback_through_change(g: BiPoly, m_rows) -> BiPoly:
         for i in range(3)
     ]
     return g.compose_x(*lin)
-
-
-def push_through_change(g: BiPoly, m_inv_rows) -> BiPoly:
-    """G(T, M^-1 Y): expresses a polynomial in the transformed coordinates."""
-    return pullback_through_change(g, m_inv_rows)
 
 
 # ---------------------------------------------------------------------------

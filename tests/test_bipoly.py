@@ -16,7 +16,6 @@ from reescurve.poly import (
     t_poly,
     tpoly_gcd,
     x_monomials,
-    xpoly_gcd,
 )
 
 FP = PrimeField(DEFAULT_PRIME)
@@ -182,24 +181,6 @@ def test_tpoly_gcd_over_fp():
     f = t_poly(FP, [1, 1]) * t_poly(FP, [1, 2, 1])
     g = t_poly(FP, [1, 1]) * t_poly(FP, [1, 3])
     assert tpoly_gcd(f, g).proportional_to(t_poly(FP, [1, 1]))
-
-
-def test_xpoly_gcd_squarefree_detection():
-    e = P("X1^2 - X0*X2")
-    sq = e * e
-    d0 = sq.x_derivative(0)
-    g = xpoly_gcd(sq, d0)
-    assert g.proportional_to(e)
-    # squarefree case: gcd with derivative is constant
-    g2 = xpoly_gcd(e, e.x_derivative(1))
-    assert g2.xdeg == 0
-
-
-def test_xpoly_gcd_over_fp():
-    e = P("X1^2 - X0*X2", field=FP)
-    sq = e * e
-    g = xpoly_gcd(sq, sq.x_derivative(0))
-    assert g.proportional_to(e)
 
 
 def test_exact_div_round_trip():

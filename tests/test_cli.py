@@ -1,5 +1,7 @@
 """CLI surface: subcommands, exit codes, JSON round-trips, determinism."""
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -164,3 +166,41 @@ def test_gens_reports_byte_identical_after_timing_mask(d5_file):
     a.pop("timings")
     b.pop("timings")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "field, kind, degree",
+    [("fp:2", "mild", 5), ("fp:3", "verysingular", 6), ("fp:7", "mild", 7)],
+)
+def test_small_characteristic_sample_and_gens(field, kind, degree, tmp_path):
+    # the characteristic divides a degree in the resultant's slice derivative
+    s = run_cli(["--field", field, f"sample-{kind}", "--degree", str(degree), "--seed", "1"])
+    assert s.returncode == 0, s.stderr
+    path = tmp_path / "curve.json"
+    path.write_text(s.stdout)
+    g = run_cli(["gens", str(path)])
+    assert g.returncode == 0, g.stderr
+    assert json.loads(g.stdout)["all_pass"] is True
+
+
+def test_no_third_party_modules_at_run_time():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import json, sys\n"
+        "from reescurve import build_report\n"
+        "from reescurve.fields import DEFAULT_PRIME, PrimeField\n"
+        "from reescurve.linalg import RowReducer\n"
+        "from reescurve.report import curve_from_json\n"
+        "red = RowReducer(PrimeField(DEFAULT_PRIME), 64, size_hint=1 << 16)\n"
+        "red.add_rows([[k + 1] * 64 for k in range(3)])\n"
+        "assert build_report(curve_from_json(json.loads(sys.argv[1]))).all_pass\n"
+        "print(sorted(m for m in ('numpy', 'sympy') if m in sys.modules))\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(D5)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

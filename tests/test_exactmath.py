@@ -12,12 +12,7 @@ from reescurve.fields import (
     field_from_spec,
     is_prime,
 )
-from reescurve.linalg import (
-    ExactMatrix,
-    RowReducer,
-    ShapeMismatch,
-    linear_algebra_kit,
-)
+from reescurve.linalg import ExactMatrix, RowReducer, ShapeMismatch
 
 FP = PrimeField(DEFAULT_PRIME)
 FP_SMALL = PrimeField(10007)
@@ -62,10 +57,9 @@ def test_scalar_coercion():
 
 def test_identity_kit():
     m = ExactMatrix.identity(QQ, 2)
-    kit = linear_algebra_kit(m)
-    assert kit.rank == 2
-    assert kit.det == 1
-    assert kit.nullspace == []
+    assert m.rank() == 2
+    assert m.det() == 1
+    assert m.nullspace() == []
 
 
 def test_nullspace_normalization_1x2():
@@ -165,41 +159,86 @@ def test_backend_mismatch_detected():
         ensure_same_field(QQ, FP)
 
 
-def test_row_reducer_matches_across_cores():
-    """Native and packed cores produce the identical canonical RREF."""
+def _native_and_packed(ncols, **kw):
+    """Two empty F_p reducers of one shape: one per core."""
+    from reescurve import _native
     from reescurve.linalg import _FpNativeCore, _FpPackedCore
 
+    if _native.get_kernel() is None:
+        pytest.skip("native kernel unavailable (no C compiler, or REESCURVE_NO_NATIVE set)")
+    native = RowReducer(FP, ncols, size_hint=10**6, **kw)   # big hint -> native
+    packed = RowReducer(FP, ncols, size_hint=0, **kw)       # small hint -> packed
+    assert isinstance(native._core, _FpNativeCore)
+    assert isinstance(packed._core, _FpPackedCore)
+    return native, packed
+
+
+def test_row_reducer_matches_across_cores():
+    """Native and packed cores produce the identical canonical RREF."""
     rng = random.Random(42)
     rows = [[rng.randrange(FP.p) for _ in range(30)] for _ in range(20)]
     rows += [rows[0], [FP.add(a, b) for a, b in zip(rows[1], rows[2])]]
+    reducers = _native_and_packed(30)
+    for red in reducers:
+        red.add_rows(rows)
+    assert reducers[0].rref() == reducers[1].rref()
+    assert reducers[0].rank == reducers[1].rank == 20  # 2 dependent rows added
 
-    red_native = RowReducer(FP, 30, size_hint=10**6)   # big hint -> native
-    red_native.add_rows(rows)
-    red_packed = RowReducer(FP, 30, size_hint=0)       # small hint -> packed
-    red_packed.add_rows(rows)
-    if isinstance(red_native._core, _FpNativeCore):
-        assert isinstance(red_packed._core, _FpPackedCore)
-    assert red_native.rref() == red_packed.rref()
-    assert red_native.rank == red_packed.rank == 20  # 2 dependent rows added
+    # more pivots than the native core's initial 32 rows, fed in batches
+    wide = [[rng.randrange(FP.p) for _ in range(60)] for _ in range(45)]
+    wide.insert(20, [FP.sub(a, b) for a, b in zip(wide[3], wide[7])])
+    reducers = _native_and_packed(60)
+    for k in range(0, len(wide), 9):
+        for red in reducers:
+            red.add_rows(wide[k : k + 9])
+        assert reducers[0].rref() == reducers[1].rref()
+    assert reducers[0].rank == 45
+
+    # seed() with a 45-row block already in RREF, then add_rows
+    piv, block = reducers[0].rref()
+    extra = [[rng.randrange(FP.p) for _ in range(60)] for _ in range(10)]
+    seeded = _native_and_packed(60)
+    for red in seeded:
+        red.seed(piv, block)
+        red.add_rows(extra)
+    assert seeded[0].rref() == seeded[1].rref()
+    assert seeded[0].rank == 55
+
+    # clone() and contains() leave the reducer unchanged
+    outside = [rng.randrange(FP.p) for _ in range(60)]
+    for red in reducers:
+        before = red._core.snapshot()
+        assert red.contains(wide[20])
+        assert not red.contains(outside)
+        twin = red.clone()
+        twin.add_rows(extra)
+        assert twin.rref() == seeded[0].rref()
+        assert red._core.snapshot() == before
+        assert red.rank == 45
 
 
 def test_solver_agrees_across_cores():
     rng = random.Random(43)
-    rows = [[rng.randrange(FP.p) for _ in range(8)] for _ in range(6)]
-    m = ExactMatrix(FP, rows)
-    x = [rng.randrange(FP.p) for _ in range(8)]
-    b = m.mul_vec(x)
-    big = RowReducer(FP, 8 + 6, pivot_limit=8, size_hint=10**6)
-    small = RowReducer(FP, 8 + 6, pivot_limit=8, size_hint=0)
-    aug = []
-    for i, row in enumerate(rows):
-        ext = list(row) + [0] * 6
-        ext[8 + i] = 1
-        aug.append([FP.coerce(v) for v in ext])
-    big.add_rows(aug)
-    small.add_rows(aug)
-    assert big.rref() == small.rref()
-    assert [list(r) for r in big.residual_rows] == [list(r) for r in small.residual_rows]
+    # (nrows, ncols, batch): the tall shape fills the pivot block in its
+    # first batch and leaves residual rows in every batch
+    for nrows, ncols, batch in ((6, 8, 6), (70, 10, 16)):
+        rows = [[rng.randrange(FP.p) for _ in range(ncols)] for _ in range(nrows)]
+        m = ExactMatrix(FP, rows)
+        x = [rng.randrange(FP.p) for _ in range(ncols)]
+        b = m.mul_vec(x)
+        assert m.mul_vec(m.solve(b)) == b
+        big, small = _native_and_packed(ncols + nrows, pivot_limit=ncols)
+        aug = []
+        for i, row in enumerate(rows):
+            ext = list(row) + [0] * nrows
+            ext[ncols + i] = 1
+            aug.append([FP.coerce(v) for v in ext])
+        for k in range(0, nrows, batch):
+            big.add_rows(aug[k : k + batch])
+            small.add_rows(aug[k : k + batch])
+        assert big.rref() == small.rref()
+        assert big.residual_rows == small.residual_rows
+        assert len(big.residual_rows) == max(nrows - ncols, 0)
 
 
 def test_row_reducer_early_stop():
