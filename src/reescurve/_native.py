@@ -2,11 +2,18 @@
 
 The hot loops of the brute-force oracle are Gaussian eliminations over a
 62-bit prime field on matrices with a few hundred rows/columns.  CPython is
-two orders of magnitude too slow for those, so we compile a ~100 line C helper
-at first use (cached under ~/.cache) and call it through ctypes.  Everything
-falls back to the pure-Python implementation in linalg.py when no compiler is
-available; both paths produce the identical canonical RREF, which the test
-suite cross-checks.
+two orders of magnitude too slow for those, so we compile two small C helpers
+at first use (cached under ~/.cache) and call them through ctypes:
+
+  * fp_accumulate absorbs a batch of rows into a mutually reduced pivot
+    block (incremental canonical RREF, with early stop and residual rows);
+  * fp_kernel_rows writes the RREF kernel rows of such a block, one per free
+    column, with their columns sent through an index map (the oracle's
+    monomial-multiplication shifts).
+
+Everything falls back to the pure-Python implementation in linalg.py when no
+compiler is available; both paths produce the identical canonical RREF and
+kernel rows, which the test suite cross-checks.
 
 Set REESCURVE_NO_NATIVE=1 to force the pure-Python path.
 """
@@ -110,6 +117,24 @@ long fp_accumulate(uint64_t *piv, long *pivcols, long npiv, long cap,
     }
     return npiv;
 }
+
+/* Kernel rows of the pivot block `piv` (npiv rows, ncols wide): row r has 1
+   at colmap[freecols[r]] and -piv[t][freecols[r]] at colmap[pivcols[t]].
+   `out` holds nfree zeroed rows, width wide. */
+void fp_kernel_rows(const uint64_t *piv, const long *pivcols, long npiv,
+                    long ncols, const long *freecols, long nfree,
+                    const long *colmap, uint64_t *out, long width, uint64_t p)
+{
+    for (long r = 0; r < nfree; ++r) {
+        uint64_t *w = out + r * width;
+        long f = freecols[r];
+        w[colmap[f]] = 1;
+        for (long t = 0; t < npiv; ++t) {
+            uint64_t c = piv[t * ncols + f];
+            if (c) w[colmap[pivcols[t]]] = p - c;
+        }
+    }
+}
 """
 
 
@@ -171,6 +196,11 @@ def get_kernel():
         u64p, ctypes.c_long, ctypes.c_long, ctypes.c_long,
         ctypes.c_uint64, ctypes.c_long,
         u64p, longp, ctypes.c_long,
+    ]
+    lib.fp_kernel_rows.restype = None
+    lib.fp_kernel_rows.argtypes = [
+        u64p, longp, ctypes.c_long, ctypes.c_long, longp, ctypes.c_long,
+        longp, u64p, ctypes.c_long, ctypes.c_uint64,
     ]
     _lib = lib
     return _lib

@@ -4,10 +4,13 @@ Everything reduces to one primitive, an incremental row-space accumulator
 (`RowReducer`) that keeps a mutually reduced pivot basis — i.e. the unique
 reduced row echelon form of whatever rows were fed in.  Three interchangeable
 cores implement it: Fraction arithmetic over Q, packed-big-integer arithmetic
-over F_p, and the optional C kernel from _native.py for large F_p problems,
-whose pivot block, batches and residual rows live in `array('Q')` buffers
-handed to C through ctypes.  All cores produce the same canonical output;
-determinism does not depend on which one runs.
+over F_p, and the optional C kernel from _native.py, which takes every F_p
+problem when a C compiler is available.  The C kernel's pivot block, batches
+and residual rows live in `array('Q')` buffers handed to C through ctypes.
+All cores produce the same canonical output; determinism does not depend on
+which one runs.  Besides absorbing rows, a core writes the kernel rows of its
+RREF through a column map: that is how the oracle moves a kernel slice into
+the next bidegree without building kernel vectors.
 
 Canonical conventions (shared by every consumer in this package):
   * pivot search is leftmost-column-first;
@@ -36,7 +39,11 @@ class ShapeMismatch(ValueError):
 _SLOT = 192          # bits per packed slot; products stay < 2^124, plus slack
 _SLOTB = _SLOT // 8
 _MASK = (1 << _SLOT) - 1
-_NATIVE_MIN_CELLS = 4096   # below this, ctypes overhead beats the C loop
+# Smallest size hint (rows x columns) that gets the C kernel.  Measured with
+# rows handed over flat, the packed core was slower at every size, down to
+# single-row feeds of two columns; it remains the core for F_p without a
+# compiler (or p >= 2^62).
+_NATIVE_MIN_CELLS = 0
 
 
 class _FractionCore:
@@ -105,6 +112,9 @@ class _FractionCore:
 
     def residual_rows(self):
         return [list(r) for r in self.residual]
+
+    def kernel_rows(self, freecols, colmap, width):
+        return _rref_kernel_rows(self.field, *self.snapshot(), freecols, colmap, width)
 
 
 class _FpPackedCore:
@@ -185,6 +195,9 @@ class _FpPackedCore:
     def residual_rows(self):
         return [self._unpack(r) for r in self.residual]
 
+    def kernel_rows(self, freecols, colmap, width):
+        return _rref_kernel_rows(self.field, *self.snapshot(), freecols, colmap, width)
+
 
 class _FpNativeCore:
     """ctypes bridge to the compiled kernel (large F_p workloads).
@@ -222,8 +235,11 @@ class _FpNativeCore:
             self.cap = cap
 
     def _flat(self, rows):
-        p = self.p
-        flat = array("Q", [v % p for vec in rows for v in vec])
+        if all(isinstance(r, array) and r.typecode == "Q" for r in rows):
+            flat = array("Q", b"".join(rows))   # residues already in [0, p)
+        else:
+            p = self.p
+            flat = array("Q", [v % p for vec in rows for v in vec])
         if len(flat) != len(rows) * self.ncols:
             raise ShapeMismatch("row length does not match the column count")
         return flat
@@ -243,7 +259,8 @@ class _FpNativeCore:
         n = self.ncols
         batch = self._flat(rows)
         self._reserve(self.npiv + len(rows))
-        resid = array("Q", [0]) * len(batch)
+        # rows vanishing on every pivot column are only archived by a solver
+        resid = array("Q", [0]) * len(batch) if self.plimit < n else None
         nres = ctypes.c_long(0)
         npiv = self.kernel.fp_accumulate(
             _c_array(ctypes.c_uint64, self.buf),
@@ -256,7 +273,7 @@ class _FpNativeCore:
             self.plimit,
             p,
             -1 if stop is None else stop,
-            _c_array(ctypes.c_uint64, resid),
+            None if resid is None else _c_array(ctypes.c_uint64, resid),
             ctypes.byref(nres),
             len(rows),
         )
@@ -274,10 +291,52 @@ class _FpNativeCore:
     def residual_rows(self):
         return [r.tolist() for r in self.residual]
 
+    def kernel_rows(self, freecols, colmap, width):
+        nfree = len(freecols)
+        if not nfree:
+            return []
+        out = array("Q", bytes(8 * nfree * width))
+        self.kernel.fp_kernel_rows(
+            _c_array(ctypes.c_uint64, self.buf),
+            _c_array(ctypes.c_long, self.pivbuf),
+            self.npiv,
+            self.ncols,
+            _c_array(ctypes.c_long, array("l", freecols)),
+            nfree,
+            _c_array(ctypes.c_long, array("l", colmap)),
+            _c_array(ctypes.c_uint64, out),
+            width,
+            self.p,
+        )
+        return [out[r * width : (r + 1) * width] for r in range(nfree)]
+
 
 def _c_array(ctype, buf):
     """A ctypes view of an array's memory, passed to C as a pointer."""
     return (ctype * len(buf)).from_buffer(buf)
+
+
+def _rref_kernel_rows(F, piv, rows, freecols, colmap, width):
+    """Kernel rows of an RREF (piv, rows): for each free column f, 1 at
+    colmap[f] and -rows[t][f] at colmap[piv[t]], in rows `width` wide."""
+    out = []
+    for f in freecols:
+        w = [F.zero] * width
+        w[colmap[f]] = F.one
+        for pc, row in zip(piv, rows):
+            if not F.is_zero(row[f]):
+                w[colmap[pc]] = F.neg(row[f])
+        out.append(w)
+    return out
+
+
+def normalized(F, vec):
+    """vec as a list scaled so its first nonzero coordinate is 1."""
+    for x in vec:
+        if not F.is_zero(x):
+            inv = F.inv(x)
+            return [F.mul(inv, y) for y in vec]
+    return list(vec)
 
 
 def _make_core(field, ncols, plimit, size_hint):
@@ -298,6 +357,8 @@ class RowReducer:
     ``pivot_limit`` is set, pivots are only chosen among the first
     ``pivot_limit`` columns and rows that vanish there (but not beyond) are
     archived in ``residual_rows`` — that is what backs LinearSolver.
+    Rows are sequences of scalars; over F_p an ``array('Q')`` row is taken
+    to hold residues already in [0, p), as kernel_rows returns them.
     """
 
     def __init__(self, field, ncols, *, pivot_limit=None, size_hint=0):
@@ -364,6 +425,26 @@ class RowReducer:
     def residual_rows(self):
         return self._core.residual_rows()
 
+    def free_columns(self):
+        """Non-pivot columns in ascending order."""
+        pivset = set(self._core.pivcols)
+        return [f for f in range(self.ncols) if f not in pivset]
+
+    def kernel_rows(self, colmap, width):
+        """Raw RREF kernel rows, sent through a column map.
+
+        One row per free column f, ascending: 1 at colmap[f] and -R[t][f] at
+        colmap[p_t] for each pivot row R[t] with pivot column p_t, zero
+        elsewhere, `width` entries long.  With the identity map these are the
+        nullspace vectors before normalization; over F_p on the native core
+        they come back as ``array('Q')`` rows.
+        """
+        if len(colmap) != self.ncols or (
+            self.ncols and not 0 <= min(colmap) <= max(colmap) < width
+        ):
+            raise ShapeMismatch("column map does not send the columns into the width")
+        return self._core.kernel_rows(self.free_columns(), colmap, width)
+
 
 # ---------------------------------------------------------------------------
 # matrices
@@ -413,21 +494,10 @@ class ExactMatrix:
         F = self.field
         piv, rows = self._reduced()
         pivset = set(piv)
-        basis = []
-        for f in range(self.ncols):
-            if f in pivset:
-                continue
-            v = [F.zero] * self.ncols
-            v[f] = F.one
-            for t, pc in enumerate(piv):
-                v[pc] = F.neg(rows[t][f])
-            for x in v:
-                if not F.is_zero(x):
-                    inv = F.inv(x)
-                    v = [F.mul(inv, y) for y in v]
-                    break
-            basis.append(v)
-        return basis
+        n = self.ncols
+        freecols = [f for f in range(n) if f not in pivset]
+        kernel = _rref_kernel_rows(F, piv, rows, freecols, range(n), n)
+        return [normalized(F, v) for v in kernel]
 
     def det(self):
         if self.nrows != self.ncols:

@@ -5,6 +5,15 @@ constructive formulas — so it can cross-check the pipeline modules:
   * kernel_basis: the (i, j) slice as the nullspace of the substitution map,
   * mingen_table: minimal-generator counts via the graded Nakayama quotient,
   * ideal_piece_membership: per-bidegree span tests.
+
+A kernel slice is kept as the pivot block of its substitution matrix's RREF
+(inside a RowReducer), not as kernel vectors.  The matrix of slice (i, j) is
+banded: the column of T0^a0 T1^a1 X^b is the dense power u^b shifted down by
+a1, so it is written into one flat buffer (``array('Q')`` over F_p) by one
+strided slice assignment per column.  The Nakayama steps feed whole kernel
+rows, moved through monomial-multiplication column maps, straight from one
+pivot block into the next reducer; canonical normalized vectors are built
+only when kernel_basis asks for them.
 """
 from __future__ import annotations
 
@@ -12,12 +21,13 @@ from array import array
 from dataclasses import dataclass
 
 from .fields import PrimeField
-from .linalg import ExactMatrix, RowReducer
+from .linalg import RowReducer, normalized
 from .poly import (
     BiPoly,
     bidegree_dimension,
     monomials_of_bidegree,
     tpoly_dense,
+    x_monomials,
 )
 from .syzygy import Parametrization
 
@@ -62,13 +72,23 @@ class MinGenTable:
 
 
 class _KernelData:
-    __slots__ = ("monomials", "index", "vectors", "freecols")
+    """One kernel slice: the reducer holding the RREF of its substitution
+    matrix, and the free columns (one kernel vector each)."""
 
-    def __init__(self, monomials, index, vectors, freecols):
-        self.monomials = monomials
-        self.index = index
-        self.vectors = vectors      # list of dense coefficient vectors
-        self.freecols = freecols    # per vector: its defining free column
+    __slots__ = ("reducer", "freecols")
+
+    def __init__(self, reducer):
+        self.reducer = reducer
+        self.freecols = reducer.free_columns()
+
+
+def _x_shifts(j):
+    """Index maps x_monomials(j - 1) -> x_monomials(j) under X0, X1, X2."""
+    index = {m: t for t, m in enumerate(x_monomials(j))}
+    return [
+        [index[(0, 0, m[2] + e0, m[3] + e1, m[4] + e2)] for m in x_monomials(j - 1)]
+        for e0, e1, e2 in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    ]
 
 
 class Oracle:
@@ -78,73 +98,69 @@ class Oracle:
         self.par = par
         self.field = par.field
         self.d = par.d
+        # F_p residues live in array("Q") buffers, Q scalars in lists
+        self._words = isinstance(self.field, PrimeField) and self.field.p < 1 << 64
         self._dense_u = [tpoly_dense(u) for u in par.triple]
-        self._pow_cache = {(0, 0, 0): [self.field.one]}
+        self._pow_cache = {(0, 0, 0): self._vector([self.field.one])}
         self._kernels: dict = {}
         self._mu = None
+
+    def _vector(self, vals):
+        if self._words:
+            p = self.field.p
+            return array("Q", [v % p for v in vals])
+        return vals
+
+    def _zeros(self, n):
+        if self._words:
+            return array("Q", bytes(8 * n))
+        return [self.field.zero] * n
 
     # -- parametrization powers -------------------------------------------
 
     def _u_power(self, b):
-        if b in self._pow_cache:
-            return self._pow_cache[b]
-        F = self.field
-        b0, b1, b2 = b
-        if b0:
-            prev = self._u_power((b0 - 1, b1, b2))
-            mult = self._dense_u[0]
-        elif b1:
-            prev = self._u_power((b0, b1 - 1, b2))
-            mult = self._dense_u[1]
-        else:
-            prev = self._u_power((b0, b1, b2 - 1))
-            mult = self._dense_u[2]
-        out = [F.zero] * (len(prev) + self.d)
-        for ia, a in enumerate(prev):
-            if F.is_zero(a):
-                continue
-            for ib, bb in enumerate(mult):
-                if not F.is_zero(bb):
-                    out[ia + ib] = F.add(out[ia + ib], F.mul(a, bb))
-        self._pow_cache[b] = out
+        """Dense coefficients of u0^b0 u1^b1 u2^b2 (index = T1 exponent)."""
+        out = self._pow_cache.get(b)
+        if out is None:
+            k = 0 if b[0] else 1 if b[1] else 2
+            prev = self._u_power(b[:k] + (b[k] - 1,) + b[k + 1 :])
+            mult = self._dense_u[k]
+            acc = [self.field.zero] * (len(prev) + self.d)
+            for ia, a in enumerate(prev):
+                if a:
+                    for ib, c in enumerate(mult):
+                        acc[ia + ib] += a * c
+            out = self._pow_cache[b] = self._vector(acc)
         return out
 
     # -- kernels -------------------------------------------------------------
 
     def _kernel_data(self, i, j) -> _KernelData:
-        key = (i, j)
-        if key in self._kernels:
-            return self._kernels[key]
-        F = self.field
-        monomials = monomials_of_bidegree(i, j)
-        index = {m: t for t, m in enumerate(monomials)}
-        nrows = i + j * self.d + 1
-        rows = [[F.zero] * len(monomials) for _ in range(nrows)]
-        for c, m in enumerate(monomials):
-            a0, a1, b0, b1, b2 = m
-            dense = self._u_power((b0, b1, b2))
-            for k, val in enumerate(dense):
-                if not F.is_zero(val):
-                    rows[a1 + k][c] = val
-        mat = ExactMatrix(F, rows)
-        pivset = set(mat.rref()[0])
-        freecols = [f for f in range(len(monomials)) if f not in pivset]
-        vectors = [self._store(v) for v in mat.nullspace()]
-        data = _KernelData(monomials, index, vectors, freecols)
-        self._kernels[key] = data
+        data = self._kernels.get((i, j))
+        if data is None:
+            length = j * self.d + 1       # of every u^b with |b| = j
+            nrows = i + length
+            xmons = x_monomials(j)
+            nx = len(xmons)
+            ncols = (i + 1) * nx
+            buf = self._zeros(nrows * ncols)
+            # the column of T0^(i-a1) T1^a1 X^b is a1 * nx + (index of b)
+            for xidx, m in enumerate(xmons):
+                upow = self._u_power(m[2:])
+                for a1 in range(i + 1):
+                    start = a1 * ncols + a1 * nx + xidx
+                    buf[start : start + (length - 1) * ncols + 1 : ncols] = upow
+            red = RowReducer(self.field, ncols, size_hint=nrows * ncols)
+            red.add_rows([buf[r * ncols : (r + 1) * ncols] for r in range(nrows)])
+            data = self._kernels[(i, j)] = _KernelData(red)
         return data
-
-    def _store(self, vec):
-        if isinstance(self.field, PrimeField):
-            return array("Q", vec)
-        return vec
 
     def kernel_dim(self, i, j) -> int:
         if i < 0 or j < 0:
             return 0
         if j == 0:
             return 0  # nonzero T-forms never vanish under the substitution
-        return len(self._kernel_data(i, j).vectors)
+        return len(self._kernel_data(i, j).freecols)
 
     def kernel_basis(self, i, j) -> GradedPiece:
         """Canonical basis of the bidegree-(i, j) slice of the kernel ideal."""
@@ -153,10 +169,13 @@ class Oracle:
         F = self.field
         if j == 0:
             return GradedPiece(bidegree=(i, j), basis=[])
-        data = self._kernel_data(i, j)
+        monomials = monomials_of_bidegree(i, j)
+        n = len(monomials)
         basis = []
-        for vec in data.vectors:
-            coeffs = {m: c for m, c in zip(data.monomials, vec) if not F.is_zero(c)}
+        for vec in self._kernel_data(i, j).reducer.kernel_rows(range(n), n):
+            coeffs = {
+                m: c for m, c in zip(monomials, normalized(F, vec)) if not F.is_zero(c)
+            }
             basis.append(BiPoly(F, i, j, coeffs, _clean=True))
         return GradedPiece(bidegree=(i, j), basis=basis)
 
@@ -174,57 +193,39 @@ class Oracle:
 
     # -- minimal generator counts ---------------------------------------------
 
-    def _shift_map(self, src_mons, dst_index, delta):
-        d0, d1, e0, e1, e2 = delta
-        return [
-            dst_index[(m[0] + d0, m[1] + d1, m[2] + e0, m[3] + e1, m[4] + e2)]
-            for m in src_mons
-        ]
-
     def mingen_count(self, i, j) -> int:
         """dim K_{i,j} minus the dimension of (T0,T1) K_{i-1,j} + (X) K_{i,j-1}."""
-        F = self.field
         n_target = self.kernel_dim(i, j)
         if n_target == 0:
             return 0
-        dst = self._kernel_data(i, j)
-        ncols = len(dst.monomials)
+        nx = (j + 1) * (j + 2) // 2
+        ncols = (i + 1) * nx
+        # (source slice, column map into slice (i, j)) per multiplication
         blocks = []
         if i >= 1 and self.kernel_dim(i - 1, j) > 0:
             src = self._kernel_data(i - 1, j)
-            for delta in ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0)):
-                blocks.append((src, self._shift_map(src.monomials, dst.index, delta)))
+            # T0 keeps a1, T1 raises it: columns move by 0 or by nx
+            blocks += [(src, range(i * nx)), (src, range(nx, nx + i * nx))]
         if j >= 1 and self.kernel_dim(i, j - 1) > 0:
             src = self._kernel_data(i, j - 1)
-            for delta in ((0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)):
-                blocks.append((src, self._shift_map(src.monomials, dst.index, delta)))
+            for xs in _x_shifts(j):
+                blocks.append((src, [a1 * nx + x for a1 in range(i + 1) for x in xs]))
         if not blocks:
             return n_target
-        red = RowReducer(F, ncols, size_hint=n_target * ncols)
-        blocks.sort(key=lambda blk: -len(blk[0].vectors))
+        red = RowReducer(self.field, ncols, size_hint=n_target * ncols)
+        blocks.sort(key=lambda blk: -len(blk[0].freecols))
+        # a shifted kernel block is already mutually reduced: row f has 1 at
+        # the image of free column f and 0 at the images of the other free
+        # columns, so it seeds the reducer as it is
         seed_src, seed_map = blocks[0]
-        seed_rows = []
-        seed_piv = []
-        for vec, f in zip(seed_src.vectors, seed_src.freecols):
-            w = [F.zero] * ncols
-            inv = F.inv(vec[f])
-            for t, c in enumerate(vec):
-                if not F.is_zero(c):
-                    w[seed_map[t]] = F.mul(inv, c)
-            seed_rows.append(w)
-            seed_piv.append(seed_map[f])
-        red.seed(seed_piv, seed_rows)
-        for src, shift in blocks[1:]:
+        red.seed(
+            [seed_map[f] for f in seed_src.freecols],
+            seed_src.reducer.kernel_rows(seed_map, ncols),
+        )
+        for src, colmap in blocks[1:]:
             if red.rank >= n_target:
                 break
-            batch = []
-            for vec in src.vectors:
-                w = [F.zero] * ncols
-                for t, c in enumerate(vec):
-                    if not F.is_zero(c):
-                        w[shift[t]] = c
-                batch.append(w)
-            red.add_rows(batch, stop_rank=n_target)
+            red.add_rows(src.reducer.kernel_rows(colmap, ncols), stop_rank=n_target)
         return n_target - red.rank
 
     def mingen_table(self, imax=None, jmax=None) -> MinGenTable:

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dc_field
+from math import gcd, lcm
 
-from .errors import PreconditionError
+from .errors import PreconditionError, VerificationError
 from .fields import DEFAULT_PRIME, PrimeField, Rationals, field_from_spec
 from .linalg import RowReducer
 from .oracle import Oracle, ideal_piece_membership
@@ -60,12 +61,40 @@ def curve_from_json(doc: dict, field_override=None) -> Parametrization:
     return parametrization(field, *lists)
 
 
+#: Primes for the table cross-check of a curve over Q, tried in this order
+#: until one gives good reduction: the largest primes below 2^62.
+MIRROR_PRIMES = (DEFAULT_PRIME, (1 << 62) - 87, (1 << 62) - 117, (1 << 62) - 143)
+
+
 def mirror_to_prime_field(par: Parametrization, p: int = DEFAULT_PRIME) -> Parametrization:
-    """Reduce a rational curve mod p (used to run the big table cross-check)."""
+    """Reduce a rational curve mod p (used to run the big table cross-check).
+
+    The reduced triple is the primitive integer one: denominators cleared and
+    the content divided out, so scaling the curve never changes its mirror.
+    Raises PreconditionError when the reduction is not a parametrization (the
+    components acquire a common factor mod p, which a degree drop also gives).
+    """
+    dense = [tpoly_dense(u) for u in par.triple]
+    den = lcm(*(c.denominator for u in dense for c in u))
+    ints = [[int(c * den) for c in u] for u in dense]
+    content = gcd(*(c for u in ints for c in u))
     F = PrimeField(p)
-    return parametrization(
-        F,
-        *[[F.coerce(c) for c in tpoly_dense(u)] for u in par.triple],
+    return parametrization(F, *[[F.coerce(c // content) for c in u] for u in ints])
+
+
+def _good_mirror(par: Parametrization, kind: str, primes, notes) -> Parametrization:
+    """The first reduction of par with the same d, mu = 2 and class `kind`."""
+    for p in primes:
+        try:
+            mirror = mirror_to_prime_field(par, p)
+            mb = mu_basis(mirror)
+            if mb.mu == 2 and classify_singularity(mb).kind == kind:
+                return mirror
+        except (PreconditionError, VerificationError):
+            pass
+        notes.append(f"bad reduction mod {p}: the mirror loses mu = 2 or the class")
+    raise PreconditionError(
+        "mirror_reduction", f"no good reduction at any of the primes {list(primes)}"
     )
 
 
@@ -248,7 +277,8 @@ def build_report(
     if with_table:
         t0 = time.perf_counter()
         if isinstance(F, Rationals):
-            tab_par = mirror_to_prime_field(par, mirror_prime)
+            primes = (mirror_prime,) + tuple(p for p in MIRROR_PRIMES if p != mirror_prime)
+            tab_par = _good_mirror(par, sing.kind, primes, notes)
             tab_orc = Oracle(tab_par)
             table_field = tab_par.field.name
             notes.append(

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 D5 = {
     "field": "q",
@@ -204,3 +205,76 @@ def test_no_third_party_modules_at_run_time():
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+# A mild sextic over Q whose low moving line T0^2 X0 + P T0T1 X1 + T1^2 X2
+# (P = DEFAULT_PRIME) becomes axial mod P: the mirror there is very singular.
+BAD_MIRROR = {
+    "field": "q",
+    "d": 6,
+    "u0": ["0", "-13835058055282163541", "13835058055282163539", "-3",
+           "13835058055282163539", "-9223372036854775696", "-1"],
+    "u1": ["3", "-3", "1", "-4", "4", "-1", "3"],
+    "u2": ["2", "-4611686018427387844", "4611686018427387849", "-9223372036854775692",
+           "4611686018427387848", "-13835058055282163541", "0"],
+}
+
+
+def test_gens_mirror_ignores_scaling(tmp_path):
+    from fractions import Fraction
+
+    from reescurve.fields import DEFAULT_PRIME
+
+    s = run_cli(["--field", "q", "sample-mild", "--degree", "6", "--seed", "3"])
+    assert s.returncode == 0, s.stderr
+    doc = json.loads(s.stdout)
+    scaled = dict(doc)
+    for key in ("u0", "u1", "u2"):
+        scaled[key] = [str(Fraction(c) / DEFAULT_PRIME) for c in doc[key]]
+    reports = []
+    for name, curve in (("plain", doc), ("scaled", scaled)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(curve))
+        g = run_cli(["gens", str(path)])
+        assert g.returncode == 0, g.stderr
+        reports.append(json.loads(g.stdout))
+    plain, div = reports
+    assert div["all_pass"] is True
+    assert div["oracle_table"] == plain["oracle_table"]
+    assert div["oracle_table"]["field"] == f"fp:{DEFAULT_PRIME}"
+
+
+def test_gens_steps_past_a_bad_mirror_prime(tmp_path):
+    from reescurve.report import MIRROR_PRIMES
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(BAD_MIRROR))
+    c = run_cli(["classify", str(path)])
+    assert c.returncode == 0 and json.loads(c.stdout)["kind"] == "mild"
+    g = run_cli(["gens", str(path)])
+    assert g.returncode == 0, g.stderr
+    rep = json.loads(g.stdout)
+    assert rep["all_pass"] is True
+    assert rep["oracle_table"]["field"] == f"fp:{MIRROR_PRIMES[1]}"
+    assert any(f"bad reduction mod {MIRROR_PRIMES[0]}" in n for n in rep["notes"])
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    field=st.sampled_from(["fp:2", "fp:3", "fp:5", "fp:7", "fp:11", "fp:13", "q"]),
+    kind=st.sampled_from(["mild", "verysingular"]),
+    degree=st.integers(min_value=5, max_value=7),
+    seed=st.integers(min_value=0, max_value=99),
+)
+def test_cli_fuzz_sample_then_gens(field, kind, degree, seed):
+    """Every input ends in a report or a classified refusal, never a traceback."""
+    s = run_cli(["--field", field, f"sample-{kind}", "--degree", str(degree), "--seed", str(seed)])
+    assert s.returncode in (0, 2), s.stderr
+    assert "Traceback" not in s.stderr
+    if s.returncode:
+        return
+    g = run_cli(["gens", "-"], inp=s.stdout)
+    assert g.returncode in (0, 2, 3), g.stderr
+    assert "Traceback" not in g.stderr
+    if g.returncode == 0:
+        assert json.loads(g.stdout)["all_pass"] is True

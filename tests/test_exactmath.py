@@ -12,7 +12,7 @@ from reescurve.fields import (
     field_from_spec,
     is_prime,
 )
-from reescurve.linalg import ExactMatrix, RowReducer, ShapeMismatch
+from reescurve.linalg import ExactMatrix, RowReducer, ShapeMismatch, normalized
 
 FP = PrimeField(DEFAULT_PRIME)
 FP_SMALL = PrimeField(10007)
@@ -166,8 +166,10 @@ def _native_and_packed(ncols, **kw):
 
     if _native.get_kernel() is None:
         pytest.skip("native kernel unavailable (no C compiler, or REESCURVE_NO_NATIVE set)")
-    native = RowReducer(FP, ncols, size_hint=10**6, **kw)   # big hint -> native
-    packed = RowReducer(FP, ncols, size_hint=0, **kw)       # small hint -> packed
+    native = RowReducer(FP, ncols, **kw)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "get_kernel", lambda: None)     # no kernel -> packed
+        packed = RowReducer(FP, ncols, **kw)
     assert isinstance(native._core, _FpNativeCore)
     assert isinstance(packed._core, _FpPackedCore)
     return native, packed
@@ -183,6 +185,13 @@ def test_row_reducer_matches_across_cores():
         red.add_rows(rows)
     assert reducers[0].rref() == reducers[1].rref()
     assert reducers[0].rank == reducers[1].rank == 20  # 2 dependent rows added
+    # kernel rows through a column map: 30 columns spread over 70, reversed
+    colmap = [69 - 2 * c for c in range(30)]
+    kernels = [[list(r) for r in red.kernel_rows(colmap, 70)] for red in reducers]
+    assert kernels[0] == kernels[1]
+    assert len(kernels[0]) == 10
+    null = ExactMatrix(FP, rows).nullspace()
+    assert [normalized(FP, [r[colmap[c]] for c in range(30)]) for r in kernels[0]] == null
 
     # more pivots than the native core's initial 32 rows, fed in batches
     wide = [[rng.randrange(FP.p) for _ in range(60)] for _ in range(45)]
@@ -253,3 +262,16 @@ def test_row_reducer_contains():
     assert red.contains([1, 2, 1])
     assert not red.contains([0, 0, 1])
     assert red.rank == 2  # contains() must not mutate
+
+
+@pytest.mark.parametrize("field", [QQ, FP])
+def test_kernel_rows_reject_a_column_map_outside_the_width(field):
+    red = RowReducer(field, 3)
+    red.add_rows([[1, 1, 0]])
+    assert [list(r) for r in red.kernel_rows([2, 1, 0], 3)] == [
+        [0, 1, field.neg(1)],
+        [1, 0, 0],
+    ]
+    for colmap, width in (([0, 1, 3], 3), ([-1, 0, 1], 3), ([0, 1], 3)):
+        with pytest.raises(ShapeMismatch):
+            red.kernel_rows(colmap, width)

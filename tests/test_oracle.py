@@ -1,6 +1,8 @@
 """Brute-force graded oracle: kernels, minimal-generator table, membership."""
 import random
 
+import pytest
+
 from curves import monomial_odd, predicted_multiset
 from reescurve.fields import DEFAULT_PRIME, PrimeField, QQ
 from reescurve.oracle import Oracle, ideal_piece_membership, kernel_basis, mingen_table
@@ -95,27 +97,84 @@ def test_fp_and_q_tables_agree_on_small_curve():
 
 
 def test_random_kernel_vectors_with_seeded_reducer():
-    """The seeding fast-path inside mingen_count must not change counts."""
-    rng = random.Random(9)
+    """The seeding fast-path inside mingen_count must not change counts.
+
+    The d = 7 cell is past the old 4096-cell native threshold in both the
+    slice and the Nakayama reducer.  Each slice's raw kernel rows, normalized,
+    must be the nullspace of the substitution matrix built term by term."""
+    from reescurve.linalg import ExactMatrix, RowReducer, normalized
+    from reescurve.poly import monomials_of_bidegree, tpoly_dense
     from reescurve.sampling import sample_mild
 
-    sample = sample_mild(FP, 5, rng)
-    orc = Oracle(sample.par)
-    # recompute one cell by stacking everything without seeding
-    i, j = 2, 2
-    n = orc.kernel_dim(i, j)
-    from reescurve.linalg import RowReducer
-    from reescurve.poly import monomials_of_bidegree
+    for d, (i, j) in [(5, (2, 2)), (7, (4, 5))]:
+        sample = sample_mild(FP, d, random.Random(9))
+        orc = Oracle(sample.par)
+        # recompute one cell by stacking everything without seeding
+        n = orc.kernel_dim(i, j)
+        monomials = monomials_of_bidegree(i, j)
+        red = RowReducer(FP, len(monomials))
+        for (ii, jj, mul) in [
+            (i - 1, j, parse_bipoly(FP, "T0")),
+            (i - 1, j, parse_bipoly(FP, "T1")),
+            (i, j - 1, parse_bipoly(FP, "X0")),
+            (i, j - 1, parse_bipoly(FP, "X1")),
+            (i, j - 1, parse_bipoly(FP, "X2")),
+        ]:
+            for b in orc.kernel_basis(ii, jj).basis:
+                red.add_row((mul * b).to_vector(monomials))
+        assert orc.mingen_count(i, j) == n - red.rank
 
-    monomials = monomials_of_bidegree(i, j)
-    red = RowReducer(FP, len(monomials))
-    for (ii, jj, mul) in [
-        (i - 1, j, parse_bipoly(FP, "T0")),
-        (i - 1, j, parse_bipoly(FP, "T1")),
-        (i, j - 1, parse_bipoly(FP, "X0")),
-        (i, j - 1, parse_bipoly(FP, "X1")),
-        (i, j - 1, parse_bipoly(FP, "X2")),
-    ]:
-        for b in orc.kernel_basis(ii, jj).basis:
-            red.add_row((mul * b).to_vector(monomials))
-    assert orc.mingen_count(i, j) == n - red.rank
+        cols = [
+            tpoly_dense(BiPoly.monomial(FP, m).subst_x(*sample.par.triple))
+            for m in monomials
+        ]
+        null = ExactMatrix(FP, [list(row) for row in zip(*cols)]).nullspace()
+        assert len(null) == n
+        ncols = len(monomials)
+        rows = orc._kernel_data(i, j).reducer.kernel_rows(range(ncols), ncols)
+        assert [normalized(FP, r) for r in rows] == null
+        assert [b.to_vector(monomials) for b in orc.kernel_basis(i, j).basis] == null
+
+
+def _sampled_mirror(kind, d, seed):
+    from reescurve.report import mirror_to_prime_field
+    from reescurve.sampling import sample_mild, sample_very_singular
+
+    sampler = sample_mild if kind == "mild" else sample_very_singular
+    parq = sampler(QQ, d, random.Random(seed)).par
+    return parq, mirror_to_prime_field(parq)
+
+
+@pytest.mark.parametrize("kind, d, jbox", [("very-singular", 7, 5), ("mild", 8, 4)])
+def test_oracle_agrees_across_cores(kind, d, jbox, monkeypatch):
+    """Native core, packed core and Q give the same table and kernel bases.
+
+    The native table is checked whole against the theorems; the slower packed
+    and Fraction cores on the boxes j <= jbox and j <= 3 of the same table."""
+    from reescurve import _native
+
+    if _native.get_kernel() is None:
+        pytest.skip("no C compiler: the native core is not built")
+    parq, parp = _sampled_mirror(kind, d, 3)
+    cells = [(2, 1), (2, 3), (d - 2, 1), (0, d)]
+    native = Oracle(parp)
+    table = native.mingen_table()
+    assert table.multiset() == predicted_multiset(d, kind)
+
+    def within(jmax):
+        return {c: n for c, n in table.counts.items() if c[1] <= jmax}
+
+    with monkeypatch.context() as m:
+        m.setattr(_native, "get_kernel", lambda: None)
+        packed = Oracle(parp)
+        assert packed.mingen_table(d - 2, jbox).counts == within(jbox)
+        for c in cells:
+            assert packed.kernel_basis(*c).basis == native.kernel_basis(*c).basis
+    qorc = Oracle(parq)
+    assert qorc.mingen_table(d - 2, 3).counts == within(3)
+    for c in cells:
+        qb = qorc.kernel_basis(*c).basis
+        nb = native.kernel_basis(*c).basis
+        assert len(qb) == len(nb) > 0
+        for fq, fp in zip(qb, nb):
+            assert {m: FP.coerce(v) for m, v in fq.coeffs.items()} == fp.coeffs
