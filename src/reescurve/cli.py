@@ -2,7 +2,9 @@
 
 Machine-readable JSON goes to stdout (or plain text with --out text); human
 progress notes go to stderr.  Exit codes: 0 success, 2 precondition violation
-(bad input, improper curve, unsupported mu), 3 verification failure.
+(bad input, improper curve, unsupported mu), 3 verification failure, 4
+internal error (a computation broke an invariant of its own; the JSON error
+document names the exception type).
 """
 from __future__ import annotations
 
@@ -13,7 +15,9 @@ import sys
 
 from .errors import ImproperParametrization, PreconditionError, VerificationError
 from .fields import DEFAULT_PRIME, field_from_spec
+from .linalg import ShapeMismatch
 from .oracle import Oracle
+from .poly import GradingError, InexactDivision
 from .report import (
     SCHEMA_VERSION,
     build_report,
@@ -33,6 +37,12 @@ from .syzygy import (
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_VERIFICATION = 3
+EXIT_INTERNAL = 4
+
+# raised only by a computation gone wrong, never by reading a malformed input
+# (curve_from_json turns those into PreconditionError); VerificationError, a
+# RuntimeError, is caught before these
+INTERNAL_ERRORS = (GradingError, ShapeMismatch, InexactDivision, ZeroDivisionError, RuntimeError)
 
 
 def _log(msg: str):
@@ -282,56 +292,41 @@ def make_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _refuse(code: int, note: str, **doc) -> int:
+    """Log a note, print the JSON error document and return the exit code."""
+    _log(note)
+    print(json.dumps({"schema": SCHEMA_VERSION, **doc}, sort_keys=True))
+    return code
+
+
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ImproperParametrization as exc:
-        _log(f"precondition violated [{exc.invariant}]: {exc} (measured degree {exc.degree})")
-        print(
-            json.dumps(
-                {
-                    "schema": SCHEMA_VERSION,
-                    "error": "precondition",
-                    "invariant": exc.invariant,
-                    "properness_degree": exc.degree,
-                },
-                sort_keys=True,
-            )
+        return _refuse(
+            EXIT_PRECONDITION,
+            f"precondition violated [{exc.invariant}]: {exc} (measured degree {exc.degree})",
+            error="precondition", invariant=exc.invariant, properness_degree=exc.degree,
         )
-        return EXIT_PRECONDITION
     except PreconditionError as exc:
-        _log(f"precondition violated [{exc.invariant}]: {exc}")
-        print(
-            json.dumps(
-                {
-                    "schema": SCHEMA_VERSION,
-                    "error": "precondition",
-                    "invariant": exc.invariant,
-                    "message": str(exc),
-                },
-                sort_keys=True,
-            )
+        return _refuse(
+            EXIT_PRECONDITION, f"precondition violated [{exc.invariant}]: {exc}",
+            error="precondition", invariant=exc.invariant, message=str(exc),
         )
-        return EXIT_PRECONDITION
     except VerificationError as exc:
-        _log(f"verification failed: {exc}")
-        print(
-            json.dumps(
-                {"schema": SCHEMA_VERSION, "error": "verification", "message": str(exc)},
-                sort_keys=True,
-            )
+        return _refuse(
+            EXIT_VERIFICATION, f"verification failed: {exc}",
+            error="verification", message=str(exc),
         )
-        return EXIT_VERIFICATION
+    except INTERNAL_ERRORS as exc:
+        name = type(exc).__name__
+        return _refuse(
+            EXIT_INTERNAL, f"internal error: {name}: {exc}",
+            error="internal", type=name, message=str(exc),
+        )
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-        _log(f"input error: {exc}")
-        print(
-            json.dumps(
-                {"schema": SCHEMA_VERSION, "error": "input", "message": str(exc)},
-                sort_keys=True,
-            )
-        )
-        return EXIT_PRECONDITION
+        return _refuse(EXIT_PRECONDITION, f"input error: {exc}", error="input", message=str(exc))
 
 
 if __name__ == "__main__":

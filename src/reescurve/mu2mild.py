@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PreconditionError, VerificationError
+from .assembly import Assembly, Generator
+from .errors import ImproperParametrization, PreconditionError, VerificationError
 from .poly import BiPoly, poly_det_bareiss
 from .syzygy import (
     ImplicitEquation,
@@ -50,6 +51,7 @@ def mild_context(
     par: Parametrization,
     mb: MuBasis | None = None,
     sing: SingularityClass | None = None,
+    imp: ImplicitEquation | None = None,
 ) -> MildContext:
     if mb is None:
         mb = mu_basis(par)
@@ -62,9 +64,8 @@ def mild_context(
         raise PreconditionError(
             "mild_singularities", f"singularity class is {sing.kind!r}"
         )
-    imp = implicit_equation(mb)
-    from .errors import ImproperParametrization
-
+    if imp is None:
+        imp = implicit_equation(mb)
     if imp.properness_degree != 1:
         raise ImproperParametrization(imp.properness_degree)
     return MildContext(
@@ -115,7 +116,7 @@ def delta_sylvester(ctx: MildContext):
         want = (ctx.d - 2 - sum(v), 2)
         if delta.is_zero() or delta.bidegree != want:
             raise VerificationError(f"Sylvester form at v={v} has wrong shape")
-        if not delta.subst_x(*ctx.par.triple).is_zero():
+        if not ctx.par.substitute(delta).is_zero():
             raise VerificationError(f"Sylvester form at v={v} left the kernel")
         out[v] = delta
     return out
@@ -266,7 +267,7 @@ def minor_family(ctx: MildContext, i: int, morley: MorleyData | None = None):
         want = (i, d - 1 - i)
         if det.is_zero() or det.bidegree != want:
             raise VerificationError(f"minor (i={i}, row {t}) has wrong shape")
-        if not det.subst_x(*ctx.par.triple).is_zero():
+        if not ctx.par.substitute(det).is_zero():
             raise VerificationError(f"minor (i={i}, row {t}) left the kernel")
         out.append(det)
     return out
@@ -310,10 +311,9 @@ def morley_det_check(ctx: MildContext, i: int, morley: MorleyData | None = None)
 # assembly
 # ---------------------------------------------------------------------------
 
-def assemble_mild(ctx: MildContext):
-    """The essentially-minimal family: (d+1)(d-4)/2 + 5 generators for d >= 5."""
-    from .mu2sing import Generator
-
+def assemble_mild(ctx: MildContext) -> Assembly:
+    """The essentially-minimal family: (d+1)(d-4)/2 + 5 generators for d >= 5,
+    with the Sylvester forms, the Morley data and the minor families."""
     d = ctx.d
     if d < 4:
         raise PreconditionError("degree_range", "mild assembly needs d >= 4")
@@ -325,10 +325,13 @@ def assemble_mild(ctx: MildContext):
         (deltas[(1, 0)], "sylvester-form[(1,0)]"),
         (deltas[(0, 1)], "sylvester-form[(0,1)]"),
     ]
+    morley = None
+    minors = {}
     if d >= 5:
         morley = morley_coeffs(ctx)
         for i in range(1, d - 3):
-            for t, minor in enumerate(minor_family(ctx, i, morley)):
+            minors[i] = minor_family(ctx, i, morley)
+            for t, minor in enumerate(minors[i]):
                 v = (d - 2 - i - t, t)
                 gens.append((minor, f"morley-minor[i={i},v={v}]"))
     expected = (d + 1) * (d - 4) // 2 + 5
@@ -336,12 +339,8 @@ def assemble_mild(ctx: MildContext):
         raise VerificationError(
             f"assembled {len(gens)} generators, count formula says {expected}"
         )
-    return [
-        Generator(
-            poly=poly.normalized(),
-            pipeline_poly=poly.normalized(),
-            bidegree=poly.bidegree,
-            label=label,
-        )
-        for poly, label in gens
-    ]
+    out = []
+    for poly, label in gens:
+        norm = poly.normalized()
+        out.append(Generator(poly=norm, pipeline_poly=norm, bidegree=poly.bidegree, label=label))
+    return Assembly(generators=out, deltas=deltas, morley=morley, minors=minors)

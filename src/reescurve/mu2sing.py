@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .assembly import Assembly, Generator
 from .errors import ImproperParametrization, PreconditionError, VerificationError
 from .linalg import ExactMatrix
 from .poly import BiPoly, tpoly_dense
@@ -67,7 +68,12 @@ def very_singular_context(
     par: Parametrization,
     mb: MuBasis | None = None,
     sing: SingularityClass | None = None,
+    imp: ImplicitEquation | None = None,
 ) -> VerySingularContext:
+    """The transformed frame of a very singular curve.  `imp` is the implicit
+    equation in the input frame (computed when not given); the frame's
+    resultant and equation are pulled back through the change, not computed
+    by a second resultant."""
     if mb is None:
         mb = mu_basis(par)
     mu = mb.mu
@@ -90,9 +96,14 @@ def very_singular_context(
         raise VerificationError("factorization v = (p0 q, p1 q, *) failed")
     k, r = split_degree(d, mu)
     tmb = MuBasis(p=tp, q=tq, mu=mu)
-    imp = implicit_equation(tmb)
+    if imp is None:
+        imp = implicit_equation(mb)
     if imp.properness_degree != 1:
         raise ImproperParametrization(imp.properness_degree)
+    # a proper map's resultant is a multiple of the equation, so one pullback
+    # gives both
+    tres = pullback_through_change(imp.resultant, sing.change_inv)
+    timp = ImplicitEquation(equation=tres.normalized(), properness_degree=1, resultant=tres)
     return VerySingularContext(
         original=par,
         par=tpar,
@@ -104,7 +115,7 @@ def very_singular_context(
         r=r,
         change=sing.change,
         change_inv=sing.change_inv,
-        implicit=imp,
+        implicit=timp,
     )
 
 
@@ -227,7 +238,7 @@ def family(ctx: VerySingularContext):
             )
         out.append(nxt)
     for j, f in enumerate(out, start=1):
-        if not f.subst_x(*ctx.par.triple).is_zero():
+        if not ctx.par.substitute(f).is_zero():
             raise VerificationError(f"family member j={j} left the kernel")
     return out
 
@@ -258,7 +269,7 @@ def top_generator_odd(ctx: VerySingularContext, fam=None) -> BiPoly:
     top = f_dn * g11 + f_up * h11
     if top.is_zero() or top.bidegree != (1, ctx.k):
         raise VerificationError("top form construction failed")
-    if not top.subst_x(*ctx.par.triple).is_zero():
+    if not ctx.par.substitute(top).is_zero():
         raise VerificationError("top form left the kernel")
     if not top.in_x01_power(1):
         raise VerificationError("top form escaped <X0, X1>")
@@ -288,7 +299,7 @@ def top_generators_even(ctx: VerySingularContext, fam=None):
     for t in (top0, top1):
         if t.is_zero() or t.bidegree != (1, ctx.k):
             raise VerificationError("paired top form has wrong shape")
-        if not t.subst_x(*ctx.par.triple).is_zero():
+        if not ctx.par.substitute(t).is_zero():
             raise VerificationError("paired top form left the kernel")
         if not t.in_x01_power(1):
             raise VerificationError("paired top form escaped <X0, X1>")
@@ -299,16 +310,9 @@ def top_generators_even(ctx: VerySingularContext, fam=None):
 # assembly
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Generator:
-    poly: BiPoly            # original input coordinates, normalized
-    pipeline_poly: BiPoly   # the transformed-frame representative
-    bidegree: tuple
-    label: str
-
-
-def assemble_very_singular(ctx: VerySingularContext):
-    """Minimal generating set: k+2 elements for d odd, k+3 for d even."""
+def assemble_very_singular(ctx: VerySingularContext) -> Assembly:
+    """Minimal generating set: k+2 elements for d odd, k+3 for d even, with
+    the shift family and the top forms they came from."""
     if ctx.mu != 2:
         raise PreconditionError("mu_equals_2", f"mu = {ctx.mu}")
     d, k = ctx.d, ctx.k
@@ -329,12 +333,13 @@ def assemble_very_singular(ctx: VerySingularContext):
     ]
     gens.extend(zip(fam, labels))
     if ctx.r == -1:
-        gens.append((top_generator_odd(ctx, fam), "sylvester-top-form"))
+        tops = [top_generator_odd(ctx, fam)]
+        gens.append((tops[0], "sylvester-top-form"))
         expected = k + 2
     else:
-        t0, t1 = top_generators_even(ctx, fam)
-        gens.append((t0, "paired-top-form[0]"))
-        gens.append((t1, "paired-top-form[1]"))
+        tops = list(top_generators_even(ctx, fam))
+        gens.append((tops[0], "paired-top-form[0]"))
+        gens.append((tops[1], "paired-top-form[1]"))
         expected = k + 3
     if len(gens) != expected:
         raise VerificationError(f"assembled {len(gens)} generators, wanted {expected}")
@@ -349,4 +354,4 @@ def assemble_very_singular(ctx: VerySingularContext):
                 label=label,
             )
         )
-    return out
+    return Assembly(generators=out, family=fam, tops=tops)

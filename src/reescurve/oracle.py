@@ -9,7 +9,8 @@ constructive formulas — so it can cross-check the pipeline modules:
 A kernel slice is kept as the pivot block of its substitution matrix's RREF
 (inside a RowReducer), not as kernel vectors.  The matrix of slice (i, j) is
 banded: the column of T0^a0 T1^a1 X^b is the dense power u^b shifted down by
-a1, so it is written into one flat buffer (``array('Q')`` over F_p) by one
+a1, read from the curve's PowerTable (the one every substitution into the
+curve uses) and written into one flat buffer (``array('Q')`` over F_p) by one
 strided slice assignment per column.  The Nakayama steps feed whole kernel
 rows, moved through monomial-multiplication column maps, straight from one
 pivot block into the next reducer; canonical normalized vectors are built
@@ -20,15 +21,9 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 
-from .fields import PrimeField
+from .fields import Rationals
 from .linalg import RowReducer, normalized
-from .poly import (
-    BiPoly,
-    bidegree_dimension,
-    monomials_of_bidegree,
-    tpoly_dense,
-    x_monomials,
-)
+from .poly import BiPoly, bidegree_dimension, monomials_of_bidegree, x_monomials
 from .syzygy import Parametrization
 
 
@@ -98,40 +93,22 @@ class Oracle:
         self.par = par
         self.field = par.field
         self.d = par.d
-        # F_p residues live in array("Q") buffers, Q scalars in lists
-        self._words = isinstance(self.field, PrimeField) and self.field.p < 1 << 64
-        self._dense_u = [tpoly_dense(u) for u in par.triple]
-        self._pow_cache = {(0, 0, 0): self._vector([self.field.one])}
+        self.powers = par.powers
         self._kernels: dict = {}
         self._mu = None
 
-    def _vector(self, vals):
-        if self._words:
-            p = self.field.p
-            return array("Q", [v % p for v in vals])
-        return vals
-
     def _zeros(self, n):
-        if self._words:
+        if self.powers.words:
             return array("Q", bytes(8 * n))
         return [self.field.zero] * n
 
-    # -- parametrization powers -------------------------------------------
-
-    def _u_power(self, b):
-        """Dense coefficients of u0^b0 u1^b1 u2^b2 (index = T1 exponent)."""
-        out = self._pow_cache.get(b)
-        if out is None:
-            k = 0 if b[0] else 1 if b[1] else 2
-            prev = self._u_power(b[:k] + (b[k] - 1,) + b[k + 1 :])
-            mult = self._dense_u[k]
-            acc = [self.field.zero] * (len(prev) + self.d)
-            for ia, a in enumerate(prev):
-                if a:
-                    for ib, c in enumerate(mult):
-                        acc[ia + ib] += a * c
-            out = self._pow_cache[b] = self._vector(acc)
-        return out
+    def _column(self, b):
+        """u^b as a matrix column; over Q, the integer power w^b as Fractions,
+        so the slice is scale^j times the one of u (same kernel and RREF)."""
+        pw = self.powers.power(b)
+        if isinstance(self.field, Rationals):
+            return [self.field.coerce(c) for c in pw]
+        return pw
 
     # -- kernels -------------------------------------------------------------
 
@@ -146,7 +123,7 @@ class Oracle:
             buf = self._zeros(nrows * ncols)
             # the column of T0^(i-a1) T1^a1 X^b is a1 * nx + (index of b)
             for xidx, m in enumerate(xmons):
-                upow = self._u_power(m[2:])
+                upow = self._column(m[2:])
                 for a1 in range(i + 1):
                     start = a1 * ncols + a1 * nx + xidx
                     buf[start : start + (length - 1) * ncols + 1 : ncols] = upow

@@ -5,12 +5,21 @@ scalars, tagged with its bidegree (tdeg, xdeg); T-forms and X-forms are just
 BiPolys with xdeg = 0 / tdeg = 0.  The canonical monomial order used for
 printing, pivoting and normalization everywhere is lexicographic with
 T0 > T1 > X0 > X1 > X2, highest first — i.e. plain descending tuple order.
+
+Substitution X -> u(T) runs on a PowerTable: dense integer powers u^b of one
+parametrization, built once per curve (a Parametrization owns one) and read
+by every substitution into that curve and by its oracle.
 """
 from __future__ import annotations
 
 import re
+from array import array
+from fractions import Fraction
+from itertools import repeat
+from math import gcd, lcm
+from operator import add, mul
 
-from .fields import ensure_same_field
+from .fields import PrimeField, ensure_same_field
 
 Mono = tuple  # (a0, a1, b0, b1, b2)
 
@@ -246,51 +255,19 @@ class BiPoly:
 
     # -- substitutions -------------------------------------------------------
 
-    def subst_x(self, u0, u1, u2):
+    def subst_x(self, u0, u1, u2, *, powers=None):
         """G(T, u0(T), u1(T), u2(T)): eliminate X along a parametrization.
 
         The u_i must be T-forms of one common degree d; the result is a T-form
-        of degree tdeg + xdeg*d (zero iff G is in the kernel ideal).
+        of degree tdeg + xdeg*d (zero iff G is in the kernel ideal).  `powers`
+        is the PowerTable of (u0, u1, u2) when the caller keeps one (a
+        Parametrization does); without it a throwaway table is built.
         """
-        F = self.field
-        for u in (u0, u1, u2):
-            ensure_same_field(F, u.field)
-            if u.xdeg != 0:
-                raise GradingError("substitution targets must be T-forms")
-        d = u0.tdeg
-        if u1.tdeg != d or u2.tdeg != d:
-            raise GradingError("parametrization degrees differ")
-        out = BiPoly.zero(F, self.tdeg + self.xdeg * d, 0)
-        cache = {(0, 0, 0): BiPoly.constant(F, 1)}
-
-        def upower(b):
-            if b in cache:
-                return cache[b]
-            b0, b1, b2 = b
-            if b0:
-                prev = upower((b0 - 1, b1, b2))
-                val = prev * u0
-            elif b1:
-                prev = upower((b0, b1 - 1, b2))
-                val = prev * u1
-            else:
-                prev = upower((b0, b1, b2 - 1))
-                val = prev * u2
-            cache[b] = val
-            return val
-
-        for m, c in self.coeffs.items():
-            a0, a1, b0, b1, b2 = m
-            term = upower((b0, b1, b2)).scale(c)
-            shifted = BiPoly(
-                F,
-                term.tdeg + a0 + a1,
-                0,
-                {(k[0] + a0, k[1] + a1, 0, 0, 0): v for k, v in term.coeffs.items()},
-                _clean=True,
-            )
-            out = out + shifted
-        return out
+        if powers is None:
+            powers = PowerTable(u0, u1, u2)
+        elif powers.triple != (u0, u1, u2):
+            raise ValueError("power table of another parametrization")
+        return powers.substitute(self)
 
     def subst_t(self, f0, f1):
         """G(f0(X), f1(X), X): eliminate T along a pair of equal-degree X-forms."""
@@ -501,6 +478,92 @@ def tpoly_dense(tp: BiPoly):
     for m, c in tp.coeffs.items():
         out[m[1]] = c
     return out
+
+
+class PowerTable:
+    """Dense powers u^b = u0^b0 u1^b1 u2^b2 of one triple of T-forms.
+
+    The one place that raises a parametrization to powers: every substitution
+    G(T, u(T)) and every oracle slice matrix reads its columns from here.  A
+    power is built once, on request, as a dense list of ints (index = T1
+    exponent) by one slice update per coefficient of a u_k.
+      * Over F_p it holds residues, one ``% p`` per power; an ``array('Q')``
+        when p fits a machine word, so the oracle can copy it into strided
+        slices of its flat matrix buffer.
+      * Over Q it holds powers of the primitive integer triple w, with
+        u = scale * w: substitution runs on plain ints and builds one Fraction
+        per output coefficient, and a slice (i, j) built from w is the one
+        built from u times scale^j (same kernel, same RREF).
+    """
+
+    def __init__(self, u0, u1, u2):
+        F = u0.field
+        for u in (u0, u1, u2):
+            ensure_same_field(F, u.field)
+            if u.xdeg != 0:
+                raise GradingError("substitution targets must be T-forms")
+        d = u0.tdeg
+        if u1.tdeg != d or u2.tdeg != d:
+            raise GradingError("parametrization degrees differ")
+        self.field = F
+        self.triple = (u0, u1, u2)
+        self.d = d
+        dense = [tpoly_dense(u) for u in self.triple]
+        if isinstance(F, PrimeField):
+            self.modulus = F.p
+            self.scale = None
+        else:
+            den = lcm(*(c.denominator for u in dense for c in u))
+            dense = [[c.numerator * (den // c.denominator) for c in u] for u in dense]
+            content = gcd(*(c for u in dense for c in u)) or 1
+            dense = [[c // content for c in u] for u in dense]
+            self.modulus = None
+            self.scale = Fraction(content, den)
+        self.base = dense      # dense triple the powers are built from
+        self.words = self.modulus is not None and self.modulus < 1 << 64   # array("Q") powers
+        self._powers = {(0, 0, 0): self._store([1])}
+
+    def _store(self, vals):
+        return array("Q", vals) if self.words else vals
+
+    def power(self, b):
+        """Dense coefficients of u^b (over Q: of w^b), index = T1 exponent."""
+        out = self._powers.get(b)
+        if out is None:
+            k = 0 if b[0] else 1 if b[1] else 2
+            prev = self.power(b[:k] + (b[k] - 1,) + b[k + 1 :])
+            n = len(prev)
+            acc = [0] * (n + self.d)
+            for a, c in enumerate(self.base[k]):
+                if c:
+                    acc[a : a + n] = map(add, acc[a : a + n], map(mul, repeat(c), prev))
+            if self.modulus is not None:
+                p = self.modulus
+                acc = [v % p for v in acc]
+            out = self._powers[b] = self._store(acc)
+        return out
+
+    def substitute(self, g: BiPoly) -> BiPoly:
+        """G(T, u(T)) as a T-form of degree tdeg + xdeg * d."""
+        ensure_same_field(self.field, g.field)
+        top = g.tdeg + g.xdeg * self.d
+        acc = [0] * (top + 1)
+        if self.modulus is None:
+            den = lcm(*(c.denominator for c in g.coeffs.values()))
+            terms = [(m, c.numerator * (den // c.denominator)) for m, c in g.coeffs.items()]
+        else:
+            terms = g.coeffs.items()
+        for m, c in terms:
+            pw = self.power(m[2:])
+            lo, hi = m[1], m[1] + len(pw)
+            acc[lo:hi] = map(add, acc[lo:hi], map(mul, repeat(c), pw))
+        if self.modulus is None:
+            s = self.scale ** g.xdeg / den
+            coeffs = {(top - k, k, 0, 0, 0): v * s for k, v in enumerate(acc) if v}
+        else:
+            p = self.modulus
+            coeffs = {(top - k, k, 0, 0, 0): r for k, v in enumerate(acc) if (r := v % p)}
+        return BiPoly(self.field, top, 0, coeffs, _clean=True)
 
 
 def x_monomials(j):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dc_field
-from math import gcd, lcm
 
 from .errors import PreconditionError, VerificationError
 from .fields import DEFAULT_PRIME, PrimeField, Rationals, field_from_spec
@@ -46,14 +45,23 @@ def curve_to_json(par: Parametrization) -> dict:
 
 
 def curve_from_json(doc: dict, field_override=None) -> Parametrization:
-    field = field_override or field_from_spec(doc["field"])
+    """Parse a curve document; malformed coefficient lists raise
+    PreconditionError("curve_input")."""
+    if not isinstance(doc, dict):
+        raise PreconditionError("curve_input", "a curve is a JSON object")
+    field = field_override or field_from_spec(str(doc["field"]))
     lists = []
     for key in ("u0", "u1", "u2"):
         if key not in doc:
             raise PreconditionError("curve_input", f"missing {key}")
-        lists.append([field.coerce(c) for c in doc[key]])
+        try:
+            lists.append([field.coerce(c) for c in doc[key]])
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise PreconditionError("curve_input", f"bad coefficient in {key}: {exc}") from exc
     if len({len(l) for l in lists}) != 1:
         raise PreconditionError("curve_input", "u0, u1, u2 lengths differ")
+    if not lists[0]:
+        raise PreconditionError("curve_input", "empty coefficient lists")
     if "d" in doc and doc["d"] != len(lists[0]) - 1:
         raise PreconditionError(
             "curve_input", f"declared d={doc['d']} but lists have length {len(lists[0])}"
@@ -69,17 +77,14 @@ MIRROR_PRIMES = (DEFAULT_PRIME, (1 << 62) - 87, (1 << 62) - 117, (1 << 62) - 143
 def mirror_to_prime_field(par: Parametrization, p: int = DEFAULT_PRIME) -> Parametrization:
     """Reduce a rational curve mod p (used to run the big table cross-check).
 
-    The reduced triple is the primitive integer one: denominators cleared and
-    the content divided out, so scaling the curve never changes its mirror.
+    The reduced triple is the primitive integer one, the base of the curve's
+    PowerTable: denominators cleared and the content divided out, so scaling
+    the curve never changes its mirror.
     Raises PreconditionError when the reduction is not a parametrization (the
     components acquire a common factor mod p, which a degree drop also gives).
     """
-    dense = [tpoly_dense(u) for u in par.triple]
-    den = lcm(*(c.denominator for u in dense for c in u))
-    ints = [[int(c * den) for c in u] for u in dense]
-    content = gcd(*(c for u in ints for c in u))
     F = PrimeField(p)
-    return parametrization(F, *[[F.coerce(c // content) for c in u] for u in ints])
+    return parametrization(F, *[[F.coerce(c) for c in u] for u in par.powers.base])
 
 
 def _good_mirror(par: Parametrization, kind: str, primes, notes) -> Parametrization:
@@ -236,16 +241,17 @@ def build_report(
 
     t0 = time.perf_counter()
     if sing.kind == VERY_SINGULAR:
-        ctx = mu2sing.very_singular_context(par, mb, sing)
-        gens = mu2sing.assemble_very_singular(ctx)
+        ctx = mu2sing.very_singular_context(par, mb, sing, imp)
+        asm = mu2sing.assemble_very_singular(ctx)
     else:
         if sing.kind == NOT_APPLICABLE:
             notes.append(
                 "2*mu = d boundary: emitting the double-point family without "
                 "asserting the count formula"
             )
-        ctx = mu2mild.mild_context(par, mb, sing)
-        gens = mu2mild.assemble_mild(ctx)
+        ctx = mu2mild.mild_context(par, mb, sing, imp)
+        asm = mu2mild.assemble_mild(ctx)
+    gens = asm.generators
     timings["assembly"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -253,7 +259,7 @@ def build_report(
     records = []
     for g in gens:
         checks = {
-            "substitutes-to-zero": g.poly.subst_x(*par.triple).is_zero(),
+            "substitutes-to-zero": par.substitute(g.poly).is_zero(),
         }
         if check_kernel_span:
             checks["in-kernel-span"] = _kernel_span_contains(orc, g.poly)
@@ -266,9 +272,9 @@ def build_report(
 
     t0 = time.perf_counter()
     if sing.kind == VERY_SINGULAR:
-        _very_singular_verdicts(ctx, gens, verdicts, check_resultants)
+        _very_singular_verdicts(ctx, asm, verdicts, check_resultants)
     else:
-        _mild_verdicts(ctx, gens, verdicts, check_resultants, check_morley)
+        _mild_verdicts(ctx, asm, verdicts, check_morley)
     timings["identities"] = time.perf_counter() - t0
 
     table_cells = []
@@ -328,17 +334,15 @@ def build_report(
     )
 
 
-def _very_singular_verdicts(ctx, gens, verdicts, check_resultants):
+def _very_singular_verdicts(ctx, asm, verdicts, check_resultants):
     eq = ctx.implicit.equation
-    fam = [g.pipeline_poly for g in gens if "moving-line" in g.label or "family" in g.label]
-    fam = fam[1:]  # drop the low moving line; rest is the shift family
-    tops = [g.pipeline_poly for g in gens if "top-form" in g.label]
+    fam, tops = asm.family, asm.tops
     low = ctx.mb.p
     # the high moving line is the one assembled generator allowed to involve
     # a pure X2 term; everything else lives in <X0, X1>
     verdicts["generators-in-x01-ideal"] = all(
         g.pipeline_poly.in_x01_power(1)
-        for g in gens
+        for g in asm.generators
         if g.label != "high-moving-line"
     )
     k = ctx.k
@@ -370,12 +374,11 @@ def _very_singular_verdicts(ctx, gens, verdicts, check_resultants):
         verdicts["resultant-identities"] = all(ok)
 
 
-def _mild_verdicts(ctx, gens, verdicts, check_resultants, check_morley):
-    from .mu2mild import delta_sylvester, minor_family, morley_coeffs, morley_det_check
+def _mild_verdicts(ctx, asm, verdicts, check_morley):
+    from .mu2mild import morley_det_check
 
     F = ctx.field
-    d = ctx.d
-    deltas = delta_sylvester(ctx)
+    deltas = asm.deltas
     t0m = BiPoly.monomial(F, (1, 0, 0, 0, 0))
     t1m = BiPoly.monomial(F, (0, 1, 0, 0, 0))
     pq = [ctx.mb.p, ctx.mb.q]
@@ -389,15 +392,13 @@ def _mild_verdicts(ctx, gens, verdicts, check_resultants, check_morley):
     verdicts["sylvester-pair-independent-mod-low-line"] = _independent_mod(
         [deltas[(1, 0)], deltas[(0, 1)]], [ctx.mb.p]
     )
-    if d >= 5:
-        morley = morley_coeffs(ctx)
+    if asm.minors:
         indep = []
         dets = []
-        for i in range(1, d - 3):
-            fam = minor_family(ctx, i, morley)
+        for i, fam in asm.minors.items():
             indep.append(_independent_mod(fam, [ctx.mb.p]))
             if check_morley:
-                _, _, lam = morley_det_check(ctx, i, morley)
+                _, _, lam = morley_det_check(ctx, i, asm.morley)
                 dets.append(not F.is_zero(lam))
         verdicts["minor-families-independent-mod-low-line"] = all(indep)
         if check_morley:

@@ -3,17 +3,20 @@
 Covers: mu-basis extraction, the implicit equation with its properness
 degree, detection of a point of multiplicity d - mu (with the normalizing
 change of X-coordinates that puts the low moving line into axial form), and
-the inverse of a birational parametrization.
+the inverse of a birational parametrization.  A Parametrization owns the
+PowerTable of its triple; `substitute` evaluates a form on the curve through it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ImproperParametrization, PreconditionError, VerificationError
 from .fields import ensure_same_field
 from .linalg import ExactMatrix, RowReducer
 from .poly import (
     BiPoly,
+    PowerTable,
     t_poly,
     tpoly_dense,
     tpoly_gcd_many,
@@ -46,6 +49,16 @@ class Parametrization:
     @property
     def triple(self):
         return (self.u0, self.u1, self.u2)
+
+    @cached_property
+    def powers(self) -> PowerTable:
+        """The dense power table of u, built lazily and shared by every
+        substitution into this curve and by its Oracle."""
+        return PowerTable(*self.triple)
+
+    def substitute(self, g: BiPoly) -> BiPoly:
+        """G(T, u(T)), through the curve's power table."""
+        return g.subst_x(*self.triple, powers=self.powers)
 
     def key(self):
         return (
@@ -503,7 +516,7 @@ def inverse_map(par: Parametrization, mb: MuBasis | None = None) -> InverseMap:
         for f in piece.basis:
             b_form = f.t_coefficient(1, 0)
             a_form = -f.t_coefficient(0, 1)
-            if a_form.subst_x(*par.triple).is_zero():
+            if par.substitute(a_form).is_zero():
                 continue  # degenerate element (an X-form multiple); skip
             choice = (a_form, b_form, ell)
             break
@@ -515,7 +528,7 @@ def inverse_map(par: Parametrization, mb: MuBasis | None = None) -> InverseMap:
     # psi . phi = id: T0 * b(u) == T1 * a(u)
     t0 = BiPoly.monomial(F, (1, 0, 0, 0, 0))
     t1 = BiPoly.monomial(F, (0, 1, 0, 0, 0))
-    if t0 * b_form.subst_x(*par.triple) != t1 * a_form.subst_x(*par.triple):
+    if t0 * par.substitute(b_form) != t1 * par.substitute(a_form):
         raise VerificationError("inverse identity failed")
     # the high moving line composed with the inverse must vanish on the curve
     w = mb.q.subst_t(a_form, b_form)

@@ -1,5 +1,6 @@
 """Bihomogeneous polynomial arithmetic, substitution, and the T-resultant."""
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +9,7 @@ from reescurve.poly import (
     BiPoly,
     GradingError,
     InexactDivision,
+    PowerTable,
     bidegree_dimension,
     monomials_of_bidegree,
     parse_bipoly,
@@ -83,6 +85,66 @@ def test_subst_x_multiplicative():
         lhs = (g * h).subst_x(*u)
         rhs = g.subst_x(*u) * h.subst_x(*u)
         assert lhs == rhs
+
+
+def _subst_x_reference(g, u):
+    """G(T, u(T)) term by term, each u^b a product of sparse BiPolys."""
+    F = g.field
+    out = BiPoly.zero(F, g.tdeg + g.xdeg * u[0].tdeg, 0)
+    for (a0, a1, b0, b1, b2), c in g.coeffs.items():
+        term = BiPoly.monomial(F, (a0, a1, 0, 0, 0), c)
+        for uk, e in zip(u, (b0, b1, b2)):
+            for _ in range(e):
+                term = term * uk
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize(
+    "field", [PrimeField(2), PrimeField(7), FP, QQ], ids=["fp2", "fp7", "fp62", "q"]
+)
+def test_subst_x_matches_sparse_reference(field):
+    rng = random.Random(5)
+
+    def scalar():
+        if field == QQ:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        return rng.randrange(field.p)
+
+    def form(i, j):
+        mons = monomials_of_bidegree(i, j)
+        return BiPoly(field, i, j, {m: scalar() for m in rng.sample(mons, min(6, len(mons)))})
+
+    d = 4
+    dense = [t_poly(field, [scalar() for _ in range(d + 1)]) for _ in range(3)]
+    triples = [
+        dense,
+        [dense[0], BiPoly.zero(field, d, 0), dense[2]],          # one zero component
+        [t_poly(field, [1] + [0] * d), t_poly(field, [0] * d + [1]), dense[1]],
+    ]
+    gs = [form(i, j) for i, j in ((0, 1), (1, 2), (2, 3), (3, 1), (0, 4))]
+    gs += [
+        BiPoly.zero(field, 2, 3),                                 # zero G
+        BiPoly.zero(field, 0, 0),
+        form(3, 0),                                               # xdeg = 0
+        BiPoly.monomial(field, (2, 1, 0, 0, 0), 3),               # pure T-monomial
+    ]
+    for u in triples:
+        table = PowerTable(*u)
+        for g in gs:
+            want = _subst_x_reference(g, u)
+            for got in (g.subst_x(*u), g.subst_x(*u, powers=table)):
+                assert got == want
+                assert got.bidegree == (g.tdeg + g.xdeg * d, 0)
+                assert all(field.coerce(c) == c and type(c) is type(field.one)
+                           for c in got.coeffs.values())
+
+
+def test_subst_x_rejects_a_foreign_power_table():
+    u = [t_poly(QQ, [1, 2]), t_poly(QQ, [0, 1]), t_poly(QQ, [3, 0])]
+    other = PowerTable(t_poly(QQ, [1, 0]), *u[1:])
+    with pytest.raises(ValueError):
+        P("X0").subst_x(*u, powers=other)
 
 
 def test_subst_t_tautological():

@@ -8,6 +8,9 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reescurve.linalg import ShapeMismatch
+from reescurve.poly import GradingError, InexactDivision
+
 D5 = {
     "field": "q",
     "d": 5,
@@ -278,3 +281,44 @@ def test_cli_fuzz_sample_then_gens(field, kind, degree, seed):
     assert "Traceback" not in g.stderr
     if g.returncode == 0:
         assert json.loads(g.stdout)["all_pass"] is True
+
+
+@pytest.mark.parametrize(
+    "exc", [GradingError, ShapeMismatch, InexactDivision, ZeroDivisionError, RuntimeError],
+    ids=lambda e: e.__name__,
+)
+def test_internal_errors_exit_4(exc, d5_file, monkeypatch, capsys):
+    from reescurve import cli
+
+    def broken(par):
+        raise exc("invariant broken")
+
+    monkeypatch.setattr(cli, "build_report", broken)
+    assert cli.main(["gens", d5_file]) == cli.EXIT_INTERNAL == 4
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {
+        "schema": 1, "error": "internal", "type": exc.__name__, "message": "invariant broken"
+    }
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"field": "q", "u0": [], "u1": [], "u2": []},
+        {"field": "q", "u0": ["1/0"], "u1": ["1"], "u2": ["1"]},
+        {"field": "fp:7", "u0": ["1/7"], "u1": ["1"], "u2": ["1"]},
+        {"field": "q", "u0": [1.5], "u1": ["1"], "u2": ["1"]},
+        {"field": "q", "u0": ["x"], "u1": ["1"], "u2": ["1"]},
+        {"field": "q", "u0": None, "u1": None, "u2": None},
+        {"field": 5, "u0": ["1"], "u1": ["1"], "u2": ["1"]},
+        [1, 2, 3],
+    ],
+)
+def test_malformed_curve_exits_2(doc, tmp_path, capsys):
+    from reescurve import cli
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["gens", str(path)]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] in ("precondition", "input")

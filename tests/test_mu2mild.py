@@ -155,14 +155,14 @@ def test_assemble_counts():
     for d, seed, expected in [(5, 1, 8), (6, 1, 12), (7, 1, 17)]:
         s = fixed_mild(d, seed)
         ctx = mild_context(s.par, s.mb, s.sing)
-        gens = assemble_mild(ctx)
+        gens = assemble_mild(ctx).generators
         assert len(gens) == expected == (d + 1) * (d - 4) // 2 + 5
 
 
 def test_assemble_matches_oracle():
     s = fixed_mild(5, 4)
     ctx = mild_context(s.par, s.mb, s.sing)
-    gens = assemble_mild(ctx)
+    gens = assemble_mild(ctx).generators
     table = Oracle(s.par).mingen_table()
     assert table.multiset() == sorted(g.bidegree for g in gens)
 
@@ -230,7 +230,7 @@ def test_boundary_quartic_emits_base_family():
     assert sing.kind == "not-applicable"
     ctx = mild_context(par, mb, sing)
     assert ctx.boundary
-    gens = assemble_mild(ctx)
+    gens = assemble_mild(ctx).generators
     assert len(gens) == 5
     for g in gens:
         assert g.poly.subst_x(*par.triple).is_zero()

@@ -209,11 +209,11 @@ def test_kernel_substitution_multiple_of_curve_equation():
 
 def test_assemble_counts_and_closed_forms():
     for k in (3, 4):
-        gens = assemble_very_singular(very_singular_context(monomial_odd(k)))
+        gens = assemble_very_singular(very_singular_context(monomial_odd(k))).generators
         assert len(gens) == k + 2
         expected = [g.normalized() for g in closed_form_generators_odd(k)]
         assert [g.poly for g in gens] == expected
-    gens6 = assemble_very_singular(very_singular_context(binomial_even(3)))
+    gens6 = assemble_very_singular(very_singular_context(binomial_even(3))).generators
     assert len(gens6) == 6
     assert sorted(g.bidegree for g in gens6) == sorted(
         [(0, 6), (2, 1), (4, 1), (2, 2), (1, 3), (1, 3)]
@@ -235,7 +235,7 @@ def test_assembly_matches_oracle_after_scrambling():
 
     sample = sample_very_singular(FP, 6, rng, scramble=True)
     ctx = very_singular_context(sample.par, sample.mb, sample.sing)
-    gens = assemble_very_singular(ctx)
+    gens = assemble_very_singular(ctx).generators
     table = Oracle(sample.par).mingen_table()
     assert table.multiset() == sorted(g.bidegree for g in gens)
     for g in gens:

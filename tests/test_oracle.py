@@ -1,5 +1,6 @@
 """Brute-force graded oracle: kernels, minimal-generator table, membership."""
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -94,6 +95,30 @@ def test_fp_and_q_tables_agree_on_small_curve():
         tq = mingen_table(parq)
         tp = mingen_table(parp)
         assert tq.counts == tp.counts
+
+
+def test_q_oracle_ignores_a_rational_scaling():
+    """Over Q the slice matrices are built from the primitive integer triple
+    (scale^j times the true ones), so dividing the curve by a constant changes
+    no kernel basis and no table count."""
+    coeffs = (
+        [1, 0, Fraction(1, 2), 0, 0, 2],
+        [0, 1, 0, 3, 0, 0],
+        [0, Fraction(-2, 3), 0, 0, 0, 1],
+    )
+    par = parametrization(QQ, *coeffs)
+    c = Fraction(7, 12)
+    scaled = parametrization(QQ, *[[x / c for x in u] for u in coeffs])
+    a, b = Oracle(par), Oracle(scaled)
+    assert a.powers is par.powers
+    dims = 0
+    for cell in [(1, 2), (2, 2), (1, 3), (0, 5)]:
+        basis = a.kernel_basis(*cell).basis
+        assert basis == b.kernel_basis(*cell).basis
+        assert all(par.substitute(g).is_zero() for g in basis)
+        dims += len(basis)
+    assert dims > 0
+    assert a.mingen_table().counts == b.mingen_table().counts
 
 
 def test_random_kernel_vectors_with_seeded_reducer():

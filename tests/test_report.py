@@ -1,0 +1,83 @@
+"""One gens report computes each object once and reads it back for the verdicts."""
+import random
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+from reescurve import mu2mild, mu2sing, report, syzygy
+from reescurve.fields import DEFAULT_PRIME, PrimeField, QQ
+from reescurve.sampling import sample_mild, sample_very_singular
+from reescurve.syzygy import parametrization
+
+FP = PrimeField(DEFAULT_PRIME)
+
+
+def _count_calls(monkeypatch, calls, module, name, key=None):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[key(*args) if key else name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def _counted_report(monkeypatch, par):
+    calls = Counter()
+    # every by-name binding of implicit_equation shares one counter
+    for module in (report, mu2mild, mu2sing, syzygy):
+        _count_calls(monkeypatch, calls, module, "implicit_equation")
+    # the resultant behind the implicit equation (the verdicts' identity
+    # resultants are bound in report and not counted here)
+    _count_calls(monkeypatch, calls, syzygy, "resultant_t")
+    _count_calls(monkeypatch, calls, mu2mild, "delta_sylvester")
+    _count_calls(monkeypatch, calls, mu2mild, "morley_coeffs")
+    _count_calls(
+        monkeypatch, calls, mu2mild, "minor_family", key=lambda ctx, i, *rest: ("minor_family", i)
+    )
+    rep = report.build_report(par)
+    assert rep.all_pass
+    return calls
+
+
+def test_mild_report_computes_each_object_once(monkeypatch):
+    d = 7
+    par = sample_mild(FP, d, random.Random(1)).par
+    calls = _counted_report(monkeypatch, par)
+    assert calls.pop("implicit_equation") == 1
+    assert calls.pop("resultant_t") == 1
+    assert calls.pop("delta_sylvester") == 1
+    assert calls.pop("morley_coeffs") == 1
+    assert calls == {("minor_family", i): 1 for i in range(1, d - 3)}
+
+
+def test_very_singular_report_computes_each_object_once(monkeypatch):
+    par = sample_very_singular(FP, 8, random.Random(2)).par
+    calls = _counted_report(monkeypatch, par)
+    assert calls == {"implicit_equation": 1, "resultant_t": 1}
+
+
+@pytest.mark.parametrize("field, d, seed", [(FP, 8, 3), (QQ, 6, 5)], ids=["fp", "q"])
+def test_transformed_equation_is_the_pulled_back_one(field, d, seed):
+    """The transformed frame's equation, taken through the coordinate change,
+    equals a second resultant of the transformed mu-basis."""
+    s = sample_very_singular(field, d, random.Random(seed), scramble=True)
+    assert s.sing.change != [[field.one if a == b else field.zero for b in range(3)] for a in range(3)]
+    ctx = mu2sing.very_singular_context(s.par, s.mb, s.sing)
+    direct = syzygy.implicit_equation(ctx.mb)
+    assert ctx.implicit.equation == direct.equation
+    assert ctx.implicit.resultant == direct.resultant
+    assert ctx.implicit.properness_degree == direct.properness_degree == 1
+    assert ctx.par.substitute(ctx.implicit.equation).is_zero()
+
+
+def test_mirror_ignores_any_rational_scaling():
+    """The mirror reduces the primitive integer triple, so multiplying the
+    curve by the prime itself or dividing it by a fraction changes nothing."""
+    coeffs = ([1, 0, Fraction(1, 2), 0, 0, 2], [0, 1, 0, 3, 0, 0], [0, Fraction(-2, 3), 0, 0, 0, 1])
+    par = parametrization(QQ, *coeffs)
+    mirror = report.mirror_to_prime_field(par)
+    for c in (Fraction(7, 12), DEFAULT_PRIME, Fraction(1, DEFAULT_PRIME)):
+        scaled = parametrization(QQ, *[[x * c for x in u] for u in coeffs])
+        assert report.mirror_to_prime_field(scaled) == mirror
