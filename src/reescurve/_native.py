@@ -11,9 +11,11 @@ at first use (cached under ~/.cache) and call them through ctypes:
     column, with their columns sent through an index map (the oracle's
     monomial-multiplication shifts).
 
-Everything falls back to the pure-Python implementation in linalg.py when no
-compiler is available; both paths produce the identical canonical RREF and
-kernel rows, which the test suite cross-checks.
+linalg.py hands this kernel every F_p problem with p < 2^62.  When no
+compiler is available those go to its packed pure-Python core instead; Q and
+F_p with p >= 2^62 always run on its field-generic core.  Both F_p paths
+produce the identical canonical RREF and kernel rows, which the test suite
+cross-checks.
 
 Set REESCURVE_NO_NATIVE=1 to force the pure-Python path.
 """

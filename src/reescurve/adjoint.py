@@ -63,18 +63,11 @@ def z_dimension(par: Parametrization, ell: int, oracle: Oracle | None = None) ->
     n = len(piece.basis)
     if n == 0:
         return 0
-    monomials = monomials_of_bidegree(1, ell)
-    low_cols = [t for t, m in enumerate(monomials) if m[2] + m[3] < d - 3]
-    if not low_cols:
+    low = [m for m in monomials_of_bidegree(1, ell) if m[2] + m[3] < d - 3]
+    if not low:
         return n
-    F = par.field
-    red = RowReducer(F, len(low_cols))
-    rank = 0
-    for b in piece.basis:
-        row = [b.coeffs.get(monomials[t], F.zero) for t in low_cols]
-        red.add_row(row)
-    rank = red.rank
-    return n - rank
+    red = RowReducer(par.field, len(low))
+    return n - red.add_rows([b.to_vector(low) for b in piece.basis])
 
 
 @dataclass

@@ -3,10 +3,12 @@
 Everything reduces to one primitive, an incremental row-space accumulator
 (`RowReducer`) that keeps a mutually reduced pivot basis — i.e. the unique
 reduced row echelon form of whatever rows were fed in.  Three interchangeable
-cores implement it: Fraction arithmetic over Q, packed-big-integer arithmetic
-over F_p, and the optional C kernel from _native.py, which takes every F_p
-problem when a C compiler is available.  The C kernel's pivot block, batches
-and residual rows live in `array('Q')` buffers handed to C through ctypes.
+cores implement it, chosen by the field alone:
+  * F_p with p < 2^62 and a C compiler: the C kernel from _native.py, whose
+    pivot block, batches and residual rows live in `array('Q')` buffers
+    handed to C through ctypes;
+  * F_p with p < 2^62 and no compiler: packed-big-integer arithmetic;
+  * Q, and F_p with p >= 2^62: plain field operations.
 All cores produce the same canonical output; determinism does not depend on
 which one runs.  Besides absorbing rows, a core writes the kernel rows of its
 RREF through a column map: that is how the oracle moves a kernel slice into
@@ -39,15 +41,12 @@ class ShapeMismatch(ValueError):
 _SLOT = 192          # bits per packed slot; products stay < 2^124, plus slack
 _SLOTB = _SLOT // 8
 _MASK = (1 << _SLOT) - 1
-# Smallest size hint (rows x columns) that gets the C kernel.  Measured with
-# rows handed over flat, the packed core was slower at every size, down to
-# single-row feeds of two columns; it remains the core for F_p without a
-# compiler (or p >= 2^62).
-_NATIVE_MIN_CELLS = 0
+_FP_CORE_BOUND = 1 << 62   # the packed and native cores need p below this
 
 
 class _FractionCore:
-    """Pure-Python core over Q; F_p always gets a packed or native core."""
+    """Pure-Python core on the field operations alone: Q, and F_p for
+    p >= 2^62, whose residues overflow the packed slots and the C kernel."""
 
     def __init__(self, field, ncols, plimit):
         self.field = field
@@ -339,12 +338,11 @@ def normalized(F, vec):
     return list(vec)
 
 
-def _make_core(field, ncols, plimit, size_hint):
-    if isinstance(field, PrimeField):
-        if size_hint >= _NATIVE_MIN_CELLS:
-            kernel = _native.get_kernel()
-            if kernel is not None and field.p < (1 << 62):
-                return _FpNativeCore(field, ncols, plimit, kernel)
+def _make_core(field, ncols, plimit):
+    if isinstance(field, PrimeField) and field.p < _FP_CORE_BOUND:
+        kernel = _native.get_kernel()
+        if kernel is not None:
+            return _FpNativeCore(field, ncols, plimit, kernel)
         return _FpPackedCore(field, ncols, plimit)
     return _FractionCore(field, ncols, plimit)
 
@@ -359,15 +357,17 @@ class RowReducer:
     archived in ``residual_rows`` — that is what backs LinearSolver.
     Rows are sequences of scalars; over F_p an ``array('Q')`` row is taken
     to hold residues already in [0, p), as kernel_rows returns them.
+    ``size_hint`` is accepted and ignored (some callers still pass it): the
+    core depends on the field alone.
     """
 
-    def __init__(self, field, ncols, *, pivot_limit=None, size_hint=0):
+    def __init__(self, field, ncols, *, pivot_limit=None, size_hint=None):
         if ncols < 0:
             raise ShapeMismatch("negative column count")
         self.field = field
         self.ncols = ncols
         self.pivot_limit = ncols if pivot_limit is None else pivot_limit
-        self._core = _make_core(field, ncols, self.pivot_limit, size_hint)
+        self._core = _make_core(field, ncols, self.pivot_limit)
         self._snap = None
 
     @property
@@ -475,9 +475,7 @@ class ExactMatrix:
 
     def _reduced(self):
         if self._rref is None:
-            red = RowReducer(
-                self.field, self.ncols, size_hint=self.nrows * self.ncols
-            )
+            red = RowReducer(self.field, self.ncols)
             red.add_rows(self.rows)
             self._rref = red.rref()
         return self._rref
@@ -500,13 +498,26 @@ class ExactMatrix:
         return [normalized(F, v) for v in kernel]
 
     def det(self):
+        """Gaussian elimination with row swaps, on the field operations."""
         if self.nrows != self.ncols:
             raise ShapeMismatch("determinant of a non-square matrix")
-        if self.nrows == 0:
-            return self.field.one
-        if isinstance(self.field, PrimeField):
-            return _det_fp(self.rows, self.field.p)
-        return _det_q(self.rows)
+        F = self.field
+        m = [list(row) for row in self.rows]
+        det = F.one
+        for c in range(self.ncols):
+            pr = next((r for r in range(c, self.nrows) if not F.is_zero(m[r][c])), None)
+            if pr is None:
+                return F.zero
+            if pr != c:
+                m[c], m[pr] = m[pr], m[c]
+                det = F.neg(det)
+            det = F.mul(det, m[c][c])
+            inv = F.inv(m[c][c])
+            for r in range(c + 1, self.nrows):
+                f = F.mul(m[r][c], inv)
+                if not F.is_zero(f):
+                    m[r] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[r], m[c])]
+        return det
 
     def solver(self):
         return LinearSolver(self)
@@ -530,12 +541,7 @@ class LinearSolver:
         self.ncols = m.ncols
         self.nrows = m.nrows
         F = m.field
-        red = RowReducer(
-            F,
-            m.ncols + m.nrows,
-            pivot_limit=m.ncols,
-            size_hint=m.nrows * (m.ncols + m.nrows),
-        )
+        red = RowReducer(F, m.ncols + m.nrows, pivot_limit=m.ncols)
         aug = []
         for i, row in enumerate(m.rows):
             ext = list(row) + [F.zero] * m.nrows
@@ -567,65 +573,3 @@ def _dot(F, a, b):
         if not (F.is_zero(x) or F.is_zero(y)):
             acc = F.add(acc, F.mul(x, y))
     return acc
-
-
-# ---------------------------------------------------------------------------
-# determinants
-# ---------------------------------------------------------------------------
-
-def _det_fp(rows, p):
-    m = [[x % p for x in row] for row in rows]
-    n = len(m)
-    det = 1
-    for c in range(n):
-        pr = next((r for r in range(c, n) if m[r][c]), None)
-        if pr is None:
-            return 0
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            det = -det % p
-        det = det * m[c][c] % p
-        inv = pow(m[c][c], p - 2, p)
-        for r in range(c + 1, n):
-            f = m[r][c] * inv % p
-            if f:
-                mr, mc = m[r], m[c]
-                for k in range(c, n):
-                    mr[k] = (mr[k] - f * mc[k]) % p
-    return det
-
-
-def bareiss_det_int(m):
-    """Fraction-free determinant of an integer matrix (mutates its copy)."""
-    m = [list(row) for row in m]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pr = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if pr is None:
-                return 0
-            m[k], m[pr] = m[pr], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _det_q(rows):
-    from fractions import Fraction
-    from math import lcm
-
-    scale = Fraction(1)
-    int_rows = []
-    for row in rows:
-        denom = lcm(*(x.denominator for x in row)) if row else 1
-        scale *= denom
-        int_rows.append([int(x * denom) for x in row])
-    return Fraction(bareiss_det_int(int_rows)) / scale

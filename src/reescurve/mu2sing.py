@@ -9,12 +9,11 @@ two (d even) extra bidegree-(1, k) forms, generates the whole kernel ideal.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from .assembly import Assembly, Generator
 from .errors import ImproperParametrization, PreconditionError, VerificationError
-from .linalg import ExactMatrix
-from .poly import BiPoly, tpoly_dense
+from .poly import BiPoly, InexactDivision, tpoly_dense
 from .syzygy import (
     ImplicitEquation,
     MuBasis,
@@ -26,6 +25,7 @@ from .syzygy import (
     implicit_equation,
     mu_basis,
     pullback_through_change,
+    shift_matrix,
 )
 
 
@@ -42,6 +42,8 @@ class VerySingularContext:
     change: list                  # Y = M X
     change_inv: list
     implicit: ImplicitEquation    # in the transformed frame
+    # _PairSolver cache, by T-degree
+    solvers: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     @property
     def mu(self) -> int:
@@ -127,22 +129,10 @@ class _PairSolver:
     """Deterministic solver for h = p0 g0 + p1 g1 at a fixed T-degree i."""
 
     def __init__(self, ctx: VerySingularContext, i: int):
-        F = ctx.field
-        mu = ctx.mu
-        s = i - mu
-        d0 = tpoly_dense(ctx.p0)
-        d1 = tpoly_dense(ctx.p1)
-        cols = []
-        for dv in (d0, d1):
-            for a in range(s + 1):
-                col = [F.zero] * (i + 1)
-                for t, c in enumerate(dv):
-                    col[a + t] = c
-                cols.append(col)
-        rows = [[cols[c][r] for c in range(2 * (s + 1))] for r in range(i + 1)]
-        self.solver = ExactMatrix(F, rows).solver()
-        self.s = s
-        self.field = F
+        self.field = ctx.field
+        self.s = i - ctx.mu
+        dense = [tpoly_dense(ctx.p0), tpoly_dense(ctx.p1)]
+        self.solver = shift_matrix(self.field, dense, self.s).solver()
 
     def split(self, h: BiPoly):
         """T-forms (g0, g1) with h = p0 g0 + p1 g1 (canonical pivot solution)."""
@@ -160,12 +150,9 @@ class _PairSolver:
 
 
 def _pair_solver(ctx: VerySingularContext, i: int) -> _PairSolver:
-    cache = getattr(ctx, "_solvers", None)
-    if cache is None:
-        cache = ctx._solvers = {}
-    if i not in cache:
-        cache[i] = _PairSolver(ctx, i)
-    return cache[i]
+    if i not in ctx.solvers:
+        ctx.solvers[i] = _PairSolver(ctx, i)
+    return ctx.solvers[i]
 
 
 def apply_dt(ctx: VerySingularContext, g: BiPoly) -> BiPoly:
@@ -294,7 +281,7 @@ def top_generators_even(ctx: VerySingularContext, fam=None):
     try:
         top0 = (m0 * f21 - f0 * f2k1).monomial_quotient((0, 1, 0, 0, 0))
         top1 = (m1 * f21 - f1 * f2k1).monomial_quotient((1, 0, 0, 0, 0))
-    except Exception as exc:  # inexact division signals broken preconditions
+    except InexactDivision as exc:  # the preconditions of the construction fail
         raise VerificationError(f"paired top forms not divisible: {exc}") from exc
     for t in (top0, top1):
         if t.is_zero() or t.bidegree != (1, ctx.k):

@@ -4,7 +4,9 @@ Everything here is plain graded linear algebra on explicit matrices — no
 constructive formulas — so it can cross-check the pipeline modules:
   * kernel_basis: the (i, j) slice as the nullspace of the substitution map,
   * mingen_table: minimal-generator counts via the graded Nakayama quotient,
-  * ideal_piece_membership: per-bidegree span tests.
+  * Oracle.contains: membership of a form in its kernel slice,
+  * ideal_piece_membership, independent_mod: span tests against the monomial
+    multiples of given forms at one bidegree.
 
 A kernel slice is kept as the pivot block of its substitution matrix's RREF
 (inside a RowReducer), not as kernel vectors.  The matrix of slice (i, j) is
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 from .fields import Rationals
 from .linalg import RowReducer, normalized
-from .poly import BiPoly, bidegree_dimension, monomials_of_bidegree, x_monomials
+from .poly import BiPoly, monomials_of_bidegree, x_monomials
 from .syzygy import Parametrization
 
 
@@ -127,7 +129,7 @@ class Oracle:
                 for a1 in range(i + 1):
                     start = a1 * ncols + a1 * nx + xidx
                     buf[start : start + (length - 1) * ncols + 1 : ncols] = upow
-            red = RowReducer(self.field, ncols, size_hint=nrows * ncols)
+            red = RowReducer(self.field, ncols)
             red.add_rows([buf[r * ncols : (r + 1) * ncols] for r in range(nrows)])
             data = self._kernels[(i, j)] = _KernelData(red)
         return data
@@ -155,6 +157,21 @@ class Oracle:
             }
             basis.append(BiPoly(F, i, j, coeffs, _clean=True))
         return GradedPiece(bidegree=(i, j), basis=basis)
+
+    def contains(self, g: BiPoly) -> bool:
+        """Is g in the kernel slice of its bidegree?  False for an empty slice.
+
+        The slice's own kernel rows seed a reducer on its free columns (they
+        are mutually reduced there), and g is tested against their span.
+        """
+        i, j = g.bidegree
+        if self.kernel_dim(i, j) == 0:
+            return False
+        data = self._kernel_data(i, j)
+        n = data.reducer.ncols
+        red = RowReducer(self.field, n)
+        red.seed(data.freecols, data.reducer.kernel_rows(range(n), n))
+        return red.contains(g.to_vector(monomials_of_bidegree(i, j)))
 
     @property
     def mu(self) -> int:
@@ -189,7 +206,7 @@ class Oracle:
                 blocks.append((src, [a1 * nx + x for a1 in range(i + 1) for x in xs]))
         if not blocks:
             return n_target
-        red = RowReducer(self.field, ncols, size_hint=n_target * ncols)
+        red = RowReducer(self.field, ncols)
         blocks.sort(key=lambda blk: -len(blk[0].freecols))
         # a shifted kernel block is already mutually reduced: row f has 1 at
         # the image of free column f and 0 at the images of the other free
@@ -224,20 +241,35 @@ class Oracle:
         return MinGenTable(counts=counts, imax=imax, jmax=jmax, d=self.d, mu=self.mu)
 
 
-def ideal_piece_membership(g: BiPoly, gens) -> bool:
-    """Is g in the span of all monomial multiples of gens at g's bidegree?"""
-    F = g.field
-    i, j = g.bidegree
+def _multiples(F, i, j, gens):
+    """The reducer of all monomial multiples of gens at bidegree (i, j), and
+    the bidegree's monomials (its columns).  Rows are fed one at a time, so
+    the multiples are never all held at once."""
     monomials = monomials_of_bidegree(i, j)
-    red = RowReducer(F, len(monomials), size_hint=bidegree_dimension(i, j) ** 2)
+    red = RowReducer(F, len(monomials))
     for gen in gens:
         ig, jg = gen.bidegree
         if gen.is_zero() or ig > i or jg > j:
             continue
         for m in monomials_of_bidegree(i - ig, j - jg):
-            prod = BiPoly.monomial(F, m) * gen
-            red.add_row(prod.to_vector(monomials))
+            red.add_row((BiPoly.monomial(F, m) * gen).to_vector(monomials))
+    return red, monomials
+
+
+def ideal_piece_membership(g: BiPoly, gens) -> bool:
+    """Is g in the span of all monomial multiples of gens at g's bidegree?"""
+    red, monomials = _multiples(g.field, *g.bidegree, gens)
     return red.contains(g.to_vector(monomials))
+
+
+def independent_mod(forms: list, modulus: list) -> bool:
+    """Are the given same-bidegree forms independent modulo the span of all
+    monomial multiples of the modulus forms?"""
+    if not forms:
+        return True
+    red, monomials = _multiples(forms[0].field, *forms[0].bidegree, modulus)
+    base = red.rank
+    return red.add_rows([f.to_vector(monomials) for f in forms]) == base + len(forms)
 
 
 def kernel_basis(par: Parametrization, i, j) -> GradedPiece:

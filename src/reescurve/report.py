@@ -13,9 +13,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import PreconditionError, VerificationError
 from .fields import DEFAULT_PRIME, PrimeField, Rationals, field_from_spec
-from .linalg import RowReducer
-from .oracle import Oracle, ideal_piece_membership
-from .poly import BiPoly, monomials_of_bidegree, resultant_t, tpoly_dense
+from .oracle import Oracle, ideal_piece_membership, independent_mod
+from .poly import BiPoly, resultant_t, tpoly_dense
 from .syzygy import (
     NOT_APPLICABLE,
     Parametrization,
@@ -171,54 +170,10 @@ class GeneratorReport:
 
 
 # ---------------------------------------------------------------------------
-# verification helpers
-# ---------------------------------------------------------------------------
-
-def _kernel_span_contains(orc: Oracle, g: BiPoly) -> bool:
-    i, j = g.bidegree
-    data = orc.kernel_basis(i, j)
-    if not data.basis:
-        return False
-    F = g.field
-    monomials = monomials_of_bidegree(i, j)
-    red = RowReducer(F, len(monomials))
-    red.add_rows([b.to_vector(monomials) for b in data.basis])
-    return red.contains(g.to_vector(monomials))
-
-
-def _independent_mod(first: list, modulus: list) -> bool:
-    """Are the given same-bidegree forms K-independent modulo span of monomial
-    multiples of the modulus generators?"""
-    if not first:
-        return True
-    F = first[0].field
-    i, j = first[0].bidegree
-    monomials = monomials_of_bidegree(i, j)
-    red = RowReducer(F, len(monomials))
-    for gen in modulus:
-        ig, jg = gen.bidegree
-        if ig > i or jg > j:
-            continue
-        for m in monomials_of_bidegree(i - ig, j - jg):
-            red.add_row((BiPoly.monomial(F, m) * gen).to_vector(monomials))
-    base = red.rank
-    red.add_rows([f.to_vector(monomials) for f in first])
-    return red.rank == base + len(first)
-
-
-# ---------------------------------------------------------------------------
 # report construction
 # ---------------------------------------------------------------------------
 
-def build_report(
-    par: Parametrization,
-    *,
-    mirror_prime: int = DEFAULT_PRIME,
-    check_resultants: bool = True,
-    check_morley: bool = True,
-    check_kernel_span: bool = True,
-    with_table: bool = True,
-) -> GeneratorReport:
+def build_report(par: Parametrization) -> GeneratorReport:
     from . import mu2mild, mu2sing
 
     t_start = time.perf_counter()
@@ -260,9 +215,8 @@ def build_report(
     for g in gens:
         checks = {
             "substitutes-to-zero": par.substitute(g.poly).is_zero(),
+            "in-kernel-span": orc.contains(g.poly),
         }
-        if check_kernel_span:
-            checks["in-kernel-span"] = _kernel_span_contains(orc, g.poly)
         records.append(
             GeneratorRecord(
                 bidegree=g.bidegree, label=g.label, text=g.poly.text(), checks=checks
@@ -272,41 +226,36 @@ def build_report(
 
     t0 = time.perf_counter()
     if sing.kind == VERY_SINGULAR:
-        _very_singular_verdicts(ctx, asm, verdicts, check_resultants)
+        _very_singular_verdicts(ctx, asm, verdicts)
     else:
-        _mild_verdicts(ctx, asm, verdicts, check_morley)
+        _mild_verdicts(ctx, asm, verdicts)
     timings["identities"] = time.perf_counter() - t0
 
-    table_cells = []
-    table_field = ""
     box = (par.d - mb.mu, par.d)
-    if with_table:
-        t0 = time.perf_counter()
-        if isinstance(F, Rationals):
-            primes = (mirror_prime,) + tuple(p for p in MIRROR_PRIMES if p != mirror_prime)
-            tab_par = _good_mirror(par, sing.kind, primes, notes)
-            tab_orc = Oracle(tab_par)
-            table_field = tab_par.field.name
-            notes.append(
-                f"table cross-check computed over the prime-field mirror {table_field}"
-            )
-        else:
-            tab_orc = orc  # reuse the kernel slices cached by the span checks
-            table_field = F.name
-        table = tab_orc.mingen_table(box[0], box[1])
-        table_cells = [(i, j, c) for (i, j), c in sorted(table.counts.items())]
-        expected = sorted(g.bidegree for g in gens)
-        key = "oracle-table-multiset"
-        if sing.kind == NOT_APPLICABLE:
-            notes.append(
-                f"boundary case: table multiset match = {table.multiset() == expected} (informational)"
-            )
-        else:
-            verdicts[key] = table.multiset() == expected
-        hits = table.boundary_hits()
-        if hits:
-            notes.append(f"nonzero boundary cells in the table box: {hits}")
-        timings["oracle-table"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    if isinstance(F, Rationals):
+        tab_par = _good_mirror(par, sing.kind, MIRROR_PRIMES, notes)
+        tab_orc = Oracle(tab_par)
+        table_field = tab_par.field.name
+        notes.append(
+            f"table cross-check computed over the prime-field mirror {table_field}"
+        )
+    else:
+        tab_orc = orc  # reuse the kernel slices cached by the span checks
+        table_field = F.name
+    table = tab_orc.mingen_table(box[0], box[1])
+    table_cells = [(i, j, c) for (i, j), c in sorted(table.counts.items())]
+    expected = sorted(g.bidegree for g in gens)
+    if sing.kind == NOT_APPLICABLE:
+        notes.append(
+            f"boundary case: table multiset match = {table.multiset() == expected} (informational)"
+        )
+    else:
+        verdicts["oracle-table-multiset"] = table.multiset() == expected
+    hits = table.boundary_hits()
+    if hits:
+        notes.append(f"nonzero boundary cells in the table box: {hits}")
+    timings["oracle-table"] = time.perf_counter() - t0
 
     sing_doc = {
         "kind": sing.kind,
@@ -334,7 +283,7 @@ def build_report(
     )
 
 
-def _very_singular_verdicts(ctx, asm, verdicts, check_resultants):
+def _very_singular_verdicts(ctx, asm, verdicts):
     eq = ctx.implicit.equation
     fam, tops = asm.family, asm.tops
     low = ctx.mb.p
@@ -360,21 +309,20 @@ def _very_singular_verdicts(ctx, asm, verdicts, check_resultants):
     verdicts["family-not-multiple-of-low-line"] = all(
         not ideal_piece_membership(f, [low]) for f in fam
     )
-    if check_resultants:
-        ok = []
-        for f in fam:
-            r = resultant_t(low, f)
-            ok.append((not r.is_zero()) and r.proportional_to(eq))
-        if len(tops) == 2:
-            r = resultant_t(tops[0], tops[1])
-            ok.append((not r.is_zero()) and r.proportional_to(eq))
-        elif len(tops) == 1:
-            r = resultant_t(low, tops[0])
-            ok.append((not r.is_zero()) and eq.divides_into(r))
-        verdicts["resultant-identities"] = all(ok)
+    ok = []
+    for f in fam:
+        r = resultant_t(low, f)
+        ok.append((not r.is_zero()) and r.proportional_to(eq))
+    if len(tops) == 2:
+        r = resultant_t(tops[0], tops[1])
+        ok.append((not r.is_zero()) and r.proportional_to(eq))
+    elif len(tops) == 1:
+        r = resultant_t(low, tops[0])
+        ok.append((not r.is_zero()) and eq.divides_into(r))
+    verdicts["resultant-identities"] = all(ok)
 
 
-def _mild_verdicts(ctx, asm, verdicts, check_morley):
+def _mild_verdicts(ctx, asm, verdicts):
     from .mu2mild import morley_det_check
 
     F = ctx.field
@@ -389,20 +337,18 @@ def _mild_verdicts(ctx, asm, verdicts, check_morley):
             deltas[(0, 0)] - t1m * deltas[(0, 1)],
         )
     )
-    verdicts["sylvester-pair-independent-mod-low-line"] = _independent_mod(
+    verdicts["sylvester-pair-independent-mod-low-line"] = independent_mod(
         [deltas[(1, 0)], deltas[(0, 1)]], [ctx.mb.p]
     )
     if asm.minors:
         indep = []
         dets = []
         for i, fam in asm.minors.items():
-            indep.append(_independent_mod(fam, [ctx.mb.p]))
-            if check_morley:
-                _, _, lam = morley_det_check(ctx, i, asm.morley)
-                dets.append(not F.is_zero(lam))
+            indep.append(independent_mod(fam, [ctx.mb.p]))
+            _, _, lam = morley_det_check(ctx, i, asm.morley)
+            dets.append(not F.is_zero(lam))
         verdicts["minor-families-independent-mod-low-line"] = all(indep)
-        if check_morley:
-            verdicts["morley-determinants"] = all(dets)
+        verdicts["morley-determinants"] = all(dets)
 
 
 # ---------------------------------------------------------------------------

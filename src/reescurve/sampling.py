@@ -24,6 +24,7 @@ from .syzygy import (
     VERY_SINGULAR,
     apply_x_change,
     classify_singularity,
+    cross,
     implicit_equation,
     mu_basis,
     parametrization,
@@ -56,14 +57,6 @@ def random_x_change(field, rng):
             return rows
 
 
-def _cross(l, n):
-    return [
-        l[1] * n[2] - l[2] * n[1],
-        l[2] * n[0] - l[0] * n[2],
-        l[0] * n[1] - l[1] * n[0],
-    ]
-
-
 def _validated(field, u, want_kind, max_attempts_left) -> Sample | None:
     try:
         par = parametrization(field, *u)
@@ -89,7 +82,7 @@ def sample_very_singular(field, d, rng, scramble=True, max_attempts=200) -> Samp
         p1 = _rand_tpoly(field, 2, rng)
         n = [_rand_tpoly(field, d - 2, rng) for _ in range(3)]
         l = [p1, -p0, BiPoly.zero(field, 2, 0)]
-        u = _cross(l, n)
+        u = cross(l, n)
         if scramble:
             m = random_x_change(field, rng)
             try:
@@ -110,7 +103,7 @@ def sample_mild(field, d, rng, max_attempts=200) -> Sample:
     for attempt in range(1, max_attempts + 1):
         l = [_rand_tpoly(field, 2, rng) for _ in range(3)]
         n = [_rand_tpoly(field, d - 2, rng) for _ in range(3)]
-        sample = _validated(field, _cross(l, n), MILD, attempt)
+        sample = _validated(field, cross(l, n), MILD, attempt)
         if sample is not None:
             return sample
     raise RuntimeError(f"no mild sample after {max_attempts} draws")

@@ -60,16 +60,6 @@ class Parametrization:
         """G(T, u(T)), through the curve's power table."""
         return g.subst_x(*self.triple, powers=self.powers)
 
-    def key(self):
-        return (
-            self.field,
-            self.d,
-            tuple(tuple(tpoly_dense(u)) for u in self.triple),
-        )
-
-    def __hash__(self):
-        return hash(self.key())
-
 
 def parametrization(field, u0, u1, u2) -> Parametrization:
     """Build and validate a Parametrization from dense coefficient lists."""
@@ -112,25 +102,20 @@ class MuBasis:
         return self.p.field
 
 
-def _syzygy_columns(par: Parametrization, s: int):
-    """Evaluation matrix of (A,B,C) |-> A u0 + B u1 + C u2 at A,B,C degree s.
+def shift_matrix(F, dense_forms, s: int) -> ExactMatrix:
+    """Matrix of (g_v) |-> sum_v f_v g_v on T-forms g_v of degree s.
 
-    Columns are ordered block-by-block (A, B, C), monomials T0^(s-a) T1^a with
-    a ascending inside each block — i.e. canonical descending monomial order.
+    The f_v are dense T-forms of one degree (index = T1 exponent).  Column
+    v * (s + 1) + a is f_v shifted down by a: blocks by v, monomials
+    T0^(s-a) T1^a with a ascending inside each block — i.e. canonical
+    descending monomial order.
     """
-    F = par.field
-    d = par.d
-    dense = [tpoly_dense(u) for u in par.triple]
-    nrows = s + d + 1
-    cols = []
-    for v in range(3):
-        dv = dense[v]
+    width = len(dense_forms) * (s + 1)
+    rows = [[F.zero] * width for _ in range(len(dense_forms[0]) + s)]
+    for v, dv in enumerate(dense_forms):
         for a in range(s + 1):
-            col = [F.zero] * nrows
-            for k in range(d + 1):
-                col[a + k] = dv[k]
-            cols.append(col)
-    rows = [[cols[c][r] for c in range(3 * (s + 1))] for r in range(nrows)]
+            for k, c in enumerate(dv):
+                rows[a + k][v * (s + 1) + a] = c
     return ExactMatrix(F, rows)
 
 
@@ -155,12 +140,17 @@ def _moving_line_to_vector(ml: BiPoly, s):
 
 
 def mu_basis(par: Parametrization) -> MuBasis:
-    """Canonical mu-basis: P at the least syzygy degree, Q reduced mod T^a P."""
+    """Canonical mu-basis: P at the least syzygy degree, Q reduced mod T^a P.
+
+    The syzygies (A, B, C) of degree s are the kernel of the shift matrix of
+    (A, B, C) |-> A u0 + B u1 + C u2.
+    """
     F = par.field
     d = par.d
+    dense = [tpoly_dense(u) for u in par.triple]
     mu = None
     for s in range(0, d // 2 + 1):
-        null = _syzygy_columns(par, s).nullspace()
+        null = shift_matrix(F, dense, s).nullspace()
         if null:
             mu = s
             p_vec = null[0]
@@ -170,7 +160,7 @@ def mu_basis(par: Parametrization) -> MuBasis:
     p = _vector_to_moving_line(F, p_vec, mu)
 
     sq = d - mu
-    null_q = _syzygy_columns(par, sq).nullspace()
+    null_q = shift_matrix(F, dense, sq).nullspace()
     red = RowReducer(F, 3 * (sq + 1))
     for a in range(sq - mu + 1):
         shifted = BiPoly.monomial(F, (sq - mu - a, a, 0, 0, 0)) * p
@@ -200,18 +190,27 @@ def mu_basis(par: Parametrization) -> MuBasis:
     return mb
 
 
+def cross(l, n):
+    """The cross product l x n of two triples: the signed 2x2 minors of the
+    2 x 3 matrix with rows l and n."""
+    return [
+        l[1] * n[2] - l[2] * n[1],
+        l[2] * n[0] - l[0] * n[2],
+        l[0] * n[1] - l[1] * n[0],
+    ]
+
+
+def _x_content(ml: BiPoly):
+    """The T-form coefficients of X0, X1, X2 in a moving line."""
+    return [ml.x_coefficient(b[2:]) for b in _X_VARS]
+
+
 def _check_hilbert_burch(par: Parametrization, mb: MuBasis):
     """The signed 2x2 minors of the coefficient matrix reproduce u up to one scalar."""
     F = par.field
-    pc = [mb.p.x_coefficient(b[2:]) for b in _X_VARS]
-    qc = [mb.q.x_coefficient(b[2:]) for b in _X_VARS]
-    cross = [
-        pc[1] * qc[2] - pc[2] * qc[1],
-        pc[2] * qc[0] - pc[0] * qc[2],
-        pc[0] * qc[1] - pc[1] * qc[0],
-    ]
+    minors = cross(_x_content(mb.p), _x_content(mb.q))
     lam = None
-    for m, u in zip(cross, par.triple):
+    for m, u in zip(minors, par.triple):
         if u.is_zero():
             if not m.is_zero():
                 raise VerificationError("Hilbert-Burch minors do not match u")
@@ -222,7 +221,7 @@ def _check_hilbert_burch(par: Parametrization, mb: MuBasis):
             lam = cand
     if lam is None or F.is_zero(lam):
         raise VerificationError("degenerate Hilbert-Burch minors")
-    for m, u in zip(cross, par.triple):
+    for m, u in zip(minors, par.triple):
         if m != u.scale(lam):
             raise VerificationError("Hilbert-Burch check failed")
 
@@ -305,14 +304,7 @@ def implicit_equation(mb: MuBasis) -> ImplicitEquation:
     # from the graded kernel and verify res is proportional to its power.
     from .oracle import Oracle
 
-    hb = [mb.p.x_coefficient(b) for b in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    qb = [mb.q.x_coefficient(b) for b in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    cross = [
-        hb[1] * qb[2] - hb[2] * qb[1],
-        hb[2] * qb[0] - hb[0] * qb[2],
-        hb[0] * qb[1] - hb[1] * qb[0],
-    ]
-    par = parametrization(F, *cross)
+    par = parametrization(F, *cross(_x_content(mb.p), _x_content(mb.q)))
     orc = Oracle(par)
     eq = None
     for m in range(1, d + 1):
@@ -349,7 +341,7 @@ class SingularityClass:
 def moving_line_content(p: BiPoly) -> ExactMatrix:
     """3 x (mu+1) matrix of the T-coefficients of the three X-slots of P."""
     F = p.field
-    rows = [tpoly_dense(p.x_coefficient(b[2:])) for b in _X_VARS]
+    rows = [tpoly_dense(c) for c in _x_content(p)]
     width = p.tdeg + 1
     rows = [r + [F.zero] * (width - len(r)) for r in rows]
     return ExactMatrix(F, rows)

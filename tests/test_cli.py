@@ -27,12 +27,14 @@ IMPROPER = {
 }
 
 
-def run_cli(args, inp=None):
+def run_cli(args, inp=None, env=None):
+    """Run the CLI in a fresh interpreter; `env` entries extend the environment."""
     return subprocess.run(
         [sys.executable, "-m", "reescurve.cli"] + args,
         capture_output=True,
         text=True,
         input=inp,
+        env=None if env is None else {**os.environ, **env},
     )
 
 
@@ -172,12 +174,38 @@ def test_gens_reports_byte_identical_after_timing_mask(d5_file):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def test_gens_reports_equal_on_both_fp_cores():
+    """The native kernel and the packed pure-Python core give one report."""
+    s = run_cli(["--field", "fp", "sample-mild", "--degree", "6", "--seed", "2"])
+    assert s.returncode == 0, s.stderr
+    reports = []
+    for env in ({}, {"REESCURVE_NO_NATIVE": "1"}):
+        g = run_cli(["gens", "-"], inp=s.stdout, env=env)
+        assert g.returncode == 0, g.stderr
+        doc = json.loads(g.stdout)
+        assert doc.pop("all_pass") is True
+        doc.pop("timings")
+        reports.append(json.dumps(doc, sort_keys=True))
+    assert reports[0] == reports[1]
+
+
+# 2^127 - 1: too large for the packed slots and the C kernel
+MERSENNE_127 = "fp:170141183460469231731687303715884105727"
+
+
 @pytest.mark.parametrize(
     "field, kind, degree",
-    [("fp:2", "mild", 5), ("fp:3", "verysingular", 6), ("fp:7", "mild", 7)],
+    [
+        ("fp:2", "mild", 5),
+        ("fp:3", "verysingular", 6),
+        ("fp:7", "mild", 7),
+        (MERSENNE_127, "mild", 5),
+        (MERSENNE_127, "verysingular", 5),
+    ],
 )
 def test_small_characteristic_sample_and_gens(field, kind, degree, tmp_path):
-    # the characteristic divides a degree in the resultant's slice derivative
+    # the characteristic divides a degree in the resultant's slice derivative;
+    # a prime past 2^62 runs on the field-generic row-reduction core
     s = run_cli(["--field", field, f"sample-{kind}", "--degree", str(degree), "--seed", "1"])
     assert s.returncode == 0, s.stderr
     path = tmp_path / "curve.json"

@@ -140,11 +140,18 @@ def test_solver_reuse_and_determinism(field):
 
 def test_det_matches_fp_and_q():
     rng = random.Random(3)
-    for n in (1, 2, 3, 4, 5):
-        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+    cases = [[[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)] for n in (1, 2, 3, 4, 5)]
+    cases.append([[1, 2, 3], [4, 5, 6], [5, 7, 9]])     # singular: row 3 = row 1 + row 2
+    cases.append([[0, 0, 2], [0, 3, 1], [5, 1, 1]])     # needs row swaps
+    fields = [FP, PrimeField(2), PrimeField(3), PrimeField((1 << 127) - 1)]
+    for rows in cases:
         dq = ExactMatrix(QQ, rows).det()
         assert dq == naive_cofactor_det(ExactMatrix(QQ, rows).rows, QQ)
-        assert ExactMatrix(FP, rows).det() == FP.coerce(dq)
+        for field in fields:
+            m = ExactMatrix(field, rows)
+            assert m.det() == naive_cofactor_det(m.rows, field) == field.coerce(dq)
+    assert ExactMatrix(QQ, cases[-2]).det() == 0
+    assert ExactMatrix(QQ, cases[-1]).det() == -30
 
 
 def test_det_nonsquare_raises():

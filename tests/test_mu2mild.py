@@ -14,7 +14,7 @@ from reescurve.mu2mild import (
     morley_coeffs,
     morley_det_check,
 )
-from reescurve.oracle import Oracle, ideal_piece_membership
+from reescurve.oracle import Oracle, ideal_piece_membership, independent_mod
 from reescurve.poly import BiPoly, parse_bipoly
 from reescurve.sampling import sample_mild
 from reescurve.syzygy import mu_basis, parametrization
@@ -71,9 +71,13 @@ def test_sylvester_pair_independent_mod_low_line():
     s = fixed_mild(6)
     ctx = mild_context(s.par, s.mb, s.sing)
     deltas = delta_sylvester(ctx)
-    from reescurve.report import _independent_mod
-
-    assert _independent_mod([deltas[(1, 0)], deltas[(0, 1)]], [ctx.mb.p])
+    low = ctx.mb.p
+    assert independent_mod([deltas[(1, 0)], deltas[(0, 1)]], [low])
+    # a multiple of P, and a repeated form, are dependent modulo P
+    assert not independent_mod([deltas[(1, 0)], parse_bipoly(FP, "T0*X0") * low], [low])
+    assert not independent_mod([parse_bipoly(FP, "T1*X2") * low], [low])
+    assert not independent_mod([deltas[(1, 0)], deltas[(1, 0)]], [low])
+    assert independent_mod([], [low])
 
 
 def test_morley_block_reading_matches_coefficients():

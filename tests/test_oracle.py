@@ -203,3 +203,34 @@ def test_oracle_agrees_across_cores(kind, d, jbox, monkeypatch):
         assert len(qb) == len(nb) > 0
         for fq, fp in zip(qb, nb):
             assert {m: FP.coerce(v) for m, v in fq.coeffs.items()} == fp.coeffs
+
+
+@pytest.mark.parametrize("core", ["native", "packed", "q"])
+def test_kernel_slice_membership(core, monkeypatch):
+    """Oracle.contains accepts kernel elements and refuses everything else,
+    on each linear-algebra core."""
+    from reescurve import _native
+    from reescurve.linalg import _FpNativeCore, _FpPackedCore, _FractionCore
+
+    parq, parp = _sampled_mirror("mild", 6, 3)
+    if core == "native" and _native.get_kernel() is None:
+        pytest.skip("no C compiler: the native core is not built")
+    if core == "packed":
+        monkeypatch.setattr(_native, "get_kernel", lambda: None)
+    par = parq if core == "q" else parp
+    F = par.field
+    orc = Oracle(par)
+    mb = mu_basis(par)
+    eq = implicit_equation(mb).equation
+    members = [mb.p, mb.q, eq, BiPoly.zero(F, 2, 1)] + orc.kernel_basis(2, 2).basis
+    for g in members:
+        assert orc.contains(g), g.text()
+    kind = {"native": _FpNativeCore, "packed": _FpPackedCore, "q": _FractionCore}[core]
+    assert isinstance(orc._kernel_data(2, 1).reducer._core, kind)
+    for g in (mb.p, mb.q, eq):
+        i, j = g.bidegree
+        assert not orc.contains(g + BiPoly.monomial(F, (i, 0, j, 0, 0)))
+    # j = 0 forms never vanish on the curve; below mu the (s, 1) slices are empty
+    assert not orc.contains(parse_bipoly(F, "T0^3 + T1^3"))
+    assert not orc.contains(parse_bipoly(F, "T0*X0 - T1*X2"))
+    assert not orc.contains(BiPoly.zero(F, 1, 1))
