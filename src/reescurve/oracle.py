@@ -4,28 +4,32 @@ Everything here is plain graded linear algebra on explicit matrices — no
 constructive formulas — so it can cross-check the pipeline modules:
   * kernel_basis: the (i, j) slice as the nullspace of the substitution map,
   * mingen_table: minimal-generator counts via the graded Nakayama quotient,
-  * Oracle.contains: membership of a form in its kernel slice,
+  * Oracle.contains: membership of a form in its kernel slice, as one
+    matrix-vector product in plain ints (no elimination, no slice built),
   * ideal_piece_membership, independent_mod: span tests against the monomial
     multiples of given forms at one bidegree.
 
-A kernel slice is kept as the pivot block of its substitution matrix's RREF
-(inside a RowReducer), not as kernel vectors.  The matrix of slice (i, j) is
-banded: the column of T0^a0 T1^a1 X^b is the dense power u^b shifted down by
-a1, read from the curve's PowerTable (the one every substitution into the
-curve uses) and written into one flat buffer (``array('Q')`` over F_p) by one
-strided slice assignment per column.  The Nakayama steps feed whole kernel
-rows, moved through monomial-multiplication column maps, straight from one
-pivot block into the next reducer; canonical normalized vectors are built
-only when kernel_basis asks for them.
+The matrix of slice (i, j) is banded: the column of T0^a0 T1^a1 X^b is the
+dense power u^b shifted down by a1, read from the curve's PowerTable (the one
+every substitution into the curve uses).  For dimensions, bases and the
+Nakayama counts a slice is kept as the pivot block of that matrix's RREF
+(inside a RowReducer), not as kernel vectors: the matrix is written into one
+flat buffer (``array('Q')`` over F_p) by one strided slice assignment per
+column.  The Nakayama steps feed whole kernel rows, moved through
+monomial-multiplication column maps, straight from one pivot block into the
+next reducer; canonical normalized vectors are built only when kernel_basis
+asks for them.
 """
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, mul
 
-from .fields import Rationals
+from .fields import Rationals, ensure_same_field
 from .linalg import RowReducer, normalized
-from .poly import BiPoly, monomials_of_bidegree, x_monomials
+from .poly import BiPoly, cleared_denominators, monomials_of_bidegree, x_monomials
 from .syzygy import Parametrization
 
 
@@ -161,17 +165,27 @@ class Oracle:
     def contains(self, g: BiPoly) -> bool:
         """Is g in the kernel slice of its bidegree?  False for an empty slice.
 
-        The slice's own kernel rows seed a reducer on its free columns (they
-        are mutually reduced there), and g is tested against their span.
+        K_{i,j} is the kernel of the slice matrix, so a nonzero g is in it
+        exactly when the product of that matrix with g's coefficient vector
+        vanishes: sum c_m (column of m), with no elimination.  Over Q, g's
+        denominators are cleared first; over F_p, one ``% p`` at the end.
+        The columns are read here, not through ``subst_x``, so a report's
+        in-kernel-span and substitutes-to-zero checks stay two code paths.
         """
+        ensure_same_field(self.field, g.field)
         i, j = g.bidegree
-        if self.kernel_dim(i, j) == 0:
-            return False
-        data = self._kernel_data(i, j)
-        n = data.reducer.ncols
-        red = RowReducer(self.field, n)
-        red.seed(data.freecols, data.reducer.kernel_rows(range(n), n))
-        return red.contains(g.to_vector(monomials_of_bidegree(i, j)))
+        if g.is_zero():
+            return self.kernel_dim(i, j) > 0
+        p = self.powers.modulus       # None over Q
+        terms = cleared_denominators(g.coeffs)[1] if p is None else g.coeffs.items()
+        acc = [0] * (i + j * self.d + 1)
+        for m, c in terms:
+            pw = self.powers.power(m[2:])
+            lo, hi = m[1], m[1] + len(pw)
+            acc[lo:hi] = map(add, acc[lo:hi], map(mul, repeat(c), pw))
+        if p is None:
+            return not any(acc)
+        return not any(v % p for v in acc)
 
     @property
     def mu(self) -> int:

@@ -152,11 +152,20 @@ class BiPoly:
         return self + (-other)
 
     def __mul__(self, other):
+        """Convolution in plain ints, normalized once per output coefficient:
+        over Q the operands are integer numerators over one denominator each,
+        over F_p the raw products are summed and reduced by one ``% p``."""
         ensure_same_field(self.field, other.field)
         F = self.field
-        out = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
+        if isinstance(F, PrimeField):
+            terms1, terms2 = self.coeffs.items(), other.coeffs.items()
+        else:
+            den1, terms1 = cleared_denominators(self.coeffs)
+            den2, terms2 = cleared_denominators(other.coeffs)
+        acc = {}
+        get = acc.get
+        for m1, c1 in terms1:
+            for m2, c2 in terms2:
                 m = (
                     m1[0] + m2[0],
                     m1[1] + m2[1],
@@ -164,11 +173,13 @@ class BiPoly:
                     m1[3] + m2[3],
                     m1[4] + m2[4],
                 )
-                s = F.add(out.get(m, F.zero), F.mul(c1, c2))
-                if F.is_zero(s):
-                    out.pop(m, None)
-                else:
-                    out[m] = s
+                acc[m] = get(m, 0) + c1 * c2
+        if isinstance(F, PrimeField):
+            p = F.p
+            out = {m: r for m, v in acc.items() if (r := v % p)}
+        else:
+            den = den1 * den2
+            out = {m: Fraction(v, den) for m, v in acc.items() if v}
         return BiPoly(
             F, self.tdeg + other.tdeg, self.xdeg + other.xdeg, out, _clean=True
         )
@@ -480,6 +491,13 @@ def tpoly_dense(tp: BiPoly):
     return out
 
 
+def cleared_denominators(coeffs):
+    """(den, [(monomial, int)]): Fraction coefficients as integer numerators
+    over their least common denominator."""
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return den, [(m, c.numerator * (den // c.denominator)) for m, c in coeffs.items()]
+
+
 class PowerTable:
     """Dense powers u^b = u0^b0 u1^b1 u2^b2 of one triple of T-forms.
 
@@ -549,8 +567,7 @@ class PowerTable:
         top = g.tdeg + g.xdeg * self.d
         acc = [0] * (top + 1)
         if self.modulus is None:
-            den = lcm(*(c.denominator for c in g.coeffs.values()))
-            terms = [(m, c.numerator * (den // c.denominator)) for m, c in g.coeffs.items()]
+            den, terms = cleared_denominators(g.coeffs)
         else:
             terms = g.coeffs.items()
         for m, c in terms:

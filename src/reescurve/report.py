@@ -241,7 +241,7 @@ def build_report(par: Parametrization) -> GeneratorReport:
             f"table cross-check computed over the prime-field mirror {table_field}"
         )
     else:
-        tab_orc = orc  # reuse the kernel slices cached by the span checks
+        tab_orc = orc  # the span checks build no slice: the table builds its own
         table_field = F.name
     table = tab_orc.mingen_table(box[0], box[1])
     table_cells = [(i, j, c) for (i, j), c in sorted(table.counts.items())]

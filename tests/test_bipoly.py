@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from reescurve.fields import DEFAULT_PRIME, PrimeField, QQ
 from reescurve.poly import (
@@ -37,6 +38,64 @@ def test_mul_grading():
     prod = P("T0*X1") * P("X2")
     assert prod.bidegree == (1, 2)
     assert prod == P("T0*X1*X2")
+
+
+def _mul_reference(f, g):
+    """Schoolbook product: every term pair added in with F.add / F.mul."""
+    F = f.field
+    out = {}
+    for m1, c1 in f.coeffs.items():
+        for m2, c2 in g.coeffs.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = F.add(out.get(m, F.zero), F.mul(c1, c2))
+    return {m: c for m, c in out.items() if not F.is_zero(c)}
+
+
+_MUL_FIELDS = [QQ, PrimeField(2), PrimeField(3), FP]
+
+
+@st.composite
+def _form(draw, field, bidegree):
+    mons = monomials_of_bidegree(*bidegree)
+    if field == QQ:
+        scalars = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    else:
+        scalars = st.sampled_from([0, 1, 2, field.p - 1, field.p // 2])
+    coeffs = draw(st.dictionaries(st.sampled_from(mons), scalars, max_size=5))
+    return BiPoly(field, *bidegree, coeffs)
+
+
+@st.composite
+def _mul_case(draw):
+    field = draw(st.sampled_from(_MUL_FIELDS))
+    bideg = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    bf, bg = draw(bideg), draw(bideg)
+    return draw(_form(field, bf)), draw(_form(field, bg)), draw(_form(field, bf))
+
+
+def _cancelling(field, f, g):
+    return P(f, field=field), P(g, field=field), BiPoly.zero(field, 0, 0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_mul_case())
+@example(_cancelling(QQ, "1/2*T0*X0 - 1/3*T1*X2", "1/2*T0*X0 + 1/3*T1*X2"))
+@example(_cancelling(PrimeField(2), "X0 + X1", "X0 + X1"))
+@example(_cancelling(PrimeField(3), "X0 + X1", "X0 + 2*X1"))
+@example(_cancelling(FP, "X0 + X1", "X0 - X1"))
+def test_mul_matches_schoolbook_reference(case):
+    """The int convolution equals the schoolbook product and stores no zero
+    coefficient (the ``_clean=True`` invariant), also where coefficients
+    cancel (the examples, (f + h)(f - h)) and for the zero polynomial."""
+    f, g, h = case
+    F = f.field
+    zero = BiPoly.zero(F, 1, 1)
+    for a, b in [(f, g), (g, f), (f, zero), (zero, g), (f + h, f - h), (f, -f)]:
+        prod = a * b
+        assert prod.coeffs == _mul_reference(a, b)
+        assert prod.bidegree == (a.tdeg + b.tdeg, a.xdeg + b.xdeg)
+        assert all(not F.is_zero(c) and F.coerce(c) == c and type(c) is type(F.one)
+                   for c in prod.coeffs.values())
 
 
 def test_monomial_quotient():

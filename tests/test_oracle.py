@@ -207,8 +207,10 @@ def test_oracle_agrees_across_cores(kind, d, jbox, monkeypatch):
 
 @pytest.mark.parametrize("core", ["native", "packed", "q"])
 def test_kernel_slice_membership(core, monkeypatch):
-    """Oracle.contains accepts kernel elements and refuses everything else,
-    on each linear-algebra core."""
+    """Oracle.contains accepts kernel elements and refuses everything else.
+    The core parameter picks the core that builds the slices behind
+    kernel_basis/_kernel_data and the zero-form answers (dim K_{i,j} > 0);
+    a nonzero form is tested by a product with no elimination."""
     from reescurve import _native
     from reescurve.linalg import _FpNativeCore, _FpPackedCore, _FractionCore
 
@@ -234,3 +236,62 @@ def test_kernel_slice_membership(core, monkeypatch):
     assert not orc.contains(parse_bipoly(F, "T0^3 + T1^3"))
     assert not orc.contains(parse_bipoly(F, "T0*X0 - T1*X2"))
     assert not orc.contains(BiPoly.zero(F, 1, 1))
+
+
+@pytest.mark.parametrize("field", ["fp", "q"])
+def test_contains_matches_a_span_test_against_the_kernel_basis(field, monkeypatch):
+    """Oracle.contains equals a brute-force span test against kernel_basis on
+    random combinations of basis elements (with and without an off-kernel
+    monomial) and on Q forms with non-integer coefficients.  A nonzero form
+    is answered by a product alone: with every reducer refused, no slice is
+    built."""
+    from reescurve import linalg
+    from reescurve.linalg import RowReducer
+    from reescurve.poly import monomials_of_bidegree
+
+    parq, parp = _sampled_mirror("mild", 6, 3)
+    if field == "q":   # a non-primitive, non-integer triple: scale != 1
+        c = Fraction(5, 3)
+        parq = parametrization(QQ, *[u.scale(c) for u in parq.triple])
+    par = parq if field == "q" else parp
+    F = par.field
+    rng = random.Random(11)
+
+    def scalar():
+        if F == QQ:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+        return rng.randrange(F.p)
+
+    ref = Oracle(par)
+    cases = []            # (form, answer of the span test)
+    for cell in [(2, 1), (2, 2), (1, 4), (4, 1), (3, 3), (0, 6)]:
+        basis = ref.kernel_basis(*cell).basis
+        assert basis, cell
+        monomials = monomials_of_bidegree(*cell)
+        span = RowReducer(F, len(monomials))
+        span.add_rows([b.to_vector(monomials) for b in basis])
+        forms = [basis[0].scale(Fraction(2, 3)) + basis[-1].scale(Fraction(-1, 7))]
+        for _ in range(4):
+            g = BiPoly.zero(F, *cell)
+            for b in basis:
+                g = g + b.scale(scalar())
+            forms += [g, g + BiPoly.monomial(F, rng.choice(monomials), scalar() or 1)]
+        for g in forms:
+            if not g.is_zero():
+                cases.append((g, span.contains(g.to_vector(monomials))))
+    assert {want for _, want in cases} == {True, False}
+    # the zero form: True exactly when its slice is nonempty
+    assert ref.contains(BiPoly.zero(F, 2, 2))
+    assert not ref.contains(BiPoly.zero(F, 1, 1))
+    assert ref.kernel_dim(1, 1) == 0 < ref.kernel_dim(2, 2)
+
+    def refuse(*args):
+        raise AssertionError("a reducer was built")
+
+    monkeypatch.setattr(linalg, "_make_core", refuse)
+    orc = Oracle(par)
+    for g, want in cases:
+        assert orc.contains(g) is want, g.text()
+    assert not orc.contains(parse_bipoly(F, "T0^3 + T1^3"))       # j = 0
+    assert not orc.contains(parse_bipoly(F, "2*T0^2"))
+    assert orc._kernels == {}
