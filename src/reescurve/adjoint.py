@@ -110,6 +110,8 @@ def adjoint_report(par: Parametrization, ell_max: int | None = None) -> AdjointR
     d = par.d
     if ell_max is None:
         ell_max = d + 2
+    if ell_max < 0:
+        raise PreconditionError("table_box", f"negative ell_max {ell_max}")
     orc = Oracle(par)
     rows = []
     for ell in range(0, ell_max + 1):

@@ -4,6 +4,9 @@ Everything here is plain graded linear algebra on explicit matrices — no
 constructive formulas — so it can cross-check the pipeline modules:
   * kernel_basis: the (i, j) slice as the nullspace of the substitution map,
   * mingen_table: minimal-generator counts via the graded Nakayama quotient,
+    read off one slice per j (below),
+  * mingen_count: the same count for one cell, straight from the definition
+    (the reference the tests hold mingen_table to),
   * Oracle.contains: membership of a form in its kernel slice, as one
     matrix-vector product in plain ints (no elimination, no slice built),
   * ideal_piece_membership, independent_mod: span tests against the monomial
@@ -15,18 +18,33 @@ every substitution into the curve uses).  For dimensions, bases and the
 Nakayama counts a slice is kept as the pivot block of that matrix's RREF
 (inside a RowReducer), not as kernel vectors: the matrix is written into one
 flat buffer (``array('Q')`` over F_p) by one strided slice assignment per
-column.  The Nakayama steps feed whole kernel rows, moved through
-monomial-multiplication column maps, straight from one pivot block into the
-next reducer; canonical normalized vectors are built only when kernel_basis
-asks for them.
+column.  Kernel rows are written from the pivot block through
+monomial-multiplication column maps; canonical normalized vectors are built
+only when kernel_basis asks for them.
+
+The table needs no Nakayama quotient of full slices.  Let pi send a form of
+K_{i,j} to its T1^i coefficient, a vector over the nx = (j+1)(j+2)/2
+X-monomials of degree j, and let E_{i,j} = pi(K_{i,j}).  Since T0 is a
+nonzerodivisor, ker pi = T0·K_{i-1,j}, which lies inside the multiples being
+divided out, so
+
+    count(i, j) = dim E_{i,j} - dim(E_{i-1,j} + X0·E_{i,j-1} + X1·E_{i,j-1} + X2·E_{i,j-1})
+
+(pi of T1·K_{i-1,j} is E_{i-1,j}; pi of T0·K_{i-1,j} is 0).  Multiplying by
+T0^(imax-i) embeds K_{i,j} in K_{imax,j} as the forms with no T1 power above
+i, and the RREF kernel rows of slice (imax, j) are echelon by their trailing
+(free) column; so E_{i,j} is spanned by the T1^i blocks of the kernel rows
+whose free column lies in block i.  One slice per j gives every E_{i,j}, and
+each count is a rank on nx columns.
 """
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add, mul
+from operator import add, itemgetter, mul
 
+from .errors import PreconditionError
 from .fields import Rationals, ensure_same_field
 from .linalg import RowReducer, normalized
 from .poly import BiPoly, cleared_denominators, monomials_of_bidegree, x_monomials
@@ -90,6 +108,19 @@ def _x_shifts(j):
         [index[(0, 0, m[2] + e0, m[3] + e1, m[4] + e2)] for m in x_monomials(j - 1)]
         for e0, e1, e2 in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     ]
+
+
+def _x_gathers(j):
+    """X0, X1, X2 as gathers from a row over x_monomials(j - 1), padded with
+    one zero, to a row over x_monomials(j): entry x reads entry t of the row
+    when x is X_l times monomial t, and the pad otherwise."""
+    out = []
+    for xs in _x_shifts(j):
+        g = [len(xs)] * ((j + 1) * (j + 2) // 2)
+        for t, x in enumerate(xs):
+            g[x] = t
+        out.append(itemgetter(*g))
+    return out
 
 
 class Oracle:
@@ -202,7 +233,9 @@ class Oracle:
     # -- minimal generator counts ---------------------------------------------
 
     def mingen_count(self, i, j) -> int:
-        """dim K_{i,j} minus the dimension of (T0,T1) K_{i-1,j} + (X) K_{i,j-1}."""
+        """dim K_{i,j} minus the dimension of (T0,T1) K_{i-1,j} + (X) K_{i,j-1},
+        straight from the definition on full slices.  mingen_table does not
+        call it: it is the reference the tests compare the table against."""
         n_target = self.kernel_dim(i, j)
         if n_target == 0:
             return 0
@@ -236,23 +269,58 @@ class Oracle:
             red.add_rows(src.reducer.kernel_rows(colmap, ncols), stop_rank=n_target)
         return n_target - red.rank
 
+    def _top_blocks(self, imax, j):
+        """E_{i,j} for i = 0..imax from the one slice (imax, j): per i, the
+        free columns inside block i (local indices) and the block-i parts of
+        their kernel rows.  Each row has 1 at its own free column and 0 at
+        the others, so a block seeds a reducer as it is."""
+        data = self._kernel_data(imax, j)
+        nx = (j + 1) * (j + 2) // 2
+        ncols = (imax + 1) * nx
+        blocks = [([], []) for _ in range(imax + 1)]
+        for f, row in zip(data.freecols, data.reducer.kernel_rows(range(ncols), ncols)):
+            i, local = divmod(f, nx)
+            blocks[i][0].append(local)
+            blocks[i][1].append(row[i * nx : (i + 1) * nx])
+        return blocks
+
     def mingen_table(self, imax=None, jmax=None) -> MinGenTable:
+        """Minimal-generator counts for i <= imax, j <= jmax (default: the
+        box (d - mu, d)), as count(i, j) = dim E_{i,j} - dim(E_{i-1,j} +
+        X0·E_{i,j-1} + X1·E_{i,j-1} + X2·E_{i,j-1}), where E_{i,j} is the
+        space of T1^i coefficients of K_{i,j}: the kernel of that projection
+        is T0·K_{i-1,j} (see the module docstring).  Each j builds the one
+        slice (imax, j), takes its blocks and drops it; each rank is on
+        (j+1)(j+2)/2 columns, with E_{i,j-1} moved by the X-shifts."""
+        mu = self.mu
         if imax is None:
-            imax = self.d - self.mu
+            imax = self.d - mu
         if jmax is None:
             jmax = self.d
+        if imax < 0 or jmax < 0:
+            raise PreconditionError("table_box", f"negative box ({imax}, {jmax})")
+        F = self.field
         counts = {}
-        for j in range(0, jmax + 1):
-            for i in range(0, imax + 1):
-                if i == 0 and j == 0:
-                    continue
-                c = self.mingen_count(i, j)
-                if c:
-                    counts[(i, j)] = c
-            # evict kernel slices that no later cell can consume
-            for key in [k for k in self._kernels if k[1] < j - 1]:
+        prev = [([], [])] * (imax + 1)     # the blocks of j - 1 (E_{i,0} = 0)
+        for j in range(1, jmax + 1):
+            cur = self._top_blocks(imax, j)
+            # every cached slice (the mu slices too) is spent once j is done
+            for key in [k for k in self._kernels if k[1] <= j]:
                 del self._kernels[key]
-        return MinGenTable(counts=counts, imax=imax, jmax=jmax, d=self.d, mu=self.mu)
+            shifts = _x_gathers(j)
+            for i in range(imax + 1):
+                n = len(cur[i][1])
+                below = cur[i - 1] if i else ([], [])
+                if n == len(below[1]):       # E_{i-1,j} is all of E_{i,j}
+                    continue
+                red = RowReducer(F, (j + 1) * (j + 2) // 2)
+                red.seed(*below)
+                padded = [list(row) + [F.zero] for row in prev[i][1]]
+                red.add_rows([get(row) for get in shifts for row in padded], stop_rank=n)
+                if n > red.rank:
+                    counts[(i, j)] = n - red.rank
+            prev = cur
+        return MinGenTable(counts=counts, imax=imax, jmax=jmax, d=self.d, mu=mu)
 
 
 def _multiples(F, i, j, gens):

@@ -144,6 +144,19 @@ def test_adjoint_dims_command(d5_file):
     assert len(doc["rows"]) == 5
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["oracle-table", "--imax", "-1"], ["oracle-table", "--jmax", "-2"], ["adjoint-dims", "--lmax", "-1"]],
+    ids=["imax", "jmax", "lmax"],
+)
+def test_negative_table_box_exits_2(args, d5_file, capsys):
+    from reescurve import cli
+
+    assert cli.main([args[0], d5_file] + args[1:]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["error"], doc["invariant"]) == ("precondition", "table_box")
+
+
 def test_field_override(d5_file):
     r = run_cli(["--field", "fp:10007", "mubasis", d5_file])
     assert r.returncode == 0

@@ -295,3 +295,92 @@ def test_contains_matches_a_span_test_against_the_kernel_basis(field, monkeypatc
     assert not orc.contains(parse_bipoly(F, "T0^3 + T1^3"))       # j = 0
     assert not orc.contains(parse_bipoly(F, "2*T0^2"))
     assert orc._kernels == {}
+
+
+def _reference_counts(par, imax, jmax):
+    """The table cell by cell, straight from the definition (mingen_count)."""
+    orc = Oracle(par)
+    cells = [(i, j) for j in range(jmax + 1) for i in range(imax + 1) if (i, j) != (0, 0)]
+    counts = {cell: orc.mingen_count(*cell) for cell in cells}
+    return {cell: c for cell, c in counts.items() if c}
+
+
+def _within(counts, imax, jmax):
+    return {(i, j): c for (i, j), c in counts.items() if i <= imax and j <= jmax}
+
+
+@pytest.mark.parametrize("spec", ["fp:2", "fp:3", "fp:7", f"fp:{DEFAULT_PRIME}"])
+def test_mingen_table_equals_the_cellwise_reference(spec):
+    """The table read from one slice per j equals mingen_count cell by cell,
+    for both classes at d = 5..8, on the box (d - mu, d) and one larger."""
+    from reescurve.fields import field_from_spec
+    from reescurve.sampling import sample_mild, sample_very_singular
+
+    F = field_from_spec(spec)
+    for d in range(5, 9):
+        for sampler in (sample_mild, sample_very_singular):
+            par = sampler(F, d, random.Random(d)).par
+            box = (d - Oracle(par).mu, d)
+            ref = _reference_counts(par, box[0] + 1, box[1] + 1)
+            assert ref
+            for imax, jmax in (box, (box[0] + 1, box[1] + 1)):
+                table = Oracle(par).mingen_table(imax, jmax)
+                assert table.counts == _within(ref, imax, jmax), (spec, d, sampler)
+
+
+def test_q_mingen_table_equals_the_cellwise_reference():
+    """Over Q (the Fraction core), on curves with small coefficients: the
+    brute-force reference is slow over Q on random ones."""
+    mild = parametrization(QQ, [1, 0, 0, 0, 0, 2], [0, 1, 0, 3, 0, 0], [0, 0, 0, 0, 0, 1])
+    for par, extra in [(monomial_odd(3), 1), (monomial_odd(4), 0), (mild, 0)]:
+        imax, jmax = par.d - 2 + extra, par.d + extra
+        ref = _reference_counts(par, imax, jmax)
+        assert ref
+        assert Oracle(par).mingen_table(imax, jmax).counts == ref
+
+
+def test_mu3_tables_equal_the_cellwise_reference():
+    from curves import MU3_CURVE1_BIDEGREES, MU3_CURVE2_BIDEGREES, mu3_degree10_curves
+
+    expected = (MU3_CURVE1_BIDEGREES, MU3_CURVE2_BIDEGREES)
+    for par, bidegrees in zip(mu3_degree10_curves(FP), expected):
+        table = Oracle(par).mingen_table(7, 10)
+        assert table.counts == _reference_counts(par, 7, 10)
+        assert table.multiset() == bidegrees
+
+
+def test_mingen_table_on_the_packed_core_equals_the_reference(monkeypatch):
+    from reescurve import _native
+    from reescurve.linalg import _FpPackedCore
+    from reescurve.sampling import sample_very_singular
+
+    monkeypatch.setattr(_native, "get_kernel", lambda: None)
+    par = sample_very_singular(FP, 6, random.Random(4)).par
+    assert isinstance(Oracle(par)._kernel_data(4, 2).reducer._core, _FpPackedCore)
+    table = Oracle(par).mingen_table()
+    assert table.counts == _reference_counts(par, 4, 6)
+    assert table.multiset() == predicted_multiset(6, "very-singular")
+
+
+@pytest.mark.parametrize("box", [(None, None), (7, 9), (6, 3)])
+def test_mingen_table_builds_one_slice_per_j(box, monkeypatch):
+    """One slice (imax, j) per j, besides the (s, 1) slices behind mu; none
+    of them stays cached below jmax once the table is done."""
+    from reescurve.sampling import sample_mild
+
+    par = sample_mild(FP, 8, random.Random(5)).par
+    built = []
+    original = Oracle._kernel_data
+
+    def counted(self, i, j):
+        if (i, j) not in self._kernels:
+            built.append((i, j))
+        return original(self, i, j)
+
+    monkeypatch.setattr(Oracle, "_kernel_data", counted)
+    orc = Oracle(par)
+    table = orc.mingen_table(*box)
+    mu_slices = [(s, 1) for s in range(table.mu + 1)]
+    top = [(table.imax, j) for j in range(1, table.jmax + 1)]
+    assert sorted(built) == sorted(set(mu_slices + top))
+    assert [key for key in orc._kernels if key[1] < table.jmax] == []
