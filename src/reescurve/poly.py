@@ -9,6 +9,13 @@ T0 > T1 > X0 > X1 > X2, highest first — i.e. plain descending tuple order.
 Substitution X -> u(T) runs on a PowerTable: dense integer powers u^b of one
 parametrization, built once per curve (a Parametrization owns one) and read
 by every substitution into that curve and by its oracle.
+
+Determinants (poly_det_bareiss, behind resultant_t) run Bareiss elimination
+on plain ints with no BiPoly arithmetic inside: each monomial is packed into
+one int, fields of one width with a guard bit each, so a product of
+monomials is one addition and a divisibility test one subtraction and mask.
+Over F_p each coefficient is reduced by one ``% p``; over Q each row is
+cleared to integer numerators and the row denominators divide the result once.
 """
 from __future__ import annotations
 
@@ -226,6 +233,7 @@ class BiPoly:
         if td < 0 or xd < 0:
             raise InexactDivision("degree of divisor exceeds dividend")
         glm, glc = g.leading()
+        inv = F.inv(glc)
         rem = dict(self.coeffs)
         out = {}
         while rem:
@@ -239,7 +247,7 @@ class BiPoly:
             )
             if min(q) < 0:
                 raise InexactDivision("leading term not divisible")
-            qc = F.div(rem[m], glc)
+            qc = F.mul(rem[m], inv)
             out[q] = qc
             for gm, gc in g.coeffs.items():
                 mm = (
@@ -630,12 +638,12 @@ def _strip_tpoly(tp: BiPoly):
 def _poly1_mod(a, b, F):
     """Remainder of dense univariate a mod b (ascending coefficients)."""
     a = list(a)
-    db, lb = len(b) - 1, b[-1]
+    db, inv = len(b) - 1, F.inv(b[-1])
     while len(a) - 1 >= db and a:
         if F.is_zero(a[-1]):
             a.pop()
             continue
-        f = F.div(a[-1], lb)
+        f = F.mul(a[-1], inv)
         off = len(a) - 1 - db
         for k in range(db + 1):
             a[off + k] = F.sub(a[off + k], F.mul(f, b[k]))
@@ -683,38 +691,162 @@ def tpoly_gcd_many(polys) -> BiPoly:
 # resultant with respect to T
 # ---------------------------------------------------------------------------
 
+def _pack(mono, w):
+    """One int for an exponent tuple, a0 in the most significant w-bit field."""
+    key = 0
+    for e in mono:
+        key = key << w | e
+    return key
+
+
+def _unpack(key, w):
+    mask = (1 << w) - 1
+    return tuple(key >> s & mask for s in range(4 * w, -1, -w))
+
+
+def _cross(x, y, a, b):
+    """x*y - a*b on packed dicts, raw int coefficients (zeros kept)."""
+    acc = {}
+    get = acc.get
+    for k1, c1 in x.items():
+        for k2, c2 in y.items():
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            acc[k] = get(k, 0) - c1 * c2
+    return acc
+
+
+def _exact_quotient(rem, g, glm, guard, p):
+    """rem / g on packed dicts, rem consumed; g's leading key glm.
+
+    Terms leave a heap of keys in descending order.  Over F_p (p given) rem
+    holds raw ints, reduced by one ``% p`` when a term becomes the leading
+    one, and g's leading coefficient is inverted once; over Z each quotient
+    coefficient is an exact ``divmod``.
+    """
+    from heapq import heapify, heappop, heappush   # first used here, not at start-up
+
+    glc = g[glm]
+    tail = [(gm, gc) for gm, gc in g.items() if gm != glm]
+    if p is not None:
+        inv = pow(glc, -1, p)
+    heap = [-k for k in rem]
+    heapify(heap)
+    out = {}
+    while heap:
+        m = -heappop(heap)
+        c = rem.pop(m)
+        if p is not None:
+            c = c % p * inv % p
+        elif c:
+            c, r = divmod(c, glc)
+            if r:
+                raise InexactDivision("leading coefficient not divisible")
+        if not c:
+            continue
+        if ((m | guard) - glm) & guard != guard:
+            raise InexactDivision("leading term not divisible")
+        q = m - glm
+        out[q] = c
+        for gm, gc in tail:
+            t = q + gm
+            v = rem.get(t)
+            if v is None:
+                heappush(heap, -t)
+                rem[t] = -c * gc
+            else:
+                rem[t] = v - c * gc
+    return out
+
+
 def poly_det_bareiss(mat):
     """Fraction-free determinant of a square matrix of BiPolys.
 
-    Bareiss condensation: every division is exact over the polynomial ring
-    (entries are kept as minors of the original matrix).
+    Bareiss condensation: every entry is kept as a minor of the matrix, so
+    every division is exact.  No BiPoly arithmetic runs inside: an entry is a
+    dict from a packed monomial key to a plain int.
+      * The key packs (a0, a1, b0, b1, b2) into w-bit fields, a0 most
+        significant, so numeric order is the canonical tuple order.  w holds
+        twice the sum over rows of the largest entry degree (a bound on every
+        exponent of a product of two minors) plus a guard bit per field: a
+        product of monomials is one int addition, and m is divisible by g
+        iff ((m | G) - g) & G == G, G the guard bits.
+      * Over F_p, x*y - a*b sums raw products and each coefficient is reduced
+        by one ``% p`` when it leads the exact division.
+      * Over Q, each row is cleared to integer numerators over its lcm
+        denominator, the elimination runs over Z[T, X] with exact ``divmod``
+        quotients, and the product of the row denominators divides the
+        result once, one Fraction per output coefficient.
+    Bidegrees are tracked beside the dicts as BiPoly arithmetic would:
+    two nonzero products of different bidegrees raise GradingError.
     """
     n = len(mat)
     if n == 0:
         raise ValueError("empty matrix")
     F = mat[0][0].field
-    m = [list(row) for row in mat]
+    for row in mat:
+        for e in row:
+            ensure_same_field(F, e.field)
+    top = 2 * sum(max((e.tdeg + e.xdeg for e in row if e.coeffs), default=0) for row in mat)
+    w = top.bit_length() + 1
+    guard = _pack([1 << (w - 1)] * 5, w)
+    p = F.p if isinstance(F, PrimeField) else None
+    den = 1     # over F_p every denominator is 1 and the rows stay as they are
+    m = []
+    for row in mat:
+        rd = lcm(*(c.denominator for e in row for c in e.coeffs.values()))
+        den *= rd
+        m.append([
+            {_pack(k, w): c.numerator * (rd // c.denominator) for k, c in e.coeffs.items()}
+            for e in row
+        ])
+    deg = [[(e.tdeg, e.xdeg) for e in row] for row in mat]
     sign = 1
     prev = None
     for k in range(n - 1):
-        if m[k][k].is_zero():
-            pr = next(
-                (r for r in range(k + 1, n) if not m[r][k].is_zero()), None
-            )
+        if not m[k][k]:
+            pr = next((r for r in range(k + 1, n) if m[r][k]), None)
             if pr is None:
-                td = sum(m[r][r].tdeg for r in range(n))
-                xd = sum(m[r][r].xdeg for r in range(n))
+                td = sum(deg[r][r][0] for r in range(n))
+                xd = sum(deg[r][r][1] for r in range(n))
                 return BiPoly.zero(F, max(td, 0), max(xd, 0))
             m[k], m[pr] = m[pr], m[k]
+            deg[k], deg[pr] = deg[pr], deg[k]
             sign = -sign
+        piv, (pt, px) = m[k][k], deg[k][k]
         for i in range(k + 1, n):
+            a, (at, ax) = m[i][k], deg[i][k]
             for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num if prev is None else num.exact_div(prev)
-            m[i][k] = BiPoly.zero(F, 0, 0)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
+                x, b = m[i][j], m[k][j]
+                dx = (deg[i][j][0] + pt, deg[i][j][1] + px)
+                db = (at + deg[k][j][0], ax + deg[k][j][1])
+                if x and a and b and dx != db:
+                    raise GradingError(f"bidegree mismatch in sum: {dx} vs {db}")
+                td, xd = dx if x else db
+                num = _cross(x, piv, a, b)
+                if prev is None:
+                    if p is None:
+                        num = {t: v for t, v in num.items() if v}
+                    else:
+                        num = {t: r for t, v in num.items() if (r := v % p)}
+                else:
+                    num = _exact_quotient(num, prev, plm, guard, p)
+                    td, xd = td - vt, xd - vx
+                    if not num:
+                        td, xd = max(td, 0), max(xd, 0)
+                    elif td < 0 or xd < 0:
+                        raise InexactDivision("degree of divisor exceeds dividend")
+                m[i][j], deg[i][j] = num, (td, xd)
+        prev, plm, vt, vx = piv, max(piv), pt, px
+    det, (td, xd) = m[n - 1][n - 1], deg[n - 1][n - 1]
+    if p is None:
+        coeffs = {_unpack(t, w): Fraction(sign * v, den) for t, v in det.items()}
+    else:
+        coeffs = {_unpack(t, w): v if sign > 0 else p - v for t, v in det.items()}
+    return BiPoly(F, td, xd, coeffs, _clean=True)
 
 
 def resultant_t(f: BiPoly, g: BiPoly) -> BiPoly:

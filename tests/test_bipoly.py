@@ -1,6 +1,7 @@
 """Bihomogeneous polynomial arithmetic, substitution, and the T-resultant."""
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -40,28 +41,31 @@ def test_mul_grading():
     assert prod == P("T0*X1*X2")
 
 
-def _mul_reference(f, g):
-    """Schoolbook product: every term pair added in with F.add / F.mul."""
-    F = f.field
+def _schoolbook(F, f, g):
+    """Product of two coefficient dicts: every term pair added in with F.add / F.mul."""
     out = {}
-    for m1, c1 in f.coeffs.items():
-        for m2, c2 in g.coeffs.items():
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
             m = tuple(a + b for a, b in zip(m1, m2))
             out[m] = F.add(out.get(m, F.zero), F.mul(c1, c2))
     return {m: c for m, c in out.items() if not F.is_zero(c)}
+
+
+def _mul_reference(f, g):
+    return _schoolbook(f.field, f.coeffs, g.coeffs)
 
 
 _MUL_FIELDS = [QQ, PrimeField(2), PrimeField(3), FP]
 
 
 @st.composite
-def _form(draw, field, bidegree):
+def _form(draw, field, bidegree, size=5):
     mons = monomials_of_bidegree(*bidegree)
     if field == QQ:
         scalars = st.fractions(min_value=-4, max_value=4, max_denominator=6)
     else:
         scalars = st.sampled_from([0, 1, 2, field.p - 1, field.p // 2])
-    coeffs = draw(st.dictionaries(st.sampled_from(mons), scalars, max_size=5))
+    coeffs = draw(st.dictionaries(st.sampled_from(mons), scalars, max_size=size))
     return BiPoly(field, *bidegree, coeffs)
 
 
@@ -264,6 +268,135 @@ def test_poly_det_bareiss_matches_scalar_det():
         expected = ExactMatrix(QQ, rows).det()
         got = det.coeffs.get((0, 0, 0, 0, 0), QQ.zero)
         assert got == expected
+
+
+def _det_reference(F, mat):
+    """Permutation expansion of det(mat) with F.add / F.mul: its coefficients."""
+    n = len(mat)
+    out = {}
+    for perm in permutations(range(n)):
+        term = {(0, 0, 0, 0, 0): F.one}
+        for r, c in enumerate(perm):
+            term = _schoolbook(F, term, mat[r][c].coeffs)
+        odd = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n)) % 2
+        for m, c in term.items():
+            out[m] = (F.sub if odd else F.add)(out.get(m, F.zero), c)
+    return {m: c for m, c in out.items() if not F.is_zero(c)}
+
+
+_DET_FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(7), FP]
+
+
+@st.composite
+def _graded_matrix(draw):
+    """(row degrees, column degrees, matrix): entry (r, c) has bidegree
+    rows[r] + cols[c], so T and X parts mix; empty dicts give zero entries."""
+    field = draw(st.sampled_from(_DET_FIELDS))
+    n = draw(st.integers(1, 5))
+    degs = st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=n, max_size=n)
+    rows, cols = draw(degs), draw(degs)
+    mat = [
+        [draw(_form(field, (rt + ct, rx + cx), size=3)) for ct, cx in cols]
+        for rt, rx in rows
+    ]
+    return rows, cols, mat
+
+
+def _given_matrix(field, texts, rows, cols):
+    mat = [
+        [P(s, rt + ct, rx + cx, field=field) for s, (ct, cx) in zip(line, cols)]
+        for line, (rt, rx) in zip(texts, rows)
+    ]
+    return rows, cols, mat
+
+
+_NEEDS_SWAP = _given_matrix(    # rows of three bidegrees, zero pivot first
+    QQ,
+    [["0", "X0 + 1/2*X1", "T1*X2"],
+     ["T1*X0", "X0*X2 - 2*X1^2", "-T0*X1*X2 + 1/3*T1*X1^2"],
+     ["2/3*T0*T1", "T1*X2", "T0^2*X0 - 5/7*T1^2*X2"]],
+    [(0, 0), (0, 1), (1, 0)], [(1, 0), (0, 1), (1, 1)],
+)
+_SINGULAR = _given_matrix(     # third row = T0 * first + T1 * second
+    PrimeField(7),
+    [["X0", "X1 + 3*X2", "2*X0 + X2"],
+     ["X2", "X0", "5*X1"],
+     ["T0*X0 + T1*X2", "T0*X1 + 3*T0*X2 + T1*X0", "2*T0*X0 + T0*X2 + 5*T1*X1"]],
+    [(0, 1), (0, 1), (1, 1)], [(0, 0)] * 3,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_graded_matrix())
+@example(_NEEDS_SWAP)
+@example(_SINGULAR)
+def test_det_matches_leibniz_reference(case):
+    """The packed-int Bareiss determinant equals the permutation expansion,
+    coefficient by coefficient, with the graded bidegree when nonzero and no
+    stored zero coefficient."""
+    rows, cols, mat = case
+    F = mat[0][0].field
+    det = poly_det_bareiss(mat)
+    assert det.coeffs == _det_reference(F, mat)
+    if det.coeffs:
+        assert det.bidegree == (
+            sum(r[0] for r in rows) + sum(c[0] for c in cols),
+            sum(r[1] for r in rows) + sum(c[1] for c in cols),
+        )
+    assert all(not F.is_zero(c) and F.coerce(c) == c and type(c) is type(F.one)
+               for c in det.coeffs.values())
+
+
+def test_det_edge_cases():
+    with pytest.raises(GradingError):
+        poly_det_bareiss([[P("X0"), P("X1")], [P("X0*X1"), P("X2")]])
+    with pytest.raises(ValueError, match="empty matrix"):
+        poly_det_bareiss([])
+    f = P("1/2*T0*X1 - 3*T1*X2")
+    det = poly_det_bareiss([[f]])
+    assert det == f and det.bidegree == f.bidegree
+    z = BiPoly.zero(QQ, 0, 1)
+    det = poly_det_bareiss([[z, P("X0")], [z, P("X1")]])   # no pivot in column 0
+    assert det.is_zero() and det.bidegree == (0, 2)
+    # a row swap at step 0, then no pivot in column 1: the zero carries the
+    # summed bidegrees of the diagonal as the elimination left it
+    mat = [[z, z, P("X0")],
+           [P("X1^2"), P("X1*X2"), P("X0^2")],
+           [P("T0*X1^3"), P("T0*X1^2*X2"), P("T1*X2^3")]]
+    det = poly_det_bareiss(mat)
+    assert det.is_zero() and det.bidegree == (1, 10)
+
+
+def _sylvester_rows(f, g):
+    """The Sylvester matrix of resultant_t: shifts of g on top, then of f."""
+    n = f.tdeg + g.tdeg
+    rows = []
+    for h, shifts in ((g, f.tdeg), (f, g.tdeg)):
+        s = h.tdeg
+        for r in range(shifts):
+            row = [BiPoly.zero(h.field, 0, h.xdeg)] * n
+            for a in range(s + 1):
+                row[r + a] = h.t_coefficient(s - a, a)
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+def test_det_runs_no_bipoly_arithmetic(field, monkeypatch):
+    """poly_det_bareiss and resultant_t multiply and divide no BiPoly."""
+    f = P("1/2*T0^2*X0 - T0*T1*X1 + 3*T1^2*X2", field=field)
+    g = P("T0^3*X1 + 2/5*T0^2*T1*X2 - T1^3*X0 + T0*T1^2*X2", field=field)
+    rows = _sylvester_rows(f, g)
+    want = _det_reference(field, rows)
+    assert want
+
+    def refuse(*args):
+        raise AssertionError("BiPoly arithmetic inside the determinant")
+
+    monkeypatch.setattr(BiPoly, "__mul__", refuse)
+    monkeypatch.setattr(BiPoly, "exact_div", refuse)
+    for det in (poly_det_bareiss(rows), resultant_t(f, g)):
+        assert det.coeffs == want and det.bidegree == (0, 5)
 
 
 def test_monomial_enumeration():
