@@ -6,7 +6,7 @@ two orders of magnitude too slow for those, so we compile two small C helpers
 at first use (cached under ~/.cache) and call them through ctypes:
 
   * fp_accumulate absorbs a batch of rows into a mutually reduced pivot
-    block (incremental canonical RREF, with early stop and residual rows);
+    block (incremental canonical RREF, with early stop);
   * fp_kernel_rows writes the RREF kernel rows of such a block, one per free
     column, with their columns sent through an index map (the oracle's
     monomial-multiplication shifts).
@@ -68,15 +68,12 @@ static inline void addmul(uint64_t *row, const uint64_t *other, uint64_t c,
 }
 
 /* Incrementally absorb `nrows` rows (row-major, ncols wide) into the pivot
-   block `piv` (mutually reduced rows, pivot columns in pivcols, all < plimit).
-   Pivot search is restricted to columns < plimit.  Stops early once the rank
-   reaches `stop` (pass stop <= 0 to disable).  Rows that reduce to zero on
-   the first plimit columns but are nonzero beyond are copied to `resid`
-   (up to rescap rows; *nresid updated).  Returns the new pivot count. */
+   block `piv` (mutually reduced rows, pivot columns in pivcols).  Stops early
+   once the rank reaches `stop` (pass stop <= 0 to disable).  Returns the new
+   pivot count, or -1 when the block would outgrow its `cap` rows. */
 long fp_accumulate(uint64_t *piv, long *pivcols, long npiv, long cap,
-                   uint64_t *rows, long nrows, long ncols, long plimit,
-                   uint64_t p, long stop,
-                   uint64_t *resid, long *nresid, long rescap)
+                   uint64_t *rows, long nrows, long ncols,
+                   uint64_t p, long stop)
 {
     int shift = 0;
     while ((p >> shift) > 1) shift++;
@@ -91,20 +88,9 @@ long fp_accumulate(uint64_t *piv, long *pivcols, long npiv, long cap,
             if (c) addmul(w, piv + t * ncols, p - c, ncols, p, magic, shift);
         }
         long lead = -1;
-        for (long k = 0; k < plimit; ++k)
+        for (long k = 0; k < ncols; ++k)
             if (w[k]) { lead = k; break; }
-        if (lead < 0) {
-            if (resid && *nresid < rescap) {
-                for (long k = plimit; k < ncols; ++k)
-                    if (w[k]) {
-                        memcpy(resid + (*nresid) * ncols, w,
-                               (size_t)ncols * sizeof(uint64_t));
-                        (*nresid)++;
-                        break;
-                    }
-            }
-            continue;
-        }
+        if (lead < 0) continue;
         uint64_t inv = invmod(w[lead], p);
         for (long k = 0; k < ncols; ++k)
             w[k] = barrett((u128)w[k] * inv, p, magic, shift);
@@ -195,9 +181,8 @@ def get_kernel():
     lib.fp_accumulate.restype = ctypes.c_long
     lib.fp_accumulate.argtypes = [
         u64p, longp, ctypes.c_long, ctypes.c_long,
-        u64p, ctypes.c_long, ctypes.c_long, ctypes.c_long,
+        u64p, ctypes.c_long, ctypes.c_long,
         ctypes.c_uint64, ctypes.c_long,
-        u64p, longp, ctypes.c_long,
     ]
     lib.fp_kernel_rows.restype = None
     lib.fp_kernel_rows.argtypes = [

@@ -5,8 +5,8 @@ Everything reduces to one primitive, an incremental row-space accumulator
 reduced row echelon form of whatever rows were fed in.  Three interchangeable
 cores implement it, chosen by the field alone:
   * F_p with p < 2^62 and a C compiler: the C kernel from _native.py, whose
-    pivot block, batches and residual rows live in `array('Q')` buffers
-    handed to C through ctypes;
+    pivot block and batches live in `array('Q')` buffers handed to C through
+    ctypes;
   * F_p with p < 2^62 and no compiler: packed-big-integer arithmetic;
   * Q, and F_p with p >= 2^62: plain field operations.
 All cores produce the same canonical output; determinism does not depend on
@@ -48,18 +48,15 @@ class _FractionCore:
     """Pure-Python core on the field operations alone: Q, and F_p for
     p >= 2^62, whose residues overflow the packed slots and the C kernel."""
 
-    def __init__(self, field, ncols, plimit):
+    def __init__(self, field, ncols):
         self.field = field
         self.ncols = ncols
-        self.plimit = plimit
         self.rows = []          # mutually reduced rows (lists of scalars)
         self.pivcols = []
-        self.residual = []
 
     def clone(self):
         c = copy.copy(self)
         c.rows, c.pivcols = [list(r) for r in self.rows], list(self.pivcols)
-        c.residual = [list(r) for r in self.residual]
         return c
 
     def add_rows(self, rows, stop):
@@ -77,16 +74,10 @@ class _FractionCore:
                         pk = prow[k]
                         if not F.is_zero(pk):
                             w[k] = F.sub(w[k], F.mul(f, pk))
-            lead = -1
-            for k in range(self.plimit):
-                if not F.is_zero(w[k]):
-                    lead = k
+            for lead, x in enumerate(w):
+                if not F.is_zero(x):
                     break
-            if lead < 0:
-                for k in range(self.plimit, self.ncols):
-                    if not F.is_zero(w[k]):
-                        self.residual.append(w)
-                        break
+            else:
                 continue
             inv = F.inv(w[lead])
             w = [F.mul(inv, x) if not F.is_zero(x) else zero for x in w]
@@ -109,9 +100,6 @@ class _FractionCore:
     def snapshot(self):
         return list(self.pivcols), [list(r) for r in self.rows]
 
-    def residual_rows(self):
-        return [list(r) for r in self.residual]
-
     def kernel_rows(self, freecols, colmap, width):
         return _rref_kernel_rows(self.field, *self.snapshot(), freecols, colmap, width)
 
@@ -125,18 +113,16 @@ class _FpPackedCore:
     reduced (< p < 2^62), so every addition contributes < 2^124 per slot.
     """
 
-    def __init__(self, field, ncols, plimit):
+    def __init__(self, field, ncols):
         self.field = field
         self.p = field.p
         self.ncols = ncols
-        self.plimit = plimit
         self.rows = []          # packed, mutually reduced, slots < p
         self.pivcols = []
-        self.residual = []      # packed
 
     def clone(self):
         c = copy.copy(self)
-        c.rows, c.pivcols, c.residual = list(self.rows), list(self.pivcols), list(self.residual)
+        c.rows, c.pivcols = list(self.rows), list(self.pivcols)
         return c
 
     def _pack(self, vals):
@@ -163,14 +149,10 @@ class _FpPackedCore:
                 if f:
                     w += (p - f) * self.rows[t]
             vals = self._unpack(w)
-            lead = -1
-            for k in range(self.plimit):
-                if vals[k]:
-                    lead = k
+            for lead, v in enumerate(vals):
+                if v:
                     break
-            if lead < 0:
-                if any(vals[self.plimit :]):
-                    self.residual.append(self._pack(vals))
+            else:
                 continue
             inv = pow(vals[lead], p - 2, p)
             packed = self._pack([v * inv % p for v in vals])
@@ -191,9 +173,6 @@ class _FpPackedCore:
     def snapshot(self):
         return list(self.pivcols), [self._unpack(r) for r in self.rows]
 
-    def residual_rows(self):
-        return [self._unpack(r) for r in self.residual]
-
     def kernel_rows(self, freecols, colmap, width):
         return _rref_kernel_rows(self.field, *self.snapshot(), freecols, colmap, width)
 
@@ -205,21 +184,19 @@ class _FpNativeCore:
     pivot columns in a parallel ``array('l')`` (C long, as the kernel takes).
     """
 
-    def __init__(self, field, ncols, plimit, kernel):
+    def __init__(self, field, ncols, kernel):
         self.field = field
         self.p = field.p
         self.ncols = ncols
-        self.plimit = plimit
         self.kernel = kernel
         self.cap = 32
         self.buf = array("Q", [0]) * (self.cap * ncols)
         self.pivbuf = array("l", [0]) * self.cap
         self.npiv = 0
-        self.residual = []      # array('Q') rows
 
     def clone(self):
         c = copy.copy(self)
-        c.buf, c.pivbuf, c.residual = self.buf[:], self.pivbuf[:], list(self.residual)
+        c.buf, c.pivbuf = self.buf[:], self.pivbuf[:]
         return c
 
     @property
@@ -254,13 +231,8 @@ class _FpNativeCore:
         rows = list(rows)
         if not rows:
             return
-        p = self.p
-        n = self.ncols
         batch = self._flat(rows)
         self._reserve(self.npiv + len(rows))
-        # rows vanishing on every pivot column are only archived by a solver
-        resid = array("Q", [0]) * len(batch) if self.plimit < n else None
-        nres = ctypes.c_long(0)
         npiv = self.kernel.fp_accumulate(
             _c_array(ctypes.c_uint64, self.buf),
             _c_array(ctypes.c_long, self.pivbuf),
@@ -268,27 +240,18 @@ class _FpNativeCore:
             self.cap,
             _c_array(ctypes.c_uint64, batch),
             len(rows),
-            n,
-            self.plimit,
-            p,
+            self.ncols,
+            self.p,
             -1 if stop is None else stop,
-            None if resid is None else _c_array(ctypes.c_uint64, resid),
-            ctypes.byref(nres),
-            len(rows),
         )
         if npiv < 0:
             raise RuntimeError("native accumulator capacity underflow")
         self.npiv = npiv
-        for i in range(nres.value):
-            self.residual.append(resid[i * n : (i + 1) * n])
 
     def snapshot(self):
         n = self.ncols
         buf = self.buf
         return self.pivcols, [buf[t * n : (t + 1) * n].tolist() for t in range(self.npiv)]
-
-    def residual_rows(self):
-        return [r.tolist() for r in self.residual]
 
     def kernel_rows(self, freecols, colmap, width):
         nfree = len(freecols)
@@ -338,36 +301,32 @@ def normalized(F, vec):
     return list(vec)
 
 
-def _make_core(field, ncols, plimit):
+def _make_core(field, ncols):
     if isinstance(field, PrimeField) and field.p < _FP_CORE_BOUND:
         kernel = _native.get_kernel()
         if kernel is not None:
-            return _FpNativeCore(field, ncols, plimit, kernel)
-        return _FpPackedCore(field, ncols, plimit)
-    return _FractionCore(field, ncols, plimit)
+            return _FpNativeCore(field, ncols, kernel)
+        return _FpPackedCore(field, ncols)
+    return _FractionCore(field, ncols)
 
 
 class RowReducer:
     """Incremental canonical row-space basis over a field.
 
     Feed rows with add_row/add_rows; `rank` grows as independent rows arrive.
-    `rref()` returns the unique RREF of everything fed so far.  When
-    ``pivot_limit`` is set, pivots are only chosen among the first
-    ``pivot_limit`` columns and rows that vanish there (but not beyond) are
-    archived in ``residual_rows`` — that is what backs LinearSolver.
+    `rref()` returns the unique RREF of everything fed so far.
     Rows are sequences of scalars; over F_p an ``array('Q')`` row is taken
     to hold residues already in [0, p), as kernel_rows returns them.
     ``size_hint`` is accepted and ignored (some callers still pass it): the
     core depends on the field alone.
     """
 
-    def __init__(self, field, ncols, *, pivot_limit=None, size_hint=None):
+    def __init__(self, field, ncols, *, size_hint=None):
         if ncols < 0:
             raise ShapeMismatch("negative column count")
         self.field = field
         self.ncols = ncols
-        self.pivot_limit = ncols if pivot_limit is None else pivot_limit
-        self._core = _make_core(field, ncols, self.pivot_limit)
+        self._core = _make_core(field, ncols)
         self._snap = None
 
     @property
@@ -401,7 +360,6 @@ class RowReducer:
         c = RowReducer.__new__(RowReducer)
         c.field = self.field
         c.ncols = self.ncols
-        c.pivot_limit = self.pivot_limit
         c._core = self._core.clone()
         c._snap = None
         return c
@@ -420,10 +378,6 @@ class RowReducer:
                 [rows[t] for t in order],
             )
         return self._snap
-
-    @property
-    def residual_rows(self):
-        return self._core.residual_rows()
 
     def free_columns(self):
         """Non-pivot columns in ascending order."""
@@ -534,24 +488,27 @@ class ExactMatrix:
 
 
 class LinearSolver:
-    """Reusable solver: factor the matrix once, solve many right-hand sides."""
+    """Reusable solver: factor the matrix once, solve many right-hand sides.
+
+    The RREF of [A | I] is [R | E] with E·A = R.  A row whose pivot lies in
+    A gives x[pivot] = e·b; a row whose pivot lies in I has R-part zero, so
+    those rows span the left kernel of A and b is consistent iff each of
+    these constraints vanishes on it.  When A is square and invertible the
+    E block of the pivot rows, in pivot order, is A^-1.
+    """
 
     def __init__(self, m: ExactMatrix):
         self.field = m.field
-        self.ncols = m.ncols
+        self.ncols = n = m.ncols
         self.nrows = m.nrows
         F = m.field
-        red = RowReducer(F, m.ncols + m.nrows, pivot_limit=m.ncols)
-        aug = []
-        for i, row in enumerate(m.rows):
-            ext = list(row) + [F.zero] * m.nrows
-            ext[m.ncols + i] = F.one
-            aug.append(ext)
-        red.add_rows(aug)
+        red = RowReducer(F, n + m.nrows)
+        ident = ExactMatrix.identity(F, m.nrows).rows
+        red.add_rows(row + e for row, e in zip(m.rows, ident))
         piv, rows = red.rref()
-        self.pivots = list(zip(piv, [r[m.ncols :] for r in rows]))
-        self.constraints = [r[m.ncols :] for r in red.residual_rows]
-        self.rank = len(piv)
+        self.pivots = [(pc, r[n:]) for pc, r in zip(piv, rows) if pc < n]
+        self.constraints = [r[n:] for pc, r in zip(piv, rows) if pc >= n]
+        self.rank = len(self.pivots)
 
     def solve(self, b):
         F = self.field

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dc_field
 
-from .errors import PreconditionError, VerificationError
+from .errors import ImproperParametrization, PreconditionError, VerificationError
 from .fields import DEFAULT_PRIME, PrimeField, Rationals, field_from_spec
 from .oracle import Oracle, ideal_piece_membership, independent_mod
 from .poly import BiPoly, resultant_t, tpoly_dense
@@ -186,8 +186,6 @@ def build_report(par: Parametrization) -> GeneratorReport:
         )
     imp = implicit_equation(mb)
     if imp.properness_degree != 1:
-        from .errors import ImproperParametrization
-
         raise ImproperParametrization(imp.properness_degree)
     sing = classify_singularity(mb)
     notes = []
@@ -358,28 +356,49 @@ def _mild_verdicts(ctx, asm, verdicts):
 def verify_report(saved: dict):
     """Recompute a saved gens report and compare (timings masked).
 
-    Returns (ok, list of differences).
+    Returns (ok, list of differences).  A document without the shape of a
+    gens report raises PreconditionError("report_input").
     """
-    diffs = []
+    if not isinstance(saved, dict):
+        raise PreconditionError("report_input", "a gens report is a JSON object")
     if saved.get("schema") != SCHEMA_VERSION:
         return False, [f"unsupported schema {saved.get('schema')!r}"]
+    _check_report_shape(saved)
+    diffs = []
     par = curve_from_json(saved["curve"])
     fresh = build_report(par).to_json()
     for key in ("d", "mu", "properness_degree", "all_pass"):
         if fresh[key] != saved.get(key):
             diffs.append(f"{key}: saved {saved.get(key)!r} vs recomputed {fresh[key]!r}")
-    if fresh["singularity"].get("kind") != saved.get("singularity", {}).get("kind"):
+    if fresh["singularity"].get("kind") != saved["singularity"].get("kind"):
         diffs.append("singularity kind differs")
     old_gens = [
-        (tuple(g["bidegree"]), g["label"], g["poly"]) for g in saved.get("generators", [])
+        (tuple(g["bidegree"]), g["label"], g["poly"]) for g in saved["generators"]
     ]
     new_gens = [
         (tuple(g["bidegree"]), g["label"], g["poly"]) for g in fresh["generators"]
     ]
     if old_gens != new_gens:
         diffs.append("generator lists differ")
-    if saved.get("oracle_table", {}).get("cells") != fresh["oracle_table"]["cells"]:
+    if saved["oracle_table"].get("cells") != fresh["oracle_table"]["cells"]:
         diffs.append("oracle tables differ")
     if not fresh["all_pass"]:
         diffs.append("recomputed report has failing verdicts")
     return not diffs, diffs
+
+
+def _check_report_shape(saved: dict):
+    """Refuse a document without the parts of a gens report verify reads."""
+    for key, kind in (("curve", dict), ("singularity", dict),
+                      ("generators", list), ("oracle_table", dict)):
+        if not isinstance(saved.get(key), kind):
+            raise PreconditionError(
+                "report_input",
+                f"{key!r} must be a JSON {'object' if kind is dict else 'array'}",
+            )
+    for g in saved["generators"]:
+        if not (isinstance(g, dict) and isinstance(g.get("bidegree"), list)
+                and {"label", "poly"} <= g.keys()):
+            raise PreconditionError(
+                "report_input", "each generator needs a bidegree list, a label and a poly"
+            )

@@ -13,7 +13,7 @@ from functools import cached_property
 
 from .errors import ImproperParametrization, PreconditionError, VerificationError
 from .fields import ensure_same_field
-from .linalg import ExactMatrix, RowReducer
+from .linalg import ExactMatrix, RowReducer, normalized
 from .poly import (
     BiPoly,
     PowerTable,
@@ -178,12 +178,7 @@ def mu_basis(par: Parametrization) -> MuBasis:
         f = q_vec[pc]
         if not F.is_zero(f):
             q_vec = [F.sub(x, F.mul(f, y)) for x, y in zip(q_vec, rows[t])]
-    for x in q_vec:
-        if not F.is_zero(x):
-            inv = F.inv(x)
-            q_vec = [F.mul(inv, y) for y in q_vec]
-            break
-    q = _vector_to_moving_line(F, q_vec, sq)
+    q = _vector_to_moving_line(F, normalized(F, q_vec), sq)
 
     mb = MuBasis(p=p, q=q, mu=mu)
     _check_hilbert_burch(par, mb)
@@ -348,17 +343,11 @@ def moving_line_content(p: BiPoly) -> ExactMatrix:
 
 
 def invert_matrix(field, rows):
-    n = len(rows)
-    m = ExactMatrix(field, rows)
-    solver = m.solver()
-    cols = []
-    for j in range(n):
-        e = [field.one if i == j else field.zero for i in range(n)]
-        x = solver.solve(e)
-        if x is None:
-            raise ValueError("singular matrix")
-        cols.append(x)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    """Rows of M^-1, read off the RREF [I | M^-1] of [M | I]."""
+    solver = ExactMatrix(field, rows).solver()
+    if not solver.rank == solver.ncols == len(rows):
+        raise ValueError("singular matrix")
+    return [e for _, e in solver.pivots]
 
 
 def axial_change(p: BiPoly):

@@ -101,6 +101,22 @@ def test_verify_detects_tampering(d5_file, tmp_path):
     assert json.loads(rv.stdout)["ok"] is False
 
 
+def test_verify_refuses_malformed_reports(d5_file, tmp_path):
+    report = json.loads(run_cli(["gens", d5_file]).stdout)
+    sample = json.loads(run_cli(["sample-mild", "--degree", "5", "--seed", "1"]).stdout)
+    docs = [[1], sample] + [
+        {**report, key: bad}
+        for key, bad in (("generators", 5), ("generators", [5]), ("singularity", None),
+                         ("oracle_table", []))
+    ]
+    for k, doc in enumerate(docs):
+        path = tmp_path / f"bad{k}.json"
+        path.write_text(json.dumps(doc))
+        rv = run_cli(["verify", str(path)])
+        assert rv.returncode == 2, (doc, rv.stderr)
+        assert json.loads(rv.stdout)["invariant"] == "report_input"
+
+
 def test_gens_rejects_improper_with_degree(tmp_path):
     path = tmp_path / "improper.json"
     path.write_text(json.dumps(IMPROPER))
@@ -188,18 +204,23 @@ def test_gens_reports_byte_identical_after_timing_mask(d5_file):
 
 
 def test_gens_reports_equal_on_both_fp_cores():
-    """The native kernel and the packed pure-Python core give one report."""
-    s = run_cli(["--field", "fp", "sample-mild", "--degree", "6", "--seed", "2"])
-    assert s.returncode == 0, s.stderr
-    reports = []
-    for env in ({}, {"REESCURVE_NO_NATIVE": "1"}):
-        g = run_cli(["gens", "-"], inp=s.stdout, env=env)
-        assert g.returncode == 0, g.stderr
-        doc = json.loads(g.stdout)
-        assert doc.pop("all_pass") is True
-        doc.pop("timings")
-        reports.append(json.dumps(doc, sort_keys=True))
-    assert reports[0] == reports[1]
+    """The native kernel and the packed pure-Python core give one report.
+
+    The very singular curves also run the degree-shift solver and the axial
+    change of coordinates on each core."""
+    for kind, degree in (("mild", 6), ("verysingular", 6), ("verysingular", 7)):
+        argv = ["--field", "fp", f"sample-{kind}", "--degree", str(degree), "--seed", "2"]
+        s = run_cli(argv)
+        assert s.returncode == 0, s.stderr
+        reports = []
+        for env in ({}, {"REESCURVE_NO_NATIVE": "1"}):
+            g = run_cli(["gens", "-"], inp=s.stdout, env=env)
+            assert g.returncode == 0, g.stderr
+            doc = json.loads(g.stdout)
+            assert doc.pop("all_pass") is True
+            doc.pop("timings")
+            reports.append(json.dumps(doc, sort_keys=True))
+        assert reports[0] == reports[1], argv
 
 
 # 2^127 - 1: too large for the packed slots and the C kernel

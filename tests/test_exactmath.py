@@ -166,17 +166,24 @@ def test_backend_mismatch_detected():
         ensure_same_field(QQ, FP)
 
 
-def _native_and_packed(ncols, **kw):
-    """Two empty F_p reducers of one shape: one per core."""
+def _on_both_fp_cores(build):
+    """build() run once with the native kernel and once on the packed core."""
     from reescurve import _native
-    from reescurve.linalg import _FpNativeCore, _FpPackedCore
 
     if _native.get_kernel() is None:
         pytest.skip("native kernel unavailable (no C compiler, or REESCURVE_NO_NATIVE set)")
-    native = RowReducer(FP, ncols, **kw)
+    native = build()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_native, "get_kernel", lambda: None)     # no kernel -> packed
-        packed = RowReducer(FP, ncols, **kw)
+        packed = build()
+    return native, packed
+
+
+def _native_and_packed(ncols):
+    """Two empty F_p reducers of one shape: one per core."""
+    from reescurve.linalg import _FpNativeCore, _FpPackedCore
+
+    native, packed = _on_both_fp_cores(lambda: RowReducer(FP, ncols))
     assert isinstance(native._core, _FpNativeCore)
     assert isinstance(packed._core, _FpPackedCore)
     return native, packed
@@ -235,26 +242,55 @@ def test_row_reducer_matches_across_cores():
 
 def test_solver_agrees_across_cores():
     rng = random.Random(43)
-    # (nrows, ncols, batch): the tall shape fills the pivot block in its
-    # first batch and leaves residual rows in every batch
-    for nrows, ncols, batch in ((6, 8, 6), (70, 10, 16)):
+    # the tall shape's [A | I] has rank 70, past the native block's 32 rows
+    for nrows, ncols in ((6, 8), (70, 10)):
         rows = [[rng.randrange(FP.p) for _ in range(ncols)] for _ in range(nrows)]
         m = ExactMatrix(FP, rows)
-        x = [rng.randrange(FP.p) for _ in range(ncols)]
-        b = m.mul_vec(x)
-        assert m.mul_vec(m.solve(b)) == b
-        big, small = _native_and_packed(ncols + nrows, pivot_limit=ncols)
-        aug = []
-        for i, row in enumerate(rows):
-            ext = list(row) + [0] * nrows
-            ext[ncols + i] = 1
-            aug.append([FP.coerce(v) for v in ext])
-        for k in range(0, nrows, batch):
-            big.add_rows(aug[k : k + batch])
-            small.add_rows(aug[k : k + batch])
-        assert big.rref() == small.rref()
-        assert big.residual_rows == small.residual_rows
-        assert len(big.residual_rows) == max(nrows - ncols, 0)
+        native, packed = _on_both_fp_cores(lambda: ExactMatrix(FP, rows).solver())
+        assert native.pivots == packed.pivots
+        assert native.constraints == packed.constraints
+        assert native.rank == packed.rank == min(nrows, ncols)
+        assert len(native.constraints) == nrows - native.rank
+        b = m.mul_vec([rng.randrange(FP.p) for _ in range(ncols)])
+        outside = [FP.add(b[0], 1)] + b[1:]
+        for solver in (native, packed):
+            assert m.mul_vec(solver.solve(b)) == b
+            if solver.constraints:
+                assert solver.solve(outside) is None
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, FP_SMALL, FP, PrimeField((1 << 127) - 1)], ids=lambda f: f.name
+)
+def test_rank_deficient_solve_and_inverse(field):
+    from reescurve.syzygy import invert_matrix
+
+    rng = random.Random(17)
+    base = [[rng.randint(-5, 5) for _ in range(6)] for _ in range(3)]
+    rows = base + [
+        [x + y for x, y in zip(base[0], base[1])],
+        [x - 2 * y for x, y in zip(base[1], base[2])],
+    ]
+    m = ExactMatrix(field, rows)
+    piv, _ = m.rref()
+    assert len(piv) == 3
+    solver = m.solver()
+    assert solver.rank == 3 and len(solver.constraints) == 2
+    for _ in range(3):
+        b = m.mul_vec([field.coerce(rng.randint(-4, 4)) for _ in range(6)])
+        x = solver.solve(b)
+        assert m.mul_vec(x) == b
+        assert all(field.is_zero(x[f]) for f in range(6) if f not in piv)
+    outside = [1, 0, 0, 0, 0]
+    assert ExactMatrix(field, [r + [c] for r, c in zip(rows, outside)]).rank() == 4
+    assert solver.solve(outside) is None
+
+    with pytest.raises(ValueError):
+        invert_matrix(field, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    mat = ExactMatrix(field, [[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+    inv = invert_matrix(field, mat.rows)
+    columns = [mat.mul_vec([row[j] for row in inv]) for j in range(3)]
+    assert columns == ExactMatrix.identity(field, 3).rows
 
 
 def test_row_reducer_early_stop():
