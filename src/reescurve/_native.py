@@ -11,11 +11,25 @@ at first use (cached under ~/.cache) and call them through ctypes:
     column, with their columns sent through an index map (the oracle's
     monomial-multiplication shifts).
 
+fp_accumulate eliminates left-looking, with delayed modular reduction (the
+FFLAS/FFPACK scheme of Dumas, Gautier, Giorgi & Pernet).  Phase 1 reduces
+each incoming row against the block in insertion order, in 128-bit
+accumulators, and appends it normalized; earlier rows are not touched.  A
+product of two residues is below 2^124 for p < 2^62, so an accumulator takes
+15 of them on top of a residue before it must be reduced mod p: it reduces
+once per 15 products, not once per row operation.  Phase 2 back-substitutes
+once per batch, last row first, each row against the rows after it.  Both
+give the same block as eager Gauss-Jordan: a reduced row is the incoming row
+minus the one combination of block rows that matches it on the pivot
+columns, whatever the order of elimination.  Rows the kernel appends are
+zero left of their pivot, so it sweeps them from there; rows installed by
+RowReducer.seed need not be, and are swept in full.
+
 linalg.py hands this kernel every F_p problem with p < 2^62.  When no
-compiler is available those go to its packed pure-Python core instead; Q and
-F_p with p >= 2^62 always run on its field-generic core.  Both F_p paths
-produce the identical canonical RREF and kernel rows, which the test suite
-cross-checks.
+compiler is available, or the cache directory cannot be written, those go to
+its packed pure-Python core instead; Q and F_p with p >= 2^62 always run on
+its field-generic core.  Both F_p paths produce the identical canonical RREF
+and kernel rows, which the test suite cross-checks.
 
 Set REESCURVE_NO_NATIVE=1 to force the pure-Python path.
 """
@@ -33,16 +47,6 @@ _SOURCE = r"""
 
 typedef unsigned __int128 u128;
 
-/* Barrett reduction of x < p^2 + p for any p with 2 <= p < 2^62.
-   shift = bit length of p, magic = floor(2^(63+shift) / p) < 2^64. */
-static inline uint64_t barrett(u128 x, uint64_t p, uint64_t magic, int shift)
-{
-    uint64_t q = (uint64_t)(((u128)(uint64_t)(x >> shift) * magic) >> 63);
-    u128 r = x - (u128)q * p;
-    while (r >= p) r -= p;
-    return (uint64_t)r;
-}
-
 static uint64_t invmod(uint64_t a, uint64_t p)
 {
     /* extended Euclid; a != 0 mod p, p prime */
@@ -57,51 +61,115 @@ static uint64_t invmod(uint64_t a, uint64_t p)
     return (uint64_t)t;
 }
 
-/* row := (row + c * other) mod p, on ncols entries */
-static inline void addmul(uint64_t *row, const uint64_t *other, uint64_t c,
-                          long ncols, uint64_t p, uint64_t magic, int shift)
+/* Residue of the 128-bit accumulator entry hi:lo. */
+static inline uint64_t red128(uint64_t hi, uint64_t lo, uint64_t p)
 {
-    for (long k = 0; k < ncols; ++k) {
-        u128 x = (u128)row[k] + (u128)c * other[k];
-        row[k] = barrett(x, p, magic, shift);
-    }
+    if (!hi) return lo < p ? lo : lo % p;
+    return (uint64_t)((((u128)hi << 64) | lo) % p);
 }
 
-/* Incrementally absorb `nrows` rows (row-major, ncols wide) into the pivot
-   block `piv` (mutually reduced rows, pivot columns in pivcols).  Stops early
-   once the rank reaches `stop` (pass stop <= 0 to disable).  Returns the new
-   pivot count, or -1 when the block would outgrow its `cap` rows. */
-long fp_accumulate(uint64_t *piv, long *pivcols, long npiv, long cap,
-                   uint64_t *rows, long nrows, long ncols,
-                   uint64_t p, long stop)
-{
-    int shift = 0;
-    while ((p >> shift) > 1) shift++;
-    shift += 1;                       /* now 2^(shift-1) <= p < 2^shift */
-    uint64_t magic = (uint64_t)((((u128)1) << (63 + shift)) / p);
+/* One row being reduced: entry k is the 128-bit value hi[k]:lo[k].  Columns
+   below `dirty` hold residues; `pending` products were added since the last
+   flush.  A flush happens before the 16th product, so an entry never exceeds
+   (p - 1) + 15 (p - 1)^2 < 2^128, which holds for p < 2^62. */
+typedef struct {
+    uint64_t *lo, *hi;
+    long ncols, dirty;
+    int pending;
+    uint64_t p;
+} acc_t;
 
+static void acc_load(acc_t *a, const uint64_t *row)
+{
+    memcpy(a->lo, row, (size_t)a->ncols * sizeof(uint64_t));
+    a->dirty = a->ncols;
+    a->pending = 0;
+}
+
+/* Reduce every entry from `dirty` on to its residue (hi becomes 0). */
+static void acc_flush(acc_t *a)
+{
+    for (long k = a->dirty; k < a->ncols; ++k) {
+        a->lo[k] = red128(a->hi[k], a->lo[k], a->p);
+        a->hi[k] = 0;
+    }
+    a->dirty = a->ncols;
+    a->pending = 0;
+}
+
+/* Clear the accumulator at column pc with the pivot row `row` (1 at pc, 0
+   at every other pivot column of the block), which is zero left of `from`. */
+static inline void acc_eliminate(acc_t *a, const uint64_t *row, long pc, long from)
+{
+    uint64_t c = red128(a->hi[pc], a->lo[pc], a->p);
+    if (!c) return;
+    if (a->pending == 15) acc_flush(a);
+    c = a->p - c;
+    uint64_t *lo = a->lo, *hi = a->hi;
+    for (long k = from; k < a->ncols; ++k) {
+        u128 x = (u128)c * row[k] + lo[k];
+        lo[k] = (uint64_t)x;
+        hi[k] += (uint64_t)(x >> 64);
+    }
+    a->pending++;
+    if (from < a->dirty) a->dirty = from;
+}
+
+/* Absorb `nrows` rows (row-major, ncols wide, residues) into the pivot block
+   `piv` (mutually reduced rows, pivot columns in pivcols), left-looking:
+
+   phase 1: each row is reduced against the block in insertion order in the
+     accumulator, normalized and appended; earlier rows are left alone.  In
+     insertion order row t is zero at the pivot columns of the rows before
+     it, so clearing column pivcols[t] keeps the columns cleared so far.
+   phase 2: one back-substitution, last row first, each row against the
+     rows appended after it, which are final by then (also after an early
+     stop).
+
+   A row appended here is zero left of its pivot and stays so, so it is
+   swept from its pivot column on.  The first `nseed` rows were installed by
+   seed() and may be nonzero left of their pivot: they are swept in full.
+   `scratch` holds 2 * ncols words.  Stops early once the rank reaches
+   `stop` (pass stop < 0 to disable).  Returns the new pivot count, or -1
+   when the block would outgrow its `cap` rows. */
+long fp_accumulate(uint64_t *piv, long *pivcols, long npiv, long nseed, long cap,
+                   const uint64_t *rows, long nrows, long ncols,
+                   uint64_t p, long stop, uint64_t *scratch)
+{
+    /* every flush leaves hi all zero, so it is cleared once per call */
+    acc_t a = {scratch, scratch + ncols, ncols, ncols, 0, p};
+    memset(a.hi, 0, (size_t)ncols * sizeof(uint64_t));
+    long npiv0 = npiv;
     for (long r = 0; r < nrows; ++r) {
-        if (stop > 0 && npiv >= stop) return npiv;
-        uint64_t *w = rows + r * ncols;
-        for (long t = 0; t < npiv; ++t) {
-            uint64_t c = w[pivcols[t]];
-            if (c) addmul(w, piv + t * ncols, p - c, ncols, p, magic, shift);
-        }
+        if (stop >= 0 && npiv >= stop) break;
+        acc_load(&a, rows + r * ncols);
+        for (long t = 0; t < npiv; ++t)
+            acc_eliminate(&a, piv + t * ncols, pivcols[t], t < nseed ? 0 : pivcols[t]);
+        acc_flush(&a);
         long lead = -1;
         for (long k = 0; k < ncols; ++k)
-            if (w[k]) { lead = k; break; }
+            if (a.lo[k]) { lead = k; break; }
         if (lead < 0) continue;
-        uint64_t inv = invmod(w[lead], p);
-        for (long k = 0; k < ncols; ++k)
-            w[k] = barrett((u128)w[k] * inv, p, magic, shift);
-        for (long t = 0; t < npiv; ++t) {
-            uint64_t c = piv[t * ncols + lead];
-            if (c) addmul(piv + t * ncols, w, p - c, ncols, p, magic, shift);
-        }
         if (npiv >= cap) return -1;   /* caller must grow the buffer */
-        memcpy(piv + npiv * ncols, w, (size_t)ncols * sizeof(uint64_t));
-        pivcols[npiv] = lead;
-        npiv++;
+        uint64_t inv = invmod(a.lo[lead], p);
+        uint64_t *w = piv + npiv * ncols;
+        memset(w, 0, (size_t)lead * sizeof(uint64_t));
+        for (long k = lead; k < ncols; ++k)
+            w[k] = (uint64_t)((u128)a.lo[k] * inv % p);
+        pivcols[npiv++] = lead;
+    }
+
+    /* phase 2; rows before npiv0 are already reduced against each other */
+    for (long t = npiv - 1; t >= 0; --t) {
+        uint64_t *w = piv + t * ncols;
+        long s = t + 1 > npiv0 ? t + 1 : npiv0;
+        while (s < npiv && !w[pivcols[s]]) s++;
+        if (s == npiv) continue;
+        acc_load(&a, w);
+        for (; s < npiv; ++s)
+            acc_eliminate(&a, piv + s * ncols, pivcols[s], pivcols[s]);
+        acc_flush(&a);
+        memcpy(w, a.lo, (size_t)ncols * sizeof(uint64_t));
     }
     return npiv;
 }
@@ -127,32 +195,38 @@ void fp_kernel_rows(const uint64_t *piv, const long *pivcols, long npiv,
 
 
 def _build() -> str | None:
+    """Path of the compiled kernel, compiling it into the cache on first use;
+    None when no compiler works or the cache directory is unusable."""
     tag = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
     cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(
         os.path.expanduser("~"), ".cache"
     )
     outdir = os.path.join(cache, "reescurve")
-    os.makedirs(outdir, exist_ok=True)
     sopath = os.path.join(outdir, f"fprref-{tag}.so")
     if os.path.exists(sopath):
         return sopath
-    with tempfile.TemporaryDirectory() as tmp:
-        cpath = os.path.join(tmp, "fprref.c")
-        with open(cpath, "w") as fh:
-            fh.write(_SOURCE)
-        tmpso = os.path.join(tmp, "fprref.so")
-        for cc in ("cc", "gcc", "clang"):
-            try:
-                subprocess.run(
-                    [cc, "-O2", "-shared", "-fPIC", "-o", tmpso, cpath],
-                    check=True,
-                    capture_output=True,
-                    timeout=120,
-                )
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        # compile next to the target, so the final rename stays in one directory
+        with tempfile.TemporaryDirectory(dir=outdir) as tmp:
+            cpath = os.path.join(tmp, "fprref.c")
+            with open(cpath, "w") as fh:
+                fh.write(_SOURCE)
+            tmpso = os.path.join(tmp, "fprref.so")
+            for cc in ("cc", "gcc", "clang"):
+                try:
+                    subprocess.run(
+                        [cc, "-O2", "-shared", "-fPIC", "-o", tmpso, cpath],
+                        check=True,
+                        capture_output=True,
+                        timeout=120,
+                    )
+                except (OSError, subprocess.SubprocessError):
+                    continue
                 os.replace(tmpso, sopath)
                 return sopath
-            except (OSError, subprocess.SubprocessError):
-                continue
+    except OSError:
+        pass        # the cache directory is unusable: no kernel
     return None
 
 
@@ -180,9 +254,9 @@ def get_kernel():
     longp = ctypes.POINTER(ctypes.c_long)
     lib.fp_accumulate.restype = ctypes.c_long
     lib.fp_accumulate.argtypes = [
-        u64p, longp, ctypes.c_long, ctypes.c_long,
+        u64p, longp, ctypes.c_long, ctypes.c_long, ctypes.c_long,
         u64p, ctypes.c_long, ctypes.c_long,
-        ctypes.c_uint64, ctypes.c_long,
+        ctypes.c_uint64, ctypes.c_long, u64p,
     ]
     lib.fp_kernel_rows.restype = None
     lib.fp_kernel_rows.argtypes = [

@@ -182,6 +182,10 @@ class _FpNativeCore:
 
     The pivot block is one row-major ``array('Q')`` of ``cap`` rows, with the
     pivot columns in a parallel ``array('l')`` (C long, as the kernel takes).
+    ``nseed`` counts the leading rows installed by seed(), which the kernel
+    sweeps over all columns.  ``scratch`` is the kernel's accumulator for the
+    row being reduced, 2 * ncols words (one 128-bit value per column), kept
+    here so it is allocated once per reducer and shared by its clones.
     """
 
     def __init__(self, field, ncols, kernel):
@@ -193,6 +197,8 @@ class _FpNativeCore:
         self.buf = array("Q", [0]) * (self.cap * ncols)
         self.pivbuf = array("l", [0]) * self.cap
         self.npiv = 0
+        self.nseed = 0
+        self.scratch = array("Q", bytes(16 * ncols))
 
     def clone(self):
         c = copy.copy(self)
@@ -225,7 +231,7 @@ class _FpNativeCore:
         self._reserve(len(rows))
         self.buf[: len(flat)] = flat
         self.pivbuf[: len(rows)] = array("l", pivcols)
-        self.npiv = len(rows)
+        self.npiv = self.nseed = len(rows)
 
     def add_rows(self, rows, stop):
         rows = list(rows)
@@ -237,12 +243,14 @@ class _FpNativeCore:
             _c_array(ctypes.c_uint64, self.buf),
             _c_array(ctypes.c_long, self.pivbuf),
             self.npiv,
+            self.nseed,
             self.cap,
             _c_array(ctypes.c_uint64, batch),
             len(rows),
             self.ncols,
             self.p,
             -1 if stop is None else stop,
+            _c_array(ctypes.c_uint64, self.scratch),
         )
         if npiv < 0:
             raise RuntimeError("native accumulator capacity underflow")

@@ -149,23 +149,29 @@ class Oracle:
 
     # -- kernels -------------------------------------------------------------
 
+    def slice_rows(self, i, j):
+        """The rows of the substitution matrix of slice (i, j): one row per
+        T-monomial of degree i + j*d (the coefficients of a substituted
+        form), one column per monomial of monomials_of_bidegree(i, j)."""
+        length = j * self.d + 1       # of every u^b with |b| = j
+        nrows = i + length
+        xmons = x_monomials(j)
+        nx = len(xmons)
+        ncols = (i + 1) * nx
+        buf = self._zeros(nrows * ncols)
+        # the column of T0^(i-a1) T1^a1 X^b is a1 * nx + (index of b)
+        for xidx, m in enumerate(xmons):
+            upow = self._column(m[2:])
+            for a1 in range(i + 1):
+                start = a1 * ncols + a1 * nx + xidx
+                buf[start : start + (length - 1) * ncols + 1 : ncols] = upow
+        return [buf[r * ncols : (r + 1) * ncols] for r in range(nrows)]
+
     def _kernel_data(self, i, j) -> _KernelData:
         data = self._kernels.get((i, j))
         if data is None:
-            length = j * self.d + 1       # of every u^b with |b| = j
-            nrows = i + length
-            xmons = x_monomials(j)
-            nx = len(xmons)
-            ncols = (i + 1) * nx
-            buf = self._zeros(nrows * ncols)
-            # the column of T0^(i-a1) T1^a1 X^b is a1 * nx + (index of b)
-            for xidx, m in enumerate(xmons):
-                upow = self._column(m[2:])
-                for a1 in range(i + 1):
-                    start = a1 * ncols + a1 * nx + xidx
-                    buf[start : start + (length - 1) * ncols + 1 : ncols] = upow
-            red = RowReducer(self.field, ncols)
-            red.add_rows([buf[r * ncols : (r + 1) * ncols] for r in range(nrows)])
+            red = RowReducer(self.field, (i + 1) * (j + 1) * (j + 2) // 2)
+            red.add_rows(self.slice_rows(i, j))
             data = self._kernels[(i, j)] = _KernelData(red)
         return data
 

@@ -44,11 +44,19 @@ def curve_to_json(par: Parametrization) -> dict:
 
 
 def curve_from_json(doc: dict, field_override=None) -> Parametrization:
-    """Parse a curve document; malformed coefficient lists raise
-    PreconditionError("curve_input")."""
+    """Parse a curve document; a missing or unusable field spec and
+    malformed coefficient lists raise PreconditionError("curve_input")."""
     if not isinstance(doc, dict):
         raise PreconditionError("curve_input", "a curve is a JSON object")
-    field = field_override or field_from_spec(str(doc["field"]))
+    field = field_override
+    if field is None:
+        spec = doc.get("field")
+        if not isinstance(spec, str):
+            raise PreconditionError("curve_input", "field must be a string: 'q' or 'fp:<prime>'")
+        try:
+            field = field_from_spec(spec)
+        except ValueError as exc:
+            raise PreconditionError("curve_input", f"bad field: {exc}") from exc
     lists = []
     for key in ("u0", "u1", "u2"):
         if key not in doc:

@@ -145,6 +145,34 @@ def test_bad_input_is_precondition_exit(tmp_path):
     assert run_cli(["mubasis", str(path2)]).returncode == 2
 
 
+@pytest.mark.parametrize(
+    "field", [None, 7, "zz", "fp:4", "fp:1"],
+    ids=["missing", "not-a-string", "unknown-spec", "composite", "one"],
+)
+def test_bad_field_is_curve_input(field, tmp_path):
+    doc = {k: v for k, v in D5.items() if k != "field"}
+    if field is not None:
+        doc["field"] = field
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli(["gens", str(path)])
+    assert r.returncode == 2, r.stderr
+    out = json.loads(r.stdout)
+    assert (out["error"], out["invariant"]) == ("precondition", "curve_input")
+
+
+def test_unusable_kernel_cache_falls_back_to_packed_core(tmp_path):
+    """With the cache directory unusable the kernel is not built, and an F_p
+    report runs on the packed core instead of failing."""
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    path = tmp_path / "d5fp.json"
+    path.write_text(json.dumps({**D5, "field": "fp"}))
+    r = run_cli(["gens", str(path)], env={"XDG_CACHE_HOME": str(blocker)})
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert json.loads(r.stdout)["all_pass"] is True
+
+
 def test_oracle_table_command(d5_file):
     r = run_cli(["oracle-table", d5_file, "--imax", "3", "--jmax", "5"])
     doc = json.loads(r.stdout)

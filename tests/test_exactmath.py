@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reescurve.fields import (
     DEFAULT_PRIME,
@@ -257,6 +258,99 @@ def test_solver_agrees_across_cores():
             assert m.mul_vec(solver.solve(b)) == b
             if solver.constraints:
                 assert solver.solve(outside) is None
+
+
+def _native_and_fraction(field, ncols):
+    """Two empty reducers over one F_p: the native core and the
+    field-generic core (which RowReducer picks only for p >= 2^62)."""
+    from reescurve import _native
+    from reescurve.linalg import _FpNativeCore, _FractionCore
+
+    if _native.get_kernel() is None:
+        pytest.skip("native kernel unavailable (no C compiler, or REESCURVE_NO_NATIVE set)")
+    native, generic = RowReducer(field, ncols), RowReducer(field, ncols)
+    assert isinstance(native._core, _FpNativeCore)
+    generic._core = _FractionCore(field, ncols)
+    return native, generic
+
+
+def _assert_cores_agree(native, generic, probes):
+    assert native.rref() == generic.rref()
+    assert native.free_columns() == generic.free_columns()
+    n = native.ncols
+    colmap = [2 * n - 1 - 2 * c for c in range(n)]     # reversed, spread over 2n
+    assert [list(r) for r in native.kernel_rows(colmap, 2 * n)] == generic.kernel_rows(
+        colmap, 2 * n
+    )
+    for vec in probes:
+        assert native.contains(vec) == generic.contains(vec)
+
+
+@st.composite
+def _seeded_batches(draw):
+    """A prime, a seed block in RREF on its pivot columns but with entries
+    left of them, batches of rows and an optional stop rank."""
+    p = draw(st.sampled_from([2, 3, 7, (1 << 61) - 1, DEFAULT_PRIME]))
+    ncols = draw(st.integers(1, 24))
+    entry = st.one_of(st.just(0), st.just(1), st.just(p - 1), st.integers(0, p - 1))
+    pivcols = draw(st.lists(st.integers(0, ncols - 1), unique=True, max_size=min(ncols, 8)))
+    block = []
+    for pc in pivcols:
+        row = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+        for c in pivcols:
+            row[c] = 1 if c == pc else 0
+        block.append(row)
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    batches = draw(st.lists(st.lists(row, max_size=8), min_size=1, max_size=4))
+    stop = draw(st.one_of(st.none(), st.integers(0, ncols)))
+    return PrimeField(p), ncols, pivcols, block, batches, stop
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_seeded_batches())
+def test_native_core_matches_generic_core(case):
+    """The left-looking native elimination gives the generic core's RREF,
+    kernel rows and span tests, on seeded blocks and under stop ranks."""
+    F, ncols, pivcols, block, batches, stop = case
+    reducers = _native_and_fraction(F, ncols)
+    for red in reducers:
+        red.seed(pivcols, block)
+    fed = list(block)
+    for batch in batches:
+        for red in reducers:
+            red.add_rows(batch, stop_rank=stop)
+        assert reducers[0].rank == reducers[1].rank
+        fed += batch
+    probes = fed[-3:] + [[F.add(a, b) for a, b in zip(fed[0], fed[-1])]] if fed else []
+    _assert_cores_agree(*reducers, probes + [[1] + [0] * (ncols - 1)])
+
+
+def test_native_core_at_the_accumulator_bound():
+    """Entries p - 1 at the default prime: 20 seeded pivot rows and 20
+    nonzero multipliers per row, so the accumulators take (p - 1)^2 terms
+    past the 15-product flush, in both phases of the elimination.  Column 0
+    of the block is 1, so an overflow would not just rescale the row."""
+    p, ncols, k = FP.p, 64, 20
+    pivcols = [4 + 3 * t for t in range(k)]          # entries left of every pivot
+    block = [[1] + [p - 1] * (ncols - 1) for _ in range(k)]
+    for pc, row in zip(pivcols, block):
+        for c in pivcols:
+            row[c] = 1 if c == pc else 0
+    # multiplier p - 1 at every seeded pivot: each product is (p - 1)^2
+    ones_at_pivots = [[1 if c in pivcols else p - 1 for c in range(ncols)]]
+    rng = random.Random(5)
+    fresh = [[rng.choice((p - 1, p - 1, 1, rng.randrange(p))) for _ in range(ncols)]
+             for _ in range(30)]
+    reducers = _native_and_fraction(FP, ncols)
+    for red in reducers:
+        red.seed(pivcols, block)
+    probes = fresh[-2:] + [[p - 1] * ncols, [1] * ncols]
+    for batch, stop in ((ones_at_pivots, None), ([[p - 1] * ncols] + fresh[:20], None),
+                        (fresh[20:], k + 30)):
+        for red in reducers:
+            red.add_rows(batch, stop_rank=stop)
+        _assert_cores_agree(*reducers, probes)
+    assert reducers[0].rank == k + 30          # the stop rank cut the last batch
 
 
 @pytest.mark.parametrize(
