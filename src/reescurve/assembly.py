@@ -24,7 +24,7 @@ class Assembly:
     generators: list                                  # Generators, report order
     # mild pipeline
     deltas: dict = field(default_factory=dict)        # {v: Sylvester form Delta^v}
-    morley: object = None                             # MorleyData (d >= 5)
+    morley: object = None                             # MorleyData
     minors: dict = field(default_factory=dict)        # {i: signed minors of level i}
     # very singular pipeline, in the transformed frame
     family: list = field(default_factory=list)        # high moving line, then the shifts

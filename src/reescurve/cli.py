@@ -49,13 +49,21 @@ def _log(msg: str):
     print(msg, file=sys.stderr)
 
 
+def _field_arg(spec):
+    """The field a --field spec names; a bad spec refuses as field_spec."""
+    try:
+        return field_from_spec(spec)
+    except ValueError as exc:
+        raise PreconditionError("field_spec", f"bad --field: {exc}") from exc
+
+
 def _load_curve(args):
+    override = _field_arg(args.field) if args.field else None
     if args.input == "-":
         doc = json.load(sys.stdin)
     else:
         with open(args.input) as fh:
             doc = json.load(fh)
-    override = field_from_spec(args.field) if args.field else None
     return curve_from_json(doc, field_override=override)
 
 
@@ -237,7 +245,7 @@ def cmd_verify(args):
 def cmd_sample(args, kind):
     from .sampling import sample_mild, sample_very_singular
 
-    field = field_from_spec(args.field or f"fp:{DEFAULT_PRIME}")
+    field = _field_arg(args.field or f"fp:{DEFAULT_PRIME}")
     rng = random.Random(args.seed)
     if kind == "mild":
         sample = sample_mild(field, args.degree, rng)

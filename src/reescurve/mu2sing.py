@@ -6,6 +6,9 @@ component q.  Two degree-shift operators trade T-degree mu for X-degree one
 (and back, modulo P); iterating the downward shift on the high moving line
 produces the pseudo-homogeneous family that, topped off with one (d odd) or
 two (d even) extra bidegree-(1, k) forms, generates the whole kernel ideal.
+The top forms are Sylvester forms of P and the family's last member F: the
+Morley coefficients (poly.morley_form) -F^(0,0) for d odd, -F^(1,0) and
+F^(0,1) for d even.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .assembly import Assembly, Generator
 from .errors import ImproperParametrization, PreconditionError, VerificationError
-from .poly import BiPoly, InexactDivision, tpoly_dense
+from .poly import BiPoly, morley_form, tpoly_dense
 from .syzygy import (
     ImplicitEquation,
     MuBasis,
@@ -230,30 +233,14 @@ def family(ctx: VerySingularContext):
     return out
 
 
-def top_generator_odd(ctx: VerySingularContext, fam=None) -> BiPoly:
-    """The extra bidegree-(1, k) generator for d = 2k - 1 (a Sylvester form)."""
+def top_generator_odd(ctx: VerySingularContext, fam) -> BiPoly:
+    """The extra bidegree-(1, k) generator for d = 2k - 1: the Sylvester form
+    -F^(0,0) of P and F_{1,k-1}, F^v their Morley coefficients."""
     if ctx.mu != 2 or ctx.r != -1:
         raise PreconditionError("parity", "needs mu = 2 and d odd")
-    F = ctx.field
-    if fam is None:
-        fam = family(ctx)
-    f21 = ctx.mb.p
-    f1k1 = fam[-1]
-    if f1k1.bidegree != (1, ctx.k - 1):
+    if fam[-1].bidegree != (1, ctx.k - 1):
         raise VerificationError("family top has unexpected bidegree")
-    # canonical split F_{2,1} = T0 G + T1 H: T0-divisible monomials go to G
-    gcoef = {}
-    hcoef = {}
-    for m, c in f21.coeffs.items():
-        if m[0] >= 1:
-            gcoef[(m[0] - 1, m[1], m[2], m[3], m[4])] = c
-        else:
-            hcoef[(m[0], m[1] - 1, m[2], m[3], m[4])] = c
-    g11 = BiPoly(F, 1, 1, gcoef, _clean=True)
-    h11 = BiPoly(F, 1, 1, hcoef, _clean=True)
-    f_up = f1k1.t_coefficient(1, 0)          # F_{1,k-1} = T0 f_up - T1 f_dn
-    f_dn = -f1k1.t_coefficient(0, 1)
-    top = f_dn * g11 + f_up * h11
+    top = -morley_form(ctx.mb.p, fam[-1])[(0, 0)]
     if top.is_zero() or top.bidegree != (1, ctx.k):
         raise VerificationError("top form construction failed")
     if not ctx.par.substitute(top).is_zero():
@@ -263,26 +250,15 @@ def top_generator_odd(ctx: VerySingularContext, fam=None) -> BiPoly:
     return top
 
 
-def top_generators_even(ctx: VerySingularContext, fam=None):
-    """The two extra bidegree-(1, k) generators for d = 2k."""
+def top_generators_even(ctx: VerySingularContext, fam):
+    """The two extra bidegree-(1, k) generators for d = 2k: -F^(1,0) and
+    F^(0,1), F^v the Morley coefficients of P and F_{2,k-1}."""
     if ctx.mu != 2 or ctx.r != 0:
         raise PreconditionError("parity", "needs mu = 2 and d even")
-    F = ctx.field
-    if fam is None:
-        fam = family(ctx)
-    f21 = ctx.mb.p
-    f2k1 = fam[-1]
-    if f2k1.bidegree != (2, ctx.k - 1):
+    if fam[-1].bidegree != (2, ctx.k - 1):
         raise VerificationError("family top has unexpected bidegree")
-    f0 = f21.t_coefficient(2, 0)
-    f1 = f21.t_coefficient(0, 2)
-    m0 = f2k1.t_coefficient(2, 0)
-    m1 = f2k1.t_coefficient(0, 2)
-    try:
-        top0 = (m0 * f21 - f0 * f2k1).monomial_quotient((0, 1, 0, 0, 0))
-        top1 = (m1 * f21 - f1 * f2k1).monomial_quotient((1, 0, 0, 0, 0))
-    except InexactDivision as exc:  # the preconditions of the construction fail
-        raise VerificationError(f"paired top forms not divisible: {exc}") from exc
+    mor = morley_form(ctx.mb.p, fam[-1])
+    top0, top1 = -mor[(1, 0)], mor[(0, 1)]
     for t in (top0, top1):
         if t.is_zero() or t.bidegree != (1, ctx.k):
             raise VerificationError("paired top form has wrong shape")

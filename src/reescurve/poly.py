@@ -204,21 +204,6 @@ class BiPoly:
             _clean=True,
         )
 
-    def monomial_quotient(self, mono):
-        """Exact division by a single monomial; errors on any indivisible term."""
-        a0, a1, b0, b1, b2 = mono
-        F = self.field
-        out = {}
-        for m, c in self.coeffs.items():
-            q = (m[0] - a0, m[1] - a1, m[2] - b0, m[3] - b1, m[4] - b2)
-            if min(q) < 0:
-                raise InexactDivision(f"{m} not divisible by {mono}")
-            out[q] = c
-        td, xd = self.tdeg - (a0 + a1), self.xdeg - (b0 + b1 + b2)
-        if self.is_zero():
-            td, xd = max(td, 0), max(xd, 0)
-        return BiPoly(F, td, xd, out, _clean=True)
-
     def exact_div(self, g):
         """Quotient self / g when g divides exactly; InexactDivision otherwise."""
         ensure_same_field(self.field, g.field)
@@ -884,3 +869,59 @@ def resultant_t(f: BiPoly, g: BiPoly) -> BiPoly:
     if det.is_zero():
         det = BiPoly.zero(F, 0, want)
     return det
+
+
+# ---------------------------------------------------------------------------
+# Morley form
+# ---------------------------------------------------------------------------
+
+def _divided_differences(h: BiPoly):
+    """T0-first divided differences h(T) - h(S) = h0 (T0 - S0) + h1 (T1 - S1),
+    as S-slices {(s0, s1): BiPoly in T and X}.
+
+    The S0^s slice of h0 is the terms with a0 > s over T0^(s+1); the
+    S0^s0 S1^s1 slice of h1 is T1^(n-1-s0-s1) times the T0^s0 T1^(n-s0)
+    coefficient of h, n = deg_T h.
+    """
+    F, n, j = h.field, h.tdeg, h.xdeg
+    h0 = {
+        (s, 0): BiPoly(
+            F, n - 1 - s, j,
+            {(m[0] - 1 - s,) + m[1:]: c for m, c in h.coeffs.items() if m[0] > s},
+            _clean=True,
+        )
+        for s in range(n)
+    }
+    h1 = {}
+    for s0 in range(n):
+        top = h.t_coefficient(s0, n - s0)
+        for s1 in range(n - s0):
+            h1[(s0, s1)] = BiPoly.monomial(F, (0, n - 1 - s0 - s1, 0, 0, 0)) * top
+    return h0, h1
+
+
+def morley_form(f: BiPoly, g: BiPoly) -> dict:
+    """The Morley form of f and g by its S-coefficients, {v: F^v}.
+
+    F^v is the S^v coefficient of f0 g1 - f1 g0, with (f0, f1) and (g0, g1)
+    the T0-first divided differences; there is one for every v with
+    |v| <= deg_T f + deg_T g - 2, of bidegree
+    (deg_T f + deg_T g - 2 - |v|, deg_X f + deg_X g).
+    """
+    ensure_same_field(f.field, g.field)
+    F = f.field
+    top, xdeg = f.tdeg + g.tdeg - 2, f.xdeg + g.xdeg
+    out = {
+        (v0, v1): BiPoly.zero(F, top - v0 - v1, xdeg)
+        for v0 in range(top + 1)
+        for v1 in range(top + 1 - v0)
+    }
+    f0, f1 = _divided_differences(f)
+    g0, g1 = _divided_differences(g)
+    for a, b, sign in ((f0, g1, 1), (f1, g0, -1)):
+        for s, x in a.items():
+            for t, y in b.items():
+                if x.coeffs and y.coeffs:
+                    v = (s[0] + t[0], s[1] + t[1])
+                    out[v] = out[v] + (x * y if sign > 0 else -(x * y))
+    return out

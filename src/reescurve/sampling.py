@@ -3,10 +3,10 @@
 Curves are built through their Hilbert-Burch matrix: pick the two syzygy
 columns at degrees 2 and d-2 and take signed 2x2 minors for u.  For the
 very singular class the low column is axial, which forces the factorization
-(u0, u1) = (p0 q, p1 q); an optional random invertible X-change then hides
-the normal form so the detection code path gets exercised.  Samples failing
-any validation (common factor, mu != 2, wrong class, improper) are rejected
-and redrawn, so the output distribution is deterministic per seed.
+(u0, u1) = (p0 q, p1 q); a random invertible X-change then hides the normal
+form so the detection code path gets exercised.  Samples failing any
+validation (common factor, mu != 2, wrong class, improper) are redrawn, up to
+MAX_ATTEMPTS times, so the output distribution is deterministic per seed.
 """
 from __future__ import annotations
 
@@ -29,6 +29,8 @@ from .syzygy import (
     mu_basis,
     parametrization,
 )
+
+MAX_ATTEMPTS = 200
 
 
 @dataclass
@@ -57,7 +59,7 @@ def random_x_change(field, rng):
             return rows
 
 
-def _validated(field, u, want_kind, max_attempts_left) -> Sample | None:
+def _validated(field, u, want_kind, attempt) -> Sample | None:
     try:
         par = parametrization(field, *u)
     except PreconditionError:
@@ -70,40 +72,39 @@ def _validated(field, u, want_kind, max_attempts_left) -> Sample | None:
         return None
     if implicit_equation(mb).properness_degree != 1:
         return None
-    return Sample(par=par, mb=mb, sing=sing, attempts=max_attempts_left)
+    return Sample(par=par, mb=mb, sing=sing, attempts=attempt)
 
 
-def sample_very_singular(field, d, rng, scramble=True, max_attempts=200) -> Sample:
+def sample_very_singular(field, d, rng) -> Sample:
     """A proper mu = 2 degree-d curve with a point of multiplicity d - 2."""
     if d < 5:
         raise PreconditionError("degree_range", "very singular mu=2 needs d >= 5")
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         p0 = _rand_tpoly(field, 2, rng)
         p1 = _rand_tpoly(field, 2, rng)
         n = [_rand_tpoly(field, d - 2, rng) for _ in range(3)]
         l = [p1, -p0, BiPoly.zero(field, 2, 0)]
         u = cross(l, n)
-        if scramble:
-            m = random_x_change(field, rng)
-            try:
-                par0 = parametrization(field, *u)
-            except PreconditionError:
-                continue
-            u = list(apply_x_change(par0, m).triple)
+        m = random_x_change(field, rng)
+        try:
+            par0 = parametrization(field, *u)
+        except PreconditionError:
+            continue
+        u = list(apply_x_change(par0, m).triple)
         sample = _validated(field, u, VERY_SINGULAR, attempt)
         if sample is not None:
             return sample
-    raise RuntimeError(f"no very singular sample after {max_attempts} draws")
+    raise RuntimeError(f"no very singular sample after {MAX_ATTEMPTS} draws")
 
 
-def sample_mild(field, d, rng, max_attempts=200) -> Sample:
+def sample_mild(field, d, rng) -> Sample:
     """A proper mu = 2 degree-d curve with only double-point singularities."""
     if d < 5:
         raise PreconditionError("degree_range", "mild mu=2 sampling needs d >= 5")
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         l = [_rand_tpoly(field, 2, rng) for _ in range(3)]
         n = [_rand_tpoly(field, d - 2, rng) for _ in range(3)]
         sample = _validated(field, cross(l, n), MILD, attempt)
         if sample is not None:
             return sample
-    raise RuntimeError(f"no mild sample after {max_attempts} draws")
+    raise RuntimeError(f"no mild sample after {MAX_ATTEMPTS} draws")

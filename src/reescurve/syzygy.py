@@ -13,7 +13,7 @@ from functools import cached_property
 
 from .errors import ImproperParametrization, PreconditionError, VerificationError
 from .fields import ensure_same_field
-from .linalg import ExactMatrix, RowReducer, normalized
+from .linalg import ExactMatrix, RowReducer
 from .poly import (
     BiPoly,
     PowerTable,
@@ -165,20 +165,14 @@ def mu_basis(par: Parametrization) -> MuBasis:
     for a in range(sq - mu + 1):
         shifted = BiPoly.monomial(F, (sq - mu - a, a, 0, 0, 0)) * p
         red.add_row(_moving_line_to_vector(shifted, sq))
-    q_vec = None
-    for vec in null_q:
-        if not red.contains(vec):
-            q_vec = vec
-            break
-    if q_vec is None:
+    # Q: the first syzygy outside the T-multiples of P, read back as the one
+    # RREF row with a new pivot (that syzygy reduced against them)
+    shift_pivots = set(red.rref()[0])
+    if not any(red.add_row(vec) for vec in null_q):
         raise VerificationError("syzygy module not free of rank 2 (impossible)")
     piv, rows = red.rref()
-    q_vec = list(q_vec)
-    for t, pc in enumerate(piv):
-        f = q_vec[pc]
-        if not F.is_zero(f):
-            q_vec = [F.sub(x, F.mul(f, y)) for x, y in zip(q_vec, rows[t])]
-    q = _vector_to_moving_line(F, normalized(F, q_vec), sq)
+    q_vec = next(row for pc, row in zip(piv, rows) if pc not in shift_pivots)
+    q = _vector_to_moving_line(F, q_vec, sq)
 
     mb = MuBasis(p=p, q=q, mu=mu)
     _check_hilbert_burch(par, mb)

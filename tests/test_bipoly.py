@@ -102,13 +102,6 @@ def test_mul_matches_schoolbook_reference(case):
                    for c in prod.coeffs.values())
 
 
-def test_monomial_quotient():
-    f = P("T0*T1*X0")
-    assert f.monomial_quotient((1, 0, 0, 0, 0)) == P("T1*X0")
-    with pytest.raises(InexactDivision):
-        f.monomial_quotient((2, 0, 0, 0, 0))
-
-
 def test_add_bidegree_mismatch_raises():
     with pytest.raises(GradingError):
         P("T0*X1") + P("X2")

@@ -161,6 +161,19 @@ def test_bad_field_is_curve_input(field, tmp_path):
     assert (out["error"], out["invariant"]) == ("precondition", "curve_input")
 
 
+@pytest.mark.parametrize("spec", ["fp:4", "banana"], ids=["composite", "unknown-spec"])
+def test_bad_field_option_is_field_spec(spec, tmp_path):
+    """A bad --field refuses as field_spec, both where it overrides a curve
+    file's field and where it picks a sampler's field."""
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(D5))
+    for argv in (["gens", str(path)], ["sample-mild", "--degree", "6"]):
+        r = run_cli(["--field", spec] + argv)
+        assert r.returncode == 2, r.stderr
+        out = json.loads(r.stdout)
+        assert (out["error"], out["invariant"]) == ("precondition", "field_spec"), argv
+
+
 def test_unusable_kernel_cache_falls_back_to_packed_core(tmp_path):
     """With the cache directory unusable the kernel is not built, and an F_p
     report runs on the packed core instead of failing."""

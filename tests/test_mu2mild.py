@@ -1,11 +1,17 @@
-"""The mild pipeline: Sylvester forms, Morley coefficients, minors, assembly."""
+"""The mild pipeline: Sylvester forms, Morley coefficients, minors, assembly.
+
+The Sylvester forms of both mu = 2 pipelines are read off the Morley form;
+here they are checked against the 2x2 determinants of T-slot splits.
+"""
 import random
 
 import pytest
 
+from curves import binomial_even, monomial_odd
 from reescurve.errors import PreconditionError
-from reescurve.fields import DEFAULT_PRIME, PrimeField
+from reescurve.fields import DEFAULT_PRIME, PrimeField, QQ
 from reescurve.mu2mild import (
+    MorleyData,
     assemble_mild,
     band_matrix,
     delta_sylvester,
@@ -14,16 +20,40 @@ from reescurve.mu2mild import (
     morley_coeffs,
     morley_det_check,
 )
+from reescurve.mu2sing import family, top_generator_odd, top_generators_even, very_singular_context
 from reescurve.oracle import Oracle, ideal_piece_membership, independent_mod
-from reescurve.poly import BiPoly, parse_bipoly
-from reescurve.sampling import sample_mild
+from reescurve.poly import BiPoly, morley_form, parse_bipoly
+from reescurve.sampling import sample_mild, sample_very_singular
 from reescurve.syzygy import mu_basis, parametrization
 
 FP = PrimeField(DEFAULT_PRIME)
+IDENTITY_FIELDS = (PrimeField(2), PrimeField(3), PrimeField(7), FP, QQ)
 
 
 def fixed_mild(d, seed=1, field=FP):
     return sample_mild(field, d, random.Random(seed))
+
+
+def sylvester_reference(f, g, v):
+    """The 2x2 determinant f0 g1 - f1 g0 of the T-slot splits
+    h = T0^(1+v0) h0 + T1^(1+v1) h1, T0-heavy monomials to h0."""
+    def split(h):
+        parts = ({}, {})
+        for m, c in h.coeffs.items():
+            if m[0] > v[0]:
+                parts[0][(m[0] - 1 - v[0],) + m[1:]] = c
+            else:
+                assert m[1] > v[1], f"{m} fits no slot for v={v}"
+                parts[1][(m[0], m[1] - 1 - v[1]) + m[2:]] = c
+        return [BiPoly(h.field, h.tdeg - 1 - v[i], h.xdeg, parts[i]) for i in (0, 1)]
+
+    (f0, f1), (g0, g1) = split(f), split(g)
+    return f0 * g1 - f1 * g0
+
+
+def swap_t(f):
+    """f with T0 and T1 exchanged."""
+    return BiPoly(f.field, f.tdeg, f.xdeg, {(m[1], m[0]) + m[2:]: c for m, c in f.coeffs.items()})
 
 
 def test_minor_count_identity():
@@ -45,7 +75,7 @@ def test_context_requires_rank3():
 def test_sylvester_forms_shapes_and_membership():
     s = fixed_mild(6)
     ctx = mild_context(s.par, s.mb, s.sing)
-    deltas = delta_sylvester(ctx)
+    deltas = delta_sylvester(ctx, morley_coeffs(ctx))
     assert deltas[(0, 0)].bidegree == (4, 2)
     assert deltas[(1, 0)].bidegree == (3, 2)
     assert deltas[(0, 1)].bidegree == (3, 2)
@@ -56,7 +86,7 @@ def test_sylvester_forms_shapes_and_membership():
 def test_sylvester_shift_relations():
     s = fixed_mild(7)
     ctx = mild_context(s.par, s.mb, s.sing)
-    deltas = delta_sylvester(ctx)
+    deltas = delta_sylvester(ctx, morley_coeffs(ctx))
     t0 = parse_bipoly(FP, "T0")
     t1 = parse_bipoly(FP, "T1")
     pq = [ctx.mb.p, ctx.mb.q]
@@ -70,7 +100,7 @@ def test_sylvester_shift_relations():
 def test_sylvester_pair_independent_mod_low_line():
     s = fixed_mild(6)
     ctx = mild_context(s.par, s.mb, s.sing)
-    deltas = delta_sylvester(ctx)
+    deltas = delta_sylvester(ctx, morley_coeffs(ctx))
     low = ctx.mb.p
     assert independent_mod([deltas[(1, 0)], deltas[(0, 1)]], [low])
     # a multiple of P, and a repeated form, are dependent modulo P
@@ -100,12 +130,32 @@ def test_morley_block_reading_matches_coefficients():
 
 
 def test_morley_top_coefficient_matches_discrete_jacobian():
-    s = fixed_mild(6)
-    ctx = mild_context(s.par, s.mb, s.sing)
-    morley = morley_coeffs(ctx)
-    deltas = delta_sylvester(ctx)
-    diff = morley.coeffs[(0, 0)] - deltas[(0, 0)]
-    assert diff.is_zero() or ideal_piece_membership(diff, [ctx.mb.p, ctx.mb.q])
+    """Each Sylvester form Delta^v of P and Q is, exactly, the determinant of
+    the T-slot splits."""
+    for field in IDENTITY_FIELDS:
+        for d in (5, 6, 7):
+            s = fixed_mild(d, field=field)
+            ctx = mild_context(s.par, s.mb, s.sing)
+            deltas = delta_sylvester(ctx, morley_coeffs(ctx))
+            for v, delta in deltas.items():
+                assert delta == sylvester_reference(ctx.mb.p, ctx.mb.q, v), (field.name, d, v)
+
+
+def test_top_forms_are_sylvester_forms_of_the_family_top():
+    """The very singular top forms are -Delta^(0,0) of (P, F_{1,k-1}) for d
+    odd, and -Delta^(1,0), +Delta^(0,1) of (P, F_{2,k-1}) for d even."""
+    curves = [monomial_odd(3), binomial_even(3)]
+    for field in IDENTITY_FIELDS:
+        curves += [sample_very_singular(field, d, random.Random(d)).par for d in (5, 6, 7, 8)]
+    for par in curves:
+        ctx = very_singular_context(par)
+        fam = family(ctx)
+        p, top = ctx.mb.p, fam[-1]
+        if ctx.r == -1:
+            assert top_generator_odd(ctx, fam) == -sylvester_reference(p, top, (0, 0))
+        else:
+            want = (-sylvester_reference(p, top, (1, 0)), sylvester_reference(p, top, (0, 1)))
+            assert top_generators_even(ctx, fam) == want
 
 
 def test_minor_family_membership_and_counts():
@@ -126,10 +176,11 @@ def test_minor_family_membership_and_counts():
 def test_minor_family_index_errors():
     s = fixed_mild(6)
     ctx = mild_context(s.par, s.mb, s.sing)
+    morley = morley_coeffs(ctx)
     with pytest.raises(PreconditionError):
-        minor_family(ctx, 0)
+        minor_family(ctx, 0, morley)
     with pytest.raises(PreconditionError):
-        minor_family(ctx, ctx.d - 3)
+        minor_family(ctx, ctx.d - 3, morley)
 
 
 def test_morley_det_equals_curve_equation():
@@ -144,10 +195,15 @@ def test_morley_det_equals_curve_equation():
 
 
 def test_morley_staircase_choice_invisible_mod_ideal():
+    """The minors do not depend on the staircase: the T1-first divided
+    differences give the Morley coefficients -swap(F^(v1,v0)) of the swapped
+    pair, and the same minors modulo (P, Q)."""
     s = fixed_mild(6)
     ctx = mild_context(s.par, s.mb, s.sing)
-    m1 = morley_coeffs(ctx, "t0-first")
-    m2 = morley_coeffs(ctx, "t1-first")
+    m1 = morley_coeffs(ctx)
+    swapped = morley_form(swap_t(ctx.mb.p), swap_t(ctx.mb.q))
+    m2 = MorleyData(coeffs={v: -swap_t(swapped[v[::-1]]) for v in swapped}, d=ctx.d)
+    assert m2.coeffs != m1.coeffs
     pq = [ctx.mb.p, ctx.mb.q]
     for i in range(1, ctx.d - 3):
         for a, b in zip(minor_family(ctx, i, m1), minor_family(ctx, i, m2)):
@@ -177,7 +233,7 @@ def test_morley_det_matches_naive_expansion_small():
 
     s = fixed_mild(5, 2)
     ctx = mild_context(s.par, s.mb, s.sing)
-    rows, det, lam = morley_det_check(ctx, 1)
+    rows, det, lam = morley_det_check(ctx, 1, morley_coeffs(ctx))
     naive = BiPoly.zero(FP, 0, 0)
     n = len(rows)
     for perm in itertools.permutations(range(n)):

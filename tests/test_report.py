@@ -62,7 +62,7 @@ def test_very_singular_report_computes_each_object_once(monkeypatch):
 def test_transformed_equation_is_the_pulled_back_one(field, d, seed):
     """The transformed frame's equation, taken through the coordinate change,
     equals a second resultant of the transformed mu-basis."""
-    s = sample_very_singular(field, d, random.Random(seed), scramble=True)
+    s = sample_very_singular(field, d, random.Random(seed))
     assert s.sing.change != [[field.one if a == b else field.zero for b in range(3)] for a in range(3)]
     ctx = mu2sing.very_singular_context(s.par, s.mb, s.sing)
     direct = syzygy.implicit_equation(ctx.mb)
