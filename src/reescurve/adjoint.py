@@ -47,18 +47,16 @@ def adjoint_slice_bound(d: int, ell: int) -> int:
     return ell * (ell - 2 * k + 3)
 
 
-def z_dimension(par: Parametrization, ell: int, oracle: Oracle | None = None) -> int:
+def z_dimension(par: Parametrization, ell: int, oracle: Oracle) -> int:
     """dim of Z_ell = <X0,X1>^(d-3) ∩ K_{1,ell} by stacked-rank arithmetic.
 
     The parametrization must already be in normalized coordinates (very
     singular point at (0:0:1)); callers coming from classify_singularity
-    should pass the transformed curve.
+    should pass the transformed curve.  `oracle` is the Oracle of `par`.
     """
     d = par.d
     if d < 4:
         raise PreconditionError("degree_range", "needs d >= 4")
-    if oracle is None:
-        oracle = Oracle(par)
     piece = oracle.kernel_basis(1, ell)
     n = len(piece.basis)
     if n == 0:

@@ -14,7 +14,6 @@ from .poly import BiPoly
 @dataclass
 class Generator:
     poly: BiPoly            # original input coordinates, normalized
-    pipeline_poly: BiPoly   # the transformed-frame representative
     bidegree: tuple
     label: str
 

@@ -2,9 +2,10 @@
 
 Machine-readable JSON goes to stdout (or plain text with --out text); human
 progress notes go to stderr.  Exit codes: 0 success, 2 precondition violation
-(bad input, improper curve, unsupported mu), 3 verification failure, 4
-internal error (a computation broke an invariant of its own; the JSON error
-document names the exception type).
+(unreadable or malformed input, improper curve, unsupported mu; the JSON
+error document names the invariant), 3 verification failure, 4 internal error
+(any other exception a computation raised; the JSON error document names its
+type).
 """
 from __future__ import annotations
 
@@ -15,9 +16,7 @@ import sys
 
 from .errors import ImproperParametrization, PreconditionError, VerificationError
 from .fields import DEFAULT_PRIME, field_from_spec
-from .linalg import ShapeMismatch
 from .oracle import Oracle
-from .poly import GradingError, InexactDivision
 from .report import (
     SCHEMA_VERSION,
     build_report,
@@ -40,9 +39,9 @@ EXIT_VERIFICATION = 3
 EXIT_INTERNAL = 4
 
 # raised only by a computation gone wrong, never by reading a malformed input
-# (curve_from_json turns those into PreconditionError); VerificationError, a
-# RuntimeError, is caught before these
-INTERNAL_ERRORS = (GradingError, ShapeMismatch, InexactDivision, ZeroDivisionError, RuntimeError)
+# (_read_json and curve_from_json turn those into PreconditionError, a
+# ValueError, and VerificationError is a RuntimeError: both are caught first)
+INTERNAL_ERRORS = (ArithmeticError, LookupError, TypeError, ValueError, RuntimeError)
 
 
 def _log(msg: str):
@@ -57,14 +56,24 @@ def _field_arg(spec):
         raise PreconditionError("field_spec", f"bad --field: {exc}") from exc
 
 
+def _read_json(path):
+    """The JSON document in a file, or on stdin for "-"; input that cannot be
+    opened, decoded or parsed (nesting too deep for the parser included)
+    refuses as input_file.  Bytes are handed to the JSON parser, which decodes
+    them strictly (stdin's text layer would let undecodable bytes through as
+    surrogates)."""
+    try:
+        if path == "-":
+            return json.load(sys.stdin.buffer)
+        with open(path, "rb") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise PreconditionError("input_file", f"cannot read JSON from {path}: {exc}") from exc
+
+
 def _load_curve(args):
     override = _field_arg(args.field) if args.field else None
-    if args.input == "-":
-        doc = json.load(sys.stdin)
-    else:
-        with open(args.input) as fh:
-            doc = json.load(fh)
-    return curve_from_json(doc, field_override=override)
+    return curve_from_json(_read_json(args.input), field_override=override)
 
 
 def _emit(doc: dict, args, text_lines=None):
@@ -229,9 +238,7 @@ def cmd_adjoint_dims(args):
 
 
 def cmd_verify(args):
-    with open(args.input) as fh:
-        saved = json.load(fh)
-    ok, diffs = verify_report(saved)
+    ok, diffs = verify_report(_read_json(args.input))
     doc = {
         "schema": SCHEMA_VERSION,
         "command": "verify",
@@ -333,8 +340,6 @@ def main(argv=None) -> int:
             EXIT_INTERNAL, f"internal error: {name}: {exc}",
             error="internal", type=name, message=str(exc),
         )
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-        return _refuse(EXIT_PRECONDITION, f"input error: {exc}", error="input", message=str(exc))
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ Canonical conventions (shared by every consumer in this package):
 """
 from __future__ import annotations
 
-import copy
 import ctypes
 from array import array
 
@@ -53,11 +52,6 @@ class _FractionCore:
         self.ncols = ncols
         self.rows = []          # mutually reduced rows (lists of scalars)
         self.pivcols = []
-
-    def clone(self):
-        c = copy.copy(self)
-        c.rows, c.pivcols = [list(r) for r in self.rows], list(self.pivcols)
-        return c
 
     def add_rows(self, rows, stop):
         F = self.field
@@ -120,11 +114,6 @@ class _FpPackedCore:
         self.rows = []          # packed, mutually reduced, slots < p
         self.pivcols = []
 
-    def clone(self):
-        c = copy.copy(self)
-        c.rows, c.pivcols = list(self.rows), list(self.pivcols)
-        return c
-
     def _pack(self, vals):
         return int.from_bytes(
             b"".join(v.to_bytes(_SLOTB, "little") for v in vals), "little"
@@ -185,7 +174,7 @@ class _FpNativeCore:
     ``nseed`` counts the leading rows installed by seed(), which the kernel
     sweeps over all columns.  ``scratch`` is the kernel's accumulator for the
     row being reduced, 2 * ncols words (one 128-bit value per column), kept
-    here so it is allocated once per reducer and shared by its clones.
+    here so it is allocated once per reducer.
     """
 
     def __init__(self, field, ncols, kernel):
@@ -199,11 +188,6 @@ class _FpNativeCore:
         self.npiv = 0
         self.nseed = 0
         self.scratch = array("Q", bytes(16 * ncols))
-
-    def clone(self):
-        c = copy.copy(self)
-        c.buf, c.pivbuf = self.buf[:], self.pivbuf[:]
-        return c
 
     @property
     def pivcols(self):
@@ -363,18 +347,6 @@ class RowReducer:
         before = self.rank
         self.add_rows([vec])
         return self.rank > before
-
-    def clone(self):
-        c = RowReducer.__new__(RowReducer)
-        c.field = self.field
-        c.ncols = self.ncols
-        c._core = self._core.clone()
-        c._snap = None
-        return c
-
-    def contains(self, vec) -> bool:
-        """True iff vec lies in the row space accumulated so far."""
-        return not self.clone().add_row(vec)
 
     def rref(self):
         """Return (pivot_columns, rows): the canonical RREF, sorted by pivot."""

@@ -24,9 +24,6 @@ from .syzygy import (
     NOT_APPLICABLE,
     Parametrization,
     SingularityClass,
-    classify_singularity,
-    implicit_equation,
-    mu_basis,
 )
 
 
@@ -51,23 +48,17 @@ class MildContext:
 
 def mild_context(
     par: Parametrization,
-    mb: MuBasis | None = None,
-    sing: SingularityClass | None = None,
-    imp: ImplicitEquation | None = None,
+    mb: MuBasis,
+    sing: SingularityClass,
+    imp: ImplicitEquation,
 ) -> MildContext:
-    if mb is None:
-        mb = mu_basis(par)
     if mb.mu != 2:
         raise PreconditionError("mu_equals_2", f"mu = {mb.mu}")
-    if sing is None:
-        sing = classify_singularity(mb)
     boundary = sing.kind == NOT_APPLICABLE
     if sing.kind not in (MILD, NOT_APPLICABLE):
         raise PreconditionError(
             "mild_singularities", f"singularity class is {sing.kind!r}"
         )
-    if imp is None:
-        imp = implicit_equation(mb)
     if imp.properness_degree != 1:
         raise ImproperParametrization(imp.properness_degree)
     return MildContext(
@@ -253,8 +244,8 @@ def assemble_mild(ctx: MildContext) -> Assembly:
         raise VerificationError(
             f"assembled {len(gens)} generators, count formula says {expected}"
         )
-    out = []
-    for poly, label in gens:
-        norm = poly.normalized()
-        out.append(Generator(poly=norm, pipeline_poly=norm, bidegree=poly.bidegree, label=label))
+    out = [
+        Generator(poly=poly.normalized(), bidegree=poly.bidegree, label=label)
+        for poly, label in gens
+    ]
     return Assembly(generators=out, deltas=deltas, morley=morley, minors=minors)

@@ -24,9 +24,6 @@ from .syzygy import (
     SingularityClass,
     VERY_SINGULAR,
     apply_x_change,
-    classify_singularity,
-    implicit_equation,
-    mu_basis,
     pullback_through_change,
     shift_matrix,
 )
@@ -34,7 +31,6 @@ from .syzygy import (
 
 @dataclass
 class VerySingularContext:
-    original: Parametrization
     par: Parametrization          # transformed: singular point at (0:0:1)
     mb: MuBasis                   # transformed mu-basis {P, Q}
     p0: BiPoly                    # axial pair: P = p1 X0 - p0 X1, gcd(p0,p1)=1
@@ -43,7 +39,6 @@ class VerySingularContext:
     k: int
     r: int
     change: list                  # Y = M X
-    change_inv: list
     implicit: ImplicitEquation    # in the transformed frame
     # _PairSolver cache, by T-degree
     solvers: dict = dc_field(default_factory=dict, repr=False, compare=False)
@@ -71,22 +66,18 @@ def split_degree(d: int, mu: int):
 
 def very_singular_context(
     par: Parametrization,
-    mb: MuBasis | None = None,
-    sing: SingularityClass | None = None,
-    imp: ImplicitEquation | None = None,
+    mb: MuBasis,
+    sing: SingularityClass,
+    imp: ImplicitEquation,
 ) -> VerySingularContext:
-    """The transformed frame of a very singular curve.  `imp` is the implicit
-    equation in the input frame (computed when not given); the frame's
-    resultant and equation are pulled back through the change, not computed
-    by a second resultant."""
-    if mb is None:
-        mb = mu_basis(par)
+    """The transformed frame of a very singular curve, from the input frame's
+    mu-basis, singularity class and implicit equation; the frame's resultant
+    and equation are pulled back through the change, not computed by a second
+    resultant."""
     mu = mb.mu
     d = par.d
     if not mu < d - mu:
         raise PreconditionError("mu_lt_d_minus_mu", f"mu={mu}, d={d}")
-    if sing is None:
-        sing = classify_singularity(mb)
     if sing.kind != VERY_SINGULAR:
         raise PreconditionError(
             "very_singular", f"singularity class is {sing.kind!r}"
@@ -101,8 +92,6 @@ def very_singular_context(
         raise VerificationError("factorization v = (p0 q, p1 q, *) failed")
     k, r = split_degree(d, mu)
     tmb = MuBasis(p=tp, q=tq, mu=mu)
-    if imp is None:
-        imp = implicit_equation(mb)
     if imp.properness_degree != 1:
         raise ImproperParametrization(imp.properness_degree)
     # a proper map's resultant is a multiple of the equation, so one pullback
@@ -110,7 +99,6 @@ def very_singular_context(
     tres = pullback_through_change(imp.resultant, sing.change_inv)
     timp = ImplicitEquation(equation=tres.normalized(), properness_degree=1, resultant=tres)
     return VerySingularContext(
-        original=par,
         par=tpar,
         mb=tmb,
         p0=p0,
@@ -119,7 +107,6 @@ def very_singular_context(
         k=k,
         r=r,
         change=sing.change,
-        change_inv=sing.change_inv,
         implicit=timp,
     )
 
@@ -306,15 +293,12 @@ def assemble_very_singular(ctx: VerySingularContext) -> Assembly:
         expected = k + 3
     if len(gens) != expected:
         raise VerificationError(f"assembled {len(gens)} generators, wanted {expected}")
-    out = []
-    for poly, label in gens:
-        back = pullback_through_change(poly, ctx.change).normalized()
-        out.append(
-            Generator(
-                poly=back,
-                pipeline_poly=poly.normalized(),
-                bidegree=poly.bidegree,
-                label=label,
-            )
+    out = [
+        Generator(
+            poly=pullback_through_change(poly, ctx.change).normalized(),
+            bidegree=poly.bidegree,
+            label=label,
         )
+        for poly, label in gens
+    ]
     return Assembly(generators=out, family=fam, tops=tops)

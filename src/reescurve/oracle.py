@@ -346,8 +346,7 @@ def _multiples(F, i, j, gens):
 
 def ideal_piece_membership(g: BiPoly, gens) -> bool:
     """Is g in the span of all monomial multiples of gens at g's bidegree?"""
-    red, monomials = _multiples(g.field, *g.bidegree, gens)
-    return red.contains(g.to_vector(monomials))
+    return not independent_mod([g], gens)
 
 
 def independent_mod(forms: list, modulus: list) -> bool:

@@ -8,7 +8,9 @@ T0 > T1 > X0 > X1 > X2, highest first — i.e. plain descending tuple order.
 
 Substitution X -> u(T) runs on a PowerTable: dense integer powers u^b of one
 parametrization, built once per curve (a Parametrization owns one) and read
-by every substitution into that curve and by its oracle.
+by every substitution into that curve and by its oracle.  Forms substituted
+into forms (a change of X coordinates, an inverse map put into a moving line)
+go through BiPoly.compose.
 
 Determinants (poly_det_bareiss, behind resultant_t) run Bareiss elimination
 on plain ints with no BiPoly arithmetic inside: each monomial is packed into
@@ -273,73 +275,42 @@ class BiPoly:
             raise ValueError("power table of another parametrization")
         return powers.substitute(self)
 
-    def subst_t(self, f0, f1):
-        """G(f0(X), f1(X), X): eliminate T along a pair of equal-degree X-forms."""
-        F = self.field
-        for f in (f0, f1):
-            ensure_same_field(F, f.field)
-            if f.tdeg != 0:
-                raise GradingError("substitution targets must be X-forms")
-        ell = f0.xdeg
-        if f1.xdeg != ell:
-            raise GradingError("degree mismatch between the two X-forms")
-        out = BiPoly.zero(F, 0, self.tdeg * ell + self.xdeg)
-        cache = {}
+    def compose(self, t0, t1, x0, x1, x2):
+        """G(t0, t1, x0, x1, x2): each variable replaced by a form.
 
-        def fpower(f, n):
-            key = (id(f), n)
-            if key not in cache:
-                cache[key] = BiPoly.constant(F, 1) if n == 0 else fpower(f, n - 1) * f
-            return cache[key]
-
-        for m, c in self.coeffs.items():
-            a0, a1, b0, b1, b2 = m
-            term = fpower(f0, a0) * fpower(f1, a1)
-            term = term * BiPoly.monomial(F, (0, 0, b0, b1, b2), c)
-            out = out + term
-        return out
-
-    def compose_x(self, l0, l1, l2):
-        """G(T, l0(X), l1(X), l2(X)) for three X-forms of one degree ell.
-
-        With ell = 1 this is a linear change of the X coordinates; the result
-        has bidegree (tdeg, xdeg * ell).
+        The two T-images share one bidegree, and so do the three X-images;
+        the result has bidegree tdeg * bidegree(t0) + xdeg * bidegree(x0).
+        Linear X-forms with T0, T1 kept give a change of X coordinates.
         """
         F = self.field
-        for l in (l0, l1, l2):
-            ensure_same_field(F, l.field)
-            if l.tdeg != 0:
-                raise GradingError("compose_x targets must be X-forms")
-        ell = l0.xdeg
-        if l1.xdeg != ell or l2.xdeg != ell:
-            raise GradingError("compose_x targets must share one degree")
-        out = BiPoly.zero(F, self.tdeg, self.xdeg * ell)
-        cache = {(0, 0, 0): BiPoly.constant(F, 1)}
+        for f in (t0, t1, x0, x1, x2):
+            ensure_same_field(F, f.field)
+        if t0.bidegree != t1.bidegree:
+            raise GradingError("the two T-images must share one bidegree")
+        if not x0.bidegree == x1.bidegree == x2.bidegree:
+            raise GradingError("the three X-images must share one bidegree")
+        one = BiPoly.constant(F, 1)
+        tpowers = {(0, 0): one}
+        xpowers = {(0, 0, 0): one}
 
-        def lpower(b):
-            if b in cache:
-                return cache[b]
-            b0, b1, b2 = b
-            if b0:
-                val = lpower((b0 - 1, b1, b2)) * l0
-            elif b1:
-                val = lpower((b0, b1 - 1, b2)) * l1
-            else:
-                val = lpower((b0, b1, b2 - 1)) * l2
-            cache[b] = val
+        def power(cache, images, e):
+            # built from the entry with the first nonzero exponent lowered by one
+            val = cache.get(e)
+            if val is None:
+                i = next(i for i, n in enumerate(e) if n)
+                lower = e[:i] + (e[i] - 1,) + e[i + 1 :]
+                val = cache[e] = power(cache, images, lower) * images[i]
             return val
 
+        out = BiPoly.zero(
+            F,
+            self.tdeg * t0.tdeg + self.xdeg * x0.tdeg,
+            self.tdeg * t0.xdeg + self.xdeg * x0.xdeg,
+        )
         for m, c in self.coeffs.items():
-            a0, a1, b0, b1, b2 = m
-            term = lpower((b0, b1, b2)).scale(c)
-            shifted = BiPoly(
-                F,
-                self.tdeg,
-                term.xdeg,
-                {(a0, a1) + k[2:]: v for k, v in term.coeffs.items()},
-                _clean=True,
-            )
-            out = out + shifted
+            tpart = power(tpowers, (t0, t1), m[:2])
+            xpart = power(xpowers, (x0, x1, x2), m[2:])
+            out = out + tpart.scale(c) * xpart
         return out
 
     # -- coefficient extraction ----------------------------------------------

@@ -44,8 +44,9 @@ def curve_to_json(par: Parametrization) -> dict:
 
 
 def curve_from_json(doc: dict, field_override=None) -> Parametrization:
-    """Parse a curve document; a missing or unusable field spec and
-    malformed coefficient lists raise PreconditionError("curve_input")."""
+    """Parse a curve document; a missing or unusable field spec and a
+    coefficient list that is missing, not a JSON array or malformed raise
+    PreconditionError("curve_input")."""
     if not isinstance(doc, dict):
         raise PreconditionError("curve_input", "a curve is a JSON object")
     field = field_override
@@ -61,6 +62,8 @@ def curve_from_json(doc: dict, field_override=None) -> Parametrization:
     for key in ("u0", "u1", "u2"):
         if key not in doc:
             raise PreconditionError("curve_input", f"missing {key}")
+        if not isinstance(doc[key], list):
+            raise PreconditionError("curve_input", f"{key} must be a JSON array")
         try:
             lists.append([field.coerce(c) for c in doc[key]])
         except (ArithmeticError, TypeError, ValueError) as exc:
@@ -293,12 +296,11 @@ def _very_singular_verdicts(ctx, asm, verdicts):
     eq = ctx.implicit.equation
     fam, tops = asm.family, asm.tops
     low = ctx.mb.p
-    # the high moving line is the one assembled generator allowed to involve
-    # a pure X2 term; everything else lives in <X0, X1>
+    # the high moving line (the family's first member) is the one assembled
+    # generator allowed to involve a pure X2 term; everything else lives in
+    # <X0, X1>
     verdicts["generators-in-x01-ideal"] = all(
-        g.pipeline_poly.in_x01_power(1)
-        for g in asm.generators
-        if g.label != "high-moving-line"
+        g.in_x01_power(1) for g in [eq, low, *fam[1:], *tops]
     )
     k = ctx.k
     emma = []

@@ -460,7 +460,9 @@ def pullback_through_change(g: BiPoly, m_rows) -> BiPoly:
         BiPoly(F, 0, 1, {(0, 0, *_X_VARS[j][2:]): m_rows[i][j] for j in range(3)})
         for i in range(3)
     ]
-    return g.compose_x(*lin)
+    t0 = BiPoly.monomial(F, (1, 0, 0, 0, 0))
+    t1 = BiPoly.monomial(F, (0, 1, 0, 0, 0))
+    return g.compose(t0, t1, *lin)
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +476,12 @@ class InverseMap:
     ell: int
 
 
-def inverse_map(par: Parametrization, mb: MuBasis | None = None) -> InverseMap:
+def inverse_map(par: Parametrization) -> InverseMap:
     from .oracle import Oracle
 
     F = par.field
     d = par.d
-    if mb is None:
-        mb = mu_basis(par)
+    mb = mu_basis(par)
     imp = implicit_equation(mb)
     if imp.properness_degree != 1:
         raise ImproperParametrization(imp.properness_degree)
@@ -506,7 +507,7 @@ def inverse_map(par: Parametrization, mb: MuBasis | None = None) -> InverseMap:
     if t0 * par.substitute(b_form) != t1 * par.substitute(a_form):
         raise VerificationError("inverse identity failed")
     # the high moving line composed with the inverse must vanish on the curve
-    w = mb.q.subst_t(a_form, b_form)
+    w = mb.q.compose(a_form, b_form, *(BiPoly.monomial(F, x) for x in _X_VARS))
     if not (w.is_zero() or imp.equation.divides_into(w)):
         raise VerificationError("inverse failed the mod-E consistency check")
     return InverseMap(a=a_form, b=b_form, ell=ell)

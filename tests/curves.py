@@ -3,7 +3,13 @@ from collections import Counter
 
 from reescurve.fields import QQ
 from reescurve.poly import BiPoly, parse_bipoly
-from reescurve.syzygy import Parametrization, parametrization
+from reescurve.syzygy import (
+    Parametrization,
+    classify_singularity,
+    implicit_equation,
+    mu_basis,
+    parametrization,
+)
 
 
 def monomial_odd(k, field=QQ) -> Parametrization:
@@ -30,6 +36,13 @@ def binomial_even(k, field=QQ) -> Parametrization:
     u2[d - 1] = 1
     u2[d] = 1
     return parametrization(field, u0, u1, u2)
+
+
+def invariants(par: Parametrization):
+    """(mu-basis, singularity class, implicit equation) of a curve: what a
+    report computes before it builds a pipeline context."""
+    mb = mu_basis(par)
+    return mb, classify_singularity(mb), implicit_equation(mb)
 
 
 def cross_product(l, n):

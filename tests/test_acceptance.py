@@ -18,6 +18,7 @@ from curves import (
     binomial_even,
     closed_form_generators_odd,
     expected_count,
+    invariants,
     monomial_odd,
     mu3_degree10_curves,
     predicted_multiset,
@@ -172,7 +173,7 @@ def _survey_case(case):
         ),
     }
     if kind != "mild":
-        ctx = very_singular_context(sample.par, sample.mb, sample.sing)
+        ctx = very_singular_context(sample.par, *invariants(sample.par))
         arep = adjoint_report(ctx.par)
         out["formulas_agree"] = arep.all_formulas_agree()
         out["zrows"] = [

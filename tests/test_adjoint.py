@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from curves import binomial_even, monomial_odd
+from curves import binomial_even, invariants, monomial_odd
 from reescurve.adjoint import (
     adjoint_report,
     adjoint_slice_bound,
@@ -13,6 +13,7 @@ from reescurve.adjoint import (
 from reescurve.errors import PreconditionError
 from reescurve.fields import DEFAULT_PRIME, PrimeField, QQ
 from reescurve.mu2sing import apply_dt, family, top_generator_odd, very_singular_context
+from reescurve.oracle import Oracle
 from reescurve.sampling import sample_very_singular
 from reescurve.syzygy import apply_x_change
 
@@ -48,8 +49,9 @@ def test_oracle_agrees_with_formula_on_examples():
 
 def test_z_dimension_monomial_example():
     par = monomial_odd(3)
-    assert z_dimension(par, 2) == 0
-    assert z_dimension(par, 3) == 3
+    orc = Oracle(par)
+    assert z_dimension(par, 2, orc) == 0
+    assert z_dimension(par, 3, orc) == 3
 
 
 def test_quotient_dimension_remark():
@@ -62,7 +64,8 @@ def test_quotient_dimension_remark():
 
 
 def test_power_membership_of_top_forms():
-    ctx = very_singular_context(monomial_odd(4))  # k = 4
+    par = monomial_odd(4)  # k = 4
+    ctx = very_singular_context(par, *invariants(par))
     fam = family(ctx)
     k = ctx.k
     f1k1 = fam[-1]
@@ -74,7 +77,8 @@ def test_power_membership_of_top_forms():
 
 
 def test_shift_raises_power():
-    ctx = very_singular_context(monomial_odd(4))
+    par = monomial_odd(4)
+    ctx = very_singular_context(par, *invariants(par))
     g = ctx.mb.q
     for expected_power in (1, 2):
         g = apply_dt(ctx, g)
@@ -104,4 +108,4 @@ def test_z_dimension_rejects_tiny_degree():
 
     cubic = parametrization(QQ, [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1])
     with pytest.raises(PreconditionError):
-        z_dimension(cubic, 2)
+        z_dimension(cubic, 2, Oracle(cubic))

@@ -203,17 +203,73 @@ def test_subst_x_rejects_a_foreign_power_table():
         P("X0").subst_x(*u, powers=other)
 
 
-def test_subst_t_tautological():
-    g = P("T0*X1 - T1*X0")
-    f0 = P("X0")
-    f1 = P("X1")
-    assert g.subst_t(f0, f1).is_zero()
+def compose_reference(g, images, bidegree):
+    """g with each variable replaced by its image, term by term: every term
+    is its coefficient times repeated products of the images."""
+    F = g.field
+    out = BiPoly.zero(F, *bidegree)
+    for m, c in g.coeffs.items():
+        term = BiPoly.constant(F, c)
+        for image, e in zip(images, m):
+            for _ in range(e):
+                term = term * image
+        out = out + term
+    return out
 
 
-def test_subst_t_degree():
-    g = P("T0^2*X1 - T1^2*X0")
-    out = g.subst_t(P("X0*X2"), P("X1^2"))
-    assert out.bidegree == (0, 2 * 2 + 1)
+@pytest.mark.parametrize(
+    "field", [QQ, PrimeField(2), PrimeField(3), FP], ids=lambda f: f.name
+)
+def test_compose_matches_term_by_term_reference(field):
+    rng = random.Random(7)
+
+    def scalar():
+        if field == QQ:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        return rng.randrange(field.p)
+
+    def form(i, j):
+        while True:
+            f = BiPoly(field, i, j, {m: scalar() for m in monomials_of_bidegree(i, j)})
+            if not f.is_zero():
+                return f
+
+    tvars = [BiPoly.monomial(field, m) for m in ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0))]
+    xvars = [BiPoly.monomial(field, m) for m in
+             ((0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))]
+    for i, j in ((2, 3), (3, 1), (0, 3), (2, 0), (1, 2)):
+        g = form(i, j)
+        # a linear change of the X coordinates keeps the bidegree
+        assert g.compose(*tvars, *xvars) == g
+        change = [form(0, 1) for _ in range(3)]
+        got = g.compose(*tvars, *change)
+        assert got.bidegree == (i, j)
+        assert got == compose_reference(g, tvars + change, (i, j))
+        # T replaced by X-forms of degree ell: bidegree (0, i * ell + j)
+        for ell in (1, 2):
+            pair = [form(0, ell), form(0, ell)]
+            for xs in (xvars, change):
+                got = g.compose(*pair, *xs)
+                assert got.bidegree == (0, i * ell + j)
+                assert got == compose_reference(g, pair + xs, (0, i * ell + j))
+        # the zero form keeps the bidegree its images give it
+        zero = BiPoly.zero(field, i, j)
+        assert zero.compose(*tvars, *change).bidegree == (i, j)
+        out = zero.compose(form(0, 2), form(0, 2), *xvars)
+        assert out.is_zero() and out.bidegree == (0, 2 * i + j)
+    # pairing T0 X1 - T1 X0 with (X0, X1) is the tautological zero
+    g = BiPoly(field, 1, 1, {(1, 0, 0, 1, 0): 1, (0, 1, 1, 0, 0): -1})
+    out = g.compose(*xvars[:2], *xvars)
+    assert out.is_zero() and out.bidegree == (0, 2)
+
+    # one term, so only the images' own bidegree check can refuse
+    g = BiPoly.monomial(field, (2, 0, 2, 0, 0), scalar() or 1)
+    with pytest.raises(GradingError):
+        g.compose(form(0, 1), form(0, 2), *xvars)
+    with pytest.raises(GradingError):
+        g.compose(*tvars, xvars[0], xvars[1], form(0, 2))
+    with pytest.raises(GradingError):
+        g.compose(*tvars, xvars[0], xvars[1], form(1, 1))
 
 
 def test_resultant_2x2():

@@ -8,6 +8,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reescurve.fields import BackendMismatch
 from reescurve.linalg import ShapeMismatch
 from reescurve.poly import GradingError, InexactDivision
 
@@ -387,7 +388,9 @@ def test_cli_fuzz_sample_then_gens(field, kind, degree, seed):
 
 
 @pytest.mark.parametrize(
-    "exc", [GradingError, ShapeMismatch, InexactDivision, ZeroDivisionError, RuntimeError],
+    "exc",
+    [GradingError, ShapeMismatch, InexactDivision, ZeroDivisionError, RuntimeError,
+     ValueError, KeyError, IndexError, BackendMismatch],
     ids=lambda e: e.__name__,
 )
 def test_internal_errors_exit_4(exc, d5_file, monkeypatch, capsys):
@@ -400,8 +403,30 @@ def test_internal_errors_exit_4(exc, d5_file, monkeypatch, capsys):
     assert cli.main(["gens", d5_file]) == cli.EXIT_INTERNAL == 4
     doc = json.loads(capsys.readouterr().out)
     assert doc == {
-        "schema": 1, "error": "internal", "type": exc.__name__, "message": "invariant broken"
+        "schema": 1, "error": "internal", "type": exc.__name__,
+        "message": str(exc("invariant broken")),
     }
+
+
+@pytest.mark.parametrize(
+    "content", [None, b"{not json", b'{"field": "q\xff"}', b"[" * 100000],
+    ids=["missing", "not-json", "not-utf8", "too-deep"],
+)
+def test_unreadable_input_file_exits_2(content, tmp_path, monkeypatch, capsys):
+    import io
+
+    from reescurve import cli
+
+    path = tmp_path / "input.json"
+    argvs = [["gens", str(path)], ["verify", str(path)]]
+    if content is not None:
+        path.write_bytes(content)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(content)))
+        argvs.append(["gens", "-"])
+    for argv in argvs:
+        assert cli.main(argv) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert (out["error"], out["invariant"]) == ("precondition", "input_file"), argv
 
 
 @pytest.mark.parametrize(
@@ -415,6 +440,8 @@ def test_internal_errors_exit_4(exc, d5_file, monkeypatch, capsys):
         {"field": "q", "u0": None, "u1": None, "u2": None},
         {"field": 5, "u0": ["1"], "u1": ["1"], "u2": ["1"]},
         [1, 2, 3],
+        {"field": "q", "u0": "100000", "u1": "001000", "u2": "000001"},
+        {"field": "q", "u0": {"1": 0}, "u1": {"0": 0}, "u2": {"0": 0}},
     ],
 )
 def test_malformed_curve_exits_2(doc, tmp_path, capsys):
@@ -424,4 +451,4 @@ def test_malformed_curve_exits_2(doc, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert cli.main(["gens", str(path)]) == 2
     out = json.loads(capsys.readouterr().out)
-    assert out["error"] in ("precondition", "input")
+    assert (out["error"], out["invariant"]) == ("precondition", "curve_input")

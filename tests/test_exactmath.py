@@ -228,18 +228,6 @@ def test_row_reducer_matches_across_cores():
     assert seeded[0].rref() == seeded[1].rref()
     assert seeded[0].rank == 55
 
-    # clone() and contains() leave the reducer unchanged
-    outside = [rng.randrange(FP.p) for _ in range(60)]
-    for red in reducers:
-        before = red._core.snapshot()
-        assert red.contains(wide[20])
-        assert not red.contains(outside)
-        twin = red.clone()
-        twin.add_rows(extra)
-        assert twin.rref() == seeded[0].rref()
-        assert red._core.snapshot() == before
-        assert red.rank == 45
-
 
 def test_solver_agrees_across_cores():
     rng = random.Random(43)
@@ -274,7 +262,7 @@ def _native_and_fraction(field, ncols):
     return native, generic
 
 
-def _assert_cores_agree(native, generic, probes):
+def _assert_cores_agree(native, generic):
     assert native.rref() == generic.rref()
     assert native.free_columns() == generic.free_columns()
     n = native.ncols
@@ -282,8 +270,6 @@ def _assert_cores_agree(native, generic, probes):
     assert [list(r) for r in native.kernel_rows(colmap, 2 * n)] == generic.kernel_rows(
         colmap, 2 * n
     )
-    for vec in probes:
-        assert native.contains(vec) == generic.contains(vec)
 
 
 @st.composite
@@ -309,20 +295,17 @@ def _seeded_batches(draw):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(_seeded_batches())
 def test_native_core_matches_generic_core(case):
-    """The left-looking native elimination gives the generic core's RREF,
-    kernel rows and span tests, on seeded blocks and under stop ranks."""
+    """The left-looking native elimination gives the generic core's RREF
+    and kernel rows, on seeded blocks and under stop ranks."""
     F, ncols, pivcols, block, batches, stop = case
     reducers = _native_and_fraction(F, ncols)
     for red in reducers:
         red.seed(pivcols, block)
-    fed = list(block)
     for batch in batches:
         for red in reducers:
             red.add_rows(batch, stop_rank=stop)
         assert reducers[0].rank == reducers[1].rank
-        fed += batch
-    probes = fed[-3:] + [[F.add(a, b) for a, b in zip(fed[0], fed[-1])]] if fed else []
-    _assert_cores_agree(*reducers, probes + [[1] + [0] * (ncols - 1)])
+    _assert_cores_agree(*reducers)
 
 
 def test_native_core_at_the_accumulator_bound():
@@ -344,12 +327,11 @@ def test_native_core_at_the_accumulator_bound():
     reducers = _native_and_fraction(FP, ncols)
     for red in reducers:
         red.seed(pivcols, block)
-    probes = fresh[-2:] + [[p - 1] * ncols, [1] * ncols]
     for batch, stop in ((ones_at_pivots, None), ([[p - 1] * ncols] + fresh[:20], None),
                         (fresh[20:], k + 30)):
         for red in reducers:
             red.add_rows(batch, stop_rank=stop)
-        _assert_cores_agree(*reducers, probes)
+        _assert_cores_agree(*reducers)
     assert reducers[0].rank == k + 30          # the stop rank cut the last batch
 
 
@@ -391,14 +373,6 @@ def test_row_reducer_early_stop():
     red = RowReducer(QQ, 4)
     red.add_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], stop_rank=2)
     assert red.rank == 2
-
-
-def test_row_reducer_contains():
-    red = RowReducer(QQ, 3)
-    red.add_rows([[1, 1, 0], [0, 1, 1]])
-    assert red.contains([1, 2, 1])
-    assert not red.contains([0, 0, 1])
-    assert red.rank == 2  # contains() must not mutate
 
 
 @pytest.mark.parametrize("field", [QQ, FP])

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from curves import binomial_even, monomial_odd
+from curves import binomial_even, invariants, monomial_odd
 from reescurve.errors import PreconditionError
 from reescurve.fields import DEFAULT_PRIME, PrimeField, QQ
 from reescurve.mu2mild import (
@@ -67,14 +67,13 @@ def test_context_requires_rank3():
     from curves import monomial_odd
 
     par = monomial_odd(3, FP)
-    mb = mu_basis(par)
     with pytest.raises(PreconditionError):
-        mild_context(par, mb)
+        mild_context(par, *invariants(par))
 
 
 def test_sylvester_forms_shapes_and_membership():
     s = fixed_mild(6)
-    ctx = mild_context(s.par, s.mb, s.sing)
+    ctx = mild_context(s.par, *invariants(s.par))
     deltas = delta_sylvester(ctx, morley_coeffs(ctx))
     assert deltas[(0, 0)].bidegree == (4, 2)
     assert deltas[(1, 0)].bidegree == (3, 2)
@@ -85,7 +84,7 @@ def test_sylvester_forms_shapes_and_membership():
 
 def test_sylvester_shift_relations():
     s = fixed_mild(7)
-    ctx = mild_context(s.par, s.mb, s.sing)
+    ctx = mild_context(s.par, *invariants(s.par))
     deltas = delta_sylvester(ctx, morley_coeffs(ctx))
     t0 = parse_bipoly(FP, "T0")
     t1 = parse_bipoly(FP, "T1")
@@ -99,7 +98,7 @@ def test_sylvester_shift_relations():
 
 def test_sylvester_pair_independent_mod_low_line():
     s = fixed_mild(6)
-    ctx = mild_context(s.par, s.mb, s.sing)
+    ctx = mild_context(s.par, *invariants(s.par))
     deltas = delta_sylvester(ctx, morley_coeffs(ctx))
     low = ctx.mb.p
     assert independent_mod([deltas[(1, 0)], deltas[(0, 1)]], [low])
@@ -112,7 +111,7 @@ def test_sylvester_pair_independent_mod_low_line():
 
 def test_morley_block_reading_matches_coefficients():
     s = fixed_mild(6)
-    ctx = mild_context(s.par, s.mb, s.sing)
+    ctx = mild_context(s.par, *invariants(s.par))
     morley = morley_coeffs(ctx)
     d = ctx.d
     for i in range(1, d - 3):
@@ -135,7 +134,7 @@ def test_morley_top_coefficient_matches_discrete_jacobian():
     for field in IDENTITY_FIELDS:
         for d in (5, 6, 7):
             s = fixed_mild(d, field=field)
-            ctx = mild_context(s.par, s.mb, s.sing)
+            ctx = mild_context(s.par, *invariants(s.par))
             deltas = delta_sylvester(ctx, morley_coeffs(ctx))
             for v, delta in deltas.items():
                 assert delta == sylvester_reference(ctx.mb.p, ctx.mb.q, v), (field.name, d, v)
@@ -148,7 +147,7 @@ def test_top_forms_are_sylvester_forms_of_the_family_top():
     for field in IDENTITY_FIELDS:
         curves += [sample_very_singular(field, d, random.Random(d)).par for d in (5, 6, 7, 8)]
     for par in curves:
-        ctx = very_singular_context(par)
+        ctx = very_singular_context(par, *invariants(par))
         fam = family(ctx)
         p, top = ctx.mb.p, fam[-1]
         if ctx.r == -1:
@@ -160,7 +159,7 @@ def test_top_forms_are_sylvester_forms_of_the_family_top():
 
 def test_minor_family_membership_and_counts():
     s = fixed_mild(7)
-    ctx = mild_context(s.par, s.mb, s.sing)
+    ctx = mild_context(s.par, *invariants(s.par))
     morley = morley_coeffs(ctx)
     total = 0
     for i in range(1, ctx.d - 3):
@@ -175,7 +174,7 @@ def test_minor_family_membership_and_counts():
 
 def test_minor_family_index_errors():
     s = fixed_mild(6)
-    ctx = mild_context(s.par, s.mb, s.sing)
+    ctx = mild_context(s.par, *invariants(s.par))
     morley = morley_coeffs(ctx)
     with pytest.raises(PreconditionError):
         minor_family(ctx, 0, morley)
@@ -186,7 +185,7 @@ def test_minor_family_index_errors():
 def test_morley_det_equals_curve_equation():
     for d, seed in [(5, 2), (6, 3), (7, 1)]:
         s = fixed_mild(d, seed)
-        ctx = mild_context(s.par, s.mb, s.sing)
+        ctx = mild_context(s.par, *invariants(s.par))
         morley = morley_coeffs(ctx)
         for i in range(1, d - 3):
             _, det, lam = morley_det_check(ctx, i, morley)
@@ -199,7 +198,7 @@ def test_morley_staircase_choice_invisible_mod_ideal():
     differences give the Morley coefficients -swap(F^(v1,v0)) of the swapped
     pair, and the same minors modulo (P, Q)."""
     s = fixed_mild(6)
-    ctx = mild_context(s.par, s.mb, s.sing)
+    ctx = mild_context(s.par, *invariants(s.par))
     m1 = morley_coeffs(ctx)
     swapped = morley_form(swap_t(ctx.mb.p), swap_t(ctx.mb.q))
     m2 = MorleyData(coeffs={v: -swap_t(swapped[v[::-1]]) for v in swapped}, d=ctx.d)
@@ -214,14 +213,14 @@ def test_morley_staircase_choice_invisible_mod_ideal():
 def test_assemble_counts():
     for d, seed, expected in [(5, 1, 8), (6, 1, 12), (7, 1, 17)]:
         s = fixed_mild(d, seed)
-        ctx = mild_context(s.par, s.mb, s.sing)
+        ctx = mild_context(s.par, *invariants(s.par))
         gens = assemble_mild(ctx).generators
         assert len(gens) == expected == (d + 1) * (d - 4) // 2 + 5
 
 
 def test_assemble_matches_oracle():
     s = fixed_mild(5, 4)
-    ctx = mild_context(s.par, s.mb, s.sing)
+    ctx = mild_context(s.par, *invariants(s.par))
     gens = assemble_mild(ctx).generators
     table = Oracle(s.par).mingen_table()
     assert table.multiset() == sorted(g.bidegree for g in gens)
@@ -232,7 +231,7 @@ def test_morley_det_matches_naive_expansion_small():
     import itertools
 
     s = fixed_mild(5, 2)
-    ctx = mild_context(s.par, s.mb, s.sing)
+    ctx = mild_context(s.par, *invariants(s.par))
     rows, det, lam = morley_det_check(ctx, 1, morley_coeffs(ctx))
     naive = BiPoly.zero(FP, 0, 0)
     n = len(rows)
@@ -253,7 +252,7 @@ def test_morley_det_matches_naive_expansion_small():
 
 def test_band_matrix_shape():
     s = fixed_mild(7)
-    ctx = mild_context(s.par, s.mb, s.sing)
+    ctx = mild_context(s.par, *invariants(s.par))
     morley = morley_coeffs(ctx)
     rows = band_matrix(ctx, 2, morley)
     assert len(rows) == ctx.d - 1 - 2
@@ -288,7 +287,7 @@ def test_boundary_quartic_emits_base_family():
         break
     sing = classify_singularity(mb)
     assert sing.kind == "not-applicable"
-    ctx = mild_context(par, mb, sing)
+    ctx = mild_context(par, mb, sing, implicit_equation(mb))
     assert ctx.boundary
     gens = assemble_mild(ctx).generators
     assert len(gens) == 5

@@ -25,8 +25,9 @@ def _count_calls(monkeypatch, calls, module, name, key=None):
 
 def _counted_report(monkeypatch, par):
     calls = Counter()
-    # every by-name binding of implicit_equation shares one counter
-    for module in (report, mu2mild, mu2sing, syzygy):
+    # every by-name binding of implicit_equation shares one counter (the
+    # pipeline contexts take the report's, and bind none of their own)
+    for module in (report, syzygy):
         _count_calls(monkeypatch, calls, module, "implicit_equation")
     # the resultant behind the implicit equation (the verdicts' identity
     # resultants are bound in report and not counted here)
@@ -64,7 +65,7 @@ def test_transformed_equation_is_the_pulled_back_one(field, d, seed):
     equals a second resultant of the transformed mu-basis."""
     s = sample_very_singular(field, d, random.Random(seed))
     assert s.sing.change != [[field.one if a == b else field.zero for b in range(3)] for a in range(3)]
-    ctx = mu2sing.very_singular_context(s.par, s.mb, s.sing)
+    ctx = mu2sing.very_singular_context(s.par, s.mb, s.sing, syzygy.implicit_equation(s.mb))
     direct = syzygy.implicit_equation(ctx.mb)
     assert ctx.implicit.equation == direct.equation
     assert ctx.implicit.resultant == direct.resultant

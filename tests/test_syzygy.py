@@ -194,7 +194,7 @@ def test_inverse_map_random_proper_quintic_over_fp():
 
     rng = random.Random(12)
     sample = sample_very_singular(FP, 5, rng)
-    inv = inverse_map(sample.par, sample.mb)
+    inv = inverse_map(sample.par)
     par = sample.par
     t0 = parse_bipoly(FP, "T0")
     t1 = parse_bipoly(FP, "T1")
