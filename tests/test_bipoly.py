@@ -203,6 +203,17 @@ def test_subst_x_rejects_a_foreign_power_table():
         P("X0").subst_x(*u, powers=other)
 
 
+def test_subst_t_tautological():
+    g = P("T0*X1 - T1*X0")
+    assert g.compose(P("X0"), P("X1"), P("X0"), P("X1"), P("X2")).is_zero()
+
+
+def test_subst_t_degree():
+    g = P("T0^2*X1 - T1^2*X0")
+    out = g.compose(P("X0*X2"), P("X1^2"), P("X0"), P("X1"), P("X2"))
+    assert out.bidegree == (0, 2 * 2 + 1)
+
+
 def compose_reference(g, images, bidegree):
     """g with each variable replaced by its image, term by term: every term
     is its coefficient times repeated products of the images."""
