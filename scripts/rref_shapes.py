@@ -4,12 +4,12 @@
 Samples the curve of `reescurve sample-verysingular --degree 10 --seed 1000`
 (over F_p, p the default prime) in process, builds the substitution matrices
 of the kernel slices (8, 8), (8, 9), (8, 10) and (1, 12), and feeds each one
-to a RowReducer on every available core, in one batch as the oracle does.
-Prints one JSON line per shape and core: shape, rows, columns, rank, seconds
-(best of --repeat runs).  The fraction core takes minutes on the wide
-slices, so it runs only when named in --cores.
+to a RowReducer on each core, in one batch as the oracle does: the native C
+kernel (skipped when it is not built) and the generic pure-Python core, the
+one F_p runs on without a compiler.  Prints one JSON line per shape and
+core: shape, rows, columns, rank, seconds (best of --repeat runs).
 
-Usage: python scripts/rref_shapes.py [--cores native packed] [--repeat 3]
+Usage: python scripts/rref_shapes.py [--cores native generic] [--repeat 3]
 """
 import argparse
 import json
@@ -29,8 +29,7 @@ SHAPES = ((8, 8), (8, 9), (8, 10), (1, 12))
 
 CORES = {
     "native": lambda F, n: linalg._FpNativeCore(F, n, _native.get_kernel()),
-    "packed": linalg._FpPackedCore,
-    "fraction": linalg._FractionCore,
+    "generic": linalg._FractionCore,
 }
 
 
@@ -49,7 +48,7 @@ def time_core(make, field, rows, ncols, repeat):
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--cores", nargs="+", choices=sorted(CORES), default=["native", "packed"])
+    ap.add_argument("--cores", nargs="+", choices=sorted(CORES), default=["native", "generic"])
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
     field = PrimeField(DEFAULT_PRIME)

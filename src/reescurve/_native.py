@@ -27,9 +27,9 @@ RowReducer.seed need not be, and are swept in full.
 
 linalg.py hands this kernel every F_p problem with p < 2^62.  When no
 compiler is available, or the cache directory cannot be written, those go to
-its packed pure-Python core instead; Q and F_p with p >= 2^62 always run on
-its field-generic core.  Both F_p paths produce the identical canonical RREF
-and kernel rows, which the test suite cross-checks.
+its generic pure-Python core, the one Q and F_p with p >= 2^62 always run on.
+Both F_p paths produce the identical canonical RREF and kernel rows, which
+the test suite cross-checks.
 
 Set REESCURVE_NO_NATIVE=1 to force the pure-Python path.
 """

@@ -47,25 +47,27 @@ def adjoint_slice_bound(d: int, ell: int) -> int:
     return ell * (ell - 2 * k + 3)
 
 
-def z_dimension(par: Parametrization, ell: int, oracle: Oracle) -> int:
+def z_dimension(oracle: Oracle, ell: int) -> int:
     """dim of Z_ell = <X0,X1>^(d-3) ∩ K_{1,ell} by stacked-rank arithmetic.
 
-    The parametrization must already be in normalized coordinates (very
-    singular point at (0:0:1)); callers coming from classify_singularity
-    should pass the transformed curve.  `oracle` is the Oracle of `par`.
+    `oracle` is the Oracle of a curve already in normalized coordinates
+    (very singular point at (0:0:1)); callers coming from
+    classify_singularity should build it on the transformed curve.  Z_ell is
+    the kernel of the projection of K_{1,ell} on the monomials with
+    X0, X1-degree below d - 3, so its dimension is dim K_{1,ell} minus the
+    rank of the raw kernel rows on those columns (row scaling keeps ranks).
     """
-    d = par.d
+    d = oracle.d
     if d < 4:
         raise PreconditionError("degree_range", "needs d >= 4")
-    piece = oracle.kernel_basis(1, ell)
-    n = len(piece.basis)
-    if n == 0:
+    rows = oracle.kernel_rows(1, ell)
+    if not rows:
         return 0
-    low = [m for m in monomials_of_bidegree(1, ell) if m[2] + m[3] < d - 3]
+    low = [k for k, m in enumerate(monomials_of_bidegree(1, ell)) if m[2] + m[3] < d - 3]
     if not low:
-        return n
-    red = RowReducer(par.field, len(low))
-    return n - red.add_rows([b.to_vector(low) for b in piece.basis])
+        return len(rows)
+    red = RowReducer(oracle.field, len(low))
+    return len(rows) - red.add_rows([[row[k] for k in low] for row in rows])
 
 
 @dataclass
@@ -118,7 +120,7 @@ def adjoint_report(par: Parametrization, ell_max: int | None = None) -> AdjointR
                 ell=ell,
                 k1_formula=k1_dimension_formula(d, ell),
                 k1_oracle=orc.kernel_dim(1, ell),
-                z_dim=z_dimension(par, ell, orc),
+                z_dim=z_dimension(orc, ell),
                 bound=adjoint_slice_bound(d, ell),
             )
         )

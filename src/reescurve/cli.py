@@ -22,6 +22,7 @@ from .report import (
     build_report,
     curve_from_json,
     curve_to_json,
+    singularity_doc,
     verify_report,
 )
 from .syzygy import (
@@ -123,19 +124,13 @@ def cmd_implicitize(args):
 
 def cmd_classify(args):
     par = _load_curve(args)
-    F = par.field
     sing = classify_singularity(mu_basis(par))
     doc = {
         "schema": SCHEMA_VERSION,
         "command": "classify",
         "curve": curve_to_json(par),
-        "kind": sing.kind,
-        "note": sing.note,
+        **singularity_doc(par.field, sing),
     }
-    if sing.change is not None:
-        doc["change"] = [[F.scalar_str(x) for x in row] for row in sing.change]
-    if sing.axial_pair is not None:
-        doc["axial_pair"] = [p.text() for p in sing.axial_pair]
     _emit(doc, args, [f"kind = {sing.kind}", sing.note or ""])
     return EXIT_OK
 

@@ -2,14 +2,16 @@
 
 Everything reduces to one primitive, an incremental row-space accumulator
 (`RowReducer`) that keeps a mutually reduced pivot basis — i.e. the unique
-reduced row echelon form of whatever rows were fed in.  Three interchangeable
-cores implement it, chosen by the field alone:
+reduced row echelon form of whatever rows were fed in.  Two interchangeable
+cores implement it, chosen by the field and by whether the C kernel is built:
   * F_p with p < 2^62 and a C compiler: the C kernel from _native.py, whose
     pivot block and batches live in `array('Q')` buffers handed to C through
     ctypes;
-  * F_p with p < 2^62 and no compiler: packed-big-integer arithmetic;
-  * Q, and F_p with p >= 2^62: plain field operations.
-All cores produce the same canonical output; determinism does not depend on
+  * everything else (Q, F_p with p >= 2^62, F_p without a compiler): the
+    generic pure-Python core, exact ints or Fractions with the scalars' own
+    arithmetic.  Over F_p with p < 2^62 it runs under the label class
+    _FpPackedCore, so traces tell that case apart from Q.
+Both cores produce the same canonical output; determinism does not depend on
 which one runs.  Besides absorbing rows, a core writes the kernel rows of its
 RREF through a column map: that is how the oracle moves a kernel slice into
 the next bidegree without building kernel vectors.
@@ -37,15 +39,18 @@ class ShapeMismatch(ValueError):
 # row-reduction cores
 # ---------------------------------------------------------------------------
 
-_SLOT = 192          # bits per packed slot; products stay < 2^124, plus slack
-_SLOTB = _SLOT // 8
-_MASK = (1 << _SLOT) - 1
-_FP_CORE_BOUND = 1 << 62   # the packed and native cores need p below this
+_FP_CORE_BOUND = 1 << 62   # the native core needs p below this
 
 
 class _FractionCore:
-    """Pure-Python core on the field operations alone: Q, and F_p for
-    p >= 2^62, whose residues overflow the packed slots and the C kernel."""
+    """Pure-Python core, generic over the field: Q, F_p for p >= 2^62 (whose
+    residues overflow the C kernel's words), and F_p without a compiler.
+
+    It eliminates with the scalars' own ``-`` and ``*`` (exact ints over F_p,
+    Fractions over Q) and brings each row back to canonical scalars once,
+    through ``coerce``; a canonical scalar is zero exactly when it is falsy,
+    so the inner loops call no field method.
+    """
 
     def __init__(self, field, ncols):
         self.field = field
@@ -54,35 +59,27 @@ class _FractionCore:
         self.pivcols = []
 
     def add_rows(self, rows, stop):
-        F = self.field
-        zero = F.zero
+        coerce = self.field.coerce
         for vec in rows:
             if stop is not None and len(self.pivcols) >= stop:
                 return
             w = list(vec)
-            for t, c in enumerate(self.pivcols):
-                f = w[c]
-                if not F.is_zero(f):
-                    prow = self.rows[t]
-                    for k in range(self.ncols):
-                        pk = prow[k]
-                        if not F.is_zero(pk):
-                            w[k] = F.sub(w[k], F.mul(f, pk))
+            for c, prow in zip(self.pivcols, self.rows):
+                f = coerce(w[c])
+                if f:
+                    w = [x - f * y if y else x for x, y in zip(w, prow)]
+            w = [coerce(x) for x in w]
             for lead, x in enumerate(w):
-                if not F.is_zero(x):
+                if x:
                     break
             else:
                 continue
-            inv = F.inv(w[lead])
-            w = [F.mul(inv, x) if not F.is_zero(x) else zero for x in w]
-            for t in range(len(self.rows)):
-                f = self.rows[t][lead]
-                if not F.is_zero(f):
-                    prow = self.rows[t]
-                    for k in range(self.ncols):
-                        wk = w[k]
-                        if not F.is_zero(wk):
-                            prow[k] = F.sub(prow[k], F.mul(f, wk))
+            inv = self.field.inv(w[lead])
+            w = [coerce(inv * x) if x else x for x in w]
+            for t, prow in enumerate(self.rows):
+                f = prow[lead]
+                if f:
+                    self.rows[t] = [coerce(x - f * y) if y else x for x, y in zip(prow, w)]
             self.rows.append(w)
             self.pivcols.append(lead)
 
@@ -98,72 +95,13 @@ class _FractionCore:
         return _rref_kernel_rows(self.field, *self.snapshot(), freecols, colmap, width)
 
 
-class _FpPackedCore:
-    """Pure-Python core over F_p packing each row into one big integer.
+class _FpPackedCore(_FractionCore):
+    """The generic core as it runs over F_p, p < 2^62, when no C kernel is
+    built.  It adds no code: the class only labels that case, so a traced
+    run counts its reducers and calls apart from the Q ones.  ``add_rows``
+    is bound in this class's own dict, where the tracer looks it up."""
 
-    A row of n residues lives in one int with 192-bit slots; the elimination
-    row operation w += (p - c) * pivot is then a single bignum multiply-add at
-    C speed inside CPython.  Slots never overflow: pivot rows are kept fully
-    reduced (< p < 2^62), so every addition contributes < 2^124 per slot.
-    """
-
-    def __init__(self, field, ncols):
-        self.field = field
-        self.p = field.p
-        self.ncols = ncols
-        self.rows = []          # packed, mutually reduced, slots < p
-        self.pivcols = []
-
-    def _pack(self, vals):
-        return int.from_bytes(
-            b"".join(v.to_bytes(_SLOTB, "little") for v in vals), "little"
-        )
-
-    def _unpack(self, x):
-        bs = x.to_bytes(self.ncols * _SLOTB, "little")
-        p = self.p
-        return [
-            int.from_bytes(bs[i * _SLOTB : (i + 1) * _SLOTB], "little") % p
-            for i in range(self.ncols)
-        ]
-
-    def add_rows(self, rows, stop):
-        p = self.p
-        for vec in rows:
-            if stop is not None and len(self.pivcols) >= stop:
-                return
-            w = self._pack([v % p for v in vec])
-            for t, c in enumerate(self.pivcols):
-                f = ((w >> (c * _SLOT)) & _MASK) % p
-                if f:
-                    w += (p - f) * self.rows[t]
-            vals = self._unpack(w)
-            for lead, v in enumerate(vals):
-                if v:
-                    break
-            else:
-                continue
-            inv = pow(vals[lead], p - 2, p)
-            packed = self._pack([v * inv % p for v in vals])
-            for t in range(len(self.rows)):
-                f = (self.rows[t] >> (lead * _SLOT)) & _MASK
-                if f:
-                    self.rows[t] = self._pack(
-                        self._unpack(self.rows[t] + (p - f) * packed)
-                    )
-            self.rows.append(packed)
-            self.pivcols.append(lead)
-
-    def seed(self, pivcols, rows):
-        p = self.p
-        self.rows = [self._pack([v % p for v in row]) for row in rows]
-        self.pivcols = list(pivcols)
-
-    def snapshot(self):
-        return list(self.pivcols), [self._unpack(r) for r in self.rows]
-
-    def kernel_rows(self, freecols, colmap, width):
-        return _rref_kernel_rows(self.field, *self.snapshot(), freecols, colmap, width)
+    add_rows = _FractionCore.add_rows
 
 
 class _FpNativeCore:

@@ -45,7 +45,7 @@ from itertools import repeat
 from operator import add, itemgetter, mul
 
 from .errors import PreconditionError
-from .fields import Rationals, ensure_same_field
+from .fields import ensure_same_field
 from .linalg import RowReducer, normalized
 from .poly import BiPoly, cleared_denominators, monomials_of_bidegree, x_monomials
 from .syzygy import Parametrization
@@ -137,22 +137,17 @@ class Oracle:
     def _zeros(self, n):
         if self.powers.words:
             return array("Q", bytes(8 * n))
-        return [self.field.zero] * n
-
-    def _column(self, b):
-        """u^b as a matrix column; over Q, the integer power w^b as Fractions,
-        so the slice is scale^j times the one of u (same kernel and RREF)."""
-        pw = self.powers.power(b)
-        if isinstance(self.field, Rationals):
-            return [self.field.coerce(c) for c in pw]
-        return pw
+        return [0] * n
 
     # -- kernels -------------------------------------------------------------
 
     def slice_rows(self, i, j):
         """The rows of the substitution matrix of slice (i, j): one row per
         T-monomial of degree i + j*d (the coefficients of a substituted
-        form), one column per monomial of monomials_of_bidegree(i, j)."""
+        form), one column per monomial of monomials_of_bidegree(i, j).
+        Over Q the entries are the plain-int powers w^b of the primitive
+        triple (u = scale * w), so the matrix is scale^j times the one of u:
+        same kernel and RREF; the reducer makes them Fractions itself."""
         length = j * self.d + 1       # of every u^b with |b| = j
         nrows = i + length
         xmons = x_monomials(j)
@@ -161,7 +156,7 @@ class Oracle:
         buf = self._zeros(nrows * ncols)
         # the column of T0^(i-a1) T1^a1 X^b is a1 * nx + (index of b)
         for xidx, m in enumerate(xmons):
-            upow = self._column(m[2:])
+            upow = self.powers.power(m[2:])
             for a1 in range(i + 1):
                 start = a1 * ncols + a1 * nx + xidx
                 buf[start : start + (length - 1) * ncols + 1 : ncols] = upow
@@ -182,17 +177,24 @@ class Oracle:
             return 0  # nonzero T-forms never vanish under the substitution
         return len(self._kernel_data(i, j).freecols)
 
-    def kernel_basis(self, i, j) -> GradedPiece:
-        """Canonical basis of the bidegree-(i, j) slice of the kernel ideal."""
+    def kernel_rows(self, i, j) -> list:
+        """The raw RREF kernel rows of slice (i, j) over
+        monomials_of_bidegree(i, j), one per free column, not normalized
+        (``array('Q')`` rows on the native core); [] for j = 0."""
         if i < 0 or j < 0:
             raise ValueError("bidegree components must be nonnegative")
-        F = self.field
         if j == 0:
-            return GradedPiece(bidegree=(i, j), basis=[])
+            return []
+        n = (i + 1) * (j + 1) * (j + 2) // 2
+        return self._kernel_data(i, j).reducer.kernel_rows(range(n), n)
+
+    def kernel_basis(self, i, j) -> GradedPiece:
+        """Canonical basis of the bidegree-(i, j) slice of the kernel ideal."""
+        F = self.field
+        rows = self.kernel_rows(i, j)
         monomials = monomials_of_bidegree(i, j)
-        n = len(monomials)
         basis = []
-        for vec in self._kernel_data(i, j).reducer.kernel_rows(range(n), n):
+        for vec in rows:
             coeffs = {
                 m: c for m, c in zip(monomials, normalized(F, vec)) if not F.is_zero(c)
             }

@@ -44,9 +44,10 @@ def curve_to_json(par: Parametrization) -> dict:
 
 
 def curve_from_json(doc: dict, field_override=None) -> Parametrization:
-    """Parse a curve document; a missing or unusable field spec and a
-    coefficient list that is missing, not a JSON array or malformed raise
-    PreconditionError("curve_input")."""
+    """Parse a curve document; a missing or unusable field spec, a
+    coefficient list that is missing, not a JSON array or malformed (a
+    boolean entry too), and a declared d that is a boolean or disagrees with
+    the lists raise PreconditionError("curve_input")."""
     if not isinstance(doc, dict):
         raise PreconditionError("curve_input", "a curve is a JSON object")
     field = field_override
@@ -64,6 +65,8 @@ def curve_from_json(doc: dict, field_override=None) -> Parametrization:
             raise PreconditionError("curve_input", f"missing {key}")
         if not isinstance(doc[key], list):
             raise PreconditionError("curve_input", f"{key} must be a JSON array")
+        if any(isinstance(c, bool) for c in doc[key]):
+            raise PreconditionError("curve_input", f"bad coefficient in {key}: a boolean")
         try:
             lists.append([field.coerce(c) for c in doc[key]])
         except (ArithmeticError, TypeError, ValueError) as exc:
@@ -72,7 +75,7 @@ def curve_from_json(doc: dict, field_override=None) -> Parametrization:
         raise PreconditionError("curve_input", "u0, u1, u2 lengths differ")
     if not lists[0]:
         raise PreconditionError("curve_input", "empty coefficient lists")
-    if "d" in doc and doc["d"] != len(lists[0]) - 1:
+    if "d" in doc and (isinstance(doc["d"], bool) or doc["d"] != len(lists[0]) - 1):
         raise PreconditionError(
             "curve_input", f"declared d={doc['d']} but lists have length {len(lists[0])}"
         )
@@ -266,22 +269,13 @@ def build_report(par: Parametrization) -> GeneratorReport:
         notes.append(f"nonzero boundary cells in the table box: {hits}")
     timings["oracle-table"] = time.perf_counter() - t0
 
-    sing_doc = {
-        "kind": sing.kind,
-        "note": sing.note,
-    }
-    if sing.change is not None:
-        sing_doc["change"] = [[F.scalar_str(x) for x in row] for row in sing.change]
-    if sing.axial_pair is not None:
-        sing_doc["axial_pair"] = [p.text() for p in sing.axial_pair]
-
     timings["total"] = time.perf_counter() - t_start
     return GeneratorReport(
         curve=curve_to_json(par),
         d=par.d,
         mu=mb.mu,
         properness_degree=imp.properness_degree,
-        singularity=sing_doc,
+        singularity=singularity_doc(F, sing),
         generators=records,
         table_cells=table_cells,
         table_field=table_field,
@@ -290,6 +284,17 @@ def build_report(par: Parametrization) -> GeneratorReport:
         notes=notes,
         timings=timings,
     )
+
+
+def singularity_doc(F, sing) -> dict:
+    """A SingularityClass as JSON: kind and note, then the coordinate change
+    and the axial pair when the class has them."""
+    doc = {"kind": sing.kind, "note": sing.note}
+    if sing.change is not None:
+        doc["change"] = [[F.scalar_str(x) for x in row] for row in sing.change]
+    if sing.axial_pair is not None:
+        doc["axial_pair"] = [p.text() for p in sing.axial_pair]
+    return doc
 
 
 def _very_singular_verdicts(ctx, asm, verdicts):

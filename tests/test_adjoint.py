@@ -12,8 +12,10 @@ from reescurve.adjoint import (
 )
 from reescurve.errors import PreconditionError
 from reescurve.fields import DEFAULT_PRIME, PrimeField, QQ
+from reescurve.linalg import ExactMatrix
 from reescurve.mu2sing import apply_dt, family, top_generator_odd, very_singular_context
 from reescurve.oracle import Oracle
+from reescurve.poly import monomials_of_bidegree
 from reescurve.sampling import sample_very_singular
 from reescurve.syzygy import apply_x_change
 
@@ -50,8 +52,24 @@ def test_oracle_agrees_with_formula_on_examples():
 def test_z_dimension_monomial_example():
     par = monomial_odd(3)
     orc = Oracle(par)
-    assert z_dimension(par, 2, orc) == 0
-    assert z_dimension(par, 3, orc) == 3
+    assert z_dimension(orc, 2) == 0
+    assert z_dimension(orc, 3) == 3
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(7), FP, QQ], ids=lambda F: F.name)
+def test_z_dimension_equals_the_low_rank_of_the_normalized_basis(field):
+    """z_dimension, which ranks the raw kernel rows on the low columns,
+    equals dim K_{1,ell} minus the rank of the normalized kernel_basis forms
+    on the monomials with X0, X1-degree below d - 3."""
+    rng = random.Random(15)
+    for d in (5, 6):
+        sample = sample_very_singular(field, d, rng)
+        orc = Oracle(apply_x_change(sample.par, sample.sing.change))
+        for ell in range(d + 3):
+            basis = orc.kernel_basis(1, ell).basis
+            low = [m for m in monomials_of_bidegree(1, ell) if m[2] + m[3] < d - 3]
+            rank = ExactMatrix(field, [b.to_vector(low) for b in basis]).rank() if low else 0
+            assert z_dimension(orc, ell) == len(basis) - rank, (d, ell)
 
 
 def test_quotient_dimension_remark():
@@ -108,4 +126,4 @@ def test_z_dimension_rejects_tiny_degree():
 
     cubic = parametrization(QQ, [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1])
     with pytest.raises(PreconditionError):
-        z_dimension(cubic, 2, Oracle(cubic))
+        z_dimension(Oracle(cubic), 2)

@@ -177,7 +177,8 @@ def test_bad_field_option_is_field_spec(spec, tmp_path):
 
 def test_unusable_kernel_cache_falls_back_to_packed_core(tmp_path):
     """With the cache directory unusable the kernel is not built, and an F_p
-    report runs on the packed core instead of failing."""
+    report runs on the generic pure-Python core (its packed label) instead
+    of failing."""
     blocker = tmp_path / "not-a-directory"
     blocker.write_text("")
     path = tmp_path / "d5fp.json"
@@ -246,7 +247,7 @@ def test_gens_reports_byte_identical_after_timing_mask(d5_file):
 
 
 def test_gens_reports_equal_on_both_fp_cores():
-    """The native kernel and the packed pure-Python core give one report.
+    """The native kernel and the no-compiler generic core give one report.
 
     The very singular curves also run the degree-shift solver and the axial
     change of coordinates on each core."""
@@ -265,7 +266,7 @@ def test_gens_reports_equal_on_both_fp_cores():
         assert reports[0] == reports[1], argv
 
 
-# 2^127 - 1: too large for the packed slots and the C kernel
+# 2^127 - 1: too large for the C kernel's 64-bit words
 MERSENNE_127 = "fp:170141183460469231731687303715884105727"
 
 
@@ -442,6 +443,10 @@ def test_unreadable_input_file_exits_2(content, tmp_path, monkeypatch, capsys):
         [1, 2, 3],
         {"field": "q", "u0": "100000", "u1": "001000", "u2": "000001"},
         {"field": "q", "u0": {"1": 0}, "u1": {"0": 0}, "u2": {"0": 0}},
+        # JSON booleans are not numbers, though Python's bool is an int
+        {"field": "fp:7", "u0": [True, 0, 0, 0, 0, 0], "u1": [0, 0, 1, 0, 0, 0],
+         "u2": [0, 0, 0, 0, 0, 1]},
+        {"field": "q", "d": True, "u0": [1, 0], "u1": [0, 1], "u2": [1, 1]},
     ],
 )
 def test_malformed_curve_exits_2(doc, tmp_path, capsys):

@@ -168,20 +168,22 @@ def test_backend_mismatch_detected():
 
 
 def _on_both_fp_cores(build):
-    """build() run once with the native kernel and once on the packed core."""
+    """build() run once with the native kernel and once without it, on the
+    generic pure-Python core (labelled _FpPackedCore over F_p)."""
     from reescurve import _native
 
     if _native.get_kernel() is None:
         pytest.skip("native kernel unavailable (no C compiler, or REESCURVE_NO_NATIVE set)")
     native = build()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_native, "get_kernel", lambda: None)     # no kernel -> packed
+        mp.setattr(_native, "get_kernel", lambda: None)     # no kernel -> generic
         packed = build()
     return native, packed
 
 
 def _native_and_packed(ncols):
-    """Two empty F_p reducers of one shape: one per core."""
+    """Two empty F_p reducers of one shape: the native core and the
+    no-compiler one, the generic core under its _FpPackedCore label."""
     from reescurve.linalg import _FpNativeCore, _FpPackedCore
 
     native, packed = _on_both_fp_cores(lambda: RowReducer(FP, ncols))
@@ -191,7 +193,8 @@ def _native_and_packed(ncols):
 
 
 def test_row_reducer_matches_across_cores():
-    """Native and packed cores produce the identical canonical RREF."""
+    """The native core and the no-compiler generic core produce the
+    identical canonical RREF."""
     rng = random.Random(42)
     rows = [[rng.randrange(FP.p) for _ in range(30)] for _ in range(20)]
     rows += [rows[0], [FP.add(a, b) for a, b in zip(rows[1], rows[2])]]
@@ -250,7 +253,8 @@ def test_solver_agrees_across_cores():
 
 def _native_and_fraction(field, ncols):
     """Two empty reducers over one F_p: the native core and the
-    field-generic core (which RowReducer picks only for p >= 2^62)."""
+    field-generic core (which RowReducer picks for p >= 2^62, or when no
+    kernel is built)."""
     from reescurve import _native
     from reescurve.linalg import _FpNativeCore, _FractionCore
 
@@ -386,3 +390,123 @@ def test_kernel_rows_reject_a_column_map_outside_the_width(field):
     for colmap, width in (([0, 1, 3], 3), ([-1, 0, 1], 3), ([0, 1], 3)):
         with pytest.raises(ShapeMismatch):
             red.kernel_rows(colmap, width)
+
+
+def _gauss_jordan(F, rows, ncols):
+    """Textbook Gauss-Jordan on the field operations: (pivot columns, RREF
+    rows) of the given rows, pivots searched column by column."""
+    m = [[F.coerce(x) for x in row] for row in rows]
+    piv = []
+    for c in range(ncols):
+        r = len(piv)
+        pr = next((k for k in range(r, len(m)) if not F.is_zero(m[k][c])), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = F.inv(m[r][c])
+        m[r] = [F.mul(inv, x) for x in m[r]]
+        for k in range(len(m)):
+            if k != r and not F.is_zero(m[k][c]):
+                f = m[k][c]
+                m[k] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[k], m[r])]
+        piv.append(c)
+    return piv, m[: len(piv)]
+
+
+def _textbook_kernel_rows(F, piv, rows, ncols, colmap, width):
+    out = []
+    for f in (c for c in range(ncols) if c not in piv):
+        w = [F.zero] * width
+        w[colmap[f]] = F.one
+        for pc, row in zip(piv, rows):
+            w[colmap[pc]] = F.neg(row[f])
+        out.append(w)
+    return out
+
+
+def _raw_entry(F, rng):
+    """A scalar as callers pass it: over F_p a possibly negative or
+    unreduced int, over Q an int or a Fraction."""
+    if rng.random() < 0.4:
+        return 0
+    if F is QQ:
+        return rng.choice((rng.randint(-4, 4), Fraction(rng.randint(-9, 9), rng.randint(1, 5))))
+    return rng.randint(-3 * F.p, 3 * F.p)
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, PrimeField(2), PrimeField(7), PrimeField((1 << 127) - 1)],
+    ids=lambda f: f.name,
+)
+def test_generic_core_matches_textbook_gauss_jordan(field, monkeypatch):
+    """RowReducer on the generic core against Gauss-Jordan on the field
+    operations: rref, rank and kernel rows, for zero, repeated and dependent
+    rows, under stop ranks, and after seed() with an RREF block.  The
+    native kernel is hidden, so the small primes run the generic core too."""
+    from reescurve import _native
+    from reescurve.linalg import _FractionCore
+
+    monkeypatch.setattr(_native, "get_kernel", lambda: None)
+    rng = random.Random(1301)
+    for case in range(60):
+        ncols = rng.randint(1, 10)
+        rows = [[_raw_entry(field, rng) for _ in range(ncols)] for _ in range(rng.randint(0, 9))]
+        if rows:
+            rows.insert(rng.randrange(len(rows) + 1), [0] * ncols)
+            rows.append(list(rng.choice(rows)))
+            a, b = rng.choice(rows), rng.choice(rows)
+            rows.insert(rng.randrange(len(rows) + 1), [x - 2 * y for x, y in zip(a, b)])
+        red = RowReducer(field, ncols)
+        assert isinstance(red._core, _FractionCore)
+        mode = case % 3
+        if mode == 0:          # all rows at once
+            red.add_rows(rows)
+            fed = rows
+        elif mode == 1:        # a stop rank: only the rows until it is reached count
+            stop = rng.randint(0, ncols)
+            red.add_rows(rows, stop_rank=stop)
+            fed = []
+            for row in rows:
+                if len(_gauss_jordan(field, fed, ncols)[0]) >= stop:
+                    break
+                fed.append(row)
+        else:                  # seed an RREF block, then add rows one at a time
+            block = [[_raw_entry(field, rng) for _ in range(ncols)] for _ in range(3)]
+            red.seed(*_gauss_jordan(field, block, ncols))
+            for row in rows:
+                red.add_row(row)
+            fed = block + rows
+        piv, ref = _gauss_jordan(field, fed, ncols)
+        assert red.rref() == (piv, ref), case
+        assert red.rank == len(piv)
+        colmap = [2 * ncols - 1 - 2 * c for c in range(ncols)]
+        assert red.kernel_rows(colmap, 2 * ncols) == _textbook_kernel_rows(
+            field, piv, ref, ncols, colmap, 2 * ncols
+        ), case
+
+
+class _WidthRecordingField(PrimeField):
+    """F_p that records the widest int it is asked to bring back to a residue."""
+
+    widest = 0
+
+    def coerce(self, x):
+        self.widest = max(self.widest, abs(x).bit_length())
+        return super().coerce(x)
+
+
+def test_generic_core_reduces_multipliers_before_use():
+    """Entries arrive unreduced, up to p^3 in size.  Each multiplier is
+    brought back to a residue before it scales a pivot row, so a row reduced
+    against t pivots stays below p^3 + t * p^2: the input's width is never
+    multiplied into the row."""
+    from reescurve.linalg import _FractionCore
+
+    F = _WidthRecordingField(DEFAULT_PRIME)
+    rng = random.Random(62)
+    big = F.p**3
+    rows = [[rng.randint(-big, big) for _ in range(40)] for _ in range(40)]
+    core = _FractionCore(F, 40)
+    core.add_rows(rows, None)
+    assert len(core.pivcols) == 40
+    assert F.widest <= big.bit_length() + 6

@@ -172,10 +172,12 @@ def _sampled_mirror(kind, d, seed):
 
 @pytest.mark.parametrize("kind, d, jbox", [("very-singular", 7, 5), ("mild", 8, 4)])
 def test_oracle_agrees_across_cores(kind, d, jbox, monkeypatch):
-    """Native core, packed core and Q give the same table and kernel bases.
+    """Native core, the no-compiler core over F_p and Q give the same table
+    and kernel bases.
 
-    The native table is checked whole against the theorems; the slower packed
-    and Fraction cores on the boxes j <= jbox and j <= 3 of the same table."""
+    The native table is checked whole against the theorems; the slower
+    generic core, over F_p (its packed label) and over Q, on the boxes
+    j <= jbox and j <= 3 of the same table."""
     from reescurve import _native
 
     if _native.get_kernel() is None:
@@ -209,8 +211,10 @@ def test_oracle_agrees_across_cores(kind, d, jbox, monkeypatch):
 def test_kernel_slice_membership(core, monkeypatch):
     """Oracle.contains accepts kernel elements and refuses everything else.
     The core parameter picks the core that builds the slices behind
-    kernel_basis/_kernel_data and the zero-form answers (dim K_{i,j} > 0);
-    a nonzero form is tested by a product with no elimination."""
+    kernel_basis/_kernel_data and the zero-form answers (dim K_{i,j} > 0):
+    "packed" is the generic core over F_p with the kernel hidden, under its
+    _FpPackedCore label.  A nonzero form is tested by a product with no
+    elimination."""
     from reescurve import _native
     from reescurve.linalg import _FpNativeCore, _FpPackedCore, _FractionCore
 
@@ -351,6 +355,8 @@ def test_mu3_tables_equal_the_cellwise_reference():
 
 
 def test_mingen_table_on_the_packed_core_equals_the_reference(monkeypatch):
+    """With the kernel hidden, the F_p table runs on the generic core under
+    its _FpPackedCore label and equals the definition's counts."""
     from reescurve import _native
     from reescurve.linalg import _FpPackedCore
     from reescurve.sampling import sample_very_singular
