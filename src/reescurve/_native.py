@@ -38,8 +38,6 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
-import subprocess
-import tempfile
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -205,6 +203,9 @@ def _build() -> str | None:
     sopath = os.path.join(outdir, f"fprref-{tag}.so")
     if os.path.exists(sopath):
         return sopath
+    import subprocess   # only a build needs these, not loading a cached kernel
+    import tempfile
+
     try:
         os.makedirs(outdir, exist_ok=True)
         # compile next to the target, so the final rename stays in one directory

@@ -7,17 +7,20 @@ printing, pivoting and normalization everywhere is lexicographic with
 T0 > T1 > X0 > X1 > X2, highest first — i.e. plain descending tuple order.
 
 Substitution X -> u(T) runs on a PowerTable: dense integer powers u^b of one
-parametrization, built once per curve (a Parametrization owns one) and read
-by every substitution into that curve and by its oracle.  Forms substituted
-into forms (a change of X coordinates, an inverse map put into a moving line)
-go through BiPoly.compose.
+parametrization, built once per curve (a Parametrization owns one) by
+Kronecker substitution and read by every substitution into that curve and by
+its oracle.  Forms substituted into forms (a change of X coordinates, an
+inverse map put into a moving line) go through BiPoly.compose.
 
-Determinants (poly_det_bareiss, behind resultant_t) run Bareiss elimination
-on plain ints with no BiPoly arithmetic inside: each monomial is packed into
-one int, fields of one width with a guard bit each, so a product of
-monomials is one addition and a divisibility test one subtraction and mask.
-Over F_p each coefficient is reduced by one ``% p``; over Q each row is
-cleared to integer numerators and the row denominators divide the result once.
+Determinants (poly_det_bareiss) and T-resultants (resultant_t) run on plain
+ints with no BiPoly arithmetic inside: each monomial is packed into one int,
+fields of one width with a guard bit each, so a product of monomials is one
+addition and a divisibility test one subtraction and mask.  Over F_p each
+coefficient is reduced by one ``% p``; over Q the inputs are cleared to
+integer numerators and their denominators divide the result once.  A
+determinant is a Bareiss elimination.  A resultant with an argument of
+T-degree 1 or 2 (every one under mu = 2) is one pseudo-remainder and a norm;
+otherwise it is the determinant of the Sylvester matrix.
 """
 from __future__ import annotations
 
@@ -462,20 +465,61 @@ def cleared_denominators(coeffs):
     return den, [(m, c.numerator * (den // c.denominator)) for m, c in coeffs.items()]
 
 
+def _half_slots(n, nbytes):
+    """2^(8 nbytes - 1) in each of n slots of nbytes bytes."""
+    return int.from_bytes((1 << (8 * nbytes - 1)).to_bytes(nbytes, "little") * n, "little")
+
+
+def _pack_slots(vals, nbytes, p):
+    """sum vals[i] * 2^(8 nbytes i): one int, one value per slot of nbytes
+    bytes.  Over Q (p None) the values are signed, each below 2^(8 nbytes - 1)
+    in absolute value: written with that added, which is taken off the whole
+    int once, so the int is the exact sum, borrows included."""
+    if p is None:
+        half = 1 << (8 * nbytes - 1)
+        return _pack_slots([v + half for v in vals], nbytes, 0) - _half_slots(len(vals), nbytes)
+    return int.from_bytes(b"".join([v.to_bytes(nbytes, "little") for v in vals]), "little")
+
+
+def _unpack_slots(x, n, nbytes, p):
+    """The n slot values of a packed int: each reduced ``% p`` over F_p;
+    over Q (p None) signed, each below 2^(8 nbytes - 1) in absolute value,
+    read with that added to every slot and taken off each."""
+    if p is None:
+        x += _half_slots(n, nbytes)
+    slots = map(
+        int.from_bytes,
+        re.findall(b".{%d}" % nbytes, x.to_bytes(n * nbytes, "little"), re.S),
+        repeat("little"),
+    )
+    if p is None:
+        return list(map(int.__sub__, slots, repeat(1 << (8 * nbytes - 1))))
+    return list(map(int.__mod__, slots, repeat(p)))
+
+
 class PowerTable:
     """Dense powers u^b = u0^b0 u1^b1 u2^b2 of one triple of T-forms.
 
     The one place that raises a parametrization to powers: every substitution
     G(T, u(T)) and every oracle slice matrix reads its columns from here.  A
     power is built once, on request, as a dense list of ints (index = T1
-    exponent) by one slice update per coefficient of a u_k.
-      * Over F_p it holds residues, one ``% p`` per power; an ``array('Q')``
+    exponent): u^b is u^(b - e_k) times u_k by Kronecker substitution
+    (Harvey, J. Symb. Comp. 2009).  Each factor is packed into one int, one
+    coefficient per slot of 8*B bits, and the product of the two ints holds
+    the product's coefficients in the same slots.  B covers the bits of the
+    largest |entry| of u^(b - e_k), those of the base triple, the bit length
+    of the d + 1 terms of a slot and, over Q, a sign bit; one unpack reads
+    the slots.  A power is packed when it is first used as a factor and its
+    packed int is kept beside its coefficients, as each u_k is kept per slot
+    width, so nothing is packed twice.
+      * Over F_p it holds residues, one ``% p`` per slot; an ``array('Q')``
         when p fits a machine word, so the oracle can copy it into strided
         slices of its flat matrix buffer.
       * Over Q it holds powers of the primitive integer triple w, with
         u = scale * w: substitution runs on plain ints and builds one Fraction
         per output coefficient, and a slice (i, j) built from w is the one
-        built from u times scale^j (same kernel, same RREF).
+        built from u times scale^j (same kernel, same RREF).  Slots are
+        signed.
     """
 
     def __init__(self, u0, u1, u2):
@@ -503,27 +547,39 @@ class PowerTable:
             self.scale = Fraction(content, den)
         self.base = dense      # dense triple the powers are built from
         self.words = self.modulus is not None and self.modulus < 1 << 64   # array("Q") powers
-        self._powers = {(0, 0, 0): self._store([1])}
-
-    def _store(self, vals):
-        return array("Q", vals) if self.words else vals
+        # bits a slot needs beyond those of the power's largest entry
+        self._extra = (
+            max(abs(c) for u in dense for c in u).bit_length()
+            + (d + 1).bit_length()
+            + (self.modulus is None)
+        )
+        self._packed_base = {}      # (k, B) -> u_k packed in B-byte slots
+        self._powers = {(0, 0, 0): array("Q", [1]) if self.words else [1]}
+        self._packed = {}           # b -> (packed u^b, B)
 
     def power(self, b):
         """Dense coefficients of u^b (over Q: of w^b), index = T1 exponent."""
         out = self._powers.get(b)
         if out is None:
             k = 0 if b[0] else 1 if b[1] else 2
-            prev = self.power(b[:k] + (b[k] - 1,) + b[k + 1 :])
-            n = len(prev)
-            acc = [0] * (n + self.d)
-            for a, c in enumerate(self.base[k]):
-                if c:
-                    acc[a : a + n] = map(add, acc[a : a + n], map(mul, repeat(c), prev))
-            if self.modulus is not None:
-                p = self.modulus
-                acc = [v % p for v in acc]
-            out = self._powers[b] = self._store(acc)
+            prev = b[:k] + (b[k] - 1,) + b[k + 1 :]
+            x, nbytes = self._packed_power(prev)
+            uk = self._packed_base.get((k, nbytes))
+            if uk is None:
+                uk = self._packed_base[k, nbytes] = _pack_slots(self.base[k], nbytes, self.modulus)
+            vals = _unpack_slots(x * uk, len(self._powers[prev]) + self.d, nbytes, self.modulus)
+            out = self._powers[b] = array("Q", vals) if self.words else vals
         return out
+
+    def _packed_power(self, b):
+        """(packed u^b, B), in B-byte slots wide enough for its product with
+        any u_k; packed on first use as a factor, then kept."""
+        got = self._packed.get(b)
+        if got is None:
+            vals = self.power(b)
+            nbytes = (max(map(abs, vals)).bit_length() + self._extra + 7) // 8
+            got = self._packed[b] = (_pack_slots(vals, nbytes, self.modulus), nbytes)
+        return got
 
     def substitute(self, g: BiPoly) -> BiPoly:
         """G(T, u(T)) as a T-form of degree tdeg + xdeg * d."""
@@ -675,6 +731,14 @@ def _cross(x, y, a, b):
     return acc
 
 
+def _reduced(acc, p):
+    """A raw packed dict with its zero coefficients dropped; over F_p (p
+    given) each coefficient reduced by one ``% p`` first."""
+    if p is None:
+        return {k: v for k, v in acc.items() if v}
+    return {k: r for k, v in acc.items() if (r := v % p)}
+
+
 def _exact_quotient(rem, g, glm, guard, p):
     """rem / g on packed dicts, rem consumed; g's leading key glm.
 
@@ -784,10 +848,7 @@ def poly_det_bareiss(mat):
                 td, xd = dx if x else db
                 num = _cross(x, piv, a, b)
                 if prev is None:
-                    if p is None:
-                        num = {t: v for t, v in num.items() if v}
-                    else:
-                        num = {t: r for t, v in num.items() if (r := v % p)}
+                    num = _reduced(num, p)
                 else:
                     num = _exact_quotient(num, prev, plm, guard, p)
                     td, xd = td - vt, xd - vx
@@ -805,8 +866,65 @@ def poly_det_bareiss(mat):
     return BiPoly(F, td, xd, coeffs, _clean=True)
 
 
+def _t_slices(h, w, p, den):
+    """h as its t-coefficients, t = T1/T0: index a holds the X-form of
+    T0^(s-a) T1^a as a packed dict, over Q times den (an integer)."""
+    out = [{} for _ in range(h.tdeg + 1)]
+    for m, c in h.coeffs.items():
+        out[m[1]][_pack(m[2:], w)] = c if p is not None else c.numerator * (den // c.denominator)
+    return out
+
+
+def _low_resultant(fc, gc, guard, p):
+    """Res(f, g) on t-coefficient lists, f of T-degree m = len(fc) - 1 in
+    (1, 2), as a reduced packed dict.
+
+    One pseudo-remainder: f_m^(s-m+1) g = Q f + R with deg_t R < m, the
+    coefficients of f_m times the running remainder less its leading one
+    times a shift of f (Collins, JACM 1967).  Res(f, g) is the norm of R in
+    k(X)[t]/(f) over f_m^(s-m+1) (Brown & Traub, JACM 1971):
+      * m = 1: Res = R0;
+      * m = 2: Res = (f2 R0^2 - f1 R0 R1 + f0 R1^2) / f2^(s-1), one exact
+        division;
+      * m = 2 with f2 = 0: f = T0 (f0 T0 + f1 T1), and Res is
+        (-1)^s g_s times the resultant of the linear factor.
+    """
+    m, s = len(fc) - 1, len(gc) - 1
+    if m == 2 and not fc[2]:
+        lin = _low_resultant(fc[:2], gc, guard, p)
+        return _reduced(_cross(gc[s], lin, {}, {}) if s % 2 == 0 else _cross({}, {}, gc[s], lin), p)
+    lead, r = fc[m], list(gc)
+    for k in range(s, m - 1, -1):
+        top = r.pop()
+        r = [
+            _reduced(_cross(lead, c, top, fc[i + m - k] if i + m >= k else {}), p)
+            for i, c in enumerate(r)
+        ]
+    if m == 1:
+        return r[0]
+    r0, r1 = r
+    norm = _cross(lead, _reduced(_cross(r0, r0, {}, {}), p), r1,
+                  _reduced(_cross(fc[1], r0, fc[0], r1), p))
+    div = lead
+    for _ in range(s - 2):
+        div = _reduced(_cross(div, lead, {}, {}), p)
+    return _exact_quotient(norm, div, max(div), guard, p)
+
+
 def resultant_t(f: BiPoly, g: BiPoly) -> BiPoly:
-    """Sylvester resultant eliminating T; an X-form of degree s2*j1 + s1*j2."""
+    """Sylvester resultant eliminating T; an X-form of degree s2*j1 + s1*j2.
+
+    The sign is that of the Sylvester determinant with the shifts of g on
+    top, coefficients by ascending T1 exponent: the resultant of two linear
+    moving lines a*T0 + b*T1, c*T0 + d*T1 is b*c - a*d = +det[[c,d],[a,b]].
+    When either argument has T-degree 1 or 2 (under mu = 2, every call of a
+    report), it is one pseudo-remainder and a norm on packed-int dicts
+    (`_low_resultant`, the lower-degree argument as f, Res(g, f) =
+    (-1)^(s1 s2) Res(f, g)); otherwise the Sylvester determinant by
+    `poly_det_bareiss`.  Neither runs BiPoly arithmetic.  Over Q each
+    argument is cleared to integer numerators over its lcm denominator D,
+    which divides the result once as D_f^s2 D_g^s1.
+    """
     ensure_same_field(f.field, g.field)
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial")
@@ -815,31 +933,45 @@ def resultant_t(f: BiPoly, g: BiPoly) -> BiPoly:
     if s1 < 1 or s2 < 1:
         raise GradingError("resultant requires positive T-degrees")
     F = f.field
-    n = s1 + s2
-    fc = [f.t_coefficient(s1 - a, a) for a in range(s1 + 1)]
-    gc = [g.t_coefficient(s2 - a, a) for a in range(s2 + 1)]
-    # block order (g shifts on top) fixed so that the resultant of two linear
-    # moving lines a*T0 + b*T1, c*T0 + d*T1 comes out as b*c - a*d = +det[[c,d],[a,b]]
-    rows = []
-    for r in range(s1):
-        row = [BiPoly.zero(F, 0, j2) for _ in range(n)]
-        for a in range(s2 + 1):
-            row[r + a] = gc[a]
-        rows.append(row)
-    for r in range(s2):
-        row = [BiPoly.zero(F, 0, j1) for _ in range(n)]
-        for a in range(s1 + 1):
-            row[r + a] = fc[a]
-        rows.append(row)
-    det = poly_det_bareiss(rows)
     want = s2 * j1 + s1 * j2
-    if not det.is_zero() and det.xdeg != want:
-        raise GradingError(
-            f"resultant degree {det.xdeg}, expected {want} (internal error)"
-        )
-    if det.is_zero():
-        det = BiPoly.zero(F, 0, want)
-    return det
+    if min(s1, s2) > 2:
+        det = poly_det_bareiss(_sylvester(f, g))
+        if det.is_zero():
+            return BiPoly.zero(F, 0, want)
+        if det.xdeg != want:
+            raise GradingError(f"resultant degree {det.xdeg}, expected {want} (internal error)")
+        return det
+    sign = -1 if s2 < s1 and s1 * s2 % 2 else 1
+    if s2 < s1:
+        f, g = g, f
+    w = (2 * want).bit_length() + 1      # every exponent of the norm is <= 2 * want
+    guard = _pack([1 << (w - 1)] * 5, w)
+    p = F.p if isinstance(F, PrimeField) else None
+    dens = [1 if p is not None else lcm(*(c.denominator for c in h.coeffs.values()))
+            for h in (f, g)]
+    res = _low_resultant(_t_slices(f, w, p, dens[0]), _t_slices(g, w, p, dens[1]), guard, p)
+    if p is None:
+        den = dens[0] ** g.tdeg * dens[1] ** f.tdeg
+        coeffs = {_unpack(t, w): Fraction(sign * v, den) for t, v in res.items()}
+    else:
+        coeffs = {_unpack(t, w): v if sign > 0 else p - v for t, v in res.items()}
+    return BiPoly(F, 0, want, coeffs, _clean=True)
+
+
+def _sylvester(f, g):
+    """The Sylvester matrix of f and g in T: the s1 shifts of g on top, then
+    the s2 shifts of f, coefficients by ascending T1 exponent."""
+    F = f.field
+    n = f.tdeg + g.tdeg
+    rows = []
+    for h, shifts in ((g, f.tdeg), (f, g.tdeg)):
+        s = h.tdeg
+        coeffs = [h.t_coefficient(s - a, a) for a in range(s + 1)]
+        for r in range(shifts):
+            row = [BiPoly.zero(F, 0, h.xdeg)] * n
+            row[r : r + s + 1] = coeffs
+            rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Bihomogeneous polynomial arithmetic, substitution, and the T-resultant."""
 import random
+from array import array
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from reescurve.fields import DEFAULT_PRIME, PrimeField, QQ
 from reescurve.poly import (
@@ -194,6 +195,63 @@ def test_subst_x_matches_sparse_reference(field):
                 assert got.bidegree == (g.tdeg + g.xdeg * d, 0)
                 assert all(field.coerce(c) == c and type(c) is type(field.one)
                            for c in got.coeffs.values())
+
+
+def _power_references(table, top):
+    """Every u^b (over Q: w^b) with |b| <= top, each one schoolbook
+    convolution of a lower one with the table's dense base triple; over F_p
+    reduced at the end."""
+    out = {(0, 0, 0): [1]}
+    for n in range(1, top + 1):
+        for b0 in range(n + 1):
+            for b1 in range(n - b0 + 1):
+                b = (b0, b1, n - b0 - b1)
+                k = 0 if b0 else 1 if b1 else 2
+                prev = out[b[:k] + (b[k] - 1,) + b[k + 1 :]]
+                acc = [0] * (len(prev) + table.d)
+                for i, c in enumerate(prev):
+                    for a, w in enumerate(table.base[k]):
+                        acc[i + a] += c * w
+                out[b] = acc
+    p = table.modulus
+    return out if p is None else {b: [v % p for v in pw] for b, pw in out.items()}
+
+
+MERSENNE_127 = PrimeField((1 << 127) - 1)
+
+
+@pytest.mark.parametrize(
+    "field, top",
+    [(PrimeField(2), 8), (PrimeField(3), 8), (FP, 8), (MERSENNE_127, 6), (QQ, 12)],
+    ids=["fp2", "fp3", "fp62", "fp127", "q"],
+)
+def test_packed_powers_match_the_convolution(field, top):
+    """Kronecker-packed powers equal the convolution for every |b| <= top,
+    stored as array('Q') exactly when p fits a machine word.  At d = 14 a
+    slot sums d + 1 = 15 products, nearly 2^4: with entries p - 1 (F_p), or
+    3 and -3 in a primitive triple (Q), the middle slots of u0^2 nearly fill
+    the slot width the table picks.  Random residues, and over Q entries of
+    mixed sign with zeros, go up to |b| = top."""
+    d = 14
+    rng = random.Random(d)
+    if field == QQ:
+        triples = [
+            [[3] * (d + 1), [-3] * (d + 1), [1] + [0] * (d - 1) + [-1]],
+            [[9 * (-1) ** a for a in range(d + 1)], [-9] * (d + 1), ([0, 7, -9, 0] * 4)[: d + 1]],
+            [[rng.randint(-9, 9) for _ in range(d + 1)] for _ in range(3)],
+        ]
+    else:
+        triples = [
+            [[field.p - 1] * (d + 1)] * 3,
+            [[rng.randrange(field.p) for _ in range(d + 1)] for _ in range(3)],
+        ]
+    words = field != QQ and field.p < 1 << 64
+    for dense in triples:
+        table = PowerTable(*(t_poly(field, u) for u in dense))
+        for b, want in _power_references(table, top).items():
+            got = table.power(b)
+            assert list(got) == want, b
+            assert isinstance(got, array) if words else type(got) is list
 
 
 def test_subst_x_rejects_a_foreign_power_table():
@@ -439,6 +497,50 @@ def _sylvester_rows(f, g):
                 row[r + a] = h.t_coefficient(s - a, a)
             rows.append(row)
     return rows
+
+
+@st.composite
+def _resultant_case(draw):
+    """(f, g) with an argument of T-degree 1 or 2, on either side: its T1^2
+    or its T0^2 and T1^2 coefficients dropped, or a T-linear factor shared
+    with the other argument (a zero resultant)."""
+    field = draw(st.sampled_from(_DET_FIELDS))
+    low, s = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    jl, jg = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    f, g = draw(_form(field, (low, jl), size=6)), draw(_form(field, (s, jg), size=6))
+    if low == 2:
+        drop = draw(st.sampled_from([(), (2,), (0, 2)]))
+        f = BiPoly(field, 2, jl, {m: c for m, c in f.coeffs.items() if m[1] not in drop})
+    if draw(st.booleans()):
+        h = draw(_form(field, (1, draw(st.integers(0, 1))), size=4))
+        f = h * draw(_form(field, (low - 1, jl), size=4))
+        g = h * draw(_form(field, (s - 1, jg), size=4))
+    return (g, f) if draw(st.booleans()) else (f, g)
+
+
+def _given_pair(field, f, g):
+    return P(f, field=field), P(g, field=field)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_resultant_case())
+@example(_given_pair(QQ, "1/2*T0^2*X0 - 2/3*T0*T1*X1", "T0^3*X2 + 3*T1^3*X0 - T0*T1^2*X1"))
+@example(_given_pair(PrimeField(2), "T0*T1*X0", "T0^2*X1 + T0*T1*X2 + T1^2*X0"))
+@example(_given_pair(PrimeField(3), "T0^2*X1 + 2*T1^2*X0", "T0*X2 + T1*X1"))
+@example(_given_pair(FP, "T0*X0 - 5*T1*X1", "2*T0*X2 + T1*X0"))
+@example(_given_pair(PrimeField(7), "T0^4*X0 + T1^4*X1", "T0*T1*X2 + 3*T1^2*X2"))
+@example(_given_pair(QQ, "T0^2*X0 - T1^2*X0", "1/5*T0^2*X1 + 1/5*T0*T1*X1"))
+def test_resultant_matches_the_sylvester_determinant(case):
+    """resultant_t equals Bareiss on the Sylvester matrix, sign included, with
+    bidegree (0, s2*j1 + s1*j2) and no stored zero coefficient."""
+    f, g = case
+    assume(not f.is_zero() and not g.is_zero())
+    F = f.field
+    res = resultant_t(f, g)
+    assert res == poly_det_bareiss(_sylvester_rows(f, g))
+    assert res.bidegree == (0, g.tdeg * f.xdeg + f.tdeg * g.xdeg)
+    assert all(not F.is_zero(c) and F.coerce(c) == c and type(c) is type(F.one)
+               for c in res.coeffs.values())
 
 
 @pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])

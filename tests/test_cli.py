@@ -1,4 +1,6 @@
 """CLI surface: subcommands, exit codes, JSON round-trips, determinism."""
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -315,6 +317,34 @@ def test_no_third_party_modules_at_run_time():
     assert r.stdout.strip() == "[]"
 
 
+def test_loading_the_cached_kernel_imports_no_build_module():
+    """With the kernel already compiled into the cache, starting up (import
+    reescurve.cli, then get_kernel) leaves subprocess unimported: only a
+    build needs it.  The child runs with -S, so site hooks of the
+    environment cannot import it first."""
+    from reescurve import _native
+
+    disabled = bool(os.environ.get("REESCURVE_NO_NATIVE"))
+    if _native.get_kernel() is None and not disabled:
+        pytest.skip("no working C compiler: there is no cached kernel to load")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "import reescurve.cli\n"
+        "from reescurve import _native\n"
+        "loaded = _native.get_kernel() is not None\n"
+        "print(loaded, 'subprocess' in sys.modules)\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == [str(not disabled), "False"]
+
+
 # A mild sextic over Q whose low moving line T0^2 X0 + P T0T1 X1 + T1^2 X2
 # (P = DEFAULT_PRIME) becomes axial mod P: the mirror there is very singular.
 BAD_MIRROR = {
@@ -386,6 +416,50 @@ def test_cli_fuzz_sample_then_gens(field, kind, degree, seed):
     assert "Traceback" not in g.stderr
     if g.returncode == 0:
         assert json.loads(g.stdout)["all_pass"] is True
+
+
+def _in_process(argv):
+    """cli.main in this interpreter: (exit code, stdout, stderr)."""
+    from reescurve import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    field=st.sampled_from(["fp:2", "fp:3", "fp:5", "q"]),
+    kind=st.sampled_from(["mild", "verysingular"]),
+    degree=st.integers(min_value=5, max_value=9),
+    seed=st.integers(min_value=0, max_value=99),
+)
+def test_exit_contract_sweep(field, kind, degree, seed, tmp_path_factory):
+    """classify, gens and verify on sampled curves, in process: every run
+    exits 0, 2 (with a named invariant) or 3, with no traceback; a report
+    passes and verify accepts it.  Budget: about 10 s for the 40 samples on
+    a 2-vCPU VM.  Q `inverse` at d >= 10 (about 40 s a run while Q
+    eliminations run on Fractions) is left out on purpose."""
+    code, curve, err = _in_process(
+        ["--field", field, f"sample-{kind}", "--degree", str(degree), "--seed", str(seed)]
+    )
+    assert code == 0, err
+    path = tmp_path_factory.mktemp("sweep") / "curve.json"
+    path.write_text(curve)
+    runs = {cmd: _in_process([cmd, str(path)]) for cmd in ("classify", "gens")}
+    for cmd, (code, out, err) in runs.items():
+        assert code in (0, 2, 3), (cmd, code, err)
+        assert "Traceback" not in err
+        if code == 2:
+            assert json.loads(out)["invariant"], (cmd, out)
+    code, report, _ = runs["gens"]
+    if code == 0:
+        assert json.loads(report)["all_pass"] is True
+        saved = path.with_name("report.json")
+        saved.write_text(report)
+        code, out, err = _in_process(["verify", str(saved)])
+        assert code == 0, (out, err)
 
 
 @pytest.mark.parametrize(

@@ -391,3 +391,45 @@ def test_mingen_table_builds_one_slice_per_j(box, monkeypatch):
     top = [(table.imax, j) for j in range(1, table.jmax + 1)]
     assert sorted(built) == sorted(set(mu_slices + top))
     assert [key for key in orc._kernels if key[1] < table.jmax] == []
+
+
+@pytest.mark.parametrize(
+    "field", [PrimeField(2), PrimeField(3), FP, PrimeField((1 << 127) - 1), QQ],
+    ids=["fp2", "fp3", "fp62", "fp127", "q"],
+)
+def test_slice_rows_hold_the_convolved_powers(field):
+    """Each slice row is one T-coefficient of the substituted monomials: the
+    column of T0^(i-a1) T1^a1 X^b holds w^b (the convolution of the table's
+    dense base triple; over F_p reduced) shifted down by a1, in array('Q')
+    rows exactly when p fits a machine word."""
+    from array import array
+
+    from reescurve.poly import monomials_of_bidegree
+    from reescurve.sampling import sample_mild
+
+    d = 7
+    orc = Oracle(sample_mild(field, d, random.Random(4)).par)
+    base, p = orc.powers.base, orc.powers.modulus
+
+    def reference(b):
+        out = [1]
+        for k, e in enumerate(b):
+            for _ in range(e):
+                acc = [0] * (len(out) + d)
+                for t, c in enumerate(out):
+                    for a, w in enumerate(base[k]):
+                        acc[t + a] += c * w
+                out = acc
+        return out if p is None else [v % p for v in out]
+
+    for i, j in ((0, 1), (2, 3), (1, 5)):
+        rows = orc.slice_rows(i, j)
+        cols = monomials_of_bidegree(i, j)
+        assert len(rows) == i + j * d + 1
+        for r, row in enumerate(rows):
+            assert isinstance(row, array) if orc.powers.words else type(row) is list
+            want = []
+            for a0, a1, *b in cols:
+                pw = reference(b)
+                want.append(pw[r - a1] if 0 <= r - a1 < len(pw) else 0)
+            assert list(row) == want, (i, j, r)

@@ -59,6 +59,24 @@ def test_very_singular_report_computes_each_object_once(monkeypatch):
     assert calls == {"implicit_equation": 1, "resultant_t": 1}
 
 
+def test_report_resultants_take_no_sylvester_determinant(monkeypatch):
+    """Under mu = 2 every resultant of a report has an argument of T-degree 1
+    or 2, so resultant_t never falls back to the Sylvester determinant.  Only
+    poly.py looks poly_det_bareiss up in the poly module (mu2mild binds its
+    own name), so the counter there sees exactly resultant_t's calls."""
+    from reescurve import poly
+
+    calls = Counter()
+    _count_calls(monkeypatch, calls, poly, "poly_det_bareiss")
+    for module in (report, syzygy):
+        _count_calls(monkeypatch, calls, module, "resultant_t")
+    for par in (sample_mild(FP, 7, random.Random(1)).par,
+                sample_very_singular(FP, 8, random.Random(2)).par):
+        assert report.build_report(par).all_pass
+    assert calls["resultant_t"] >= 4
+    assert calls["poly_det_bareiss"] == 0
+
+
 @pytest.mark.parametrize("field, d, seed", [(FP, 8, 3), (QQ, 6, 5)], ids=["fp", "q"])
 def test_transformed_equation_is_the_pulled_back_one(field, d, seed):
     """The transformed frame's equation, taken through the coordinate change,
