@@ -9,6 +9,12 @@ the kernel elements are signed maximal minors of banded matrices whose last
 column holds the F^v.  The same blocks assemble into square matrices whose
 determinant recovers the implicit equation, which is what forces the minors'
 linear independence.
+
+The band of those matrices is Toeplitz in L0, L*, L1, so every minor and
+every determinant is read off a closed form (Band) on packed-int dicts:
+three-term recurrences with products by linear forms, no elimination and
+no BiPoly arithmetic.  poly.poly_det_bareiss is the reference they are
+tested against.
 """
 from __future__ import annotations
 
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 
 from .assembly import Assembly, Generator
 from .errors import ImproperParametrization, PreconditionError, VerificationError
-from .poly import BiPoly, morley_form, poly_det_bareiss
+from .poly import BiPoly, _bipoly, _modulus, _packed_forms, _reduced, morley_form
 from .syzygy import (
     ImplicitEquation,
     MILD,
@@ -35,6 +41,7 @@ class MildContext:
     l1: BiPoly
     lstar: BiPoly
     implicit: ImplicitEquation
+    band: Band                 # L0, L*, L1 packed, shared by every level
     boundary: bool = False     # d = 4 (2 mu = d) boundary: counts not asserted
 
     @property
@@ -61,13 +68,15 @@ def mild_context(
         )
     if imp.properness_degree != 1:
         raise ImproperParametrization(imp.properness_degree)
+    l0, l1, lstar = (mb.p.t_coefficient(*a) for a in ((2, 0), (0, 2), (1, 1)))
     return MildContext(
         par=par,
         mb=mb,
-        l0=mb.p.t_coefficient(2, 0),
-        l1=mb.p.t_coefficient(0, 2),
-        lstar=mb.p.t_coefficient(1, 1),
+        l0=l0,
+        l1=l1,
+        lstar=lstar,
         implicit=imp,
+        band=Band(par.field, par.d, l0, lstar, l1),
         boundary=boundary,
     )
 
@@ -125,93 +134,179 @@ def delta_sylvester(ctx: MildContext, morley: MorleyData):
 
 
 # ---------------------------------------------------------------------------
-# banded matrices, their minors, and the resultant matrix
+# the band: its maximal minors and the resultant determinants in closed form
 # ---------------------------------------------------------------------------
 
-def _banded_columns(ctx: MildContext, nrows: int):
-    """The L-columns of the band matrix with nrows rows (width nrows - 2)."""
-    F = ctx.field
-    width = nrows - 2
-    cols = []
-    for c in range(width):
-        col = [BiPoly.zero(F, 0, 1) for _ in range(nrows)]
-        col[c] = ctx.l0
-        col[c + 1] = ctx.lstar
-        col[c + 2] = ctx.l1
-        cols.append(col)
-    return cols
+def _dot(pairs, p):
+    """The sum of x*y over pairs of packed dicts, zero terms dropped (over F_p,
+    p given, each coefficient reduced by one ``% p``)."""
+    acc = {}
+    get = acc.get
+    for x, y in pairs:
+        if len(x) > len(y):
+            x, y = y, x
+        for k1, c1 in x.items():
+            for k2, c2 in y.items():
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+    return _reduced(acc, p)
 
 
-def band_matrix(ctx: MildContext, i: int, morley: MorleyData):
-    """The (d-1-i) x (d-2-i) matrix with banded L-columns and a Morley column."""
-    d = ctx.d
-    if not 1 <= i <= d - 2:
-        raise PreconditionError("band_index", f"i = {i} outside 1..{d - 2}")
-    nrows = d - 1 - i
-    cols = _banded_columns(ctx, nrows)
-    last = []
-    for t in range(nrows):
-        v = (d - 2 - i - t, t)
-        last.append(morley.coeffs[v])
-    rows = [[col[r] for col in cols] + [last[r]] for r in range(nrows)]
-    return rows
+class Band:
+    """The band of P on packed-int dicts, shared by every level of a report.
+
+    B_n is the (n+1) x (n-1) matrix whose column c holds L0, L*, L1 in rows
+    c, c+1, c+2.  Without rows t < r it is block triangular, so
+
+        det(B_n minus rows t, r) = L0^t D_(r-1-t) L1^(n-r),
+        D_0 = 1, D_1 = L*, D_k = L* D_(k-1) - L0 L1 D_(k-2).
+
+    Every sum over r below is one three-term recurrence in E_k = (-1)^k D_k,
+    with products by L* and L0 L1 only; the powers of L0 and L1 are kept as
+    they are first needed.  Keys pack (a0, a1, b0, b1, b2) in fields of
+    d.bit_length() bits (poly._pack), enough for every exponent here; over Q,
+    L0, L*, L1 are integer numerators over one denominator `den`.
+    """
+
+    def __init__(self, field, d, l0, lstar, l1):
+        self.field = field
+        self.p = _modulus(field)
+        self.w = d.bit_length()
+        self.den, (l0, lstar, l1) = self.pack([l0, lstar, l1])
+        self.neg_lstar = {k: -c for k, c in lstar.items()}
+        self.neg_l01 = {k: -c for k, c in _dot([(l0, l1)], self.p).items()}
+        self.l0 = l0
+        self.pow0, self.pow1 = [{0: 1}, l0], [{0: 1}, l1]
+
+    def pack(self, forms):
+        """(den, packed dicts) of forms, as poly._packed_forms."""
+        return _packed_forms(forms, self.w, self.p)
+
+    def form(self, packed, tdeg, xdeg, den, sign=1):
+        """The BiPoly of a packed dict that holds den * sign times its coefficients."""
+        return _bipoly(self.field, packed, self.w, tdeg, xdeg, den, sign)
+
+    def _power(self, pows, k):
+        while len(pows) <= k:
+            pows.append(_dot([(pows[-1], pows[1])], self.p))
+        return pows[k]
+
+    def _tail_sums(self, ys, pows):
+        """S_t = sum over r > t of E_(r-1-t) L^(n-r) y_r, t = 0..n, for the
+        column ys = y_0..y_n and L the linear form of pows:
+        S_t = L^(n-t-1) y_(t+1) - L* S_(t+1) - L0 L1 S_(t+2)."""
+        n = len(ys) - 1
+        out = [{}] * (n + 2)
+        for t in range(n - 1, -1, -1):
+            out[t] = _dot(
+                [(self._power(pows, n - 1 - t), ys[t + 1]),
+                 (self.neg_lstar, out[t + 1]),
+                 (self.neg_l01, out[t + 2])],
+                self.p,
+            )
+        return out[: n + 1]
+
+    def upper_sums(self, ys):
+        """U_t, the sum over r > t of E_(r-1-t) L1^(n-r) y_r, t = 0..n."""
+        return self._tail_sums(ys, self.pow1)
+
+    def minors(self, ys):
+        """(-1)^t det([B_n | ys] minus row t), t = 0..n, ys = y_0..y_n.
+
+        Along the last column, the minor is the sum over r != t of
+        +-det(B_n minus rows t, r) y_r:
+        (-1)^(n+1) (L0^t U_t - L1^(n-t) V_t), with U_t the sum over r > t of
+        E_(r-1-t) L1^(n-r) y_r and V_t the sum over r < t of E_(t-1-r) L0^r y_r
+        (the same recurrence, read from the other end with L0 for L1)."""
+        n = len(ys) - 1
+        neg = [{k: -c for k, c in y.items()} for y in ys]     # the sums are linear in ys
+        up = self.upper_sums(ys if n % 2 else neg)
+        down = self._tail_sums((neg if n % 2 else ys)[::-1], self.pow0)[::-1]
+        return [
+            _dot([(self._power(self.pow0, t), up[t]), (self._power(self.pow1, n - t), down[t])],
+                 self.p)
+            for t in range(n + 1)
+        ]
 
 
 def minor_family(ctx: MildContext, i: int, morley: MorleyData):
-    """Signed maximal minors of the band matrix: elements of bidegree (i, d-1-i).
+    """Signed maximal minors of the band matrix [B_n | F]: elements of
+    bidegree (i, d-1-i), n = d-2-i, F the Morley column F^v, v = (n-t, t) in
+    row t.
 
     Valid for 1 <= i <= d-4; the minor deleting row t carries sign (-1)^t in
-    the row order of decreasing first exponent.
+    the row order of decreasing first exponent.  Each is read off the band's
+    closed form (Band.minors), not eliminated; over Q the F^v are cleared to
+    integer numerators over one denominator.  Each minor is checked nonzero
+    and in the kernel.
     """
     d = ctx.d
     if not 1 <= i <= d - 4:
         raise PreconditionError("minor_index", f"i = {i} outside 1..{d - 4}")
-    rows = band_matrix(ctx, i, morley)
+    band, n = ctx.band, d - 2 - i
+    den, col = band.pack([morley.coeffs[(n - t, t)] for t in range(n + 1)])
     out = []
-    for t in range(len(rows)):
-        sub = [row for r, row in enumerate(rows) if r != t]
-        det = poly_det_bareiss(sub)
-        if t % 2 == 1:
-            det = -det
-        want = (i, d - 1 - i)
-        if det.is_zero() or det.bidegree != want:
+    for t, packed in enumerate(band.minors(col)):
+        minor = band.form(packed, i, d - 1 - i, den * band.den ** (n - 1))
+        if minor.is_zero():
             raise VerificationError(f"minor (i={i}, row {t}) has wrong shape")
-        if not ctx.par.substitute(det).is_zero():
+        if not ctx.par.substitute(minor).is_zero():
             raise VerificationError(f"minor (i={i}, row {t}) left the kernel")
-        out.append(det)
+        out.append(minor)
     return out
 
 
 def morley_det_check(ctx: MildContext, i: int, morley: MorleyData):
-    """Assemble the square resultant matrix at level i and factor its determinant.
+    """The determinant of the square resultant matrix at level i, factored.
 
-    Returns (matrix_rows, det, lam) with det = lam * E_d, lam != 0.
+    The matrix is [[B_n, A], [0, C]], n = d-2-i: the n+1 rows of the band B_n
+    beside A = morley.block(i) (row r: the T-coefficients A_rs of T0^(i-s)
+    T1^s in F^v, v = (n-r, r)), then the i-1 rows of C, the transposed band
+    B_i in the last i+1 columns.  Laplace along the n-1 band columns gives
+    the sum over t < r of +-det(B_n minus rows t, r) det S_tr, S_tr the rows
+    t and r of A over C; S_tr along its first row is (-1)^(i-1) times the
+    sum over s of A_ts m^r_s, m^r = Band.minors(A_r) at size i.  So
+
+        det = (-1)^(i-1) sum over t of L0^t sum over s of A_ts U^s_t,
+
+    U^s = Band.upper_sums of the column (m^r_s)_r.  The n+1 inner minors
+    run as one, the rows r tagged by T0^r in A's columns; the i+1 upper sums
+    run as one, the columns s tagged by T1^s; the sum over t is a Horner
+    scheme in L0.
+
+    Returns (det, lam) with det = lam * E_d, lam != 0.
     """
     d = ctx.d
-    F = ctx.field
     if not 1 <= i <= d - 4:
         raise PreconditionError("minor_index", f"i = {i} outside 1..{d - 4}")
-    top_band = _banded_columns(ctx, d - 1 - i)
-    mor = morley.block(i)
-    rows = []
-    for r in range(d - 1 - i):
-        rows.append([col[r] for col in top_band] + mor[r])
-    bot_band = _banded_columns(ctx, i + 1)     # band of the complementary level
-    zero = BiPoly.zero(F, 0, 1)
-    for c in range(i - 1):
-        rows.append(
-            [zero] * (d - 3 - i) + [bot_band[c][r] for r in range(i + 1)]
-        )
-    if len(rows) != d - 2 or any(len(r) != d - 2 for r in rows):
-        raise VerificationError("resultant matrix has wrong shape")
-    det = poly_det_bareiss(rows)
+    band, n = ctx.band, d - 2 - i
+    den, col = band.pack([morley.coeffs[(n - r, r)] for r in range(n + 1)])
+    # keys: a0 in the top w bits, a1 below it, the X-exponents under `low`
+    w0, w1 = 4 * band.w, 3 * band.w
+    low = (1 << w1) - 1
+    a = [[{} for _ in range(i + 1)] for _ in range(n + 1)]
+    for r, f in enumerate(col):
+        for k, c in f.items():
+            a[r][k >> w1 & (1 << band.w) - 1][k & low] = c
+    tagged = [{k | r << w0: c for r in range(n + 1) for k, c in a[r][s].items()} for s in range(i + 1)]
+    ys = [{} for _ in range(n + 1)]
+    for s, m in enumerate(band.minors(tagged)):
+        for k, c in m.items():
+            ys[k >> w0][k & low | s << w1] = c
+    packed = {}
+    for t, u in reversed(list(enumerate(band.upper_sums(ys)))):
+        parts = [{} for _ in range(i + 1)]
+        for k, c in u.items():
+            parts[k >> w1][k & low] = c
+        packed = _dot([(band.l0, packed)] + list(zip(a[t], parts)), band.p)
+    det = band.form(packed, 0, d, den * den * band.den ** (n + i - 2), (-1) ** (i - 1))
     eq = ctx.implicit.equation
     if det.is_zero() or not det.proportional_to(eq):
         raise VerificationError(
             f"resultant matrix determinant at i={i} is not a multiple of the implicit equation"
         )
     lam = det.leading()[1]  # eq is normalized, so det = lam * eq
-    return rows, det, lam
+    return det, lam
 
 
 # ---------------------------------------------------------------------------

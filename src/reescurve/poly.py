@@ -9,7 +9,8 @@ T0 > T1 > X0 > X1 > X2, highest first — i.e. plain descending tuple order.
 Substitution X -> u(T) runs on a PowerTable: dense integer powers u^b of one
 parametrization, built once per curve (a Parametrization owns one) by
 Kronecker substitution and read by every substitution into that curve and by
-its oracle.  Forms substituted into forms (a change of X coordinates, an
+its oracle.  A substitution is one packed sum of the terms' powers and one
+unpack.  Forms substituted into forms (a change of X coordinates, an
 inverse map put into a moving line) go through BiPoly.compose.
 
 Determinants (poly_det_bareiss) and T-resultants (resultant_t) run on plain
@@ -20,7 +21,10 @@ coefficient is reduced by one ``% p``; over Q the inputs are cleared to
 integer numerators and their denominators divide the result once.  A
 determinant is a Bareiss elimination.  A resultant with an argument of
 T-degree 1 or 2 (every one under mu = 2) is one pseudo-remainder and a norm;
-otherwise it is the determinant of the Sylvester matrix.
+otherwise it is the determinant of the Sylvester matrix.  The band minors
+and determinants of the mild pipeline are closed forms on the same packed
+dicts (mu2mild.Band); poly_det_bareiss is the reference for them and the
+Sylvester determinant of two arguments of T-degree >= 3.
 """
 from __future__ import annotations
 
@@ -509,9 +513,10 @@ class PowerTable:
     the product's coefficients in the same slots.  B covers the bits of the
     largest |entry| of u^(b - e_k), those of the base triple, the bit length
     of the d + 1 terms of a slot and, over Q, a sign bit; one unpack reads
-    the slots.  A power is packed when it is first used as a factor and its
-    packed int is kept beside its coefficients, as each u_k is kept per slot
-    width, so nothing is packed twice.
+    the slots.  `substitute` sums the packed powers of a form's terms the
+    same way, one slot width per call.  A power is packed when it is first
+    used at a slot width and kept per width, as each u_k is, so nothing is
+    packed twice at one width.
       * Over F_p it holds residues, one ``% p`` per slot; an ``array('Q')``
         when p fits a machine word, so the oracle can copy it into strided
         slices of its flat matrix buffer.
@@ -555,7 +560,8 @@ class PowerTable:
         )
         self._packed_base = {}      # (k, B) -> u_k packed in B-byte slots
         self._powers = {(0, 0, 0): array("Q", [1]) if self.words else [1]}
-        self._packed = {}           # b -> (packed u^b, B)
+        self._packed = {}           # (b, B) -> u^b packed in B-byte slots
+        self._bits = {}             # b -> bit length of the largest |entry| of u^b (over Q)
 
     def power(self, b):
         """Dense coefficients of u^b (over Q: of w^b), index = T1 exponent."""
@@ -563,7 +569,8 @@ class PowerTable:
         if out is None:
             k = 0 if b[0] else 1 if b[1] else 2
             prev = b[:k] + (b[k] - 1,) + b[k + 1 :]
-            x, nbytes = self._packed_power(prev)
+            nbytes = (self._entry_bits(prev) + self._extra + 7) // 8
+            x = self._packed_power(prev, nbytes)
             uk = self._packed_base.get((k, nbytes))
             if uk is None:
                 uk = self._packed_base[k, nbytes] = _pack_slots(self.base[k], nbytes, self.modulus)
@@ -571,35 +578,55 @@ class PowerTable:
             out = self._powers[b] = array("Q", vals) if self.words else vals
         return out
 
-    def _packed_power(self, b):
-        """(packed u^b, B), in B-byte slots wide enough for its product with
-        any u_k; packed on first use as a factor, then kept."""
-        got = self._packed.get(b)
-        if got is None:
-            vals = self.power(b)
-            nbytes = (max(map(abs, vals)).bit_length() + self._extra + 7) // 8
-            got = self._packed[b] = (_pack_slots(vals, nbytes, self.modulus), nbytes)
-        return got
+    def _entry_bits(self, b):
+        """Bit length of the largest |entry| of u^b: over F_p that of p - 1."""
+        if self.modulus is not None:
+            return (self.modulus - 1).bit_length()
+        bits = self._bits.get(b)
+        if bits is None:
+            bits = self._bits[b] = max(map(abs, self.power(b))).bit_length()
+        return bits
+
+    def _packed_power(self, b, nbytes):
+        """u^b packed in nbytes-byte slots; packed on first use, then kept."""
+        x = self._packed.get((b, nbytes))
+        if x is None:
+            x = self._packed[b, nbytes] = _pack_slots(self.power(b), nbytes, self.modulus)
+        return x
 
     def substitute(self, g: BiPoly) -> BiPoly:
-        """G(T, u(T)) as a T-form of degree tdeg + xdeg * d."""
+        """G(T, u(T)) as a T-form of degree tdeg + xdeg * d.
+
+        One packed sum: c u^b shifted by a1 slots for each term c T^a X^b,
+        all in slots of B bytes, then one unpack.  B covers the bits of the
+        largest |c| and of the largest |entry| of the powers, the bit length
+        of the term count and, over Q, a sign bit."""
         ensure_same_field(self.field, g.field)
         top = g.tdeg + g.xdeg * self.d
-        acc = [0] * (top + 1)
-        if self.modulus is None:
+        p = self.modulus
+        if not g.coeffs:
+            return BiPoly.zero(self.field, top, 0)
+        if p is None:
             den, terms = cleared_denominators(g.coeffs)
+            bits = (max(abs(c) for _, c in terms).bit_length()
+                    + max(map(self._entry_bits, {m[2:] for m, _ in terms})) + 1)
         else:
             terms = g.coeffs.items()
+            bits = 2 * self._entry_bits(None)     # c and the entries are below p
+        nbytes = (bits + len(terms).bit_length() + 7) // 8
+        slot = 8 * nbytes
+        packed = self._packed
+        acc = 0
         for m, c in terms:
-            pw = self.power(m[2:])
-            lo, hi = m[1], m[1] + len(pw)
-            acc[lo:hi] = map(add, acc[lo:hi], map(mul, repeat(c), pw))
-        if self.modulus is None:
+            b = m[2:]
+            x = packed.get((b, nbytes)) or self._packed_power(b, nbytes)
+            acc += c * x << m[1] * slot
+        vals = _unpack_slots(acc, top + 1, nbytes, p)
+        if p is None:
             s = self.scale ** g.xdeg / den
-            coeffs = {(top - k, k, 0, 0, 0): v * s for k, v in enumerate(acc) if v}
+            coeffs = {(top - k, k, 0, 0, 0): v * s for k, v in enumerate(vals) if v}
         else:
-            p = self.modulus
-            coeffs = {(top - k, k, 0, 0, 0): r for k, v in enumerate(acc) if (r := v % p)}
+            coeffs = {(top - k, k, 0, 0, 0): v for k, v in enumerate(vals) if v}
         return BiPoly(self.field, top, 0, coeffs, _clean=True)
 
 
@@ -716,6 +743,35 @@ def _unpack(key, w):
     return tuple(key >> s & mask for s in range(4 * w, -1, -w))
 
 
+def _modulus(F):
+    """p over F_p, None over Q: the ``p`` the packed-dict helpers reduce by."""
+    return F.p if isinstance(F, PrimeField) else None
+
+
+def _packed_forms(forms, w, p):
+    """(den, [packed dict per form]).  Over F_p (p given) the coefficients as
+    they are and den = 1; over Q integer numerators over den, the least
+    common denominator of all the forms' coefficients."""
+    if p is not None:
+        return 1, [{_pack(k, w): c for k, c in f.coeffs.items()} for f in forms]
+    den = lcm(*(c.denominator for f in forms for c in f.coeffs.values()))
+    return den, [
+        {_pack(k, w): c.numerator * (den // c.denominator) for k, c in f.coeffs.items()}
+        for f in forms
+    ]
+
+
+def _bipoly(F, packed, w, tdeg, xdeg, den=1, sign=1):
+    """The BiPoly of a packed dict that holds den * sign times its
+    coefficients; over F_p (den 1) the dict is reduced."""
+    p = _modulus(F)
+    if p is None:
+        coeffs = {_unpack(k, w): Fraction(sign * v, den) for k, v in packed.items()}
+    else:
+        coeffs = {_unpack(k, w): v if sign > 0 else p - v for k, v in packed.items()}
+    return BiPoly(F, tdeg, xdeg, coeffs, _clean=True)
+
+
 def _cross(x, y, a, b):
     """x*y - a*b on packed dicts, raw int coefficients (zeros kept)."""
     acc = {}
@@ -813,16 +869,13 @@ def poly_det_bareiss(mat):
     top = 2 * sum(max((e.tdeg + e.xdeg for e in row if e.coeffs), default=0) for row in mat)
     w = top.bit_length() + 1
     guard = _pack([1 << (w - 1)] * 5, w)
-    p = F.p if isinstance(F, PrimeField) else None
+    p = _modulus(F)
     den = 1     # over F_p every denominator is 1 and the rows stay as they are
     m = []
     for row in mat:
-        rd = lcm(*(c.denominator for e in row for c in e.coeffs.values()))
+        rd, packed = _packed_forms(row, w, p)
         den *= rd
-        m.append([
-            {_pack(k, w): c.numerator * (rd // c.denominator) for k, c in e.coeffs.items()}
-            for e in row
-        ])
+        m.append(packed)
     deg = [[(e.tdeg, e.xdeg) for e in row] for row in mat]
     sign = 1
     prev = None
@@ -858,12 +911,8 @@ def poly_det_bareiss(mat):
                         raise InexactDivision("degree of divisor exceeds dividend")
                 m[i][j], deg[i][j] = num, (td, xd)
         prev, plm, vt, vx = piv, max(piv), pt, px
-    det, (td, xd) = m[n - 1][n - 1], deg[n - 1][n - 1]
-    if p is None:
-        coeffs = {_unpack(t, w): Fraction(sign * v, den) for t, v in det.items()}
-    else:
-        coeffs = {_unpack(t, w): v if sign > 0 else p - v for t, v in det.items()}
-    return BiPoly(F, td, xd, coeffs, _clean=True)
+    (td, xd) = deg[n - 1][n - 1]
+    return _bipoly(F, m[n - 1][n - 1], w, td, xd, den, sign)
 
 
 def _t_slices(h, w, p, den):
@@ -946,16 +995,11 @@ def resultant_t(f: BiPoly, g: BiPoly) -> BiPoly:
         f, g = g, f
     w = (2 * want).bit_length() + 1      # every exponent of the norm is <= 2 * want
     guard = _pack([1 << (w - 1)] * 5, w)
-    p = F.p if isinstance(F, PrimeField) else None
+    p = _modulus(F)
     dens = [1 if p is not None else lcm(*(c.denominator for c in h.coeffs.values()))
             for h in (f, g)]
     res = _low_resultant(_t_slices(f, w, p, dens[0]), _t_slices(g, w, p, dens[1]), guard, p)
-    if p is None:
-        den = dens[0] ** g.tdeg * dens[1] ** f.tdeg
-        coeffs = {_unpack(t, w): Fraction(sign * v, den) for t, v in res.items()}
-    else:
-        coeffs = {_unpack(t, w): v if sign > 0 else p - v for t, v in res.items()}
-    return BiPoly(F, 0, want, coeffs, _clean=True)
+    return _bipoly(F, res, w, 0, want, dens[0] ** g.tdeg * dens[1] ** f.tdeg, sign)
 
 
 def _sylvester(f, g):

@@ -358,7 +358,7 @@ def _mild_verdicts(ctx, asm, verdicts):
         dets = []
         for i, fam in asm.minors.items():
             indep.append(independent_mod(fam, [ctx.mb.p]))
-            _, _, lam = morley_det_check(ctx, i, asm.morley)
+            _, lam = morley_det_check(ctx, i, asm.morley)
             dets.append(not F.is_zero(lam))
         verdicts["minor-families-independent-mod-low-line"] = all(indep)
         verdicts["morley-determinants"] = all(dets)

@@ -254,6 +254,67 @@ def test_packed_powers_match_the_convolution(field, top):
             assert isinstance(got, array) if words else type(got) is list
 
 
+def _substitute_reference(table, g):
+    """G(T, u(T)) term by term on the table's own dense powers: each c u^b
+    added entry by entry at the offset a1 (over Q times scale^xdeg)."""
+    top = g.tdeg + g.xdeg * table.d
+    acc = [0] * (top + 1)
+    for m, c in g.coeffs.items():
+        for k, v in enumerate(table.power(m[2:])):
+            acc[m[1] + k] += c * v
+    if table.modulus is None:
+        acc = [v * table.scale ** g.xdeg for v in acc]
+    else:
+        acc = [v % table.modulus for v in acc]
+    return BiPoly(g.field, top, 0, {(top - k, k, 0, 0, 0): v for k, v in enumerate(acc) if v})
+
+
+@pytest.mark.parametrize(
+    "field", [PrimeField(2), PrimeField(3), FP, MERSENNE_127, QQ],
+    ids=["fp2", "fp3", "fp62", "fp127", "q"],
+)
+def test_packed_substitute_matches_the_term_by_term_sum(field):
+    """PowerTable.substitute sums every term into one packed int.  A full
+    bidegree (11, 11) form with every coefficient p - 1 (over Q, large
+    coefficients of mixed sign) on a triple with every entry p - 1 (over Q,
+    of mixed sign) fills each slot with 936 products near the largest; a
+    kernel element of bidegree (d, 1) substitutes to zero; so does the zero
+    form."""
+    d = 10
+    rng = random.Random(11)
+    if field == QQ:
+        top = [Fraction(-7, 3) ** a * (-1) ** a for a in range(d + 1)]
+        triples = [
+            [top, [Fraction(9 * (-1) ** a, 2) for a in range(d + 1)], [-9] * (d + 1)],
+            [[Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(d + 1)]
+             for _ in range(3)],
+        ]
+        coeffs = [(-1) ** k * (10**20 + k) for k in range(936)]
+    else:
+        triples = [
+            [[field.p - 1] * (d + 1)] * 3,
+            [[rng.randrange(field.p) for _ in range(d + 1)] for _ in range(3)],
+        ]
+        coeffs = [field.p - 1] * 936
+    full = BiPoly(field, 11, 11, dict(zip(monomials_of_bidegree(11, 11), coeffs)))
+    assert len(full.coeffs) == 936
+    for dense in triples:
+        u = [t_poly(field, c) for c in dense]
+        table = PowerTable(*u)
+        kernel = BiPoly(field, d, 1, {m[:2] + (1, 0, 0): c for m, c in u[1].coeffs.items()}) - \
+            BiPoly(field, d, 1, {m[:2] + (0, 1, 0): c for m, c in u[0].coeffs.items()})
+        sparse = BiPoly(field, 3, 4, {
+            m: Fraction(coeffs[k], k + 2) if field == QQ else coeffs[k] - k
+            for k, m in enumerate(rng.sample(monomials_of_bidegree(3, 4), 9))
+        })
+        for g in (full, sparse):
+            assert table.substitute(g) == _substitute_reference(table, g)
+        assert not kernel.is_zero() and table.substitute(kernel).is_zero()
+        assert _substitute_reference(table, kernel).is_zero()
+        zero = table.substitute(BiPoly.zero(field, 2, 3))
+        assert zero.is_zero() and zero.bidegree == (2 + 3 * d, 0)
+
+
 def test_subst_x_rejects_a_foreign_power_table():
     u = [t_poly(QQ, [1, 2]), t_poly(QQ, [0, 1]), t_poly(QQ, [3, 0])]
     other = PowerTable(t_poly(QQ, [1, 0]), *u[1:])

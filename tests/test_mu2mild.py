@@ -1,11 +1,14 @@
 """The mild pipeline: Sylvester forms, Morley coefficients, minors, assembly.
 
 The Sylvester forms of both mu = 2 pipelines are read off the Morley form;
-here they are checked against the 2x2 determinants of T-slot splits.
+here they are checked against the 2x2 determinants of T-slot splits.  The
+band minors and the resultant determinants are read off closed forms; here
+the matrices are built as BiPoly entries and checked against Bareiss.
 """
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from curves import binomial_even, invariants, monomial_odd
 from reescurve.errors import PreconditionError
@@ -13,7 +16,6 @@ from reescurve.fields import DEFAULT_PRIME, PrimeField, QQ
 from reescurve.mu2mild import (
     MorleyData,
     assemble_mild,
-    band_matrix,
     delta_sylvester,
     mild_context,
     minor_family,
@@ -22,7 +24,7 @@ from reescurve.mu2mild import (
 )
 from reescurve.mu2sing import family, top_generator_odd, top_generators_even, very_singular_context
 from reescurve.oracle import Oracle, ideal_piece_membership, independent_mod
-from reescurve.poly import BiPoly, morley_form, parse_bipoly
+from reescurve.poly import BiPoly, morley_form, parse_bipoly, poly_det_bareiss
 from reescurve.sampling import sample_mild, sample_very_singular
 from reescurve.syzygy import mu_basis, parametrization
 
@@ -49,6 +51,38 @@ def sylvester_reference(f, g, v):
 
     (f0, f1), (g0, g1) = split(f), split(g)
     return f0 * g1 - f1 * g0
+
+
+def banded_columns(ctx, nrows):
+    """The nrows - 2 columns of the band: L0, L*, L1 in rows c, c+1, c+2."""
+    cols = []
+    for c in range(nrows - 2):
+        col = [BiPoly.zero(ctx.field, 0, 1) for _ in range(nrows)]
+        col[c], col[c + 1], col[c + 2] = ctx.l0, ctx.lstar, ctx.l1
+        cols.append(col)
+    return cols
+
+
+def band_matrix(ctx, i, morley):
+    """The (d-1-i) x (d-2-i) matrix with banded L-columns and a Morley column."""
+    d = ctx.d
+    nrows = d - 1 - i
+    cols = banded_columns(ctx, nrows)
+    return [[col[r] for col in cols] + [morley.coeffs[(d - 2 - i - r, r)]] for r in range(nrows)]
+
+
+def resultant_matrix(ctx, i, morley):
+    """The square (d-2) x (d-2) matrix of level i: the band of d-1-i rows
+    beside morley.block(i), over the transposed band of i+1 rows."""
+    d = ctx.d
+    top = banded_columns(ctx, d - 1 - i)
+    block = morley.block(i)
+    rows = [[col[r] for col in top] + block[r] for r in range(d - 1 - i)]
+    zero = BiPoly.zero(ctx.field, 0, 1)
+    for col in banded_columns(ctx, i + 1):
+        rows.append([zero] * (d - 3 - i) + col)
+    assert len(rows) == d - 2 and all(len(r) == d - 2 for r in rows)
+    return rows
 
 
 def swap_t(f):
@@ -188,7 +222,7 @@ def test_morley_det_equals_curve_equation():
         ctx = mild_context(s.par, *invariants(s.par))
         morley = morley_coeffs(ctx)
         for i in range(1, d - 3):
-            _, det, lam = morley_det_check(ctx, i, morley)
+            det, lam = morley_det_check(ctx, i, morley)
             assert not FP.is_zero(lam)
             assert det.proportional_to(ctx.implicit.equation)
 
@@ -232,7 +266,9 @@ def test_morley_det_matches_naive_expansion_small():
 
     s = fixed_mild(5, 2)
     ctx = mild_context(s.par, *invariants(s.par))
-    rows, det, lam = morley_det_check(ctx, 1, morley_coeffs(ctx))
+    morley = morley_coeffs(ctx)
+    rows = resultant_matrix(ctx, 1, morley)
+    det, lam = morley_det_check(ctx, 1, morley)
     naive = BiPoly.zero(FP, 0, 0)
     n = len(rows)
     for perm in itertools.permutations(range(n)):
@@ -257,6 +293,28 @@ def test_band_matrix_shape():
     rows = band_matrix(ctx, 2, morley)
     assert len(rows) == ctx.d - 1 - 2
     assert all(len(r) == ctx.d - 2 - 2 for r in rows)
+
+
+@pytest.mark.parametrize("field", IDENTITY_FIELDS, ids=lambda f: f.name)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(d=st.integers(min_value=5, max_value=11), seed=st.integers(min_value=0, max_value=10**6))
+@example(d=7, seed=0)
+@example(d=11, seed=1)
+def test_closed_forms_match_bareiss(field, d, seed):
+    """At every level i, each minor of minor_family is the Bareiss
+    determinant of the band matrix without its row (sign (-1)^t), and the
+    determinant of morley_det_check is the Bareiss determinant of the square
+    resultant matrix, signs included."""
+    s = fixed_mild(d, seed, field)
+    ctx = mild_context(s.par, *invariants(s.par))
+    morley = morley_coeffs(ctx)
+    for i in range(1, d - 3):
+        rows = band_matrix(ctx, i, morley)
+        want = [poly_det_bareiss(rows[:t] + rows[t + 1 :]) for t in range(len(rows))]
+        assert minor_family(ctx, i, morley) == [m if t % 2 == 0 else -m for t, m in enumerate(want)]
+        det, lam = morley_det_check(ctx, i, morley)
+        assert det == poly_det_bareiss(resultant_matrix(ctx, i, morley))
+        assert det == ctx.implicit.equation.scale(lam)
 
 
 def test_boundary_quartic_emits_base_family():

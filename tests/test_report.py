@@ -61,9 +61,9 @@ def test_very_singular_report_computes_each_object_once(monkeypatch):
 
 def test_report_resultants_take_no_sylvester_determinant(monkeypatch):
     """Under mu = 2 every resultant of a report has an argument of T-degree 1
-    or 2, so resultant_t never falls back to the Sylvester determinant.  Only
-    poly.py looks poly_det_bareiss up in the poly module (mu2mild binds its
-    own name), so the counter there sees exactly resultant_t's calls."""
+    or 2, so resultant_t never falls back to the Sylvester determinant.
+    resultant_t looks poly_det_bareiss up in the poly module, so the counter
+    there sees its calls."""
     from reescurve import poly
 
     calls = Counter()
@@ -74,6 +74,24 @@ def test_report_resultants_take_no_sylvester_determinant(monkeypatch):
                 sample_very_singular(FP, 8, random.Random(2)).par):
         assert report.build_report(par).all_pass
     assert calls["resultant_t"] >= 4
+    assert calls["poly_det_bareiss"] == 0
+
+
+@pytest.mark.parametrize("field, d, seed", [(FP, 8, 0), (QQ, 6, 1)], ids=["fp", "q"])
+def test_mild_report_takes_no_bareiss_determinant(monkeypatch, field, d, seed):
+    """The band minors and the resultant determinants of a mild report are
+    closed forms: no Bareiss elimination runs, through the poly binding or a
+    mu2mild one."""
+    from reescurve import poly
+
+    calls = Counter()
+    _count_calls(monkeypatch, calls, poly, "poly_det_bareiss")
+    monkeypatch.setattr(mu2mild, "poly_det_bareiss", poly.poly_det_bareiss, raising=False)
+    _count_calls(monkeypatch, calls, mu2mild, "minor_family")
+    _count_calls(monkeypatch, calls, mu2mild, "morley_det_check")
+    par = sample_mild(field, d, random.Random(seed)).par
+    assert report.build_report(par).all_pass
+    assert calls["minor_family"] == calls["morley_det_check"] == d - 4
     assert calls["poly_det_bareiss"] == 0
 
 
