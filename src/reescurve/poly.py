@@ -33,7 +33,6 @@ from array import array
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, mul
 
 from .fields import PrimeField, ensure_same_field
 
@@ -612,7 +611,7 @@ class PowerTable:
                     + max(map(self._entry_bits, {m[2:] for m, _ in terms})) + 1)
         else:
             terms = g.coeffs.items()
-            bits = 2 * self._entry_bits(None)     # c and the entries are below p
+            bits = 2 * (p - 1).bit_length()       # c and the entries are below p
         nbytes = (bits + len(terms).bit_length() + 7) // 8
         slot = 8 * nbytes
         packed = self._packed
@@ -740,7 +739,7 @@ def _pack(mono, w):
 
 def _unpack(key, w):
     mask = (1 << w) - 1
-    return tuple(key >> s & mask for s in range(4 * w, -1, -w))
+    return (key >> 4 * w, key >> 3 * w & mask, key >> 2 * w & mask, key >> w & mask, key & mask)
 
 
 def _modulus(F):
@@ -911,7 +910,7 @@ def poly_det_bareiss(mat):
                         raise InexactDivision("degree of divisor exceeds dividend")
                 m[i][j], deg[i][j] = num, (td, xd)
         prev, plm, vt, vx = piv, max(piv), pt, px
-    (td, xd) = deg[n - 1][n - 1]
+    td, xd = deg[n - 1][n - 1]
     return _bipoly(F, m[n - 1][n - 1], w, td, xd, den, sign)
 
 
