@@ -37,11 +37,8 @@ from .syzygy import (
 class MildContext:
     par: Parametrization
     mb: MuBasis
-    l0: BiPoly                 # coefficient forms of P: T0^2 L0 + T1^2 L1 + T0T1 L*
-    l1: BiPoly
-    lstar: BiPoly
     implicit: ImplicitEquation
-    band: Band                 # L0, L*, L1 packed, shared by every level
+    band: Band                 # P = T0^2 L0 + T0T1 L* + T1^2 L1, shared by every level
     boundary: bool = False     # d = 4 (2 mu = d) boundary: counts not asserted
 
     @property
@@ -68,15 +65,12 @@ def mild_context(
         )
     if imp.properness_degree != 1:
         raise ImproperParametrization(imp.properness_degree)
-    l0, l1, lstar = (mb.p.t_coefficient(*a) for a in ((2, 0), (0, 2), (1, 1)))
+    lforms = (mb.p.t_coefficient(*a) for a in ((2, 0), (1, 1), (0, 2)))
     return MildContext(
         par=par,
         mb=mb,
-        l0=l0,
-        l1=l1,
-        lstar=lstar,
         implicit=imp,
-        band=Band(par.field, par.d, l0, lstar, l1),
+        band=Band(par.field, par.d, *lforms),
         boundary=boundary,
     )
 
@@ -175,7 +169,6 @@ class Band:
         self.den, (l0, lstar, l1) = self.pack([l0, lstar, l1])
         self.neg_lstar = {k: -c for k, c in lstar.items()}
         self.neg_l01 = {k: -c for k, c in _dot([(l0, l1)], self.p).items()}
-        self.l0 = l0
         self.pow0, self.pow1 = [{0: 1}, l0], [{0: 1}, l1]
 
     def pack(self, forms):
@@ -191,10 +184,10 @@ class Band:
             pows.append(_dot([(pows[-1], pows[1])], self.p))
         return pows[k]
 
-    def _tail_sums(self, ys, pows):
+    def tail_sums(self, ys, pows):
         """S_t = sum over r > t of E_(r-1-t) L^(n-r) y_r, t = 0..n, for the
-        column ys = y_0..y_n and L the linear form of pows:
-        S_t = L^(n-t-1) y_(t+1) - L* S_(t+1) - L0 L1 S_(t+2)."""
+        column ys = y_0..y_n and L the linear form of pows (pow0: L0,
+        pow1: L1): S_t = L^(n-t-1) y_(t+1) - L* S_(t+1) - L0 L1 S_(t+2)."""
         n = len(ys) - 1
         out = [{}] * (n + 2)
         for t in range(n - 1, -1, -1):
@@ -206,10 +199,6 @@ class Band:
             )
         return out[: n + 1]
 
-    def upper_sums(self, ys):
-        """U_t, the sum over r > t of E_(r-1-t) L1^(n-r) y_r, t = 0..n."""
-        return self._tail_sums(ys, self.pow1)
-
     def minors(self, ys):
         """(-1)^t det([B_n | ys] minus row t), t = 0..n, ys = y_0..y_n.
 
@@ -220,8 +209,8 @@ class Band:
         (the same recurrence, read from the other end with L0 for L1)."""
         n = len(ys) - 1
         neg = [{k: -c for k, c in y.items()} for y in ys]     # the sums are linear in ys
-        up = self.upper_sums(ys if n % 2 else neg)
-        down = self._tail_sums((neg if n % 2 else ys)[::-1], self.pow0)[::-1]
+        up = self.tail_sums(ys if n % 2 else neg, self.pow1)
+        down = self.tail_sums((neg if n % 2 else ys)[::-1], self.pow0)[::-1]
         return [
             _dot([(self._power(self.pow0, t), up[t]), (self._power(self.pow1, n - t), down[t])],
                  self.p)
@@ -269,7 +258,7 @@ def morley_det_check(ctx: MildContext, i: int, morley: MorleyData):
 
         det = (-1)^(i-1) sum over t of L0^t sum over s of A_ts U^s_t,
 
-    U^s = Band.upper_sums of the column (m^r_s)_r.  The n+1 inner minors
+    U^s = Band.tail_sums of the column (m^r_s)_r with L = L1.  The n+1 inner minors
     run as one, the rows r tagged by T0^r in A's columns; the i+1 upper sums
     run as one, the columns s tagged by T1^s; the sum over t is a Horner
     scheme in L0.
@@ -294,11 +283,11 @@ def morley_det_check(ctx: MildContext, i: int, morley: MorleyData):
         for k, c in m.items():
             ys[k >> w0][k & low | s << w1] = c
     packed = {}
-    for t, u in reversed(list(enumerate(band.upper_sums(ys)))):
+    for t, u in reversed(list(enumerate(band.tail_sums(ys, band.pow1)))):
         parts = [{} for _ in range(i + 1)]
         for k, c in u.items():
             parts[k >> w1][k & low] = c
-        packed = _dot([(band.l0, packed)] + list(zip(a[t], parts)), band.p)
+        packed = _dot([(band.pow0[1], packed)] + list(zip(a[t], parts)), band.p)
     det = band.form(packed, 0, d, den * den * band.den ** (n + i - 2), (-1) ** (i - 1))
     eq = ctx.implicit.equation
     if det.is_zero() or not det.proportional_to(eq):

@@ -54,11 +54,13 @@ def sylvester_reference(f, g, v):
 
 
 def banded_columns(ctx, nrows):
-    """The nrows - 2 columns of the band: L0, L*, L1 in rows c, c+1, c+2."""
+    """The nrows - 2 columns of the band: the coefficients L0, L*, L1 of
+    P = T0^2 L0 + T0T1 L* + T1^2 L1 in rows c, c+1, c+2."""
+    lforms = [ctx.mb.p.t_coefficient(*a) for a in ((2, 0), (1, 1), (0, 2))]
     cols = []
     for c in range(nrows - 2):
         col = [BiPoly.zero(ctx.field, 0, 1) for _ in range(nrows)]
-        col[c], col[c + 1], col[c + 2] = ctx.l0, ctx.lstar, ctx.l1
+        col[c : c + 3] = lforms
         cols.append(col)
     return cols
 
