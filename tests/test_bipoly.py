@@ -283,9 +283,9 @@ def test_packed_substitute_matches_the_term_by_term_sum(field):
     d = 10
     rng = random.Random(11)
     if field == QQ:
-        top = [Fraction(-7, 3) ** a * (-1) ** a for a in range(d + 1)]
         triples = [
-            [top, [Fraction(9 * (-1) ** a, 2) for a in range(d + 1)], [-9] * (d + 1)],
+            [[Fraction(-7, 3) ** a for a in range(d + 1)],
+             [Fraction(9 * (-1) ** a, 2) for a in range(d + 1)], [-9] * (d + 1)],
             [[Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(d + 1)]
              for _ in range(3)],
         ]
@@ -301,8 +301,8 @@ def test_packed_substitute_matches_the_term_by_term_sum(field):
     for dense in triples:
         u = [t_poly(field, c) for c in dense]
         table = PowerTable(*u)
-        kernel = BiPoly(field, d, 1, {m[:2] + (1, 0, 0): c for m, c in u[1].coeffs.items()}) - \
-            BiPoly(field, d, 1, {m[:2] + (0, 1, 0): c for m, c in u[0].coeffs.items()})
+        x0, x1 = (BiPoly.monomial(field, (0, 0) + e) for e in ((1, 0, 0), (0, 1, 0)))
+        kernel = u[1] * x0 - u[0] * x1        # u1 X0 - u0 X1 vanishes on the curve
         sparse = BiPoly(field, 3, 4, {
             m: Fraction(coeffs[k], k + 2) if field == QQ else coeffs[k] - k
             for k, m in enumerate(rng.sample(monomials_of_bidegree(3, 4), 9))
