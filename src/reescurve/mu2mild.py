@@ -258,10 +258,10 @@ def morley_det_check(ctx: MildContext, i: int, morley: MorleyData):
 
         det = (-1)^(i-1) sum over t of L0^t sum over s of A_ts U^s_t,
 
-    U^s = Band.tail_sums of the column (m^r_s)_r with L = L1.  The n+1 inner minors
-    run as one, the rows r tagged by T0^r in A's columns; the i+1 upper sums
-    run as one, the columns s tagged by T1^s; the sum over t is a Horner
-    scheme in L0.
+    U^s = Band.tail_sums of the column (m^r_s)_r with L = L1.  The n+1
+    inner minors run as one, the rows r tagged by T0^r in A's columns; the
+    i+1 tail sums run as one, the columns s tagged by T1^s; the sum over t
+    is a Horner scheme in L0.
 
     Returns (det, lam) with det = lam * E_d, lam != 0.
     """
@@ -277,7 +277,8 @@ def morley_det_check(ctx: MildContext, i: int, morley: MorleyData):
     for r, f in enumerate(col):
         for k, c in f.items():
             a[r][k >> w1 & (1 << band.w) - 1][k & low] = c
-    tagged = [{k | r << w0: c for r in range(n + 1) for k, c in a[r][s].items()} for s in range(i + 1)]
+    tagged = [{k | r << w0: c for r in range(n + 1) for k, c in a[r][s].items()}
+              for s in range(i + 1)]
     ys = [{} for _ in range(n + 1)]
     for s, m in enumerate(band.minors(tagged)):
         for k, c in m.items():
