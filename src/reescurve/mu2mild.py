@@ -156,8 +156,8 @@ class Band:
         D_0 = 1, D_1 = L*, D_k = L* D_(k-1) - L0 L1 D_(k-2).
 
     Every sum over r below is one three-term recurrence in E_k = (-1)^k D_k,
-    with products by L* and L0 L1 only; the powers of L0 and L1 are kept as
-    they are first needed.  Keys pack (a0, a1, b0, b1, b2) in fields of
+    with products by L*, L0 L1 and the powers of L0 and L1, which are kept
+    as they are first needed.  Keys pack (a0, a1, b0, b1, b2) in fields of
     d.bit_length() bits (poly._pack), enough for every exponent here; over Q,
     L0, L*, L1 are integer numerators over one denominator `den`.
     """
