@@ -1,43 +1,56 @@
-"""Optional C kernel for F_p row reduction, built on demand with gcc/cc.
+"""Optional C kernel for F_p arithmetic, built on demand with gcc/cc.
 
-The hot loops of the brute-force oracle are Gaussian eliminations over a
-62-bit prime field on matrices with a few hundred rows/columns.  CPython is
-two orders of magnitude too slow for those, so we compile two small C helpers
-at first use (cached under ~/.cache) and call them through ctypes:
+The hot loops of the brute-force oracle and of every substitution into a
+curve run over a 62-bit prime field: Gaussian eliminations on matrices with a
+few hundred rows/columns, and the products and sums of the dense powers u^b
+of a parametrization.  CPython is two orders of magnitude too slow for the
+eliminations, so we compile a few small C helpers at first use (cached under
+~/.cache) and call them through ctypes:
 
   * fp_accumulate absorbs a batch of rows into a mutually reduced pivot
     block (incremental canonical RREF, with early stop);
   * fp_kernel_rows writes the RREF kernel rows of such a block, one per free
     column, with their columns sent through an index map (the oracle's
-    monomial-multiplication shifts).
+    monomial-multiplication shifts);
+  * fp_convolve multiplies two dense residue vectors (one power u^b from
+    u^(b - e_k) and u_k);
+  * fp_shifted_sum adds residue vectors times scalars, each at its own
+    offset (a substitution G(T, u(T)): c u^b at offset a1 per term).
 
-fp_accumulate eliminates left-looking, with delayed modular reduction (the
-FFLAS/FFPACK scheme of Dumas, Gautier, Giorgi & Pernet).  Phase 1 reduces
-each incoming row against the block in insertion order, in 128-bit
-accumulators, and appends it normalized; earlier rows are not touched.  A
-product of two residues is below 2^124 for p < 2^62, so an accumulator takes
-15 of them on top of a residue before it must be reduced mod p: it reduces
-once per 15 products, not once per row operation.  Phase 2 back-substitutes
-once per batch, last row first, each row against the rows after it.  Both
-give the same block as eager Gauss-Jordan: a reduced row is the incoming row
-minus the one combination of block rows that matches it on the pivot
-columns, whatever the order of elimination.  Rows the kernel appends are
-zero left of their pivot, so it sweeps them from there; rows installed by
-RowReducer.seed need not be, and are swept in full.
+All of them use delayed modular reduction (the FFLAS/FFPACK scheme of Dumas,
+Gautier, Giorgi & Pernet).  A product of two residues is below 2^124 for
+p < 2^62, so a 128-bit accumulator takes 15 of them on top of a residue
+before it must be reduced mod p: it reduces once per 15 products, not once
+per product.  fp_convolve keeps one such accumulator per output entry;
+fp_shifted_sum and fp_accumulate keep a row of them, as hi:lo words, and
+flush the row once per 15 terms or row operations.
 
-linalg.py hands this kernel every F_p problem with p < 2^62.  When no
-compiler is available, or the cache directory cannot be written, those go to
-its generic pure-Python core, the one Q and F_p with p >= 2^62 always run on.
-Both F_p paths produce the identical canonical RREF and kernel rows, which
-the test suite cross-checks.
+fp_accumulate eliminates left-looking.  Phase 1 reduces each incoming row
+against the block in insertion order, in the accumulator, and appends it
+normalized; earlier rows are not touched.  Phase 2 back-substitutes once per
+batch, last row first, each row against the rows after it.  Both give the
+same block as eager Gauss-Jordan: a reduced row is the incoming row minus
+the one combination of block rows that matches it on the pivot columns,
+whatever the order of elimination.  Rows the kernel appends are zero left of
+their pivot, so it sweeps them from there; rows installed by RowReducer.seed
+need not be, and are swept in full.
 
-Set REESCURVE_NO_NATIVE=1 to force the pure-Python path.
+linalg.py hands this kernel every F_p elimination with p < P_BOUND, and
+poly.PowerTable every F_p power and substitution.  When no compiler is
+available, or the cache directory cannot be written, those go to the
+pure-Python paths (linalg's generic core, PowerTable's Kronecker products),
+the ones Q and F_p with p >= P_BOUND always run on.  Both paths give the
+identical results, which the test suite cross-checks.
+
+Set REESCURVE_NO_NATIVE=1 to force the pure-Python paths.
 """
 from __future__ import annotations
 
 import ctypes
 import hashlib
 import os
+
+P_BOUND = 1 << 62   # the kernel's residues and accumulators need p below this
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -172,6 +185,46 @@ long fp_accumulate(uint64_t *piv, long *pivcols, long npiv, long nseed, long cap
     return npiv;
 }
 
+/* out = a * b mod p, na + nb - 1 entries: one 128-bit accumulator per entry,
+   reduced before its 16th product as in acc_eliminate. */
+void fp_convolve(const uint64_t *a, long na, const uint64_t *b, long nb,
+                 uint64_t p, uint64_t *out)
+{
+    for (long k = 0; k < na + nb - 1; ++k) {
+        long i = k < nb ? 0 : k - nb + 1, end = k < na ? k : na - 1;
+        u128 acc = 0;
+        for (int pending = 0; i <= end; ++i, ++pending) {
+            if (pending == 15) { acc %= p; pending = 0; }
+            acc += (u128)a[i] * b[k - i];
+        }
+        out[k] = red128((uint64_t)(acc >> 64), (uint64_t)acc, p);
+    }
+}
+
+/* out[off[t] + k] += coef[t] * src[t][k] mod p for t < nterms, k < len:
+   out holds nout residues and is the low word of a row of accumulators whose
+   high words are `scratch` (nout words), flushed before the 16th term. */
+void fp_shifted_sum(uint64_t *out, long nout, const uint64_t *const *src, long len,
+                    const long *off, const uint64_t *coef, long nterms,
+                    uint64_t p, uint64_t *scratch)
+{
+    acc_t a = {out, scratch, nout, nout, 0, p};
+    memset(scratch, 0, (size_t)nout * sizeof(uint64_t));
+    for (long t = 0; t < nterms; ++t) {
+        if (a.pending == 15) acc_flush(&a);
+        uint64_t c = coef[t], *lo = out + off[t], *hi = scratch + off[t];
+        const uint64_t *s = src[t];
+        for (long k = 0; k < len; ++k) {
+            u128 x = (u128)c * s[k] + lo[k];
+            lo[k] = (uint64_t)x;
+            hi[k] += (uint64_t)(x >> 64);
+        }
+        a.pending++;
+        if (off[t] < a.dirty) a.dirty = off[t];
+    }
+    acc_flush(&a);
+}
+
 /* Kernel rows of the pivot block `piv` (npiv rows, ncols wide): row r has 1
    at colmap[freecols[r]] and -piv[t][freecols[r]] at colmap[pivcols[t]].
    `out` holds nfree zeroed rows, width wide. */
@@ -264,5 +317,10 @@ def get_kernel():
         u64p, longp, ctypes.c_long, ctypes.c_long, longp, ctypes.c_long,
         longp, u64p, ctypes.c_long, ctypes.c_uint64,
     ]
+    vp, c_long, c_u64 = ctypes.c_void_p, ctypes.c_long, ctypes.c_uint64
+    lib.fp_convolve.restype = None
+    lib.fp_convolve.argtypes = [vp, c_long, vp, c_long, c_u64, vp]
+    lib.fp_shifted_sum.restype = None
+    lib.fp_shifted_sum.argtypes = [vp, c_long, vp, c_long, vp, vp, c_long, c_u64, vp]
     _lib = lib
     return _lib

@@ -10,6 +10,7 @@ type).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -261,7 +262,10 @@ def cmd_sample(args, kind):
     return EXIT_OK
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    is, and each subcommand's function is looked up when it runs."""
     ap = argparse.ArgumentParser(
         prog="reescurve",
         description="Exact minimal generators of the bigraded ideal of a plane parametrization (mu = 2)",

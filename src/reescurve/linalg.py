@@ -4,9 +4,10 @@ Everything reduces to one primitive, an incremental row-space accumulator
 (`RowReducer`) that keeps a mutually reduced pivot basis — i.e. the unique
 reduced row echelon form of whatever rows were fed in.  Two interchangeable
 cores implement it, chosen by the field and by whether the C kernel is built:
-  * F_p with p < 2^62 and a C compiler: the C kernel from _native.py, whose
-    pivot block and batches live in `array('Q')` buffers handed to C through
-    ctypes;
+  * F_p with p < 2^62 and a C compiler: the elimination routines of the C
+    kernel in _native.py (which also serves poly.PowerTable's power products
+    and substitutions), whose pivot block and batches live in `array('Q')`
+    buffers handed to C through ctypes;
   * everything else (Q, F_p with p >= 2^62, F_p without a compiler): the
     generic pure-Python core, exact ints or Fractions with the scalars' own
     arithmetic.  Over F_p with p < 2^62 it runs under the label class
@@ -38,9 +39,6 @@ class ShapeMismatch(ValueError):
 # ---------------------------------------------------------------------------
 # row-reduction cores
 # ---------------------------------------------------------------------------
-
-_FP_CORE_BOUND = 1 << 62   # the native core needs p below this
-
 
 class _FractionCore:
     """Pure-Python core, generic over the field: Q, F_p for p >= 2^62 (whose
@@ -232,7 +230,7 @@ def normalized(F, vec):
 
 
 def _make_core(field, ncols):
-    if isinstance(field, PrimeField) and field.p < _FP_CORE_BOUND:
+    if isinstance(field, PrimeField) and field.p < _native.P_BOUND:
         kernel = _native.get_kernel()
         if kernel is not None:
             return _FpNativeCore(field, ncols, kernel)

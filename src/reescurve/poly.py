@@ -7,11 +7,14 @@ printing, pivoting and normalization everywhere is lexicographic with
 T0 > T1 > X0 > X1 > X2, highest first — i.e. plain descending tuple order.
 
 Substitution X -> u(T) runs on a PowerTable: dense integer powers u^b of one
-parametrization, built once per curve (a Parametrization owns one) by
-Kronecker substitution and read by every substitution into that curve and by
-its oracle.  A substitution is one packed sum of the terms' powers and one
-unpack.  Forms substituted into forms (a change of X coordinates, an
-inverse map put into a moving line) go through BiPoly.compose.
+parametrization, built once per curve (a Parametrization owns one) and read
+by every substitution into that curve and by its oracle.  Over F_p with
+p < 2^62 the C kernel of _native builds each power by one convolution and
+makes each substitution one shifted sum of the terms' powers; otherwise a
+power is one Kronecker product and a substitution one packed sum and one
+unpack.  Forms substituted into forms (an inverse map put into a moving
+line) go through BiPoly.compose; a linear change of X coordinates through
+syzygy.pullback_through_change.
 
 Determinants (poly_det_bareiss) and T-resultants (resultant_t) run on plain
 ints with no BiPoly arithmetic inside: each monomial is packed into one int,
@@ -34,6 +37,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
 
+from . import _native
 from .fields import PrimeField, ensure_same_field
 
 Mono = tuple  # (a0, a1, b0, b1, b2)
@@ -506,24 +510,28 @@ class PowerTable:
     The one place that raises a parametrization to powers: every substitution
     G(T, u(T)) and every oracle slice matrix reads its columns from here.  A
     power is built once, on request, as a dense list of ints (index = T1
-    exponent): u^b is u^(b - e_k) times u_k by Kronecker substitution
-    (Harvey, J. Symb. Comp. 2009).  Each factor is packed into one int, one
-    coefficient per slot of 8*B bits, and the product of the two ints holds
-    the product's coefficients in the same slots.  B covers the bits of the
-    largest |entry| of u^(b - e_k), those of the base triple, the bit length
-    of the d + 1 terms of a slot and, over Q, a sign bit; one unpack reads
-    the slots.  `substitute` sums the packed powers of a form's terms the
-    same way, one slot width per call.  A power is packed when it is first
-    used at a slot width and kept per width, as each u_k is, so nothing is
-    packed twice at one width.
-      * Over F_p it holds residues, one ``% p`` per slot; an ``array('Q')``
-        when p fits a machine word, so the oracle can copy it into strided
-        slices of its flat matrix buffer.
-      * Over Q it holds powers of the primitive integer triple w, with
-        u = scale * w: substitution runs on plain ints and builds one Fraction
-        per output coefficient, and a slice (i, j) built from w is the one
-        built from u times scale^j (same kernel, same RREF).  Slots are
-        signed.
+    exponent): u^b is u^(b - e_k) times u_k, by one of two routes.
+      * Over F_p with p < 2^62, when the C kernel of _native is built
+        (``kernel`` is set): one ``fp_convolve`` into a fresh ``array('Q')``
+        of residues, and a substitution is one ``fp_shifted_sum`` of the
+        terms' powers.  Nothing is packed.
+      * Otherwise by Kronecker substitution (Harvey, J. Symb. Comp. 2009).
+        Each factor is packed into one int, one coefficient per slot of 8*B
+        bits, and the product of the two ints holds the product's
+        coefficients in the same slots.  B covers the bits of the largest
+        |entry| of u^(b - e_k), those of the base triple, the bit length of
+        the d + 1 terms of a slot and, over Q, a sign bit; one unpack reads
+        the slots.  `substitute` sums the packed powers of a form's terms the
+        same way, one slot width per call.  A power is packed when it is
+        first used at a slot width and kept per width, as each u_k is, so
+        nothing is packed twice at one width.
+    Over F_p the table holds residues, as an ``array('Q')`` when p fits a
+    machine word, so the oracle can copy it into strided slices of its flat
+    matrix buffer.  Over Q it holds powers of the primitive integer triple w,
+    with u = scale * w: substitution runs on plain ints and builds one
+    Fraction per output coefficient, and a slice (i, j) built from w is the
+    one built from u times scale^j (same kernel, same RREF).  Kronecker slots
+    over Q are signed.
     """
 
     def __init__(self, u0, u1, u2):
@@ -549,8 +557,13 @@ class PowerTable:
             dense = [[c // content for c in u] for u in dense]
             self.modulus = None
             self.scale = Fraction(content, den)
-        self.base = dense      # dense triple the powers are built from
         self.words = self.modulus is not None and self.modulus < 1 << 64   # array("Q") powers
+        # dense triple the powers are built from
+        self.base = [array("Q", u) for u in dense] if self.words else dense
+        self.kernel = (
+            _native.get_kernel()
+            if self.modulus is not None and self.modulus < _native.P_BOUND else None
+        )
         # bits a slot needs beyond those of the power's largest entry
         self._extra = (
             max(abs(c) for u in dense for c in u).bit_length()
@@ -568,13 +581,21 @@ class PowerTable:
         if out is None:
             k = 0 if b[0] else 1 if b[1] else 2
             prev = b[:k] + (b[k] - 1,) + b[k + 1 :]
-            nbytes = (self._entry_bits(prev) + self._extra + 7) // 8
-            x = self._packed_power(prev, nbytes)
-            uk = self._packed_base.get((k, nbytes))
-            if uk is None:
-                uk = self._packed_base[k, nbytes] = _pack_slots(self.base[k], nbytes, self.modulus)
-            vals = _unpack_slots(x * uk, len(self._powers[prev]) + self.d, nbytes, self.modulus)
-            out = self._powers[b] = array("Q", vals) if self.words else vals
+            if self.kernel is not None:
+                x, uk = self.power(prev), self.base[k]
+                out = array("Q", bytes(8 * (len(x) + self.d)))
+                self.kernel.fp_convolve(x.buffer_info()[0], len(x), uk.buffer_info()[0],
+                                        len(uk), self.modulus, out.buffer_info()[0])
+            else:
+                nbytes = (self._entry_bits(prev) + self._extra + 7) // 8
+                x = self._packed_power(prev, nbytes)
+                uk = self._packed_base.get((k, nbytes))
+                if uk is None:
+                    uk = self._packed_base[k, nbytes] = _pack_slots(self.base[k], nbytes, self.modulus)
+                out = _unpack_slots(x * uk, len(self._powers[prev]) + self.d, nbytes, self.modulus)
+                if self.words:
+                    out = array("Q", out)
+            self._powers[b] = out
         return out
 
     def _entry_bits(self, b):
@@ -596,15 +617,20 @@ class PowerTable:
     def substitute(self, g: BiPoly) -> BiPoly:
         """G(T, u(T)) as a T-form of degree tdeg + xdeg * d.
 
-        One packed sum: c u^b shifted by a1 slots for each term c T^a X^b,
-        all in slots of B bytes, then one unpack.  B covers the bits of the
-        largest |c| and of the largest |entry| of the powers, the bit length
-        of the term count and, over Q, a sign bit."""
+        The sum of c u^b shifted by a1 for each term c T^a X^b: on the C
+        kernel one ``fp_shifted_sum`` (every u^b has the length xdeg * d + 1);
+        otherwise one packed sum in slots of B bytes, then one unpack.  B
+        covers the bits of the largest |c| and of the largest |entry| of the
+        powers, the bit length of the term count and, over Q, a sign bit."""
         ensure_same_field(self.field, g.field)
         top = g.tdeg + g.xdeg * self.d
         p = self.modulus
         if not g.coeffs:
             return BiPoly.zero(self.field, top, 0)
+        if self.kernel is not None:
+            vals = self._shifted_sum(g, top)
+            coeffs = {(top - k, k, 0, 0, 0): v for k, v in enumerate(vals) if v}
+            return BiPoly(self.field, top, 0, coeffs, _clean=True)
         if p is None:
             den, terms = cleared_denominators(g.coeffs)
             bits = (max(abs(c) for _, c in terms).bit_length()
@@ -627,6 +653,21 @@ class PowerTable:
         else:
             coeffs = {(top - k, k, 0, 0, 0): v for k, v in enumerate(vals) if v}
         return BiPoly(self.field, top, 0, coeffs, _clean=True)
+
+    def _shifted_sum(self, g, top):
+        """The top + 1 residues of G(T, u(T)): one ``fp_shifted_sum`` call."""
+        power = self.power
+        src = array("Q", [power(m[2:]).buffer_info()[0] for m in g.coeffs])
+        off = array("l", [m[1] for m in g.coeffs])
+        coef = array("Q", g.coeffs.values())
+        vals = array("Q", bytes(8 * (top + 1)))
+        scratch = array("Q", bytes(8 * (top + 1)))
+        self.kernel.fp_shifted_sum(
+            vals.buffer_info()[0], top + 1, src.buffer_info()[0], g.xdeg * self.d + 1,
+            off.buffer_info()[0], coef.buffer_info()[0], len(src), self.modulus,
+            scratch.buffer_info()[0],
+        )
+        return vals
 
 
 def x_monomials(j):

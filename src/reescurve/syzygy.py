@@ -453,16 +453,37 @@ def apply_x_change(par: Parametrization, m_rows) -> Parametrization:
     return Parametrization(*new)
 
 
+def _linear_power(cache, lin, b):
+    """lin[0]^b0 lin[1]^b1 lin[2]^b2 from the cache, built as a lower power
+    times one form.  Module level on purpose: a recursive closure over the
+    cache would be a reference cycle, keeping every power alive until the
+    next full garbage collection."""
+    val = cache.get(b)
+    if val is None:
+        i = 0 if b[0] else 1 if b[1] else 2
+        val = cache[b] = _linear_power(cache, lin, b[:i] + (b[i] - 1,) + b[i + 1 :]) * lin[i]
+    return val
+
+
 def pullback_through_change(g: BiPoly, m_rows) -> BiPoly:
-    """G(T, M X): maps a polynomial in the new coordinates back to the input frame."""
+    """G(T, M X): maps a polynomial in the new coordinates back to the input frame.
+
+    (M X)^b is built once per X-exponent b of g, as a lower power times one
+    linear form (M X)_i, and each term c T^a (M X)^b is added into one
+    coefficient dict, reduced once per coefficient."""
     F = g.field
     lin = [
         BiPoly(F, 0, 1, {(0, 0, *_X_VARS[j][2:]): m_rows[i][j] for j in range(3)})
         for i in range(3)
     ]
-    t0 = BiPoly.monomial(F, (1, 0, 0, 0, 0))
-    t1 = BiPoly.monomial(F, (0, 1, 0, 0, 0))
-    return g.compose(t0, t1, *lin)
+    powers = {(0, 0, 0): BiPoly.constant(F, 1)}
+    acc = {}
+    for m, c in g.coeffs.items():
+        for xm, v in _linear_power(powers, lin, m[2:]).coeffs.items():
+            key = (m[0], m[1], xm[2], xm[3], xm[4])
+            acc[key] = acc.get(key, 0) + c * v
+    coeffs = {m: r for m, v in acc.items() if not F.is_zero(r := F.coerce(v))}
+    return BiPoly(F, g.tdeg, g.xdeg, coeffs, _clean=True)
 
 
 # ---------------------------------------------------------------------------

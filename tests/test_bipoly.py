@@ -7,6 +7,7 @@ from itertools import permutations
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from reescurve import _native
 from reescurve.fields import DEFAULT_PRIME, PrimeField, QQ
 from reescurve.poly import (
     BiPoly,
@@ -220,18 +221,55 @@ def _power_references(table, top):
 MERSENNE_127 = PrimeField((1 << 127) - 1)
 
 
+KERNEL_FIELDS = [PrimeField(2), PrimeField(3), FP]     # the C kernel serves these
+KERNEL_IDS = ["fp2", "fp3", "fp62"]
+
+
+def _on_the_kernel(field):
+    """The route a table over `field` takes by default: "native" for F_p with
+    p < 2^62 (skipped, with the reason, when the kernel is not built), else
+    "kronecker"."""
+    if field == QQ or field.p >= _native.P_BOUND:
+        return "kronecker"
+    if _native.get_kernel() is None:
+        pytest.skip("the C kernel is not built (no compiler, or REESCURVE_NO_NATIVE set)")
+    return "native"
+
+
+def _check_path(table, path):
+    """The table took `path`; the native route packs nothing."""
+    assert (table.kernel is not None) == (path == "native")
+    if path == "native":
+        assert not table._packed and not table._packed_base
+
+
 @pytest.mark.parametrize(
     "field, top",
     [(PrimeField(2), 8), (PrimeField(3), 8), (FP, 8), (MERSENNE_127, 6), (QQ, 12)],
     ids=["fp2", "fp3", "fp62", "fp127", "q"],
 )
 def test_packed_powers_match_the_convolution(field, top):
-    """Kronecker-packed powers equal the convolution for every |b| <= top,
-    stored as array('Q') exactly when p fits a machine word.  At d = 14 a
-    slot sums d + 1 = 15 products, nearly 2^4: with entries p - 1 (F_p), or
+    """Powers on the default route (the C kernel where it serves the field)
+    equal the convolution for every |b| <= top, stored as array('Q') exactly
+    when p fits a machine word.  At d = 14 a slot sums d + 1 = 15 products, nearly 2^4: with entries p - 1 (F_p), or
     3 and -3 in a primitive triple (Q), the middle slots of u0^2 nearly fill
     the slot width the table picks.  Random residues, and over Q entries of
-    mixed sign with zeros, go up to |b| = top."""
+    mixed sign with zeros, go up to |b| = top.  Over F_p, triples of degree
+    20 and 31 with every entry p - 1 sum 21 and 32 products per entry of
+    u0^2, more than the 15 a 128-bit accumulator of the C kernel takes
+    between two reductions at p near 2^62."""
+    _check_powers(field, top, _on_the_kernel(field))
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_kronecker_powers_match_the_convolution(field, monkeypatch):
+    """The same powers by Kronecker products, the kernel hidden before the
+    table is built (the route F_p takes without a compiler)."""
+    monkeypatch.setattr(_native, "get_kernel", lambda: None)
+    _check_powers(field, 8, "kronecker")
+
+
+def _check_powers(field, top, path):
     d = 14
     rng = random.Random(d)
     if field == QQ:
@@ -245,13 +283,17 @@ def test_packed_powers_match_the_convolution(field, top):
             [[field.p - 1] * (d + 1)] * 3,
             [[rng.randrange(field.p) for _ in range(d + 1)] for _ in range(3)],
         ]
+    cases = [(dense, top) for dense in triples]
+    if field != QQ and field.p < _native.P_BOUND:
+        cases += [([[field.p - 1] * (e + 1)] * 3, 4) for e in (20, 31)]
     words = field != QQ and field.p < 1 << 64
-    for dense in triples:
+    for dense, n in cases:
         table = PowerTable(*(t_poly(field, u) for u in dense))
-        for b, want in _power_references(table, top).items():
+        for b, want in _power_references(table, n).items():
             got = table.power(b)
             assert list(got) == want, b
             assert isinstance(got, array) if words else type(got) is list
+        _check_path(table, path)
 
 
 def _substitute_reference(table, g):
@@ -274,12 +316,25 @@ def _substitute_reference(table, g):
     ids=["fp2", "fp3", "fp62", "fp127", "q"],
 )
 def test_packed_substitute_matches_the_term_by_term_sum(field):
-    """PowerTable.substitute sums every term into one packed int.  A full
-    bidegree (11, 11) form with every coefficient p - 1 (over Q, large
-    coefficients of mixed sign) on a triple with every entry p - 1 (over Q,
-    of mixed sign) fills each slot with 936 products near the largest; a
-    kernel element of bidegree (d, 1) substitutes to zero; so does the zero
-    form."""
+    """PowerTable.substitute, on the default route (the C kernel where it
+    serves the field), sums every term in one go.  A full bidegree (11, 11)
+    form with every coefficient p - 1 (over Q, large coefficients of mixed
+    sign) on a triple with every entry p - 1 (over Q, of mixed sign) fills
+    each slot with 936 products near the largest; a full (11, 1) form on that triple sums 33 products of
+    (p - 1)^2 in its middle entries, more than the C kernel takes between two
+    reductions; a kernel element of bidegree (d, 1) substitutes to zero; so
+    does the zero form."""
+    _check_substitute(field, _on_the_kernel(field))
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_kronecker_substitute_matches_the_term_by_term_sum(field, monkeypatch):
+    """The same sums packed, the kernel hidden before the table is built."""
+    monkeypatch.setattr(_native, "get_kernel", lambda: None)
+    _check_substitute(field, "kronecker")
+
+
+def _check_substitute(field, path):
     d = 10
     rng = random.Random(11)
     if field == QQ:
@@ -297,7 +352,8 @@ def test_packed_substitute_matches_the_term_by_term_sum(field):
         ]
         coeffs = [field.p - 1] * 936
     full = BiPoly(field, 11, 11, dict(zip(monomials_of_bidegree(11, 11), coeffs)))
-    assert len(full.coeffs) == 936
+    linear = BiPoly(field, 11, 1, dict(zip(monomials_of_bidegree(11, 1), coeffs)))
+    assert len(full.coeffs) == 936 and len(linear.coeffs) == 36
     for dense in triples:
         u = [t_poly(field, c) for c in dense]
         table = PowerTable(*u)
@@ -307,12 +363,13 @@ def test_packed_substitute_matches_the_term_by_term_sum(field):
             m: Fraction(coeffs[k], k + 2) if field == QQ else coeffs[k] - k
             for k, m in enumerate(rng.sample(monomials_of_bidegree(3, 4), 9))
         })
-        for g in (full, sparse):
+        for g in (full, linear, sparse):
             assert table.substitute(g) == _substitute_reference(table, g)
         assert not kernel.is_zero() and table.substitute(kernel).is_zero()
         assert _substitute_reference(table, kernel).is_zero()
         zero = table.substitute(BiPoly.zero(field, 2, 3))
         assert zero.is_zero() and zero.bidegree == (2 + 3 * d, 0)
+        _check_path(table, path)
 
 
 def test_subst_x_rejects_a_foreign_power_table():

@@ -249,15 +249,17 @@ def test_gens_reports_byte_identical_after_timing_mask(d5_file):
 
 
 def test_gens_reports_equal_on_both_fp_cores():
-    """The native kernel and the no-compiler generic core give one report.
+    """The native kernel and the no-compiler paths give one report.
 
     The very singular curves also run the degree-shift solver and the axial
-    change of coordinates on each core."""
+    change of coordinates on each core, and `adjoint-dims`, which builds
+    every power u^b with |b| <= d + 2, by the kernel or by Kronecker
+    products."""
     for kind, degree in (("mild", 6), ("verysingular", 6), ("verysingular", 7)):
         argv = ["--field", "fp", f"sample-{kind}", "--degree", str(degree), "--seed", "2"]
         s = run_cli(argv)
         assert s.returncode == 0, s.stderr
-        reports = []
+        reports, adjoints = [], []
         for env in ({}, {"REESCURVE_NO_NATIVE": "1"}):
             g = run_cli(["gens", "-"], inp=s.stdout, env=env)
             assert g.returncode == 0, g.stderr
@@ -265,7 +267,13 @@ def test_gens_reports_equal_on_both_fp_cores():
             assert doc.pop("all_pass") is True
             doc.pop("timings")
             reports.append(json.dumps(doc, sort_keys=True))
+            if kind == "verysingular":
+                a = run_cli(["adjoint-dims", "-"], inp=s.stdout, env=env)
+                assert a.returncode == 0, a.stderr
+                assert json.loads(a.stdout)["formulas_agree"] is True
+                adjoints.append(a.stdout)
         assert reports[0] == reports[1], argv
+        assert adjoints[:1] == adjoints[1:], argv
 
 
 # 2^127 - 1: too large for the C kernel's 64-bit words
@@ -436,6 +444,24 @@ def _in_process(argv, stdin=None):
     finally:
         sys.stdin = saved
     return code, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_serves_successive_calls(d5_file):
+    """The parser is built once per process: in one interpreter, classify,
+    then `--out text gens`, then `gens` print what a fresh interpreter prints
+    for each, so no option of one call reaches the next."""
+    def masked(out):
+        if not out.startswith("{"):
+            return out
+        doc = json.loads(out)
+        doc.pop("timings", None)
+        return doc
+
+    for argv in (["classify", d5_file], ["--out", "text", "gens", d5_file], ["gens", d5_file]):
+        code, out, _ = _in_process(argv)
+        fresh = run_cli(argv)
+        assert code == fresh.returncode == 0, fresh.stderr
+        assert masked(out) == masked(fresh.stdout), argv
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

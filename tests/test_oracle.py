@@ -177,7 +177,9 @@ def test_oracle_agrees_across_cores(kind, d, jbox, monkeypatch):
 
     The native table is checked whole against the theorems; the slower
     generic core, over F_p (its packed label) and over Q, on the boxes
-    j <= jbox and j <= 3 of the same table."""
+    j <= jbox and j <= 3 of the same table.  The no-kernel mirror is sampled
+    with the kernel hidden, so its power table is built by Kronecker
+    products, not by the kernel."""
     from reescurve import _native
 
     if _native.get_kernel() is None:
@@ -187,13 +189,15 @@ def test_oracle_agrees_across_cores(kind, d, jbox, monkeypatch):
     native = Oracle(parp)
     table = native.mingen_table()
     assert table.multiset() == predicted_multiset(d, kind)
+    assert native.powers.kernel is not None
 
     def within(jmax):
         return {c: n for c, n in table.counts.items() if c[1] <= jmax}
 
     with monkeypatch.context() as m:
         m.setattr(_native, "get_kernel", lambda: None)
-        packed = Oracle(parp)
+        packed = Oracle(_sampled_mirror(kind, d, 3)[1])
+        assert packed.powers is not parp.powers and packed.powers.kernel is None
         assert packed.mingen_table(d - 2, jbox).counts == within(jbox)
         for c in cells:
             assert packed.kernel_basis(*c).basis == native.kernel_basis(*c).basis

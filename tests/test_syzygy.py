@@ -1,5 +1,6 @@
 """Mu-basis, implicit equation, singularity classification, inverse map."""
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,7 +8,7 @@ from curves import binomial_even, monomial_odd
 from reescurve.errors import ImproperParametrization, PreconditionError
 from reescurve.fields import DEFAULT_PRIME, PrimeField, QQ
 from reescurve.linalg import ExactMatrix
-from reescurve.poly import parse_bipoly, t_poly
+from reescurve.poly import BiPoly, monomials_of_bidegree, parse_bipoly, t_poly
 from reescurve.syzygy import (
     apply_x_change,
     axial_change,
@@ -129,6 +130,33 @@ def test_moving_line_content_rank2_with_hidden_axis():
     x1 = P("X1")
     assert transformed == p1 * x0 - p0 * x1
     assert ExactMatrix(QQ, m_rows).det() == 1
+
+
+@pytest.mark.parametrize("field", [QQ, FP, PrimeField(3)], ids=["q", "fp62", "fp3"])
+def test_pullback_matches_compose(field):
+    """pullback_through_change(g, M) is G(T, M X) as BiPoly.compose builds
+    it, on full forms of several bidegrees with a singular and an invertible
+    M, and on the zero form."""
+    rng = random.Random(5)
+
+    def rand():
+        if field == QQ:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        return rng.randrange(field.p)
+
+    def lin_images(m):
+        xs = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        return [BiPoly(field, 0, 1, {(0, 0) + x: c for x, c in zip(xs, row)}) for row in m]
+
+    t0, t1 = BiPoly.monomial(field, (1, 0, 0, 0, 0)), BiPoly.monomial(field, (0, 1, 0, 0, 0))
+    for m in ([[rand() for _ in range(3)] for _ in range(3)], [[1, 2, 0], [2, 4, 0], [0, 1, 1]]):
+        m = [[field.coerce(x) for x in row] for row in m]
+        for i, j in ((0, 0), (2, 1), (1, 4), (3, 6)):
+            g = BiPoly(field, i, j, {mono: rand() for mono in monomials_of_bidegree(i, j)})
+            want = g.compose(t0, t1, *lin_images(m))
+            got = pullback_through_change(g, m)
+            assert got == want and got.bidegree == want.bidegree
+        assert pullback_through_change(BiPoly.zero(field, 2, 3), m).is_zero()
 
 
 def test_axial_change_generic_branch():
