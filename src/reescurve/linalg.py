@@ -17,6 +17,11 @@ which one runs.  Besides absorbing rows, a core writes the kernel rows of its
 RREF through a column map: that is how the oracle moves a kernel slice into
 the next bidegree without building kernel vectors.
 
+ExactMatrix and LinearSolver over Q eliminate on no Fraction: their RREF comes
+from modular.py, which reduces the integer matrix mod 62-bit primes on the
+F_p core and lifts the result, checked exactly in integers.  RowReducer over Q
+(the oracle's Q slices) still runs the generic core.
+
 Canonical conventions (shared by every consumer in this package):
   * pivot search is leftmost-column-first;
   * nullspace bases come from the RREF, one vector per free column in
@@ -28,7 +33,7 @@ from __future__ import annotations
 import ctypes
 from array import array
 
-from .fields import PrimeField
+from .fields import PrimeField, Rationals
 from . import _native
 
 
@@ -320,6 +325,18 @@ class RowReducer:
 # matrices
 # ---------------------------------------------------------------------------
 
+def _rref_rows(field, rows, ncols):
+    """The canonical RREF of rows: over Q certified from images mod primes
+    (modular.py, imported on first use), over F_p by one RowReducer."""
+    if isinstance(field, Rationals):
+        from . import modular
+
+        return modular.rref(rows, ncols)
+    red = RowReducer(field, ncols)
+    red.add_rows(rows)
+    return red.rref()
+
+
 class ExactMatrix:
     """Immutable dense matrix over Q or F_p (row-major list of lists)."""
 
@@ -345,9 +362,7 @@ class ExactMatrix:
 
     def _reduced(self):
         if self._rref is None:
-            red = RowReducer(self.field, self.ncols)
-            red.add_rows(self.rows)
-            self._rref = red.rref()
+            self._rref = _rref_rows(self.field, self.rows, self.ncols)
         return self._rref
 
     def rref(self):
@@ -418,10 +433,8 @@ class LinearSolver:
         self.ncols = n = m.ncols
         self.nrows = m.nrows
         F = m.field
-        red = RowReducer(F, n + m.nrows)
         ident = ExactMatrix.identity(F, m.nrows).rows
-        red.add_rows(row + e for row, e in zip(m.rows, ident))
-        piv, rows = red.rref()
+        piv, rows = _rref_rows(F, [row + e for row, e in zip(m.rows, ident)], n + m.nrows)
         self.pivots = [(pc, r[n:]) for pc, r in zip(piv, rows) if pc < n]
         self.constraints = [r[n:] for pc, r in zip(piv, rows) if pc >= n]
         self.rank = len(self.pivots)

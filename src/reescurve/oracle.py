@@ -10,7 +10,9 @@ constructive formulas — so it can cross-check the pipeline modules:
   * Oracle.contains: membership of a form in its kernel slice, as one
     matrix-vector product in plain ints (no elimination, no slice built),
   * ideal_piece_membership, independent_mod: span tests against the monomial
-    multiples of given forms at one bidegree.
+    multiples of given forms at one bidegree.  Over Q they are pivot tests on
+    one integer matrix, certified from images mod primes (modular.py), not a
+    Fraction elimination.
 
 The matrix of slice (i, j) is banded: the column of T0^a0 T1^a1 X^b is the
 dense power u^b shifted down by a1, read from the curve's PowerTable (the one
@@ -45,7 +47,7 @@ from itertools import repeat
 from operator import add, itemgetter, mul
 
 from .errors import PreconditionError
-from .fields import ensure_same_field
+from .fields import Rationals, ensure_same_field
 from .linalg import RowReducer, normalized
 from .poly import BiPoly, cleared_denominators, monomials_of_bidegree, x_monomials
 from .syzygy import Parametrization
@@ -356,9 +358,42 @@ def independent_mod(forms: list, modulus: list) -> bool:
     monomial multiples of the modulus forms?"""
     if not forms:
         return True
+    if isinstance(forms[0].field, Rationals):
+        return _independent_mod_q(forms, modulus)
     red, monomials = _multiples(forms[0].field, *forms[0].bidegree, modulus)
     base = red.rank
     return red.add_rows([f.to_vector(monomials) for f in forms]) == base + len(forms)
+
+
+def _independent_mod_q(forms, modulus):
+    """independent_mod over Q, certified from modular images.  The integer
+    coefficient vectors of the multiples, then of the forms, are the columns
+    of one matrix; a form is independent of the vectors before it exactly
+    when its column is a pivot column of that matrix's RREF."""
+    from . import modular
+
+    i, j = forms[0].bidegree
+    monomials = monomials_of_bidegree(i, j)
+    index = {m: t for t, m in enumerate(monomials)}
+    stack = []
+    for gen in modulus:
+        ig, jg = gen.bidegree
+        if gen.is_zero() or ig > i or jg > j:
+            continue
+        terms = cleared_denominators(gen.coeffs)[1]
+        for s in monomials_of_bidegree(i - ig, j - jg):
+            vec = [0] * len(monomials)
+            for m, c in terms:
+                vec[index[(s[0] + m[0], s[1] + m[1], s[2] + m[2], s[3] + m[3], s[4] + m[4])]] = c
+            stack.append(vec)
+    base = len(stack)
+    for f in forms:
+        vec = [0] * len(monomials)
+        for m, c in cleared_denominators(f.coeffs)[1]:
+            vec[index[m]] = c
+        stack.append(vec)
+    piv = modular.pivot_columns([list(col) for col in zip(*stack)], len(stack))
+    return set(range(base, len(stack))) <= set(piv)
 
 
 def kernel_basis(par: Parametrization, i, j) -> GradedPiece:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ImproperParametrization, PreconditionError, VerificationError
-from .fields import ensure_same_field
+from .fields import Rationals, ensure_same_field
 from .linalg import ExactMatrix, RowReducer
 from .poly import (
     BiPoly,
@@ -110,13 +110,18 @@ def shift_matrix(F, dense_forms, s: int) -> ExactMatrix:
     T0^(s-a) T1^a with a ascending inside each block — i.e. canonical
     descending monomial order.
     """
+    return ExactMatrix(F, _shift_rows(F.zero, dense_forms, s))
+
+
+def _shift_rows(zero, dense_forms, s):
+    """The rows of shift_matrix, as lists of the given scalars."""
     width = len(dense_forms) * (s + 1)
-    rows = [[F.zero] * width for _ in range(len(dense_forms[0]) + s)]
+    rows = [[zero] * width for _ in range(len(dense_forms[0]) + s)]
     for v, dv in enumerate(dense_forms):
         for a in range(s + 1):
             for k, c in enumerate(dv):
                 rows[a + k][v * (s + 1) + a] = c
-    return ExactMatrix(F, rows)
+    return rows
 
 
 def _vector_to_moving_line(F, vec, s) -> BiPoly:
@@ -143,14 +148,24 @@ def mu_basis(par: Parametrization) -> MuBasis:
     """Canonical mu-basis: P at the least syzygy degree, Q reduced mod T^a P.
 
     The syzygies (A, B, C) of degree s are the kernel of the shift matrix of
-    (A, B, C) |-> A u0 + B u1 + C u2.
+    (A, B, C) |-> A u0 + B u1 + C u2.  Over Q that matrix is built from the
+    primitive integer triple (same syzygies) and its kernel, and the final
+    RREF, are certified from modular images (modular.py).
     """
     F = par.field
     d = par.d
-    dense = [tpoly_dense(u) for u in par.triple]
+    over_q = isinstance(F, Rationals)
+    if over_q:
+        from . import modular
+
+        dense = par.powers.base
+        syzygies = lambda s: modular.nullspace(_shift_rows(0, dense, s), 3 * (s + 1))
+    else:
+        dense = [tpoly_dense(u) for u in par.triple]
+        syzygies = lambda s: shift_matrix(F, dense, s).nullspace()
     mu = None
     for s in range(0, d // 2 + 1):
-        null = shift_matrix(F, dense, s).nullspace()
+        null = syzygies(s)
         if null:
             mu = s
             p_vec = null[0]
@@ -160,17 +175,29 @@ def mu_basis(par: Parametrization) -> MuBasis:
     p = _vector_to_moving_line(F, p_vec, mu)
 
     sq = d - mu
-    null_q = shift_matrix(F, dense, sq).nullspace()
-    red = RowReducer(F, 3 * (sq + 1))
-    for a in range(sq - mu + 1):
-        shifted = BiPoly.monomial(F, (sq - mu - a, a, 0, 0, 0)) * p
-        red.add_row(_moving_line_to_vector(shifted, sq))
+    null_q = syzygies(sq)
+    shifts = [
+        _moving_line_to_vector(BiPoly.monomial(F, (sq - mu - a, a, 0, 0, 0)) * p, sq)
+        for a in range(sq - mu + 1)
+    ]
     # Q: the first syzygy outside the T-multiples of P, read back as the one
     # RREF row with a new pivot (that syzygy reduced against them)
-    shift_pivots = set(red.rref()[0])
-    if not any(red.add_row(vec) for vec in null_q):
-        raise VerificationError("syzygy module not free of rank 2 (impossible)")
-    piv, rows = red.rref()
+    if over_q:
+        # the shifts are echelon (leading columns lead(P) + a), so those are
+        # their RREF pivots; with null_q they span the whole degree-sq
+        # syzygy space, whose RREF is certified from modular images
+        shift_pivots = {next(c for c, x in enumerate(v) if x) for v in shifts}
+        piv, rows = modular.rref(shifts + null_q, 3 * (sq + 1))
+        if len(piv) == len(shifts):
+            raise VerificationError("syzygy module not free of rank 2 (impossible)")
+    else:
+        red = RowReducer(F, 3 * (sq + 1))
+        for vec in shifts:
+            red.add_row(vec)
+        shift_pivots = set(red.rref()[0])
+        if not any(red.add_row(vec) for vec in null_q):
+            raise VerificationError("syzygy module not free of rank 2 (impossible)")
+        piv, rows = red.rref()
     q_vec = next(row for pc, row in zip(piv, rows) if pc not in shift_pivots)
     q = _vector_to_moving_line(F, q_vec, sq)
 

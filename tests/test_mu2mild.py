@@ -132,15 +132,16 @@ def test_sylvester_shift_relations():
         assert diff.is_zero() or ideal_piece_membership(diff, pq)
 
 
-def test_sylvester_pair_independent_mod_low_line():
-    s = fixed_mild(6)
+@pytest.mark.parametrize("field", [FP, QQ], ids=["fp", "q"])
+def test_sylvester_pair_independent_mod_low_line(field):
+    s = fixed_mild(6, field=field)
     ctx = mild_context(s.par, *invariants(s.par))
     deltas = delta_sylvester(ctx, morley_coeffs(ctx))
     low = ctx.mb.p
     assert independent_mod([deltas[(1, 0)], deltas[(0, 1)]], [low])
     # a multiple of P, and a repeated form, are dependent modulo P
-    assert not independent_mod([deltas[(1, 0)], parse_bipoly(FP, "T0*X0") * low], [low])
-    assert not independent_mod([parse_bipoly(FP, "T1*X2") * low], [low])
+    assert not independent_mod([deltas[(1, 0)], parse_bipoly(field, "T0*X0") * low], [low])
+    assert not independent_mod([parse_bipoly(field, "T1*X2") * low], [low])
     assert not independent_mod([deltas[(1, 0)], deltas[(1, 0)]], [low])
     assert independent_mod([], [low])
 

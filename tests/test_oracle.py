@@ -62,12 +62,13 @@ def test_mingen_table_mu_property():
     assert orc.mu == 2 == mu_basis(monomial_odd(3)).mu
 
 
-def test_membership_multiples_and_nonmembers():
-    par = monomial_odd(3)
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+def test_membership_multiples_and_nonmembers(field):
+    par = monomial_odd(3, field)
     mb = mu_basis(par)
-    t0 = parse_bipoly(QQ, "T0")
+    t0 = parse_bipoly(field, "T0")
     assert ideal_piece_membership(t0 * mb.p, [mb.p])
-    x2 = parse_bipoly(QQ, "X2")
+    x2 = parse_bipoly(field, "X2")
     assert ideal_piece_membership(x2 * mb.p, [mb.p])
     e = implicit_equation(mb).equation
     assert not ideal_piece_membership(e, [mb.p])
