@@ -18,7 +18,9 @@ Span questions are pivot questions: with the vectors of [B; forms] as the
 columns of A, a vector is independent of those before it exactly when its
 column is a pivot column.  So a full rank mod p proves independence, and the
 kernel vector of a dependent form's column is a combination giving it,
-checked exactly.
+checked exactly.  When B is itself dependent (the multiples of [p, q]), the
+lifted kernel holds B's own relations, and the certified pivot columns show
+that a non-member's column is a pivot: no separate functional is needed.
 
 A lift that does not reconstruct or fails the check takes the next prime.
 Images with the same pivot columns are combined by CRT, so large entries
