@@ -15,9 +15,11 @@ Q: samples the mild curves of `reescurve --field q sample-mild --degree 6
 shift matrices mu_basis reduces (of the primitive integer triple, degrees
 s = 0, 1, 2 and d - 2) and the stacks that the report's independent_mod and
 ideal_piece_membership calls hand to modular.py, and times each question
-both ways: certified from modular images (modular.py, on the native core
-when it is built) and on the Fraction core.  Prints one JSON line per
-matrix: question, rows, columns, rank, modular and fraction seconds (best of
+both ways: the call the program makes (modular.rref, the certified RREF in
+Fractions that ExactMatrix over Q reads its kernel from, for a shift matrix;
+modular.pivot_columns for a stack), on the native core when it is built,
+and the RREF on the Fraction core.  Prints one JSON line per matrix:
+question, rows, columns, rank, modular and fraction seconds (best of
 --repeat runs).
 
 Usage: python scripts/rref_shapes.py [--parts fp q] [--cores native generic] [--repeat 3]
@@ -70,13 +72,14 @@ def best_of(repeat, fn):
 
 
 def q_questions():
-    """(label, integer rows, ncols) for each Q question of the two curves."""
+    """(label, rows, ncols, certified route) for each Q question of the two
+    curves."""
     out = []
     for d, seed in ((6, 600), (7, 700)):
         par = sample_mild(QQ, d, random.Random(seed)).par
         for s in (0, 1, 2, d - 2):
             m = shift_matrix(QQ, par.powers.base, s)
-            out.append((f"shift d={d} s={s}", m.rows, m.ncols))
+            out.append((f"shift d={d} s={s}", m.rows, m.ncols, modular.rref))
         stacks = []
         pivot_columns = modular.pivot_columns
         modular.pivot_columns = lambda rows, ncols: stacks.append((rows, ncols)) or pivot_columns(rows, ncols)
@@ -84,14 +87,14 @@ def q_questions():
             build_report(par)
         finally:
             modular.pivot_columns = pivot_columns
-        out += [(f"span d={d}", rows, ncols) for rows, ncols in stacks]
+        out += [(f"span d={d}", rows, ncols, modular.pivot_columns) for rows, ncols in stacks]
     return out
 
 
-def fraction_rank(rows, ncols):
+def fraction_rref(rows, ncols):
     red = linalg.RowReducer(QQ, ncols)    # the Fraction core
     red.add_rows(rows)
-    return red.rank
+    return red.rref()
 
 
 def main():
@@ -115,11 +118,11 @@ def main():
                     "core": core, "rank": rank, "seconds": round(secs, 6),
                 }), flush=True)
     if "q" in args.parts:
-        for label, rows, ncols in q_questions():
-            ints = modular._integer_rows(rows)
-            (piv, *_), mod_s = best_of(args.repeat, lambda: modular._certified(ints, ncols))
-            rank, frac_s = best_of(args.repeat, lambda: fraction_rank(rows, ncols))
-            assert rank == len(piv), label
+        for label, rows, ncols, route in q_questions():
+            got, mod_s = best_of(args.repeat, lambda: route(rows, ncols))
+            (piv, _), frac_s = best_of(args.repeat, lambda: fraction_rref(rows, ncols))
+            assert piv == (got[0] if route is modular.rref else got), label
+            rank = len(piv)
             print(json.dumps({
                 "question": label, "rows": len(rows), "cols": ncols, "rank": rank,
                 "modular_s": round(mod_s, 6), "fraction_s": round(frac_s, 6),

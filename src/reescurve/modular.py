@@ -168,22 +168,6 @@ def rref(rows, ncols):
     return piv, out
 
 
-def nullspace(rows, ncols):
-    """The canonical Q kernel basis of rows of ints or Fractions: one vector
-    per free column, ascending, scaled so its first nonzero entry is 1."""
-    piv, free, cols, den = _certified(_integer_rows(rows), ncols)
-    zero = Fraction(0)
-    out = []
-    for f, col in zip(free, cols):
-        support = [(pc, -c) for pc, c in zip(piv, col) if c] + [(f, den)]
-        lead = support[0][1]
-        vec = [zero] * ncols
-        for c, v in support:
-            vec[c] = Fraction(v, lead)
-        out.append(vec)
-    return out
-
-
 def pivot_columns(rows, ncols):
     """The pivot columns of the Q RREF of integer rows (certified)."""
     return _certified(rows, ncols)[0]

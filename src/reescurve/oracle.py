@@ -333,19 +333,33 @@ class Oracle:
         return MinGenTable(counts=counts, imax=imax, jmax=jmax, d=self.d, mu=mu)
 
 
-def _multiples(F, i, j, gens):
-    """The reducer of all monomial multiples of gens at bidegree (i, j), and
-    the bidegree's monomials (its columns).  Rows are fed one at a time, so
-    the multiples are never all held at once."""
-    monomials = monomials_of_bidegree(i, j)
-    red = RowReducer(F, len(monomials))
+def _terms(g: BiPoly):
+    """g's (monomial, coefficient) terms; over Q the integer numerators over
+    one common denominator, a nonzero rescale that keeps every span."""
+    if isinstance(g.field, Rationals):
+        return cleared_denominators(g.coeffs)[1]
+    return g.coeffs.items()
+
+
+def _vector(terms, index, s=(0, 0, 0, 0, 0)):
+    """The coefficient vector of the monomial s times the form with these
+    terms, on the columns index (monomial -> position)."""
+    vec = [0] * len(index)
+    for m, c in terms:
+        vec[index[(s[0] + m[0], s[1] + m[1], s[2] + m[2], s[3] + m[3], s[4] + m[4])]] = c
+    return vec
+
+
+def _multiple_vectors(i, j, gens, index):
+    """The coefficient vectors of all monomial multiples of gens at bidegree
+    (i, j), one at a time; over Q they are integer vectors (_terms)."""
     for gen in gens:
         ig, jg = gen.bidegree
         if gen.is_zero() or ig > i or jg > j:
             continue
-        for m in monomials_of_bidegree(i - ig, j - jg):
-            red.add_row((BiPoly.monomial(F, m) * gen).to_vector(monomials))
-    return red, monomials
+        terms = _terms(gen)
+        for s in monomials_of_bidegree(i - ig, j - jg):
+            yield _vector(terms, index, s)
 
 
 def ideal_piece_membership(g: BiPoly, gens) -> bool:
@@ -355,45 +369,32 @@ def ideal_piece_membership(g: BiPoly, gens) -> bool:
 
 def independent_mod(forms: list, modulus: list) -> bool:
     """Are the given same-bidegree forms independent modulo the span of all
-    monomial multiples of the modulus forms?"""
+    monomial multiples of the modulus forms?
+
+    Over F_p the multiples are fed to one reducer, never all held at once,
+    and the forms must each raise its rank.  Over Q the integer vectors of
+    the multiples, then of the forms, are the columns of one matrix: a form
+    is independent of the vectors before it exactly when its column is a
+    pivot column of that matrix's RREF, certified from modular images."""
     if not forms:
         return True
-    if isinstance(forms[0].field, Rationals):
-        return _independent_mod_q(forms, modulus)
-    red, monomials = _multiples(forms[0].field, *forms[0].bidegree, modulus)
-    base = red.rank
-    return red.add_rows([f.to_vector(monomials) for f in forms]) == base + len(forms)
-
-
-def _independent_mod_q(forms, modulus):
-    """independent_mod over Q, certified from modular images.  The integer
-    coefficient vectors of the multiples, then of the forms, are the columns
-    of one matrix; a form is independent of the vectors before it exactly
-    when its column is a pivot column of that matrix's RREF."""
-    from . import modular
-
+    F = forms[0].field
     i, j = forms[0].bidegree
-    monomials = monomials_of_bidegree(i, j)
-    index = {m: t for t, m in enumerate(monomials)}
-    stack = []
-    for gen in modulus:
-        ig, jg = gen.bidegree
-        if gen.is_zero() or ig > i or jg > j:
-            continue
-        terms = cleared_denominators(gen.coeffs)[1]
-        for s in monomials_of_bidegree(i - ig, j - jg):
-            vec = [0] * len(monomials)
-            for m, c in terms:
-                vec[index[(s[0] + m[0], s[1] + m[1], s[2] + m[2], s[3] + m[3], s[4] + m[4])]] = c
-            stack.append(vec)
-    base = len(stack)
-    for f in forms:
-        vec = [0] * len(monomials)
-        for m, c in cleared_denominators(f.coeffs)[1]:
-            vec[index[m]] = c
-        stack.append(vec)
-    piv = modular.pivot_columns([list(col) for col in zip(*stack)], len(stack))
-    return set(range(base, len(stack))) <= set(piv)
+    if any(f.bidegree != (i, j) for f in forms):
+        raise PreconditionError("same_bidegree", "independent_mod forms differ in bidegree")
+    index = {m: t for t, m in enumerate(monomials_of_bidegree(i, j))}
+    vectors = [_vector(_terms(f), index) for f in forms]
+    if isinstance(F, Rationals):
+        from . import modular
+
+        stack = [*_multiple_vectors(i, j, modulus, index), *vectors]
+        piv = modular.pivot_columns([list(col) for col in zip(*stack)], len(stack))
+        return set(range(len(stack) - len(forms), len(stack))) <= set(piv)
+    red = RowReducer(F, len(index))
+    for vec in _multiple_vectors(i, j, modulus, index):
+        red.add_row(vec)
+    base = red.rank
+    return red.add_rows(vectors) == base + len(forms)
 
 
 def kernel_basis(par: Parametrization, i, j) -> GradedPiece:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ImproperParametrization, PreconditionError, VerificationError
-from .fields import Rationals, ensure_same_field
-from .linalg import ExactMatrix, RowReducer
+from .fields import ensure_same_field
+from .linalg import ExactMatrix
 from .poly import (
     BiPoly,
     PowerTable,
@@ -110,18 +110,13 @@ def shift_matrix(F, dense_forms, s: int) -> ExactMatrix:
     T0^(s-a) T1^a with a ascending inside each block — i.e. canonical
     descending monomial order.
     """
-    return ExactMatrix(F, _shift_rows(F.zero, dense_forms, s))
-
-
-def _shift_rows(zero, dense_forms, s):
-    """The rows of shift_matrix, as lists of the given scalars."""
     width = len(dense_forms) * (s + 1)
-    rows = [[zero] * width for _ in range(len(dense_forms[0]) + s)]
+    rows = [[F.zero] * width for _ in range(len(dense_forms[0]) + s)]
     for v, dv in enumerate(dense_forms):
         for a in range(s + 1):
             for k, c in enumerate(dv):
                 rows[a + k][v * (s + 1) + a] = c
-    return rows
+    return ExactMatrix(F, rows)
 
 
 def _vector_to_moving_line(F, vec, s) -> BiPoly:
@@ -148,24 +143,16 @@ def mu_basis(par: Parametrization) -> MuBasis:
     """Canonical mu-basis: P at the least syzygy degree, Q reduced mod T^a P.
 
     The syzygies (A, B, C) of degree s are the kernel of the shift matrix of
-    (A, B, C) |-> A u0 + B u1 + C u2.  Over Q that matrix is built from the
-    primitive integer triple (same syzygies) and its kernel, and the final
-    RREF, are certified from modular images (modular.py).
+    (A, B, C) |-> A u0 + B u1 + C u2, built from the dense triple of the
+    curve's power table: over Q the primitive integer triple, a scalar
+    multiple of u with the same syzygies.
     """
     F = par.field
     d = par.d
-    over_q = isinstance(F, Rationals)
-    if over_q:
-        from . import modular
-
-        dense = par.powers.base
-        syzygies = lambda s: modular.nullspace(_shift_rows(0, dense, s), 3 * (s + 1))
-    else:
-        dense = [tpoly_dense(u) for u in par.triple]
-        syzygies = lambda s: shift_matrix(F, dense, s).nullspace()
+    dense = par.powers.base
     mu = None
     for s in range(0, d // 2 + 1):
-        null = syzygies(s)
+        null = shift_matrix(F, dense, s).nullspace()
         if null:
             mu = s
             p_vec = null[0]
@@ -175,29 +162,19 @@ def mu_basis(par: Parametrization) -> MuBasis:
     p = _vector_to_moving_line(F, p_vec, mu)
 
     sq = d - mu
-    null_q = syzygies(sq)
+    null_q = shift_matrix(F, dense, sq).nullspace()
     shifts = [
         _moving_line_to_vector(BiPoly.monomial(F, (sq - mu - a, a, 0, 0, 0)) * p, sq)
         for a in range(sq - mu + 1)
     ]
     # Q: the first syzygy outside the T-multiples of P, read back as the one
-    # RREF row with a new pivot (that syzygy reduced against them)
-    if over_q:
-        # the shifts are echelon (leading columns lead(P) + a), so those are
-        # their RREF pivots; with null_q they span the whole degree-sq
-        # syzygy space, whose RREF is certified from modular images
-        shift_pivots = {next(c for c, x in enumerate(v) if x) for v in shifts}
-        piv, rows = modular.rref(shifts + null_q, 3 * (sq + 1))
-        if len(piv) == len(shifts):
-            raise VerificationError("syzygy module not free of rank 2 (impossible)")
-    else:
-        red = RowReducer(F, 3 * (sq + 1))
-        for vec in shifts:
-            red.add_row(vec)
-        shift_pivots = set(red.rref()[0])
-        if not any(red.add_row(vec) for vec in null_q):
-            raise VerificationError("syzygy module not free of rank 2 (impossible)")
-        piv, rows = red.rref()
+    # RREF row with a new pivot (that syzygy reduced against them).  The
+    # shifts are echelon (leading columns lead(P) + a), so those columns are
+    # their own RREF pivots.
+    shift_pivots = {next(c for c, x in enumerate(v) if x) for v in shifts}
+    piv, rows = ExactMatrix(F, shifts + null_q).rref()
+    if len(piv) == len(shifts):
+        raise VerificationError("syzygy module not free of rank 2 (impossible)")
     q_vec = next(row for pc, row in zip(piv, rows) if pc not in shift_pivots)
     q = _vector_to_moving_line(F, q_vec, sq)
 

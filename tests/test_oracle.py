@@ -5,8 +5,15 @@ from fractions import Fraction
 import pytest
 
 from curves import monomial_odd, predicted_multiset
+from reescurve.errors import PreconditionError
 from reescurve.fields import DEFAULT_PRIME, PrimeField, QQ
-from reescurve.oracle import Oracle, ideal_piece_membership, kernel_basis, mingen_table
+from reescurve.oracle import (
+    Oracle,
+    ideal_piece_membership,
+    independent_mod,
+    kernel_basis,
+    mingen_table,
+)
 from reescurve.poly import BiPoly, parse_bipoly
 from reescurve.syzygy import implicit_equation, mu_basis, parametrization
 
@@ -72,6 +79,15 @@ def test_membership_multiples_and_nonmembers(field):
     assert ideal_piece_membership(x2 * mb.p, [mb.p])
     e = implicit_equation(mb).equation
     assert not ideal_piece_membership(e, [mb.p])
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["q", "fp"])
+def test_independent_mod_refuses_forms_of_two_bidegrees(field):
+    """Q has bidegree (3, 1) and T0*X1*P bidegree (3, 2): no verdict."""
+    mb = mu_basis(monomial_odd(3, field))
+    other = parse_bipoly(field, "T0*X1") * mb.p
+    with pytest.raises(PreconditionError, match="same_bidegree"):
+        independent_mod([mb.q, other], [mb.p])
 
 
 def test_membership_zero_raises_no_surprise():
