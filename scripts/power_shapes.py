@@ -26,7 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from reescurve import _native
 from reescurve.fields import DEFAULT_PRIME, PrimeField
-from reescurve.poly import PowerTable
+from reescurve.poly import PowerTable, pack
 from reescurve.report import build_report
 from reescurve.sampling import sample_very_singular
 
@@ -34,7 +34,8 @@ TOPS = (10, 12)
 
 
 def exponents(top):
-    return [(b0, b1, n - b0 - b1) for n in range(top + 1)
+    """The keys of every X-monomial of degree at most top."""
+    return [pack((0, 0, b0, b1, n - b0 - b1)) for n in range(top + 1)
             for b0 in range(n + 1) for b1 in range(n - b0 + 1)]
 
 

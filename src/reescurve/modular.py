@@ -75,25 +75,24 @@ def _ratrecon(a, m, bound):
 
 def _reconstruct(residues, m):
     """(nums, den): integers with nums[i] / den = residues[i] mod m, or None.
-    An entry that den already clears to a small residue takes no Euclid."""
+    An entry that den already clears to a small residue takes no Euclid.
+    Each entry is kept over the denominator it was read with and scaled once
+    by the final den."""
     bound = isqrt(m >> 1)
-    den, nums = 1, []
+    den, parts = 1, []
     for a in residues:
         x = a * den % m
         if x <= bound:
-            nums.append(x)
+            parts.append((x, den))
         elif m - x <= bound:
-            nums.append(x - m)
+            parts.append((x - m, den))
         else:
             nd = _ratrecon(a, m, bound)
             if nd is None:
                 return None
-            n, d = nd
-            new = lcm(den, d)
-            nums = [v * (new // den) for v in nums]
-            nums.append(n * (new // d))
-            den = new
-    return nums, den
+            parts.append(nd)
+            den = lcm(den, nd[1])
+    return [n * (den // d) for n, d in parts], den
 
 
 def _annihilates(rows, piv, free, cols, den):

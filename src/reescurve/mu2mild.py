@@ -11,10 +11,10 @@ determinant recovers the implicit equation, which is what forces the minors'
 linear independence.
 
 The band of those matrices is Toeplitz in L0, L*, L1, so every minor and
-every determinant is read off a closed form (Band) on packed-int dicts:
-three-term recurrences with products by linear forms, no elimination and
-no BiPoly arithmetic.  poly.poly_det_bareiss is the reference they are
-tested against.
+every determinant is read off a closed form (Band) on coefficient dicts:
+three-term recurrences with products by linear forms (poly's one product),
+no elimination and no BiPoly arithmetic.  poly.poly_det_bareiss is the
+reference they are tested against.
 """
 from __future__ import annotations
 
@@ -22,7 +22,10 @@ from dataclasses import dataclass
 
 from .assembly import Assembly, Generator
 from .errors import ImproperParametrization, PreconditionError, VerificationError
-from .poly import BiPoly, _bipoly, _modulus, _packed_forms, _reduced, morley_form
+from .poly import (
+    EXP_MASK, T0_SHIFT, T1_SHIFT, X_MASK, BiPoly, _bipoly, _modulus, _neg, _sum_of_products,
+    morley_form, numerators,
+)
 from .syzygy import (
     ImplicitEquation,
     MILD,
@@ -70,7 +73,7 @@ def mild_context(
         par=par,
         mb=mb,
         implicit=imp,
-        band=Band(par.field, par.d, *lforms),
+        band=Band(*lforms),
         boundary=boundary,
     )
 
@@ -131,23 +134,8 @@ def delta_sylvester(ctx: MildContext, morley: MorleyData):
 # the band: its maximal minors and the resultant determinants in closed form
 # ---------------------------------------------------------------------------
 
-def _dot(pairs, p):
-    """The sum of x*y over pairs of packed dicts, zero terms dropped (over F_p,
-    p given, each coefficient reduced by one ``% p``)."""
-    acc = {}
-    get = acc.get
-    for x, y in pairs:
-        if len(x) > len(y):
-            x, y = y, x
-        for k1, c1 in x.items():
-            for k2, c2 in y.items():
-                k = k1 + k2
-                acc[k] = get(k, 0) + c1 * c2
-    return _reduced(acc, p)
-
-
 class Band:
-    """The band of P on packed-int dicts, shared by every level of a report.
+    """The band of P on coefficient dicts, shared by every level of a report.
 
     B_n is the (n+1) x (n-1) matrix whose column c holds L0, L*, L1 in rows
     c, c+1, c+2.  Without rows t < r it is block triangular, so
@@ -157,31 +145,23 @@ class Band:
 
     Every sum over r below is one three-term recurrence in E_k = (-1)^k D_k,
     with products by L*, L0 L1 and the powers of L0 and L1, which are kept
-    as they are first needed.  Keys pack (a0, a1, b0, b1, b2) in fields of
-    d.bit_length() bits (poly._pack), enough for every exponent here; over Q,
-    L0, L*, L1 are integer numerators over one denominator `den`.
+    as they are first needed.  Keys are poly's: every exponent here is at
+    most d (X-degrees of minors and determinants, T-tags of rows and
+    columns), which fits a key field because the curve's forms of degree d
+    do.  Over Q, L0, L*, L1 are integer numerators over one denominator
+    `den`.
     """
 
-    def __init__(self, field, d, l0, lstar, l1):
-        self.field = field
-        self.p = _modulus(field)
-        self.w = d.bit_length()
-        self.den, (l0, lstar, l1) = self.pack([l0, lstar, l1])
-        self.neg_lstar = {k: -c for k, c in lstar.items()}
-        self.neg_l01 = {k: -c for k, c in _dot([(l0, l1)], self.p).items()}
+    def __init__(self, l0, lstar, l1):
+        self.p = _modulus(l0.field)
+        self.den, (l0, lstar, l1) = numerators([l0, lstar, l1])
+        self.neg_lstar = _neg(lstar)
+        self.neg_l01 = _neg(_sum_of_products([(l0, l1)], self.p))
         self.pow0, self.pow1 = [{0: 1}, l0], [{0: 1}, l1]
-
-    def pack(self, forms):
-        """(den, packed dicts) of forms, as poly._packed_forms."""
-        return _packed_forms(forms, self.w, self.p)
-
-    def form(self, packed, tdeg, xdeg, den, sign=1):
-        """The BiPoly of a packed dict that holds den * sign times its coefficients."""
-        return _bipoly(self.field, packed, self.w, tdeg, xdeg, den, sign)
 
     def _power(self, pows, k):
         while len(pows) <= k:
-            pows.append(_dot([(pows[-1], pows[1])], self.p))
+            pows.append(_sum_of_products([(pows[-1], pows[1])], self.p))
         return pows[k]
 
     def tail_sums(self, ys, pows):
@@ -191,7 +171,7 @@ class Band:
         n = len(ys) - 1
         out = [{}] * (n + 2)
         for t in range(n - 1, -1, -1):
-            out[t] = _dot(
+            out[t] = _sum_of_products(
                 [(self._power(pows, n - 1 - t), ys[t + 1]),
                  (self.neg_lstar, out[t + 1]),
                  (self.neg_l01, out[t + 2])],
@@ -208,12 +188,14 @@ class Band:
         E_(r-1-t) L1^(n-r) y_r and V_t the sum over r < t of E_(t-1-r) L0^r y_r
         (the same recurrence, read from the other end with L0 for L1)."""
         n = len(ys) - 1
-        neg = [{k: -c for k, c in y.items()} for y in ys]     # the sums are linear in ys
+        neg = [_neg(y) for y in ys]     # the sums are linear in ys
         up = self.tail_sums(ys if n % 2 else neg, self.pow1)
         down = self.tail_sums((neg if n % 2 else ys)[::-1], self.pow0)[::-1]
         return [
-            _dot([(self._power(self.pow0, t), up[t]), (self._power(self.pow1, n - t), down[t])],
-                 self.p)
+            _sum_of_products(
+                [(self._power(self.pow0, t), up[t]), (self._power(self.pow1, n - t), down[t])],
+                self.p,
+            )
             for t in range(n + 1)
         ]
 
@@ -233,10 +215,10 @@ def minor_family(ctx: MildContext, i: int, morley: MorleyData):
     if not 1 <= i <= d - 4:
         raise PreconditionError("minor_index", f"i = {i} outside 1..{d - 4}")
     band, n = ctx.band, d - 2 - i
-    den, col = band.pack([morley.coeffs[(n - t, t)] for t in range(n + 1)])
+    den, col = numerators([morley.coeffs[(n - t, t)] for t in range(n + 1)])
     out = []
-    for t, packed in enumerate(band.minors(col)):
-        minor = band.form(packed, i, d - 1 - i, den * band.den ** (n - 1))
+    for t, coeffs in enumerate(band.minors(col)):
+        minor = _bipoly(ctx.field, coeffs, i, d - 1 - i, den * band.den ** (n - 1))
         if minor.is_zero():
             raise VerificationError(f"minor (i={i}, row {t}) has wrong shape")
         if not ctx.par.substitute(minor).is_zero():
@@ -269,27 +251,25 @@ def morley_det_check(ctx: MildContext, i: int, morley: MorleyData):
     if not 1 <= i <= d - 4:
         raise PreconditionError("minor_index", f"i = {i} outside 1..{d - 4}")
     band, n = ctx.band, d - 2 - i
-    den, col = band.pack([morley.coeffs[(n - r, r)] for r in range(n + 1)])
-    # keys: a0 in the top w bits, a1 below it, the X-exponents under `low`
-    w0, w1 = 4 * band.w, 3 * band.w
-    low = (1 << w1) - 1
+    den, col = numerators([morley.coeffs[(n - r, r)] for r in range(n + 1)])
+    # A_rs: the X part of the T1^s terms of F^v, v = (n - r, r)
     a = [[{} for _ in range(i + 1)] for _ in range(n + 1)]
     for r, f in enumerate(col):
         for k, c in f.items():
-            a[r][k >> w1 & (1 << band.w) - 1][k & low] = c
-    tagged = [{k | r << w0: c for r in range(n + 1) for k, c in a[r][s].items()}
+            a[r][k >> T1_SHIFT & EXP_MASK][k & X_MASK] = c
+    tagged = [{k | r << T0_SHIFT: c for r in range(n + 1) for k, c in a[r][s].items()}
               for s in range(i + 1)]
     ys = [{} for _ in range(n + 1)]
     for s, m in enumerate(band.minors(tagged)):
         for k, c in m.items():
-            ys[k >> w0][k & low | s << w1] = c
-    packed = {}
+            ys[k >> T0_SHIFT][k & X_MASK | s << T1_SHIFT] = c
+    acc = {}
     for t, u in reversed(list(enumerate(band.tail_sums(ys, band.pow1)))):
         parts = [{} for _ in range(i + 1)]
         for k, c in u.items():
-            parts[k >> w1][k & low] = c
-        packed = _dot([(band.pow0[1], packed)] + list(zip(a[t], parts)), band.p)
-    det = band.form(packed, 0, d, den * den * band.den ** (n + i - 2), (-1) ** (i - 1))
+            parts[k >> T1_SHIFT][k & X_MASK] = c
+        acc = _sum_of_products([(band.pow0[1], acc)] + list(zip(a[t], parts)), band.p)
+    det = _bipoly(ctx.field, acc, 0, d, den * den * band.den ** (n + i - 2), (-1) ** (i - 1))
     eq = ctx.implicit.equation
     if det.is_zero() or not det.proportional_to(eq):
         raise VerificationError(

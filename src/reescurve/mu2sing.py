@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .assembly import Assembly, Generator
 from .errors import ImproperParametrization, PreconditionError, VerificationError
-from .poly import BiPoly, morley_form, tpoly_dense
+from .poly import EXP_MASK, X0_SHIFT, X_UNITS, BiPoly, morley_form, tpoly_dense, x_parts
 from .syzygy import (
     ImplicitEquation,
     MuBasis,
@@ -83,8 +83,7 @@ def very_singular_context(
             "very_singular", f"singularity class is {sing.kind!r}"
         )
     tpar = apply_x_change(par, sing.change)
-    tp = pullback_through_change(mb.p, sing.change_inv)
-    tq = pullback_through_change(mb.q, sing.change_inv)
+    tp, tq, tres = pullback_through_change([mb.p, mb.q, imp.resultant], sing.change_inv)
     p0, p1 = sing.axial_pair
     v0, v1, _ = tpar.triple
     q = v0.exact_div(p0)
@@ -94,9 +93,8 @@ def very_singular_context(
     tmb = MuBasis(p=tp, q=tq, mu=mu)
     if imp.properness_degree != 1:
         raise ImproperParametrization(imp.properness_degree)
-    # a proper map's resultant is a multiple of the equation, so one pullback
-    # gives both
-    tres = pullback_through_change(imp.resultant, sing.change_inv)
+    # a proper map's resultant is a multiple of the equation, so its
+    # pullback gives both
     timp = ImplicitEquation(equation=tres.normalized(), properness_degree=1, resultant=tres)
     return VerySingularContext(
         par=tpar,
@@ -158,16 +156,10 @@ def apply_dt(ctx: VerySingularContext, g: BiPoly) -> BiPoly:
         raise PreconditionError("shift_degree", f"T-degree {i} < {2 * mu - 1}")
     solver = _pair_solver(ctx, i)
     out = BiPoly.zero(F, i - mu, j + 1)
-    seen = set()
-    for m in g.coeffs:
-        b = m[2:]
-        if b in seen:
-            continue
-        seen.add(b)
-        g0, g1 = solver.split(g.x_coefficient(b))
-        xmono = BiPoly.monomial(F, (0, 0) + b)
-        x0 = BiPoly.monomial(F, (0, 0, 1, 0, 0))
-        x1 = BiPoly.monomial(F, (0, 0, 0, 1, 0))
+    x0, x1 = (BiPoly(F, 0, 1, {x: F.one}, _clean=True) for x in X_UNITS[:2])
+    for b, coeffs in x_parts(g).items():
+        g0, g1 = solver.split(BiPoly(F, i, 0, coeffs, _clean=True))
+        xmono = BiPoly(F, 0, j, {b: F.one}, _clean=True)
         out = out + (x0 * g0 + x1 * g1) * xmono
     return out
 
@@ -185,10 +177,10 @@ def apply_dx(ctx: VerySingularContext, g: BiPoly) -> BiPoly:
     g0 = {}
     g1 = {}
     for m, c in g.coeffs.items():
-        if m[2] >= 1:
-            g0[(m[0], m[1], m[2] - 1, m[3], m[4])] = c
+        if m >> X0_SHIFT & EXP_MASK:
+            g0[m - X_UNITS[0]] = c
         else:
-            g1[(m[0], m[1], m[2], m[3] - 1, m[4])] = c
+            g1[m - X_UNITS[1]] = c
     part0 = BiPoly(F, i, max(j - 1, 0), g0, _clean=True)
     part1 = BiPoly(F, i, max(j - 1, 0), g1, _clean=True)
     return ctx.p0 * part0 + ctx.p1 * part1
@@ -293,12 +285,9 @@ def assemble_very_singular(ctx: VerySingularContext) -> Assembly:
         expected = k + 3
     if len(gens) != expected:
         raise VerificationError(f"assembled {len(gens)} generators, wanted {expected}")
+    polys = pullback_through_change([poly for poly, _ in gens], ctx.change)
     out = [
-        Generator(
-            poly=pullback_through_change(poly, ctx.change).normalized(),
-            bidegree=poly.bidegree,
-            label=label,
-        )
-        for poly, label in gens
+        Generator(poly=poly.normalized(), bidegree=poly.bidegree, label=label)
+        for poly, (_, label) in zip(polys, gens)
     ]
     return Assembly(generators=out, family=fam, tops=tops)

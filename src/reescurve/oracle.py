@@ -49,7 +49,10 @@ from operator import add, itemgetter, mul
 from .errors import PreconditionError
 from .fields import Rationals, ensure_same_field
 from .linalg import RowReducer, normalized
-from .poly import BiPoly, cleared_denominators, monomials_of_bidegree, x_monomials
+from .poly import (
+    EXP_MASK, T1_SHIFT, X_MASK, BiPoly, cleared_denominators, monomials_of_bidegree, pack,
+    x_monomials,
+)
 from .syzygy import Parametrization
 
 
@@ -158,7 +161,7 @@ class Oracle:
         buf = self._zeros(nrows * ncols)
         # the column of T0^(i-a1) T1^a1 X^b is a1 * nx + (index of b)
         for xidx, m in enumerate(xmons):
-            upow = self.powers.power(m[2:])
+            upow = self.powers.power(pack(m))
             for a1 in range(i + 1):
                 start = a1 * ncols + a1 * nx + xidx
                 buf[start : start + (length - 1) * ncols + 1 : ncols] = upow
@@ -194,11 +197,11 @@ class Oracle:
         """Canonical basis of the bidegree-(i, j) slice of the kernel ideal."""
         F = self.field
         rows = self.kernel_rows(i, j)
-        monomials = monomials_of_bidegree(i, j)
+        keys = [pack(m) for m in monomials_of_bidegree(i, j)]
         basis = []
         for vec in rows:
             coeffs = {
-                m: c for m, c in zip(monomials, normalized(F, vec)) if not F.is_zero(c)
+                k: c for k, c in zip(keys, normalized(F, vec)) if not F.is_zero(c)
             }
             basis.append(BiPoly(F, i, j, coeffs, _clean=True))
         return GradedPiece(bidegree=(i, j), basis=basis)
@@ -218,11 +221,11 @@ class Oracle:
         if g.is_zero():
             return self.kernel_dim(i, j) > 0
         p = self.powers.modulus       # None over Q
-        terms = cleared_denominators(g.coeffs)[1] if p is None else g.coeffs.items()
         acc = [0] * (i + j * self.d + 1)
-        for m, c in terms:
-            pw = self.powers.power(m[2:])
-            lo, hi = m[1], m[1] + len(pw)
+        for m, c in _terms(g):
+            pw = self.powers.power(m & X_MASK)
+            lo = m >> T1_SHIFT & EXP_MASK
+            hi = lo + len(pw)
             acc[lo:hi] = map(add, acc[lo:hi], map(mul, repeat(c), pw))
         if p is None:
             return not any(acc)
@@ -334,19 +337,19 @@ class Oracle:
 
 
 def _terms(g: BiPoly):
-    """g's (monomial, coefficient) terms; over Q the integer numerators over
-    one common denominator, a nonzero rescale that keeps every span."""
+    """g's (key, coefficient) terms; over Q the integer numerators over one
+    common denominator, a nonzero rescale that keeps every span."""
     if isinstance(g.field, Rationals):
-        return cleared_denominators(g.coeffs)[1]
+        return cleared_denominators(g.coeffs)[1].items()
     return g.coeffs.items()
 
 
-def _vector(terms, index, s=(0, 0, 0, 0, 0)):
-    """The coefficient vector of the monomial s times the form with these
-    terms, on the columns index (monomial -> position)."""
+def _vector(terms, index, s=0):
+    """The coefficient vector of the monomial of key s times the form with
+    these terms, on the columns index (key -> position)."""
     vec = [0] * len(index)
     for m, c in terms:
-        vec[index[(s[0] + m[0], s[1] + m[1], s[2] + m[2], s[3] + m[3], s[4] + m[4])]] = c
+        vec[index[m + s]] = c
     return vec
 
 
@@ -359,7 +362,7 @@ def _multiple_vectors(i, j, gens, index):
             continue
         terms = _terms(gen)
         for s in monomials_of_bidegree(i - ig, j - jg):
-            yield _vector(terms, index, s)
+            yield _vector(terms, index, pack(s))
 
 
 def ideal_piece_membership(g: BiPoly, gens) -> bool:
@@ -382,7 +385,7 @@ def independent_mod(forms: list, modulus: list) -> bool:
     i, j = forms[0].bidegree
     if any(f.bidegree != (i, j) for f in forms):
         raise PreconditionError("same_bidegree", "independent_mod forms differ in bidegree")
-    index = {m: t for t, m in enumerate(monomials_of_bidegree(i, j))}
+    index = {pack(m): t for t, m in enumerate(monomials_of_bidegree(i, j))}
     vectors = [_vector(_terms(f), index) for f in forms]
     if isinstance(F, Rationals):
         from . import modular

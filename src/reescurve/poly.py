@@ -1,33 +1,42 @@
 """Bihomogeneous polynomial arithmetic in (T0, T1; X0, X1, X2).
 
-A BiPoly is a sparse map from exponent tuples (a0, a1, b0, b1, b2) to nonzero
-scalars, tagged with its bidegree (tdeg, xdeg); T-forms and X-forms are just
-BiPolys with xdeg = 0 / tdeg = 0.  The canonical monomial order used for
-printing, pivoting and normalization everywhere is lexicographic with
-T0 > T1 > X0 > X1 > X2, highest first — i.e. plain descending tuple order.
+A BiPoly is a sparse map from monomials to nonzero scalars, tagged with its
+bidegree (tdeg, xdeg); T-forms and X-forms are just BiPolys with xdeg = 0 /
+tdeg = 0.  The canonical monomial order used for printing, pivoting and
+normalization everywhere is lexicographic with T0 > T1 > X0 > X1 > X2,
+highest first: plain descending order of exponent tuples (a0, a1, b0, b1, b2).
+
+One representation: each monomial is one int key, the five exponents in
+fields of FIELD_BITS = 12 bits, a0 in the most significant one, so numeric
+order is the canonical order.  The top bit of each field is a guard bit: an
+exponent is at most MAX_EXPONENT = 2^11 - 1, a product of two monomials is
+one int addition that never carries into the next field, and m is divisible
+by g iff ((m | GUARD) - g) & GUARD == GUARD.  A form whose bidegree does not
+fit the fields is refused (PreconditionError "exponent_width"), and so is a
+determinant or resultant whose intermediate products would not.  Tuples
+appear only at the boundary: the constructor, `monomial`, `terms`,
+`parse_bipoly`, `monomials_of_bidegree` and `x_monomials`.
+
+There is one product loop on coefficient dicts (`_sum_of_products`) and one
+exact division (`_exact_quotient`, terms leaving a heap of keys).  Over F_p
+raw products are summed and each coefficient reduced by one ``% p``; over Q
+they run on integer numerators over one denominator per form, and the
+denominators divide the result once.  BiPoly.__mul__ and exact_div, the
+Bareiss determinant (poly_det_bareiss), the T-resultant (resultant_t) and
+the band of the mild pipeline (mu2mild.Band) all run on them.  A resultant
+with an argument of T-degree 1 or 2 (every one under mu = 2) is one
+pseudo-remainder and a norm; otherwise it is the determinant of the
+Sylvester matrix.
 
 Substitution X -> u(T) runs on a PowerTable: dense integer powers u^b of one
-parametrization, built once per curve (a Parametrization owns one) and read
-by every substitution into that curve and by its oracle.  Over F_p with
-p < 2^62 the C kernel of _native builds each power by one convolution and
-makes each substitution one shifted sum of the terms' powers; otherwise a
-power is one Kronecker product and a substitution one packed sum and one
-unpack.  Forms substituted into forms (an inverse map put into a moving
-line) go through BiPoly.compose; a linear change of X coordinates through
-syzygy.pullback_through_change.
-
-Determinants (poly_det_bareiss) and T-resultants (resultant_t) run on plain
-ints with no BiPoly arithmetic inside: each monomial is packed into one int,
-fields of one width with a guard bit each, so a product of monomials is one
-addition and a divisibility test one subtraction and mask.  Over F_p each
-coefficient is reduced by one ``% p``; over Q the inputs are cleared to
-integer numerators and their denominators divide the result once.  A
-determinant is a Bareiss elimination.  A resultant with an argument of
-T-degree 1 or 2 (every one under mu = 2) is one pseudo-remainder and a norm;
-otherwise it is the determinant of the Sylvester matrix.  The band minors
-and determinants of the mild pipeline are closed forms on the same packed
-dicts (mu2mild.Band); poly_det_bareiss is the reference for them and the
-Sylvester determinant of two arguments of T-degree >= 3.
+parametrization, keyed by the X part of a key, built once per curve (a
+Parametrization owns one) and read by every substitution into that curve and
+by its oracle.  Over F_p with p < 2^62 the C kernel of _native builds each
+power by one convolution and makes each substitution one shifted sum of the
+terms' powers; otherwise a power is one Kronecker product and a substitution
+one packed sum and one unpack.  Forms substituted into forms (an inverse map
+put into a moving line) go through BiPoly.compose; a linear change of X
+coordinates through syzygy.pullback_through_change.
 """
 from __future__ import annotations
 
@@ -38,12 +47,19 @@ from itertools import repeat
 from math import gcd, lcm
 
 from . import _native
+from .errors import PreconditionError
 from .fields import PrimeField, ensure_same_field
 
-Mono = tuple  # (a0, a1, b0, b1, b2)
+FIELD_BITS = 12
+MAX_EXPONENT = (1 << FIELD_BITS - 1) - 1
+EXP_MASK = (1 << FIELD_BITS) - 1
+T0_SHIFT, T1_SHIFT, X0_SHIFT, X1_SHIFT = 4 * FIELD_BITS, 3 * FIELD_BITS, 2 * FIELD_BITS, FIELD_BITS
+X_MASK = (1 << 3 * FIELD_BITS) - 1              # the three X fields of a key
+X_UNITS = (1 << X0_SHIFT, 1 << X1_SHIFT, 1)      # the keys of X0, X1, X2
+GUARD = sum(1 << FIELD_BITS - 1 + k * FIELD_BITS for k in range(5))
 
 _VAR_INDEX = {"T0": 0, "T1": 1, "X0": 2, "X1": 3, "X2": 4}
-_VAR_NAMES = ("T0", "T1", "X0", "X1", "X2")
+_VAR_SHIFTS = (("T0", T0_SHIFT), ("T1", T1_SHIFT), ("X0", X0_SHIFT), ("X1", X1_SHIFT), ("X2", 0))
 
 
 class GradingError(ValueError):
@@ -54,12 +70,56 @@ class InexactDivision(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
 
 
+def check_width(degree):
+    """Refuse a degree beyond MAX_EXPONENT: its exponents would not fit a field."""
+    if degree > MAX_EXPONENT:
+        raise PreconditionError(
+            "exponent_width",
+            f"degree {degree} exceeds {MAX_EXPONENT}, the largest exponent "
+            f"a {FIELD_BITS}-bit key field holds",
+        )
+
+
+def pack(mono):
+    """The key of an exponent tuple (a0, a1, b0, b1, b2)."""
+    a0, a1, b0, b1, b2 = mono
+    return a0 << T0_SHIFT | a1 << T1_SHIFT | b0 << X0_SHIFT | b1 << X1_SHIFT | b2
+
+
+def lower_x(b):
+    """(k, b - e_k) for the X part b of a key: k the first X variable whose
+    exponent is nonzero, lowered by one.  Powers are built along this."""
+    k = 0 if b >> X0_SHIFT else 1 if b >> X1_SHIFT else 2
+    return k, b - X_UNITS[k]
+
+
+def x_parts(g):
+    """g's terms grouped by the X part b of their keys: {b: {T part: coeff}},
+    so g = sum over b of X^b times the T-form of that dict."""
+    out = {}
+    for m, c in g.coeffs.items():
+        out.setdefault(m & X_MASK, {})[m & ~X_MASK] = c
+    return out
+
+
+def unpack(key):
+    """The exponent tuple (a0, a1, b0, b1, b2) of a key."""
+    return (key >> T0_SHIFT, key >> T1_SHIFT & EXP_MASK, key >> X0_SHIFT & EXP_MASK,
+            key >> X1_SHIFT & EXP_MASK, key & EXP_MASK)
+
+
 class BiPoly:
+    """A form of bidegree (tdeg, xdeg): ``coeffs`` maps the key of each
+    monomial (see the module docstring) to its nonzero scalar.  The
+    constructor takes exponent tuples and checks them; internal callers hand
+    it a clean dict of keys (``_clean=True``)."""
+
     __slots__ = ("field", "tdeg", "xdeg", "coeffs")
 
     def __init__(self, field, tdeg, xdeg, coeffs=None, *, _clean=False):
         if tdeg < 0 or xdeg < 0:
             raise GradingError(f"negative bidegree ({tdeg}, {xdeg})")
+        check_width(max(tdeg, xdeg))
         self.field = field
         self.tdeg = tdeg
         self.xdeg = xdeg
@@ -80,7 +140,7 @@ class BiPoly:
                     )
                 if min(mono) < 0:
                     raise GradingError(f"negative exponent in {mono}")
-                clean[tuple(mono)] = c
+                clean[pack(mono)] = c
             self.coeffs = clean
 
     # -- constructors -----------------------------------------------------
@@ -123,14 +183,15 @@ class BiPoly:
         return f"BiPoly({self.bidegree}, {self.text()})"
 
     def leading(self):
-        """(monomial, coeff) of the canonical leading term; None when zero."""
+        """(key, coeff) of the canonical leading term; None when zero."""
         if not self.coeffs:
             return None
         m = max(self.coeffs)
         return m, self.coeffs[m]
 
-    def terms_sorted(self):
-        return sorted(self.coeffs.items(), key=lambda kv: kv[0], reverse=True)
+    def terms(self):
+        """[(exponent tuple, coeff)] in canonical descending order."""
+        return [(unpack(m), c) for m, c in sorted(self.coeffs.items(), reverse=True)]
 
     # -- ring operations ----------------------------------------------------
 
@@ -171,37 +232,19 @@ class BiPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        """Convolution in plain ints, normalized once per output coefficient:
-        over Q the operands are integer numerators over one denominator each,
-        over F_p the raw products are summed and reduced by one ``% p``."""
+        """The one product on the coefficient dicts: over Q on integer
+        numerators over one denominator each.  The operands' exponents fit
+        their fields, so no key of the product carries into the next field;
+        a product of too large a bidegree is refused when it is built."""
         ensure_same_field(self.field, other.field)
         F = self.field
+        tdeg, xdeg = self.tdeg + other.tdeg, self.xdeg + other.xdeg
         if isinstance(F, PrimeField):
-            terms1, terms2 = self.coeffs.items(), other.coeffs.items()
-        else:
-            den1, terms1 = cleared_denominators(self.coeffs)
-            den2, terms2 = cleared_denominators(other.coeffs)
-        acc = {}
-        get = acc.get
-        for m1, c1 in terms1:
-            for m2, c2 in terms2:
-                m = (
-                    m1[0] + m2[0],
-                    m1[1] + m2[1],
-                    m1[2] + m2[2],
-                    m1[3] + m2[3],
-                    m1[4] + m2[4],
-                )
-                acc[m] = get(m, 0) + c1 * c2
-        if isinstance(F, PrimeField):
-            p = F.p
-            out = {m: r for m, v in acc.items() if (r := v % p)}
-        else:
-            den = den1 * den2
-            out = {m: Fraction(v, den) for m, v in acc.items() if v}
-        return BiPoly(
-            F, self.tdeg + other.tdeg, self.xdeg + other.xdeg, out, _clean=True
-        )
+            out = _sum_of_products([(self.coeffs, other.coeffs)], F.p)
+            return BiPoly(F, tdeg, xdeg, out, _clean=True)
+        den1, x = cleared_denominators(self.coeffs)
+        den2, y = cleared_denominators(other.coeffs)
+        return _bipoly(F, _sum_of_products([(x, y)], None), tdeg, xdeg, den1 * den2)
 
     def scale(self, c):
         F = self.field
@@ -217,7 +260,12 @@ class BiPoly:
         )
 
     def exact_div(self, g):
-        """Quotient self / g when g divides exactly; InexactDivision otherwise."""
+        """Quotient self / g when g divides exactly; InexactDivision otherwise.
+
+        One `_exact_quotient`.  Over Q it divides integer numerators by g's
+        primitive part (its numerators over their content): by Gauss's lemma
+        a quotient over Q is then one over Z, so every step is an exact
+        ``divmod``."""
         ensure_same_field(self.field, g.field)
         if g.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
@@ -229,37 +277,13 @@ class BiPoly:
         td, xd = self.tdeg - g.tdeg, self.xdeg - g.xdeg
         if td < 0 or xd < 0:
             raise InexactDivision("degree of divisor exceeds dividend")
-        glm, glc = g.leading()
-        inv = F.inv(glc)
-        rem = dict(self.coeffs)
-        out = {}
-        while rem:
-            m = max(rem)
-            q = (
-                m[0] - glm[0],
-                m[1] - glm[1],
-                m[2] - glm[2],
-                m[3] - glm[3],
-                m[4] - glm[4],
-            )
-            if min(q) < 0:
-                raise InexactDivision("leading term not divisible")
-            qc = F.mul(rem[m], inv)
-            out[q] = qc
-            for gm, gc in g.coeffs.items():
-                mm = (
-                    q[0] + gm[0],
-                    q[1] + gm[1],
-                    q[2] + gm[2],
-                    q[3] + gm[3],
-                    q[4] + gm[4],
-                )
-                s = F.sub(rem.get(mm, F.zero), F.mul(qc, gc))
-                if F.is_zero(s):
-                    rem.pop(mm, None)
-                else:
-                    rem[mm] = s
-        return BiPoly(F, td, xd, out, _clean=True)
+        if isinstance(F, PrimeField):
+            return BiPoly(F, td, xd, _exact_quotient(dict(self.coeffs), g.coeffs, F.p), _clean=True)
+        den, num = cleared_denominators(self.coeffs)
+        gden, gnum = cleared_denominators(g.coeffs)
+        content = gcd(*gnum.values())
+        quo = _exact_quotient(num, {m: c // content for m, c in gnum.items()}, None)
+        return _bipoly(F, quo, td, xd, den * content, gden)
 
     def divides_into(self, f) -> bool:
         """True iff self divides f exactly."""
@@ -317,7 +341,7 @@ class BiPoly:
             self.tdeg * t0.tdeg + self.xdeg * x0.tdeg,
             self.tdeg * t0.xdeg + self.xdeg * x0.xdeg,
         )
-        for m, c in self.coeffs.items():
+        for m, c in self.terms():
             tpart = power(tpowers, (t0, t1), m[:2])
             xpart = power(xpowers, (x0, x1, x2), m[2:])
             out = out + tpart.scale(c) * xpart
@@ -327,25 +351,20 @@ class BiPoly:
 
     def t_coefficient(self, a0, a1):
         """The X-form coefficient of T0^a0 T1^a1."""
-        F = self.field
-        out = {
-            (0, 0) + m[2:]: c
-            for m, c in self.coeffs.items()
-            if m[0] == a0 and m[1] == a1
-        }
-        return BiPoly(F, 0, self.xdeg, out, _clean=True)
+        t = (a0 << FIELD_BITS | a1) << T1_SHIFT
+        out = {m & X_MASK: c for m, c in self.coeffs.items() if m & ~X_MASK == t}
+        return BiPoly(self.field, 0, self.xdeg, out, _clean=True)
 
     def x_coefficient(self, b):
         """The T-form coefficient of X^b, b = (b0, b1, b2)."""
-        F = self.field
-        out = {
-            (m[0], m[1], 0, 0, 0): c for m, c in self.coeffs.items() if m[2:] == tuple(b)
-        }
-        return BiPoly(F, self.tdeg, 0, out, _clean=True)
+        xb = pack((0, 0, *b))
+        out = {m - xb: c for m, c in self.coeffs.items() if m & X_MASK == xb}
+        return BiPoly(self.field, self.tdeg, 0, out, _clean=True)
 
     def in_x01_power(self, k) -> bool:
         """Membership in <X0, X1>^k (a monomial ideal: pure support check)."""
-        return all(m[2] + m[3] >= k for m in self.coeffs)
+        return all((m >> X0_SHIFT & EXP_MASK) + (m >> X1_SHIFT & EXP_MASK) >= k
+                   for m in self.coeffs)
 
     # -- normalization and text ------------------------------------------------
 
@@ -367,15 +386,15 @@ class BiPoly:
             return "0"
         F = self.field
         pieces = []
-        for m, c in self.terms_sorted():
+        for m, c in sorted(self.coeffs.items(), reverse=True):
             cs = F.scalar_str(c)
             neg = cs.startswith("-")
             if neg:
                 cs = cs[1:]
             factors = [
                 f"{name}^{e}" if e > 1 else name
-                for name, e in zip(_VAR_NAMES, m)
-                if e > 0
+                for name, shift in _VAR_SHIFTS
+                if (e := m >> shift & EXP_MASK)
             ]
             if not factors:
                 body = cs
@@ -391,7 +410,7 @@ class BiPoly:
 
     def to_vector(self, monomials):
         F = self.field
-        return [self.coeffs.get(m, F.zero) for m in monomials]
+        return [self.coeffs.get(pack(m), F.zero) for m in monomials]
 
 
 _TERM_RE = re.compile(r"(?=[+-])")
@@ -448,11 +467,12 @@ def t_poly(field, coeff_list) -> BiPoly:
     d = len(coeff_list) - 1
     if d < 0:
         raise GradingError("empty coefficient list")
+    check_width(d)
     coeffs = {}
     for a, c in enumerate(coeff_list):
         c = field.coerce(c)
         if not field.is_zero(c):
-            coeffs[(d - a, a, 0, 0, 0)] = c
+            coeffs[(d - a) << T0_SHIFT | a << T1_SHIFT] = c
     return BiPoly(field, d, 0, coeffs, _clean=True)
 
 
@@ -461,15 +481,25 @@ def tpoly_dense(tp: BiPoly):
     F = tp.field
     out = [F.zero] * (tp.tdeg + 1)
     for m, c in tp.coeffs.items():
-        out[m[1]] = c
+        out[m >> T1_SHIFT & EXP_MASK] = c
     return out
 
 
-def cleared_denominators(coeffs):
-    """(den, [(monomial, int)]): Fraction coefficients as integer numerators
-    over their least common denominator."""
-    den = lcm(*(c.denominator for c in coeffs.values()))
-    return den, [(m, c.numerator * (den // c.denominator)) for m, c in coeffs.items()]
+def cleared_denominators(coeffs, den=None):
+    """(den, {key: int}): Fraction coefficients as integer numerators over
+    den, by default their least common denominator."""
+    if den is None:
+        den = lcm(*[c.denominator for c in coeffs.values()])
+    return den, {m: c.numerator * (den // c.denominator) for m, c in coeffs.items()}
+
+
+def numerators(forms):
+    """(den, [coefficient dict per form]) in plain ints: over F_p the forms'
+    own dicts and den 1, over Q integer numerators over one common den."""
+    if isinstance(forms[0].field, PrimeField):
+        return 1, [f.coeffs for f in forms]
+    den = lcm(*[c.denominator for f in forms for c in f.coeffs.values()])
+    return den, [cleared_denominators(f.coeffs, den)[1] for f in forms]
 
 
 def _half_slots(n, nbytes):
@@ -509,8 +539,9 @@ class PowerTable:
 
     The one place that raises a parametrization to powers: every substitution
     G(T, u(T)) and every oracle slice matrix reads its columns from here.  A
-    power is built once, on request, as a dense list of ints (index = T1
-    exponent): u^b is u^(b - e_k) times u_k, by one of two routes.
+    power is keyed by b as the X part of a key (``key & X_MASK``), built once,
+    on request, as a dense list of ints (index = T1 exponent): u^b is
+    u^(b - e_k) times u_k, by one of two routes.
       * Over F_p with p < 2^62, when the C kernel of _native is built
         (``kernel`` is set): one ``fp_convolve`` into a fresh ``array('Q')``
         of residues, and a substitution is one ``fp_shifted_sum`` of the
@@ -571,16 +602,16 @@ class PowerTable:
             + (self.modulus is None)
         )
         self._packed_base = {}      # (k, B) -> u_k packed in B-byte slots
-        self._powers = {(0, 0, 0): array("Q", [1]) if self.words else [1]}
+        self._powers = {0: array("Q", [1]) if self.words else [1]}
         self._packed = {}           # (b, B) -> u^b packed in B-byte slots
         self._bits = {}             # b -> bit length of the largest |entry| of u^b (over Q)
 
     def power(self, b):
-        """Dense coefficients of u^b (over Q: of w^b), index = T1 exponent."""
+        """Dense coefficients of u^b (over Q: of w^b), index = T1 exponent;
+        b is the X part of a key."""
         out = self._powers.get(b)
         if out is None:
-            k = 0 if b[0] else 1 if b[1] else 2
-            prev = b[:k] + (b[k] - 1,) + b[k + 1 :]
+            k, prev = lower_x(b)
             if self.kernel is not None:
                 x, uk = self.power(prev), self.base[k]
                 out = array("Q", bytes(8 * (len(x) + self.d)))
@@ -624,41 +655,39 @@ class PowerTable:
         powers, the bit length of the term count and, over Q, a sign bit."""
         ensure_same_field(self.field, g.field)
         top = g.tdeg + g.xdeg * self.d
+        check_width(top)
         p = self.modulus
         if not g.coeffs:
             return BiPoly.zero(self.field, top, 0)
         if self.kernel is not None:
             vals = self._shifted_sum(g, top)
-            coeffs = {(top - k, k, 0, 0, 0): v for k, v in enumerate(vals) if v}
+            coeffs = {(top - k) << T0_SHIFT | k << T1_SHIFT: v for k, v in enumerate(vals) if v}
             return BiPoly(self.field, top, 0, coeffs, _clean=True)
         if p is None:
             den, terms = cleared_denominators(g.coeffs)
-            bits = (max(abs(c) for _, c in terms).bit_length()
-                    + max(map(self._entry_bits, {m[2:] for m, _ in terms})) + 1)
+            bits = (max(map(abs, terms.values())).bit_length()
+                    + max(map(self._entry_bits, {m & X_MASK for m in terms})) + 1)
         else:
-            terms = g.coeffs.items()
+            terms = g.coeffs
             bits = 2 * (p - 1).bit_length()       # c and the entries are below p
         nbytes = (bits + len(terms).bit_length() + 7) // 8
         slot = 8 * nbytes
         packed = self._packed
         acc = 0
-        for m, c in terms:
-            b = m[2:]
+        for m, c in terms.items():
+            b = m & X_MASK
             x = packed.get((b, nbytes)) or self._packed_power(b, nbytes)
-            acc += c * x << m[1] * slot
+            acc += c * x << (m >> T1_SHIFT & EXP_MASK) * slot
         vals = _unpack_slots(acc, top + 1, nbytes, p)
-        if p is None:
-            s = self.scale ** g.xdeg / den
-            coeffs = {(top - k, k, 0, 0, 0): v * s for k, v in enumerate(vals) if v}
-        else:
-            coeffs = {(top - k, k, 0, 0, 0): v for k, v in enumerate(vals) if v}
+        s = 1 if p is not None else self.scale ** g.xdeg / den
+        coeffs = {(top - k) << T0_SHIFT | k << T1_SHIFT: v * s for k, v in enumerate(vals) if v}
         return BiPoly(self.field, top, 0, coeffs, _clean=True)
 
     def _shifted_sum(self, g, top):
         """The top + 1 residues of G(T, u(T)): one ``fp_shifted_sum`` call."""
         power = self.power
-        src = array("Q", [power(m[2:]).buffer_info()[0] for m in g.coeffs])
-        off = array("l", [m[1] for m in g.coeffs])
+        src = array("Q", [power(m & X_MASK).buffer_info()[0] for m in g.coeffs])
+        off = array("l", [m >> T1_SHIFT & EXP_MASK for m in g.coeffs])
         coef = array("Q", g.coeffs.values())
         vals = array("Q", bytes(8 * (top + 1)))
         scratch = array("Q", bytes(8 * (top + 1)))
@@ -752,7 +781,7 @@ def tpoly_gcd(f: BiPoly, g: BiPoly) -> BiPoly:
     coeffs = {}
     for k, c in enumerate(core):
         if not F.is_zero(c):
-            coeffs[(deg - (e1 + k), e1 + k, 0, 0, 0)] = c
+            coeffs[(deg - e1 - k) << T0_SHIFT | e1 + k << T1_SHIFT] = c
     return BiPoly(F, deg, 0, coeffs, _clean=True).normalized()
 
 
@@ -767,84 +796,60 @@ def tpoly_gcd_many(polys) -> BiPoly:
 
 
 # ---------------------------------------------------------------------------
-# resultant with respect to T
+# the product, the exact division, determinants and the resultant in T
 # ---------------------------------------------------------------------------
 
-def _pack(mono, w):
-    """One int for an exponent tuple, a0 in the most significant w-bit field."""
-    key = 0
-    for e in mono:
-        key = key << w | e
-    return key
-
-
-def _unpack(key, w):
-    mask = (1 << w) - 1
-    return (key >> 4 * w, key >> 3 * w & mask, key >> 2 * w & mask, key >> w & mask, key & mask)
-
-
 def _modulus(F):
-    """p over F_p, None over Q: the ``p`` the packed-dict helpers reduce by."""
+    """p over F_p, None over Q: the ``p`` the coefficient dicts reduce by."""
     return F.p if isinstance(F, PrimeField) else None
 
 
-def _packed_forms(forms, w, p):
-    """(den, [packed dict per form]).  Over F_p (p given) the coefficients as
-    they are and den = 1; over Q integer numerators over den, the least
-    common denominator of all the forms' coefficients."""
-    if p is not None:
-        return 1, [{_pack(k, w): c for k, c in f.coeffs.items()} for f in forms]
-    den = lcm(*(c.denominator for f in forms for c in f.coeffs.values()))
-    return den, [
-        {_pack(k, w): c.numerator * (den // c.denominator) for k, c in f.coeffs.items()}
-        for f in forms
-    ]
+def _neg(x):
+    """-x on a coefficient dict (raw ints: an operand of _sum_of_products)."""
+    return {k: -c for k, c in x.items()}
 
 
-def _bipoly(F, packed, w, tdeg, xdeg, den=1, sign=1):
-    """The BiPoly of a packed dict that holds den * sign times its
-    coefficients; over F_p (den 1) the dict is reduced."""
-    p = _modulus(F)
-    if p is None:
-        coeffs = {_unpack(k, w): Fraction(sign * v, den) for k, v in packed.items()}
-    else:
-        coeffs = {_unpack(k, w): v if sign > 0 else p - v for k, v in packed.items()}
-    return BiPoly(F, tdeg, xdeg, coeffs, _clean=True)
-
-
-def _cross(x, y, a, b):
-    """x*y - a*b on packed dicts, raw int coefficients (zeros kept)."""
+def _sum_of_products(pairs, p):
+    """The sum of x*y over pairs of coefficient dicts, zero terms dropped;
+    over F_p (p given) each coefficient reduced by one ``% p``.  The one
+    product loop: a product of two monomials is one key addition."""
     acc = {}
     get = acc.get
-    for k1, c1 in x.items():
-        for k2, c2 in y.items():
-            k = k1 + k2
-            acc[k] = get(k, 0) + c1 * c2
-    for k1, c1 in a.items():
-        for k2, c2 in b.items():
-            k = k1 + k2
-            acc[k] = get(k, 0) - c1 * c2
-    return acc
-
-
-def _reduced(acc, p):
-    """A raw packed dict with its zero coefficients dropped; over F_p (p
-    given) each coefficient reduced by one ``% p`` first."""
+    for x, y in pairs:
+        if len(x) > len(y):
+            x, y = y, x
+        for k1, c1 in x.items():
+            for k2, c2 in y.items():
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
     if p is None:
         return {k: v for k, v in acc.items() if v}
     return {k: r for k, v in acc.items() if (r := v % p)}
 
 
-def _exact_quotient(rem, g, glm, guard, p):
-    """rem / g on packed dicts, rem consumed; g's leading key glm.
+def _bipoly(F, acc, tdeg, xdeg, den=1, num=1):
+    """The BiPoly of num/den times a reduced dict of ints; over F_p den is 1
+    and num is 1 or -1."""
+    if isinstance(F, PrimeField):
+        coeffs = acc if num == 1 else {k: F.p - v for k, v in acc.items()}
+    else:
+        coeffs = {k: Fraction(num * v, den) for k, v in acc.items()}
+    return BiPoly(F, tdeg, xdeg, coeffs, _clean=True)
+
+
+def _exact_quotient(rem, g, p):
+    """rem / g on coefficient dicts, rem consumed; InexactDivision when g
+    does not divide it.
 
     Terms leave a heap of keys in descending order.  Over F_p (p given) rem
     holds raw ints, reduced by one ``% p`` when a term becomes the leading
     one, and g's leading coefficient is inverted once; over Z each quotient
-    coefficient is an exact ``divmod``.
+    coefficient is an exact ``divmod``.  Every exponent of rem and g fits its
+    field, so the guard bits decide divisibility by g's leading monomial.
     """
     from heapq import heapify, heappop, heappush   # first used here, not at start-up
 
+    glm = max(g)
     glc = g[glm]
     tail = [(gm, gc) for gm, gc in g.items() if gm != glm]
     if p is not None:
@@ -863,7 +868,7 @@ def _exact_quotient(rem, g, glm, guard, p):
                 raise InexactDivision("leading coefficient not divisible")
         if not c:
             continue
-        if ((m | guard) - glm) & guard != guard:
+        if ((m | GUARD) - glm) & GUARD != GUARD:
             raise InexactDivision("leading term not divisible")
         q = m - glm
         out[q] = c
@@ -882,16 +887,14 @@ def poly_det_bareiss(mat):
     """Fraction-free determinant of a square matrix of BiPolys.
 
     Bareiss condensation: every entry is kept as a minor of the matrix, so
-    every division is exact.  No BiPoly arithmetic runs inside: an entry is a
-    dict from a packed monomial key to a plain int.
-      * The key packs (a0, a1, b0, b1, b2) into w-bit fields, a0 most
-        significant, so numeric order is the canonical tuple order.  w holds
-        twice the sum over rows of the largest entry degree (a bound on every
-        exponent of a product of two minors) plus a guard bit per field: a
-        product of monomials is one int addition, and m is divisible by g
-        iff ((m | G) - g) & G == G, G the guard bits.
-      * Over F_p, x*y - a*b sums raw products and each coefficient is reduced
-        by one ``% p`` when it leads the exact division.
+    every division is exact.  The entries are coefficient dicts, multiplied
+    by `_sum_of_products` and divided by `_exact_quotient`; no BiPoly
+    arithmetic runs inside.  A product of two minors has degree at most
+    twice the sum over rows of the largest entry degree; that bound must fit
+    a key field (check_width).
+      * Over F_p, the first step reduces x*y - a*b by one ``% p`` per
+        coefficient; later steps hand the raw sums to the exact division,
+        which reduces each term as it takes it.
       * Over Q, each row is cleared to integer numerators over its lcm
         denominator, the elimination runs over Z[T, X] with exact ``divmod``
         quotients, and the product of the row denominators divides the
@@ -906,16 +909,14 @@ def poly_det_bareiss(mat):
     for row in mat:
         for e in row:
             ensure_same_field(F, e.field)
-    top = 2 * sum(max((e.tdeg + e.xdeg for e in row if e.coeffs), default=0) for row in mat)
-    w = top.bit_length() + 1
-    guard = _pack([1 << (w - 1)] * 5, w)
+    check_width(2 * sum(max((e.tdeg + e.xdeg for e in row if e.coeffs), default=0) for row in mat))
     p = _modulus(F)
     den = 1     # over F_p every denominator is 1 and the rows stay as they are
     m = []
     for row in mat:
-        rd, packed = _packed_forms(row, w, p)
+        rd, dicts = numerators(row)
         den *= rd
-        m.append(packed)
+        m.append(dicts)
     deg = [[(e.tdeg, e.xdeg) for e in row] for row in mat]
     sign = 1
     prev = None
@@ -931,7 +932,7 @@ def poly_det_bareiss(mat):
             sign = -sign
         piv, (pt, px) = m[k][k], deg[k][k]
         for i in range(k + 1, n):
-            a, (at, ax) = m[i][k], deg[i][k]
+            a, (at, ax) = _neg(m[i][k]), deg[i][k]
             for j in range(k + 1, n):
                 x, b = m[i][j], m[k][j]
                 dx = (deg[i][j][0] + pt, deg[i][j][1] + px)
@@ -939,34 +940,33 @@ def poly_det_bareiss(mat):
                 if x and a and b and dx != db:
                     raise GradingError(f"bidegree mismatch in sum: {dx} vs {db}")
                 td, xd = dx if x else db
-                num = _cross(x, piv, a, b)
                 if prev is None:
-                    num = _reduced(num, p)
+                    num = _sum_of_products([(x, piv), (a, b)], p)
                 else:
-                    num = _exact_quotient(num, prev, plm, guard, p)
+                    num = _exact_quotient(_sum_of_products([(x, piv), (a, b)], None), prev, p)
                     td, xd = td - vt, xd - vx
                     if not num:
                         td, xd = max(td, 0), max(xd, 0)
                     elif td < 0 or xd < 0:
                         raise InexactDivision("degree of divisor exceeds dividend")
                 m[i][j], deg[i][j] = num, (td, xd)
-        prev, plm, vt, vx = piv, max(piv), pt, px
+        prev, vt, vx = piv, pt, px
     td, xd = deg[n - 1][n - 1]
-    return _bipoly(F, m[n - 1][n - 1], w, td, xd, den, sign)
+    return _bipoly(F, m[n - 1][n - 1], td, xd, den, sign)
 
 
-def _t_slices(h, w, p, den):
-    """h as its t-coefficients, t = T1/T0: index a holds the X-form of
-    T0^(s-a) T1^a as a packed dict, over Q times den (an integer)."""
-    out = [{} for _ in range(h.tdeg + 1)]
-    for m, c in h.coeffs.items():
-        out[m[1]][_pack(m[2:], w)] = c if p is not None else c.numerator * (den // c.denominator)
+def _t_slices(h, s):
+    """A coefficient dict of T-degree s as its t-coefficients, t = T1/T0:
+    index a holds the X part of the T0^(s-a) T1^a terms."""
+    out = [{} for _ in range(s + 1)]
+    for k, c in h.items():
+        out[k >> T1_SHIFT & EXP_MASK][k & X_MASK] = c
     return out
 
 
-def _low_resultant(fc, gc, guard, p):
+def _low_resultant(fc, gc, p):
     """Res(f, g) on t-coefficient lists, f of T-degree m = len(fc) - 1 in
-    (1, 2), as a reduced packed dict.
+    (1, 2), as a reduced coefficient dict.
 
     One pseudo-remainder: f_m^(s-m+1) g = Q f + R with deg_t R < m, the
     coefficients of f_m times the running remainder less its leading one
@@ -980,24 +980,26 @@ def _low_resultant(fc, gc, guard, p):
     """
     m, s = len(fc) - 1, len(gc) - 1
     if m == 2 and not fc[2]:
-        lin = _low_resultant(fc[:2], gc, guard, p)
-        return _reduced(_cross(gc[s], lin, {}, {}) if s % 2 == 0 else _cross({}, {}, gc[s], lin), p)
+        lin = _low_resultant(fc[:2], gc, p)
+        return _sum_of_products([(gc[s] if s % 2 == 0 else _neg(gc[s]), lin)], p)
     lead, r = fc[m], list(gc)
     for k in range(s, m - 1, -1):
-        top = r.pop()
+        top = _neg(r.pop())
         r = [
-            _reduced(_cross(lead, c, top, fc[i + m - k] if i + m >= k else {}), p)
+            _sum_of_products([(lead, c), (top, fc[i + m - k] if i + m >= k else {})], p)
             for i, c in enumerate(r)
         ]
     if m == 1:
         return r[0]
     r0, r1 = r
-    norm = _cross(lead, _reduced(_cross(r0, r0, {}, {}), p), r1,
-                  _reduced(_cross(fc[1], r0, fc[0], r1), p))
+    norm = _sum_of_products([
+        (lead, _sum_of_products([(r0, r0)], p)),
+        (_neg(r1), _sum_of_products([(fc[1], r0), (_neg(fc[0]), r1)], p)),
+    ], p)
     div = lead
     for _ in range(s - 2):
-        div = _reduced(_cross(div, lead, {}, {}), p)
-    return _exact_quotient(norm, div, max(div), guard, p)
+        div = _sum_of_products([(div, lead)], p)
+    return _exact_quotient(norm, div, p)
 
 
 def resultant_t(f: BiPoly, g: BiPoly) -> BiPoly:
@@ -1007,12 +1009,13 @@ def resultant_t(f: BiPoly, g: BiPoly) -> BiPoly:
     top, coefficients by ascending T1 exponent: the resultant of two linear
     moving lines a*T0 + b*T1, c*T0 + d*T1 is b*c - a*d = +det[[c,d],[a,b]].
     When either argument has T-degree 1 or 2 (under mu = 2, every call of a
-    report), it is one pseudo-remainder and a norm on packed-int dicts
+    report), it is one pseudo-remainder and a norm on coefficient dicts
     (`_low_resultant`, the lower-degree argument as f, Res(g, f) =
-    (-1)^(s1 s2) Res(f, g)); otherwise the Sylvester determinant by
-    `poly_det_bareiss`.  Neither runs BiPoly arithmetic.  Over Q each
-    argument is cleared to integer numerators over its lcm denominator D,
-    which divides the result once as D_f^s2 D_g^s1.
+    (-1)^(s1 s2) Res(f, g)), whose exponents stay below twice the result's
+    degree; otherwise the Sylvester determinant by `poly_det_bareiss`.
+    Neither runs BiPoly arithmetic.  Over Q each argument is cleared to
+    integer numerators over its lcm denominator D, which divides the result
+    once as D_f^s2 D_g^s1.
     """
     ensure_same_field(f.field, g.field)
     if f.is_zero() or g.is_zero():
@@ -1030,16 +1033,13 @@ def resultant_t(f: BiPoly, g: BiPoly) -> BiPoly:
         if det.xdeg != want:
             raise GradingError(f"resultant degree {det.xdeg}, expected {want} (internal error)")
         return det
+    check_width(2 * want)
     sign = -1 if s2 < s1 and s1 * s2 % 2 else 1
     if s2 < s1:
         f, g = g, f
-    w = (2 * want).bit_length() + 1      # every exponent of the norm is <= 2 * want
-    guard = _pack([1 << (w - 1)] * 5, w)
-    p = _modulus(F)
-    dens = [1 if p is not None else lcm(*(c.denominator for c in h.coeffs.values()))
-            for h in (f, g)]
-    res = _low_resultant(_t_slices(f, w, p, dens[0]), _t_slices(g, w, p, dens[1]), guard, p)
-    return _bipoly(F, res, w, 0, want, dens[0] ** g.tdeg * dens[1] ** f.tdeg, sign)
+    (df, (fc,)), (dg, (gc,)) = numerators([f]), numerators([g])
+    res = _low_resultant(_t_slices(fc, f.tdeg), _t_slices(gc, g.tdeg), _modulus(F))
+    return _bipoly(F, res, 0, want, df ** g.tdeg * dg ** f.tdeg, sign)
 
 
 def _sylvester(f, g):
@@ -1074,7 +1074,7 @@ def _divided_differences(h: BiPoly):
     h0 = {
         (s, 0): BiPoly(
             F, n - 1 - s, j,
-            {(m[0] - 1 - s,) + m[1:]: c for m, c in h.coeffs.items() if m[0] > s},
+            {m - (1 + s << T0_SHIFT): c for m, c in h.coeffs.items() if m >> T0_SHIFT > s},
             _clean=True,
         )
         for s in range(n)

@@ -15,19 +15,24 @@ from .errors import ImproperParametrization, PreconditionError, VerificationErro
 from .fields import ensure_same_field
 from .linalg import ExactMatrix
 from .poly import (
+    EXP_MASK, T0_SHIFT, T1_SHIFT, X_MASK, X_UNITS,
     BiPoly,
     PowerTable,
+    _modulus,
+    _sum_of_products,
+    lower_x,
     t_poly,
     tpoly_dense,
     tpoly_gcd_many,
     resultant_t,
+    x_parts,
 )
 
 VERY_SINGULAR = "very-singular"
 MILD = "mild"
 NOT_APPLICABLE = "not-applicable"
 
-_X_VARS = [(0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)]
+_X_VARS = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]     # the exponents b of X0, X1, X2
 
 
 @dataclass(frozen=True)
@@ -125,8 +130,7 @@ def _vector_to_moving_line(F, vec, s) -> BiPoly:
         for a in range(s + 1):
             c = vec[v * (s + 1) + a]
             if not F.is_zero(c):
-                mono = (s - a, a) + tuple(_X_VARS[v][2:])
-                coeffs[mono] = c
+                coeffs[(s - a) << T0_SHIFT | a << T1_SHIFT | X_UNITS[v]] = c
     return BiPoly(F, s, 1, coeffs, _clean=True)
 
 
@@ -134,8 +138,8 @@ def _moving_line_to_vector(ml: BiPoly, s):
     F = ml.field
     vec = [F.zero] * (3 * (s + 1))
     for m, c in ml.coeffs.items():
-        v = m[2:].index(1)
-        vec[v * (s + 1) + m[1]] = c
+        v = X_UNITS.index(m & X_MASK)
+        vec[v * (s + 1) + (m >> T1_SHIFT & EXP_MASK)] = c
     return vec
 
 
@@ -195,7 +199,7 @@ def cross(l, n):
 
 def _x_content(ml: BiPoly):
     """The T-form coefficients of X0, X1, X2 in a moving line."""
-    return [ml.x_coefficient(b[2:]) for b in _X_VARS]
+    return [ml.x_coefficient(b) for b in _X_VARS]
 
 
 def _check_hilbert_burch(par: Parametrization, mb: MuBasis):
@@ -374,8 +378,8 @@ def axial_change(p: BiPoly):
     (i3,) = [i for i in range(3) if i not in piv]
     alpha = rows[0][i3]
     beta = rows[1][i3]
-    a_form = p.x_coefficient(_X_VARS[i1][2:])
-    b_form = p.x_coefficient(_X_VARS[i2][2:])
+    a_form = p.x_coefficient(_X_VARS[i1])
+    b_form = p.x_coefficient(_X_VARS[i2])
     # P = a_form * Z0 + b_form * Z1 with Z0 = X_i1 + alpha X_i3, Z1 = X_i2 + beta X_i3
     y_rows = []
     z1 = [F.zero] * 3
@@ -396,7 +400,7 @@ def axial_change(p: BiPoly):
     p1 = b_form
     p0 = -a_form
     # sanity: P == p1 * Y0 - p0 * Y1 after the change
-    transformed = pullback_through_change(p, m_inv)
+    (transformed,) = pullback_through_change([p], m_inv)
     expect = p1 * BiPoly.monomial(F, (0, 0, 1, 0, 0)) - p0 * BiPoly.monomial(
         F, (0, 0, 0, 1, 0)
     )
@@ -458,36 +462,36 @@ def apply_x_change(par: Parametrization, m_rows) -> Parametrization:
 
 
 def _linear_power(cache, lin, b):
-    """lin[0]^b0 lin[1]^b1 lin[2]^b2 from the cache, built as a lower power
-    times one form.  Module level on purpose: a recursive closure over the
-    cache would be a reference cycle, keeping every power alive until the
-    next full garbage collection."""
+    """lin[0]^b0 lin[1]^b1 lin[2]^b2 from the cache, b the X part of a key,
+    built as a lower power times one form.  Module level on purpose: a
+    recursive closure over the cache would be a reference cycle, keeping
+    every power alive until the next full garbage collection."""
     val = cache.get(b)
     if val is None:
-        i = 0 if b[0] else 1 if b[1] else 2
-        val = cache[b] = _linear_power(cache, lin, b[:i] + (b[i] - 1,) + b[i + 1 :]) * lin[i]
+        i, lower = lower_x(b)
+        val = cache[b] = _linear_power(cache, lin, lower) * lin[i]
     return val
 
 
-def pullback_through_change(g: BiPoly, m_rows) -> BiPoly:
-    """G(T, M X): maps a polynomial in the new coordinates back to the input frame.
+def pullback_through_change(forms, m_rows) -> list:
+    """[G(T, M X) for G in forms]: maps polynomials in the new coordinates
+    back to the input frame.
 
-    (M X)^b is built once per X-exponent b of g, as a lower power times one
-    linear form (M X)_i, and each term c T^a (M X)^b is added into one
-    coefficient dict, reduced once per coefficient."""
-    F = g.field
+    (M X)^b is built once per X-exponent b of the forms, in one cache they
+    share, as a lower power times one linear form (M X)_i.  A form is the
+    sum over its X-exponents b of its T-form coefficient of X^b times
+    (M X)^b: one sum of products, reduced once per coefficient."""
+    F = forms[0].field
     lin = [
-        BiPoly(F, 0, 1, {(0, 0, *_X_VARS[j][2:]): m_rows[i][j] for j in range(3)})
+        BiPoly(F, 0, 1, {(0, 0, *b): m_rows[i][j] for j, b in enumerate(_X_VARS)})
         for i in range(3)
     ]
-    powers = {(0, 0, 0): BiPoly.constant(F, 1)}
-    acc = {}
-    for m, c in g.coeffs.items():
-        for xm, v in _linear_power(powers, lin, m[2:]).coeffs.items():
-            key = (m[0], m[1], xm[2], xm[3], xm[4])
-            acc[key] = acc.get(key, 0) + c * v
-    coeffs = {m: r for m, v in acc.items() if not F.is_zero(r := F.coerce(v))}
-    return BiPoly(F, g.tdeg, g.xdeg, coeffs, _clean=True)
+    powers = {0: BiPoly.constant(F, 1)}
+    out = []
+    for g in forms:
+        pairs = [(t, _linear_power(powers, lin, b).coeffs) for b, t in x_parts(g).items()]
+        out.append(BiPoly(F, g.tdeg, g.xdeg, _sum_of_products(pairs, _modulus(F)), _clean=True))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +536,7 @@ def inverse_map(par: Parametrization) -> InverseMap:
     if t0 * par.substitute(b_form) != t1 * par.substitute(a_form):
         raise VerificationError("inverse identity failed")
     # the high moving line composed with the inverse must vanish on the curve
-    w = mb.q.compose(a_form, b_form, *(BiPoly.monomial(F, x) for x in _X_VARS))
+    w = mb.q.compose(a_form, b_form, *(BiPoly.monomial(F, (0, 0, *b)) for b in _X_VARS))
     if not (w.is_zero() or imp.equation.divides_into(w)):
         raise VerificationError("inverse failed the mod-E consistency check")
     return InverseMap(a=a_form, b=b_form, ell=ell)

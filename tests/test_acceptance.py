@@ -401,7 +401,7 @@ def test_criterion_9_property_sweep():
         if not prod.is_zero():
             good = prod.bidegree == (i1 + i2, j1 + j2) and all(
                 m[0] + m[1] == i1 + i2 and m[2] + m[3] + m[4] == j1 + j2
-                for m in prod.coeffs
+                for m, _ in prod.terms()
             )
             if not good:
                 failures.append(("grading", n))

@@ -9,13 +9,16 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from reescurve import _native
 from reescurve.fields import DEFAULT_PRIME, PrimeField, QQ
+from reescurve.errors import PreconditionError
 from reescurve.poly import (
+    MAX_EXPONENT,
     BiPoly,
     GradingError,
     InexactDivision,
     PowerTable,
     bidegree_dimension,
     monomials_of_bidegree,
+    pack,
     parse_bipoly,
     poly_det_bareiss,
     resultant_t,
@@ -54,7 +57,7 @@ def _schoolbook(F, f, g):
 
 
 def _mul_reference(f, g):
-    return _schoolbook(f.field, f.coeffs, g.coeffs)
+    return _schoolbook(f.field, dict(f.terms()), dict(g.terms()))
 
 
 _MUL_FIELDS = [QQ, PrimeField(2), PrimeField(3), FP]
@@ -98,10 +101,80 @@ def test_mul_matches_schoolbook_reference(case):
     zero = BiPoly.zero(F, 1, 1)
     for a, b in [(f, g), (g, f), (f, zero), (zero, g), (f + h, f - h), (f, -f)]:
         prod = a * b
-        assert prod.coeffs == _mul_reference(a, b)
+        assert dict(prod.terms()) == _mul_reference(a, b)
         assert prod.bidegree == (a.tdeg + b.tdeg, a.xdeg + b.xdeg)
         assert all(not F.is_zero(c) and F.coerce(c) == c and type(c) is type(F.one)
                    for c in prod.coeffs.values())
+
+
+@st.composite
+def _wide_form(draw, field, tdeg, xdeg):
+    """A sparse form of bidegree (tdeg, xdeg), its monomials drawn directly
+    (a full enumeration of a bidegree near the field limit is far too big)."""
+    a0 = st.integers(0, tdeg)
+    b = st.integers(0, xdeg).flatmap(lambda b0: st.tuples(st.just(b0), st.integers(0, xdeg - b0)))
+    mons = st.tuples(a0, b).map(lambda m: (m[0], tdeg - m[0], m[1][0], m[1][1], xdeg - sum(m[1])))
+    scalars = (st.fractions(min_value=-4, max_value=4, max_denominator=6) if field == QQ
+               else st.integers(0, field.p - 1))
+    return BiPoly(field, tdeg, xdeg, draw(st.dictionaries(mons, scalars, max_size=6)))
+
+
+@st.composite
+def _wide_mul_case(draw):
+    """Two forms whose product's bidegree is at most MAX_EXPONENT in each
+    part, with the parts of both factors near their limit too."""
+    field = draw(st.sampled_from(_MUL_FIELDS))
+    near = st.integers(MAX_EXPONENT - 3, MAX_EXPONENT)
+    ti, xi = draw(near), draw(near)
+    tf, xf = draw(st.integers(0, ti)), draw(st.integers(0, xi))
+    return draw(_wide_form(field, tf, xf)), draw(_wide_form(field, ti - tf, xi - xf))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_wide_mul_case())
+def test_mul_near_the_field_limit_matches_schoolbook(case):
+    """Exponents up to MAX_EXPONENT in every field add without carrying into
+    the next one: the product equals the schoolbook one on exponent tuples."""
+    f, g = case
+    prod = f * g
+    assert dict(prod.terms()) == _mul_reference(f, g)
+    assert prod.bidegree == (f.tdeg + g.tdeg, f.xdeg + g.xdeg)
+
+
+def test_bidegree_beyond_the_key_width_is_refused():
+    """A form, a product, a T-form or a substitution whose degree passes
+    MAX_EXPONENT raises PreconditionError("exponent_width"); at the limit
+    every exponent reads back as it went in."""
+    top = BiPoly.monomial(FP, (MAX_EXPONENT, 0, 0, MAX_EXPONENT, 0), 3)
+    assert top.terms() == [((MAX_EXPONENT, 0, 0, MAX_EXPONENT, 0), 3)]
+    assert BiPoly.zero(QQ, MAX_EXPONENT, MAX_EXPONENT).bidegree == (MAX_EXPONENT,) * 2
+    refusals = [
+        lambda: BiPoly(QQ, MAX_EXPONENT + 1, 0),
+        lambda: BiPoly.zero(FP, 0, MAX_EXPONENT + 1),
+        lambda: BiPoly.monomial(QQ, (0, 0, 0, 0, MAX_EXPONENT + 1)),
+        lambda: top * P("T1*X0", field=FP),
+        lambda: t_poly(QQ, [1] * (MAX_EXPONENT + 2)),
+        lambda: P("X0*X1").subst_x(*(t_poly(QQ, [1] * (MAX_EXPONENT // 2 + 2)),) * 3),
+    ]
+    for build in refusals:
+        with pytest.raises(PreconditionError) as err:
+            build()
+        assert err.value.invariant == "exponent_width"
+
+
+def test_intermediate_degrees_beyond_the_key_width_are_refused():
+    """A Bareiss product of two minors and a resultant's norm reach twice
+    the result's degree; past MAX_EXPONENT they are refused before any key
+    is formed, though the result itself would fit."""
+    half = MAX_EXPONENT // 2 + 1
+    f = BiPoly.monomial(QQ, (1, 0, 0, 0, half)) + BiPoly.monomial(QQ, (0, 1, half, 0, 0))
+    g = BiPoly.monomial(QQ, (1, 0, 1, 0, 0)) + BiPoly.monomial(QQ, (0, 1, 0, 1, 0))
+    for build in (lambda: resultant_t(f, g),
+                  lambda: poly_det_bareiss([[f.t_coefficient(1, 0), f.t_coefficient(0, 1)],
+                                            [g.t_coefficient(1, 0), g.t_coefficient(0, 1)]])):
+        with pytest.raises(PreconditionError) as err:
+            build()
+        assert err.value.invariant == "exponent_width"
 
 
 def test_add_bidegree_mismatch_raises():
@@ -149,7 +222,7 @@ def _subst_x_reference(g, u):
     """G(T, u(T)) term by term, each u^b a product of sparse BiPolys."""
     F = g.field
     out = BiPoly.zero(F, g.tdeg + g.xdeg * u[0].tdeg, 0)
-    for (a0, a1, b0, b1, b2), c in g.coeffs.items():
+    for (a0, a1, b0, b1, b2), c in g.terms():
         term = BiPoly.monomial(F, (a0, a1, 0, 0, 0), c)
         for uk, e in zip(u, (b0, b1, b2)):
             for _ in range(e):
@@ -290,7 +363,7 @@ def _check_powers(field, top, path):
     for dense, n in cases:
         table = PowerTable(*(t_poly(field, u) for u in dense))
         for b, want in _power_references(table, n).items():
-            got = table.power(b)
+            got = table.power(pack((0, 0) + b))
             assert list(got) == want, b
             assert isinstance(got, array) if words else type(got) is list
         _check_path(table, path)
@@ -301,8 +374,8 @@ def _substitute_reference(table, g):
     added entry by entry at the offset a1 (over Q times scale^xdeg)."""
     top = g.tdeg + g.xdeg * table.d
     acc = [0] * (top + 1)
-    for m, c in g.coeffs.items():
-        for k, v in enumerate(table.power(m[2:])):
+    for m, c in g.terms():
+        for k, v in enumerate(table.power(pack((0, 0) + m[2:]))):
             acc[m[1] + k] += c * v
     if table.modulus is None:
         acc = [v * table.scale ** g.xdeg for v in acc]
@@ -395,7 +468,7 @@ def compose_reference(g, images, bidegree):
     is its coefficient times repeated products of the images."""
     F = g.field
     out = BiPoly.zero(F, *bidegree)
-    for m, c in g.coeffs.items():
+    for m, c in g.terms():
         term = BiPoly.constant(F, c)
         for image, e in zip(images, m):
             for _ in range(e):
@@ -502,7 +575,7 @@ def test_poly_det_bareiss_matches_scalar_det():
 
         det = poly_det_bareiss(mat)
         expected = ExactMatrix(QQ, rows).det()
-        got = det.coeffs.get((0, 0, 0, 0, 0), QQ.zero)
+        got = dict(det.terms()).get((0, 0, 0, 0, 0), QQ.zero)
         assert got == expected
 
 
@@ -513,7 +586,7 @@ def _det_reference(F, mat):
     for perm in permutations(range(n)):
         term = {(0, 0, 0, 0, 0): F.one}
         for r, c in enumerate(perm):
-            term = _schoolbook(F, term, mat[r][c].coeffs)
+            term = _schoolbook(F, term, dict(mat[r][c].terms()))
         odd = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n)) % 2
         for m, c in term.items():
             out[m] = (F.sub if odd else F.add)(out.get(m, F.zero), c)
@@ -573,7 +646,7 @@ def test_det_matches_leibniz_reference(case):
     rows, cols, mat = case
     F = mat[0][0].field
     det = poly_det_bareiss(mat)
-    assert det.coeffs == _det_reference(F, mat)
+    assert dict(det.terms()) == _det_reference(F, mat)
     if det.coeffs:
         assert det.bidegree == (
             sum(r[0] for r in rows) + sum(c[0] for c in cols),
@@ -628,7 +701,7 @@ def _resultant_case(draw):
     f, g = draw(_form(field, (low, jl), size=6)), draw(_form(field, (s, jg), size=6))
     if low == 2:
         drop = draw(st.sampled_from([(), (2,), (0, 2)]))
-        f = BiPoly(field, 2, jl, {m: c for m, c in f.coeffs.items() if m[1] not in drop})
+        f = BiPoly(field, 2, jl, {m: c for m, c in f.terms() if m[1] not in drop})
     if draw(st.booleans()):
         h = draw(_form(field, (1, draw(st.integers(0, 1))), size=4))
         f = h * draw(_form(field, (low - 1, jl), size=4))
@@ -676,7 +749,7 @@ def test_det_runs_no_bipoly_arithmetic(field, monkeypatch):
     monkeypatch.setattr(BiPoly, "__mul__", refuse)
     monkeypatch.setattr(BiPoly, "exact_div", refuse)
     for det in (poly_det_bareiss(rows), resultant_t(f, g)):
-        assert det.coeffs == want and det.bidegree == (0, 5)
+        assert dict(det.terms()) == want and det.bidegree == (0, 5)
 
 
 def test_monomial_enumeration():
@@ -699,7 +772,7 @@ def test_text_round_trip():
 def test_normalized_leading_coefficient():
     f = P("3*T0*X1 - 6*T1*X0")
     g = f.normalized()
-    lead_mono, lead_coeff = g.leading()
+    lead_mono, lead_coeff = g.terms()[0]
     assert lead_coeff == 1
     assert lead_mono == (1, 0, 0, 1, 0)
 
@@ -718,14 +791,20 @@ def test_tpoly_gcd_over_fp():
 
 
 def test_exact_div_round_trip():
+    """Over Q with integer coefficients, then with fractions (divisors with
+    a content and denominators: exact_div divides integer numerators by the
+    divisor's primitive part), and over F_p."""
     rng = random.Random(8)
-    for _ in range(10):
-        f = BiPoly(QQ, 1, 1, {m: rng.randint(-3, 3) for m in monomials_of_bidegree(1, 1)})
-        g = BiPoly(QQ, 2, 1, {m: rng.randint(-3, 3) for m in monomials_of_bidegree(2, 1)})
-        if f.is_zero() or g.is_zero():
-            continue
-        prod = f * g
-        assert prod.exact_div(f) == g
-        assert prod.exact_div(g) == f
-        with pytest.raises(InexactDivision):
-            (prod + P("T0^3*X0^2")).exact_div(f * f)
+    small = lambda: rng.randint(-3, 3)
+    fraction = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    for field, scalar in ((QQ, small), (QQ, fraction), (FP, small)):
+        for _ in range(10):
+            f = BiPoly(field, 1, 1, {m: scalar() for m in monomials_of_bidegree(1, 1)})
+            g = BiPoly(field, 2, 1, {m: scalar() for m in monomials_of_bidegree(2, 1)})
+            if f.is_zero() or g.is_zero():
+                continue
+            prod = f * g
+            assert prod.exact_div(f) == g
+            assert prod.exact_div(g) == f
+            with pytest.raises(InexactDivision):
+                (prod + P("T0^3*X0^2", field=field)).exact_div(f * f)

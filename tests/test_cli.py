@@ -544,6 +544,26 @@ def test_unreadable_input_file_exits_2(content, tmp_path, monkeypatch, capsys):
         assert (out["error"], out["invariant"]) == ("precondition", "input_file"), argv
 
 
+def test_curve_beyond_the_key_width_exits_2(tmp_path, capsys):
+    """A curve whose degree passes the exponent fields of a monomial key is
+    refused with the named invariant (exit 2), not wrapped and not exit 4;
+    a curve one degree lower is read."""
+    from reescurve import cli
+    from reescurve.poly import MAX_EXPONENT
+    from reescurve.report import curve_from_json
+
+    def doc(d):
+        zeros = [0] * (d - 1)
+        return {"field": "fp:7", "u0": [1, 0] + zeros, "u1": [0, 1] + zeros, "u2": zeros + [0, 1]}
+
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc(MAX_EXPONENT + 1)))
+    assert cli.main(["classify", str(path)]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert (out["error"], out["invariant"]) == ("precondition", "exponent_width")
+    assert curve_from_json(doc(MAX_EXPONENT)).d == MAX_EXPONENT
+
+
 @pytest.mark.parametrize(
     "doc",
     [

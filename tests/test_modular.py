@@ -7,7 +7,9 @@ deficient ones, ones with bad reduction at the first prime, and ones whose
 entries need several primes.  A corrupted lift and a corrupted modular rank
 must each be refused, with the next prime taken.
 """
+import math
 import random
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -113,6 +115,26 @@ def test_entries_near_2_40_lift_by_crt(primes_used):
         primes_used.clear()
         _check(rows, ncols)
         assert len(primes_used[0]) > 2
+
+
+def test_reconstruct_matches_per_entry_ratrecon():
+    """_reconstruct over many distinct denominators, with entries that the
+    running denominator already clears among them, gives each entry the
+    fraction _ratrecon gives it alone, over the lcm of their denominators;
+    an entry with no reconstruction refuses the whole list."""
+    rng = random.Random(76)
+    m = DEFAULT_PRIME * next(islice(modular._primes(), 1, None))
+    bound = math.isqrt(m >> 1)
+    fracs = [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 3000)) for _ in range(300)]
+    fracs += [Fraction(rng.randint(-99, 99), f.denominator) for f in fracs[:50]]
+    residues = [f.numerator * pow(f.denominator, -1, m) % m for f in fracs]
+    nums, den = modular._reconstruct(residues, m)
+    assert den == math.lcm(*(f.denominator for f in fracs))
+    for a, n, f in zip(residues, nums, fracs):
+        assert Fraction(n, den) == Fraction(*modular._ratrecon(a, m, bound)) == f
+    bad = next(r for r in iter(lambda: rng.randrange(m), None)
+               if modular._ratrecon(r, m, bound) is None and bound < r * den % m < m - bound)
+    assert modular._reconstruct(residues + [bad], m) is None
 
 
 def _corrupt_first_lift(monkeypatch):

@@ -41,7 +41,7 @@ def sylvester_reference(f, g, v):
     h = T0^(1+v0) h0 + T1^(1+v1) h1, T0-heavy monomials to h0."""
     def split(h):
         parts = ({}, {})
-        for m, c in h.coeffs.items():
+        for m, c in h.terms():
             if m[0] > v[0]:
                 parts[0][(m[0] - 1 - v[0],) + m[1:]] = c
             else:
@@ -89,7 +89,7 @@ def resultant_matrix(ctx, i, morley):
 
 def swap_t(f):
     """f with T0 and T1 exchanged."""
-    return BiPoly(f.field, f.tdeg, f.xdeg, {(m[1], m[0]) + m[2:]: c for m, c in f.coeffs.items()})
+    return BiPoly(f.field, f.tdeg, f.xdeg, {(m[1], m[0]) + m[2:]: c for m, c in f.terms()})
 
 
 def test_minor_count_identity():

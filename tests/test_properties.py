@@ -30,7 +30,7 @@ def bipoly_strategy(i, j, field=QQ):
 def test_mul_respects_grading(f, g):
     prod = f * g
     assert prod.bidegree == (3, 2) or prod.is_zero()
-    for m in prod.coeffs:
+    for m, _ in prod.terms():
         assert m[0] + m[1] == 3 and m[2] + m[3] + m[4] == 2
 
 

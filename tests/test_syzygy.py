@@ -125,7 +125,7 @@ def test_moving_line_content_rank2_with_hidden_axis():
     line = P("T0^2*X0 + T1^2*X1 + T0*T1*X0 + T0*T1*X1")
     assert moving_line_content(line).rank() == 2
     m_rows, m_inv, p0, p1 = axial_change(line)
-    transformed = pullback_through_change(line, m_inv)
+    (transformed,) = pullback_through_change([line], m_inv)
     x0 = P("X0")
     x1 = P("X1")
     assert transformed == p1 * x0 - p0 * x1
@@ -134,9 +134,9 @@ def test_moving_line_content_rank2_with_hidden_axis():
 
 @pytest.mark.parametrize("field", [QQ, FP, PrimeField(3)], ids=["q", "fp62", "fp3"])
 def test_pullback_matches_compose(field):
-    """pullback_through_change(g, M) is G(T, M X) as BiPoly.compose builds
-    it, on full forms of several bidegrees with a singular and an invertible
-    M, and on the zero form."""
+    """pullback_through_change([g], M) is [G(T, M X)] as BiPoly.compose
+    builds it, on full forms of several bidegrees with a singular and an
+    invertible M, and on the zero form."""
     rng = random.Random(5)
 
     def rand():
@@ -154,9 +154,34 @@ def test_pullback_matches_compose(field):
         for i, j in ((0, 0), (2, 1), (1, 4), (3, 6)):
             g = BiPoly(field, i, j, {mono: rand() for mono in monomials_of_bidegree(i, j)})
             want = g.compose(t0, t1, *lin_images(m))
-            got = pullback_through_change(g, m)
+            (got,) = pullback_through_change([g], m)
             assert got == want and got.bidegree == want.bidegree
-        assert pullback_through_change(BiPoly.zero(field, 2, 3), m).is_zero()
+        (zero,) = pullback_through_change([BiPoly.zero(field, 2, 3)], m)
+        assert zero.is_zero()
+
+
+@pytest.mark.parametrize("field", [QQ, FP, PrimeField(3)], ids=["q", "fp62", "fp3"])
+def test_pullback_of_a_list_equals_the_one_form_calls(field):
+    """One call on a list of forms, which share one cache of (M X)^b,
+    gives what one call per form gives, in order, bidegrees included: forms
+    of shared and of distinct X-degrees, a repeated form and the zero form."""
+    rng = random.Random(6)
+
+    def rand():
+        if field == QQ:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        return rng.randrange(field.p)
+
+    m = [[field.coerce(rand()) for _ in range(3)] for _ in range(3)]
+    forms = [
+        BiPoly(field, i, j, {mono: rand() for mono in monomials_of_bidegree(i, j)})
+        for i, j in ((2, 1), (1, 4), (0, 4), (3, 2))
+    ]
+    forms += [forms[1], BiPoly.zero(field, 1, 3)]
+    got = pullback_through_change(forms, m)
+    want = [pullback_through_change([g], m)[0] for g in forms]
+    assert got == want
+    assert [g.bidegree for g in got] == [g.bidegree for g in forms]
 
 
 def test_axial_change_generic_branch():
@@ -166,7 +191,7 @@ def test_axial_change_generic_branch():
     m_rows, m_inv, p0, p1 = axial_change(line)
     x0 = P("X0")
     x1 = P("X1")
-    assert pullback_through_change(line, m_inv) == p1 * x0 - p0 * x1
+    assert pullback_through_change([line], m_inv) == [p1 * x0 - p0 * x1]
     assert ExactMatrix(QQ, m_rows).det() == 1
     from reescurve.poly import tpoly_gcd
 
