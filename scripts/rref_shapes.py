@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Per-core RowReducer timings at the oracle's fixed slice shapes, and the
-Q route at q-random's shapes.
+"""Per-core RowReducer timings at the oracle's fixed slice shapes over F_p,
+and over Q at q-random's shapes and the slices of a d = 7 oracle table.
 
 F_p: samples the curve of `reescurve sample-verysingular --degree 10 --seed
 1000` (over F_p, p the default prime) in process, builds the substitution
@@ -10,17 +10,15 @@ native C kernel (skipped when it is not built) and the generic pure-Python
 core, the one F_p runs on without a compiler.  Prints one JSON line per
 shape and core: shape, rows, columns, rank, seconds (best of --repeat runs).
 
-Q: samples the mild curves of `reescurve --field q sample-mild --degree 6
---seed 600` and `--degree 7 --seed 700` (q-random pool curves), takes the
-shift matrices mu_basis reduces (of the primitive integer triple, degrees
-s = 0, 1, 2 and d - 2) and the stacks that the report's independent_mod and
-ideal_piece_membership calls hand to modular.py, and times each question
-both ways: the call the program makes (modular.rref, the certified RREF in
-Fractions that ExactMatrix over Q reads its kernel from, for a shift matrix;
-modular.pivot_columns for a stack), on the native core when it is built,
-and the RREF on the Fraction core.  Prints one JSON line per matrix:
-question, rows, columns, rank, modular and fraction seconds (best of
---repeat runs).
+Q: times RowReducer over Q, the certified modular core, against the
+Fraction core on the same rows: the Q eliminations of a gens report on the
+mild curves of `reescurve --field q sample-mild --degree 6 --seed 600` and
+`--degree 7 --seed 700` (q-random pool curves: the mu-basis shift matrices,
+the solvers and the span stacks), and the slices (imax, j), j = 1..d, that
+`oracle-table` reduces on the curve of `--field q sample-verysingular
+--degree 7 --seed 1`.  A question is the rank of the rows, then their kernel
+rows, as the oracle reads them.  Prints one JSON line per matrix: question,
+rows, columns, rank, modular and fraction seconds (best of --repeat runs).
 
 Usage: python scripts/rref_shapes.py [--parts fp q] [--cores native generic] [--repeat 3]
 """
@@ -38,7 +36,6 @@ from reescurve.fields import DEFAULT_PRIME, QQ, PrimeField
 from reescurve.oracle import Oracle
 from reescurve.report import build_report
 from reescurve.sampling import sample_mild, sample_very_singular
-from reescurve.syzygy import shift_matrix
 
 SHAPES = ((8, 8), (8, 9), (8, 10), (1, 12))
 
@@ -72,29 +69,36 @@ def best_of(repeat, fn):
 
 
 def q_questions():
-    """(label, rows, ncols, certified route) for each Q question of the two
-    curves."""
+    """(label, rows, ncols) for each Q question: the rows fed to every Q
+    reducer of the two reports, then the oracle-table slices."""
     out = []
-    for d, seed in ((6, 600), (7, 700)):
-        par = sample_mild(QQ, d, random.Random(seed)).par
-        for s in (0, 1, 2, d - 2):
-            m = shift_matrix(QQ, par.powers.base, s)
-            out.append((f"shift d={d} s={s}", m.rows, m.ncols, modular.rref))
-        stacks = []
-        pivot_columns = modular.pivot_columns
-        modular.pivot_columns = lambda rows, ncols: stacks.append((rows, ncols)) or pivot_columns(rows, ncols)
-        try:
-            build_report(par)
-        finally:
-            modular.pivot_columns = pivot_columns
-        out += [(f"span d={d}", rows, ncols, modular.pivot_columns) for rows, ncols in stacks]
+    add_rows = modular._ModularCore.add_rows
+
+    def recorded(core, rows, stop):
+        rows = list(rows)
+        out.append((f"report d={d}", rows, core.ncols))
+        return add_rows(core, rows, stop)
+
+    modular._ModularCore.add_rows = recorded
+    try:
+        for d, seed in ((6, 600), (7, 700)):
+            build_report(sample_mild(QQ, d, random.Random(seed)).par)
+    finally:
+        modular._ModularCore.add_rows = add_rows
+    oracle = Oracle(sample_very_singular(QQ, 7, random.Random(1)).par)
+    imax = oracle.d - oracle.mu
+    for j in range(1, oracle.d + 1):
+        rows = oracle.slice_rows(imax, j)
+        out.append((f"slice ({imax}, {j})", rows, len(rows[0])))
     return out
 
 
-def fraction_rref(rows, ncols):
-    red = linalg.RowReducer(QQ, ncols)    # the Fraction core
-    red.add_rows(rows)
-    return red.rref()
+def q_question(core, rows, ncols):
+    red = linalg.RowReducer(QQ, ncols)
+    if core is not None:
+        red._core = core(QQ, ncols)
+    rank = red.add_rows(rows)
+    return rank, red.kernel_rows(range(ncols), ncols)
 
 
 def main():
@@ -118,16 +122,14 @@ def main():
                     "core": core, "rank": rank, "seconds": round(secs, 6),
                 }), flush=True)
     if "q" in args.parts:
-        for label, rows, ncols, route in q_questions():
-            got, mod_s = best_of(args.repeat, lambda: route(rows, ncols))
-            (piv, _), frac_s = best_of(args.repeat, lambda: fraction_rref(rows, ncols))
-            assert piv == (got[0] if route is modular.rref else got), label
-            rank = len(piv)
+        for label, rows, ncols in q_questions():
+            got, mod_s = best_of(args.repeat, lambda: q_question(None, rows, ncols))
+            ref, frac_s = best_of(args.repeat, lambda: q_question(linalg._FractionCore, rows, ncols))
+            assert got == ref, label
             print(json.dumps({
-                "question": label, "rows": len(rows), "cols": ncols, "rank": rank,
+                "question": label, "rows": len(rows), "cols": ncols, "rank": got[0],
                 "modular_s": round(mod_s, 6), "fraction_s": round(frac_s, 6),
             }), flush=True)
-
 
 if __name__ == "__main__":
     main()

@@ -35,12 +35,13 @@ whatever the order of elimination.  Rows the kernel appends are zero left of
 their pivot, so it sweeps them from there; rows installed by RowReducer.seed
 need not be, and are swept in full.
 
-linalg.py hands this kernel every F_p elimination with p < P_BOUND, and
-poly.PowerTable every F_p power and substitution.  When no compiler is
-available, or the cache directory cannot be written, those go to the
-pure-Python paths (linalg's generic core, PowerTable's Kronecker products),
-the ones Q and F_p with p >= P_BOUND always run on.  Both paths give the
-identical results, which the test suite cross-checks.
+linalg.py hands this kernel every F_p elimination with p < P_BOUND (so the
+images mod primes behind every Q elimination), and poly.PowerTable every F_p
+power and substitution.  Without a compiler, or when the cache directory
+cannot be written, those go to the pure-Python paths (linalg's generic core,
+PowerTable's Kronecker products), as F_p with p >= P_BOUND and Q's powers
+always do.  Both paths give the identical results, which the tests
+cross-check.
 
 Set REESCURVE_NO_NATIVE=1 to force the pure-Python paths.
 """

@@ -2,25 +2,22 @@
 
 Everything reduces to one primitive, an incremental row-space accumulator
 (`RowReducer`) that keeps a mutually reduced pivot basis — i.e. the unique
-reduced row echelon form of whatever rows were fed in.  Two interchangeable
-cores implement it, chosen by the field and by whether the C kernel is built:
+reduced row echelon form of whatever rows were fed in.  ExactMatrix and
+LinearSolver feed one too.  Three interchangeable cores implement it, and
+_make_core alone picks one, by the field and by whether the C kernel is built:
+  * Q: modular.py's core (imported on the first Q reducer), which reduces
+    the integer rows mod 62-bit primes on the F_p cores and lifts the RREF,
+    checked exactly in integers: no elimination runs on Fractions;
   * F_p with p < 2^62 and a C compiler: the elimination routines of the C
     kernel in _native.py (which also serves poly.PowerTable's power products
     and substitutions), whose pivot block and batches live in `array('Q')`
     buffers handed to C through ctypes;
-  * everything else (Q, F_p with p >= 2^62, F_p without a compiler): the
-    generic pure-Python core, exact ints or Fractions with the scalars' own
-    arithmetic.  Over F_p with p < 2^62 it runs under the label class
-    _FpPackedCore, so traces tell that case apart from Q.
-Both cores produce the same canonical output; determinism does not depend on
+  * F_p with p >= 2^62, or without a compiler: the generic pure-Python core
+    on exact ints (labelled _FpPackedCore for p < 2^62, so traces tell).
+All cores produce the same canonical output; determinism does not depend on
 which one runs.  Besides absorbing rows, a core writes the kernel rows of its
 RREF through a column map: that is how the oracle moves a kernel slice into
 the next bidegree without building kernel vectors.
-
-ExactMatrix and LinearSolver over Q eliminate on no Fraction: their RREF comes
-from modular.py, which reduces the integer matrix mod 62-bit primes on the
-F_p core and lifts the result, checked exactly in integers.  RowReducer over Q
-(the oracle's Q slices) still runs the generic core.
 
 Canonical conventions (shared by every consumer in this package):
   * pivot search is leftmost-column-first;
@@ -46,8 +43,9 @@ class ShapeMismatch(ValueError):
 # ---------------------------------------------------------------------------
 
 class _FractionCore:
-    """Pure-Python core, generic over the field: Q, F_p for p >= 2^62 (whose
-    residues overflow the C kernel's words), and F_p without a compiler.
+    """Pure-Python core, generic over the field: F_p for p >= 2^62 (whose
+    residues overflow the C kernel's words), F_p without a compiler, and
+    the Fraction reference over Q that the tests hold modular.py to.
 
     It eliminates with the scalars' own ``-`` and ``*`` (exact ints over F_p,
     Fractions over Q) and brings each row back to canonical scalars once,
@@ -101,8 +99,8 @@ class _FractionCore:
 class _FpPackedCore(_FractionCore):
     """The generic core as it runs over F_p, p < 2^62, when no C kernel is
     built.  It adds no code: the class only labels that case, so a traced
-    run counts its reducers and calls apart from the Q ones.  ``add_rows``
-    is bound in this class's own dict, where the tracer looks it up."""
+    run counts it apart from p >= 2^62.  ``add_rows`` is bound in this
+    class's own dict, where the tracer looks it up."""
 
     add_rows = _FractionCore.add_rows
 
@@ -235,6 +233,10 @@ def normalized(F, vec):
 
 
 def _make_core(field, ncols):
+    if isinstance(field, Rationals):
+        from .modular import _ModularCore
+
+        return _ModularCore(field, ncols)
     if isinstance(field, PrimeField) and field.p < _native.P_BOUND:
         kernel = _native.get_kernel()
         if kernel is not None:
@@ -325,18 +327,6 @@ class RowReducer:
 # matrices
 # ---------------------------------------------------------------------------
 
-def _rref_rows(field, rows, ncols):
-    """The canonical RREF of rows: over Q certified from images mod primes
-    (modular.py, imported on first use), over F_p by one RowReducer."""
-    if isinstance(field, Rationals):
-        from . import modular
-
-        return modular.rref(rows, ncols)
-    red = RowReducer(field, ncols)
-    red.add_rows(rows)
-    return red.rref()
-
-
 class ExactMatrix:
     """Immutable dense matrix over Q or F_p (row-major list of lists)."""
 
@@ -348,7 +338,7 @@ class ExactMatrix:
         for row in self.rows:
             if len(row) != self.ncols:
                 raise ShapeMismatch("ragged rows")
-        self._rref = None
+        self._reducer = None
 
     @classmethod
     def identity(cls, field, n):
@@ -361,26 +351,22 @@ class ExactMatrix:
         return f"ExactMatrix({self.field.name}, {self.nrows}x{self.ncols})"
 
     def _reduced(self):
-        if self._rref is None:
-            self._rref = _rref_rows(self.field, self.rows, self.ncols)
-        return self._rref
+        if self._reducer is None:
+            self._reducer = RowReducer(self.field, self.ncols)
+            self._reducer.add_rows(self.rows)
+        return self._reducer
 
     def rref(self):
         """(pivot_columns, rref_rows) — the unique reduced echelon form."""
-        return self._reduced()
+        return self._reduced().rref()
 
     def rank(self) -> int:
-        return len(self._reduced()[0])
+        return self._reduced().rank
 
     def nullspace(self):
         """Canonical kernel basis; see module docstring for the conventions."""
-        F = self.field
-        piv, rows = self._reduced()
-        pivset = set(piv)
         n = self.ncols
-        freecols = [f for f in range(n) if f not in pivset]
-        kernel = _rref_kernel_rows(F, piv, rows, freecols, range(n), n)
-        return [normalized(F, v) for v in kernel]
+        return [normalized(self.field, v) for v in self._reduced().kernel_rows(range(n), n)]
 
     def det(self):
         """Gaussian elimination with row swaps, on the field operations."""
@@ -434,7 +420,9 @@ class LinearSolver:
         self.nrows = m.nrows
         F = m.field
         ident = ExactMatrix.identity(F, m.nrows).rows
-        piv, rows = _rref_rows(F, [row + e for row, e in zip(m.rows, ident)], n + m.nrows)
+        red = RowReducer(F, n + m.nrows)
+        red.add_rows([row + e for row, e in zip(m.rows, ident)])
+        piv, rows = red.rref()
         self.pivots = [(pc, r[n:]) for pc, r in zip(piv, rows) if pc < n]
         self.constraints = [r[n:] for pc, r in zip(piv, rows) if pc >= n]
         self.rank = len(self.pivots)

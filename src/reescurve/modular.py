@@ -1,26 +1,25 @@
 """Exact RREF over Q from images mod 62-bit primes, certified in integers.
 
-The Q eliminations of a report run here, not on Fractions: ExactMatrix over
-Q (so mu_basis and the singularity class), LinearSolver over Q, and the span
-tests of oracle.independent_mod.  The question is the canonical RREF of an
-integer matrix A (a row of Fractions is scaled by its common denominator).
-A is reduced mod p on the F_p core, and the RREF entries at the image's free
-columns are lifted by CRT and rational reconstruction (Wang, Guy & Davenport,
-SIGSAM Bull. 1982; Monagan, ISSAC 2004).  They give one kernel vector x_f per
-free column f: 1 at f, 0 at the other free columns, support left of f.  The
-lift is accepted when A x_f = 0 in integers for every f.  Then each column f
-lies in the span of the columns before it, so it is free over Q too, and
-there are dim ker_p >= dim ker_Q such vectors (rank_Q >= rank_p for an
-integer matrix): they are the canonical Q kernel basis, and the Q RREF is
-read off them.  With no free column mod p, nothing is lifted.
+_ModularCore is RowReducer's core over Q, so every Q elimination runs here,
+not on Fractions.  It keeps the rows it is fed as an integer matrix A (a row
+of Fractions scaled by its common denominator).  When asked, A is reduced
+mod p on the F_p core, and the RREF entries at the image's free columns are
+lifted by CRT and rational reconstruction (Wang, Guy & Davenport, SIGSAM
+Bull. 1982; Monagan, ISSAC 2004).  They give one kernel vector x_f per free
+column f: 1 at f, 0 at the other free columns, support left of f.  The lift
+is accepted when A x_f = 0 in integers for every f.  Then each column f lies
+in the span of the columns before it, so it is free over Q too, and there
+are dim ker_p >= dim ker_Q such vectors (rank_Q >= rank_p for an integer
+matrix): they are the canonical Q kernel basis, and the Q RREF is read off
+them.  With no free column mod p, nothing is lifted.  Ranks read the
+certified pivot columns; Fractions are built only for the RREF and kernel
+rows a caller reads.
 
-Span questions are pivot questions: with the vectors of [B; forms] as the
-columns of A, a vector is independent of those before it exactly when its
-column is a pivot column.  So a full rank mod p proves independence, and the
-kernel vector of a dependent form's column is a combination giving it,
-checked exactly.  When B is itself dependent (the multiples of [p, q]), the
-lifted kernel holds B's own relations, and the certified pivot columns show
-that a non-member's column is a pivot: no separate functional is needed.
+Span questions are pivot questions (oracle.independent_mod): a column of
+[B; forms] is independent of those before it exactly when it is a pivot
+column, even when B is itself dependent (the multiples of [p, q]).  Rows fed
+after the one that reaches a stop rank do not count; past the stop, that row
+is found by bisecting on certified prefix ranks.
 
 A lift that does not reconstruct or fails the check takes the next prime.
 Images with the same pivot columns are combined by CRT, so large entries
@@ -29,13 +28,14 @@ trusted: the tests hold the F_p cores to each other and to Gauss-Jordan.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt, lcm
 from operator import mul
 
 from .fields import DEFAULT_PRIME, PrimeField, is_prime
-from .linalg import RowReducer
+from .linalg import RowReducer, _rref_kernel_rows
 
 _PRIMES = [DEFAULT_PRIME]
 _FIELDS = {}
@@ -139,34 +139,59 @@ def _certified(rows, ncols):
             return piv, free, cols, den
 
 
-def _integer_rows(rows):
-    """Each row of ints or Fractions scaled by its common denominator."""
-    out = []
-    for row in rows:
-        if set(map(type, row)) <= {int}:
-            out.append(row)
-            continue
-        den = lcm(*{x.denominator for x in row})
-        out.append([x.numerator * (den // x.denominator) for x in row])
-    return out
+def _integer_row(row):
+    """A row of ints or Fractions as ints, scaled by its common denominator."""
+    if set(map(type, row)) <= {int}:
+        return list(row)
+    den = lcm(*{x.denominator for x in row})
+    return [x.numerator * (den // x.denominator) for x in row]
 
 
-def rref(rows, ncols):
-    """(pivot columns, rows of Fractions): the canonical RREF over Q of rows
-    of ints or Fractions, certified as the module docstring says."""
-    piv, free, cols, den = _certified(_integer_rows(rows), ncols)
-    zero, one = Fraction(0), Fraction(1)
-    out = []
-    for t, pc in enumerate(piv):
-        row = [zero] * ncols
-        row[pc] = one
+class _ModularCore:
+    """RowReducer's core over Q: it keeps the rows it is fed, scaled to
+    integers, and certifies their RREF when a question is asked."""
+
+    def __init__(self, field, ncols):
+        self.field = field
+        self.ncols = ncols
+        self.rows = []
+        self._cert = None
+
+    def _certificate(self):
+        if self._cert is None:
+            self._cert = _certified(self.rows, self.ncols)
+        return self._cert
+
+    @property
+    def pivcols(self):
+        return self._certificate()[0]
+
+    def add_rows(self, rows, stop):
+        # the rank is at most the row count: a stop above it certifies nothing
+        if stop is not None and len(self.rows) >= stop and len(self.pivcols) >= stop:
+            return
+        base = len(self.rows)
+        self.rows += map(_integer_row, rows)
+        self._cert = None
+        if stop is not None and len(self.rows) > stop and len(self.pivcols) > stop:
+            # keep the shortest prefix that reaches the stop rank, by bisection
+            prefixes = range(base + 1, len(self.rows) + 1)
+            rank = lambda k: len(_certified(self.rows[:k], self.ncols)[0])
+            del self.rows[prefixes[bisect_left(prefixes, stop, key=rank)]:]
+            self._cert = None
+
+    def seed(self, pivcols, rows):
+        self.add_rows(rows, None)
+
+    def snapshot(self):
+        piv, free, cols, den = self._certificate()
+        zero, one = Fraction(0), Fraction(1)
+        rows = [[one if c == pc else zero for c in range(self.ncols)] for pc in piv]
         for f, col in zip(free, cols):
-            if col[t]:
-                row[f] = Fraction(col[t], den)
-        out.append(row)
-    return piv, out
+            for row, x in zip(rows, col):
+                if x:
+                    row[f] = Fraction(x, den)
+        return list(piv), rows
 
-
-def pivot_columns(rows, ncols):
-    """The pivot columns of the Q RREF of integer rows (certified)."""
-    return _certified(rows, ncols)[0]
+    def kernel_rows(self, freecols, colmap, width):
+        return _rref_kernel_rows(self.field, *self.snapshot(), freecols, colmap, width)

@@ -10,9 +10,8 @@ constructive formulas — so it can cross-check the pipeline modules:
   * Oracle.contains: membership of a form in its kernel slice, as one
     matrix-vector product in plain ints (no elimination, no slice built),
   * ideal_piece_membership, independent_mod: span tests against the monomial
-    multiples of given forms at one bidegree.  Over Q they are pivot tests on
-    one integer matrix, certified from images mod primes (modular.py), not a
-    Fraction elimination.
+    multiples of given forms at one bidegree, as pivot tests on one matrix
+    (over Q, like every elimination here, certified from images mod primes).
 
 The matrix of slice (i, j) is banded: the column of T0^a0 T1^a1 X^b is the
 dense power u^b shifted down by a1, read from the curve's PowerTable (the one
@@ -140,7 +139,7 @@ class Oracle:
         self._mu = None
 
     def _zeros(self, n):
-        if self.powers.words:
+        if self.powers.kernel is not None:
             return array("Q", bytes(8 * n))
         return [0] * n
 
@@ -152,7 +151,7 @@ class Oracle:
         form), one column per monomial of monomials_of_bidegree(i, j).
         Over Q the entries are the plain-int powers w^b of the primitive
         triple (u = scale * w), so the matrix is scale^j times the one of u:
-        same kernel and RREF; the reducer makes them Fractions itself."""
+        same kernel and RREF."""
         length = j * self.d + 1       # of every u^b with |b| = j
         nrows = i + length
         xmons = x_monomials(j)
@@ -344,25 +343,16 @@ def _terms(g: BiPoly):
     return g.coeffs.items()
 
 
-def _vector(terms, index, s=0):
-    """The coefficient vector of the monomial of key s times the form with
-    these terms, on the columns index (key -> position)."""
-    vec = [0] * len(index)
-    for m, c in terms:
-        vec[index[m + s]] = c
-    return vec
-
-
-def _multiple_vectors(i, j, gens, index):
-    """The coefficient vectors of all monomial multiples of gens at bidegree
-    (i, j), one at a time; over Q they are integer vectors (_terms)."""
+def _multiples(i, j, gens):
+    """(terms, key of the monomial) for each monomial multiple of gens at
+    bidegree (i, j); over Q the terms are integers (_terms)."""
     for gen in gens:
         ig, jg = gen.bidegree
         if gen.is_zero() or ig > i or jg > j:
             continue
         terms = _terms(gen)
         for s in monomials_of_bidegree(i - ig, j - jg):
-            yield _vector(terms, index, pack(s))
+            yield terms, pack(s)
 
 
 def ideal_piece_membership(g: BiPoly, gens) -> bool:
@@ -374,11 +364,10 @@ def independent_mod(forms: list, modulus: list) -> bool:
     """Are the given same-bidegree forms independent modulo the span of all
     monomial multiples of the modulus forms?
 
-    Over F_p the multiples are fed to one reducer, never all held at once,
-    and the forms must each raise its rank.  Over Q the integer vectors of
-    the multiples, then of the forms, are the columns of one matrix: a form
-    is independent of the vectors before it exactly when its column is a
-    pivot column of that matrix's RREF, certified from modular images."""
+    The vectors of the multiples, then of the forms, are the columns of one
+    matrix (over Q integer vectors, see _terms): a form is independent of
+    the vectors before it exactly when its column is a pivot column, so the
+    forms are independent exactly when none of their columns is free."""
     if not forms:
         return True
     F = forms[0].field
@@ -386,18 +375,14 @@ def independent_mod(forms: list, modulus: list) -> bool:
     if any(f.bidegree != (i, j) for f in forms):
         raise PreconditionError("same_bidegree", "independent_mod forms differ in bidegree")
     index = {pack(m): t for t, m in enumerate(monomials_of_bidegree(i, j))}
-    vectors = [_vector(_terms(f), index) for f in forms]
-    if isinstance(F, Rationals):
-        from . import modular
-
-        stack = [*_multiple_vectors(i, j, modulus, index), *vectors]
-        piv = modular.pivot_columns([list(col) for col in zip(*stack)], len(stack))
-        return set(range(len(stack) - len(forms), len(stack))) <= set(piv)
-    red = RowReducer(F, len(index))
-    for vec in _multiple_vectors(i, j, modulus, index):
-        red.add_row(vec)
-    base = red.rank
-    return red.add_rows(vectors) == base + len(forms)
+    cols = [*_multiples(i, j, modulus), *((_terms(f), 0) for f in forms)]
+    rows = [[0] * len(cols) for _ in index]      # one row per monomial
+    for k, (terms, s) in enumerate(cols):
+        for m, c in terms:
+            rows[index[m + s]][k] = c
+    red = RowReducer(F, len(cols))
+    red.add_rows(rows)
+    return all(f < len(cols) - len(forms) for f in red.free_columns())
 
 
 def kernel_basis(par: Parametrization, i, j) -> GradedPiece:

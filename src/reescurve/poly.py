@@ -556,13 +556,13 @@ class PowerTable:
         same way, one slot width per call.  A power is packed when it is
         first used at a slot width and kept per width, as each u_k is, so
         nothing is packed twice at one width.
-    Over F_p the table holds residues, as an ``array('Q')`` when p fits a
-    machine word, so the oracle can copy it into strided slices of its flat
-    matrix buffer.  Over Q it holds powers of the primitive integer triple w,
-    with u = scale * w: substitution runs on plain ints and builds one
-    Fraction per output coefficient, and a slice (i, j) built from w is the
-    one built from u times scale^j (same kernel, same RREF).  Kronecker slots
-    over Q are signed.
+    Over F_p the table holds residues, as an ``array('Q')`` exactly when the
+    kernel serves it, so the oracle can copy it into strided slices of its
+    flat matrix buffer.  Over Q it holds powers of the primitive integer
+    triple w, with u = scale * w: substitution runs on plain ints and builds
+    one Fraction per output coefficient, and a slice (i, j) built from w is
+    the one built from u times scale^j (same kernel, same RREF).  Kronecker
+    slots over Q are signed.
     """
 
     def __init__(self, u0, u1, u2):
@@ -588,13 +588,12 @@ class PowerTable:
             dense = [[c // content for c in u] for u in dense]
             self.modulus = None
             self.scale = Fraction(content, den)
-        self.words = self.modulus is not None and self.modulus < 1 << 64   # array("Q") powers
-        # dense triple the powers are built from
-        self.base = [array("Q", u) for u in dense] if self.words else dense
         self.kernel = (
             _native.get_kernel()
             if self.modulus is not None and self.modulus < _native.P_BOUND else None
         )
+        # dense triple the powers are built from: array("Q") exactly on the kernel
+        self.base = [array("Q", u) for u in dense] if self.kernel is not None else dense
         # bits a slot needs beyond those of the power's largest entry
         self._extra = (
             max(abs(c) for u in dense for c in u).bit_length()
@@ -602,7 +601,7 @@ class PowerTable:
             + (self.modulus is None)
         )
         self._packed_base = {}      # (k, B) -> u_k packed in B-byte slots
-        self._powers = {0: array("Q", [1]) if self.words else [1]}
+        self._powers = {0: array("Q", [1]) if self.kernel is not None else [1]}
         self._packed = {}           # (b, B) -> u^b packed in B-byte slots
         self._bits = {}             # b -> bit length of the largest |entry| of u^b (over Q)
 
@@ -624,8 +623,6 @@ class PowerTable:
                 if uk is None:
                     uk = self._packed_base[k, nbytes] = _pack_slots(self.base[k], nbytes, self.modulus)
                 out = _unpack_slots(x * uk, len(self._powers[prev]) + self.d, nbytes, self.modulus)
-                if self.words:
-                    out = array("Q", out)
             self._powers[b] = out
         return out
 

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, JSON round-trips, determinism."""
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -478,8 +479,7 @@ def test_exit_contract_sweep(field, kind, degree, seed, tmp_path_factory):
     accepts it.  The small characteristics 2, 3, 5, 7, 11 and 13 exercise
     the closed-form minors and determinants where coefficients wrap.
     Budget: about 10 s for the 40 samples on a 2-vCPU VM.  Q `inverse` at
-    d >= 10 (about 40 s a run while Q eliminations run on Fractions) is left
-    out on purpose."""
+    d = 10 has its own test below."""
     code, curve, err = _in_process(
         ["--field", field, f"sample-{kind}", "--degree", str(degree), "--seed", str(seed)]
     )
@@ -500,6 +500,24 @@ def test_exit_contract_sweep(field, kind, degree, seed, tmp_path_factory):
         saved.write_text(report)
         code, out, err = _in_process(["verify", str(saved)])
         assert code == 0, (out, err)
+
+
+# sha256 of the stdout of `inverse` on the curve of `--field q sample-mild
+# --degree 10 --seed 0`, as printed when Q eliminations ran on Fractions
+Q_INVERSE_D10 = "068105f10d53a52d37a065d94f6c25af523c7f213f9e1c685bfd2d1e97b5209b"
+
+
+def test_q_inverse_at_degree_10(tmp_path):
+    """Q `inverse` at d = 10, in process: exit 0 and the recorded output.
+    Each kernel_basis(1, ell) runs on the certified modular core; about 3 s
+    on a 2-vCPU VM, most of it in the mod-E check of the inverse."""
+    code, curve, err = _in_process(["--field", "q", "sample-mild", "--degree", "10", "--seed", "0"])
+    assert code == 0, err
+    path = tmp_path / "curve.json"
+    path.write_text(curve)
+    code, out, err = _in_process(["inverse", str(path)])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == Q_INVERSE_D10
 
 
 @pytest.mark.parametrize(

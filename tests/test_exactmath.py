@@ -434,16 +434,19 @@ def _raw_entry(F, rng):
     return rng.randint(-3 * F.p, 3 * F.p)
 
 
-@pytest.mark.parametrize(
-    "field", [QQ, PrimeField(2), PrimeField(7), PrimeField((1 << 127) - 1)],
-    ids=lambda f: f.name,
-)
-def test_generic_core_matches_textbook_gauss_jordan(field, monkeypatch):
+@pytest.mark.parametrize("field, core", [
+    *(pytest.param(F, "generic", id=F.name)
+      for F in (QQ, PrimeField(2), PrimeField(7), PrimeField((1 << 127) - 1))),
+    pytest.param(QQ, "modular", id="q-modular"),
+])
+def test_generic_core_matches_textbook_gauss_jordan(field, core, monkeypatch):
     """RowReducer on the generic core against Gauss-Jordan on the field
     operations: rref, rank and kernel rows, for zero, repeated and dependent
     rows, under stop ranks, and after seed() with an RREF block.  The
-    native kernel is hidden, so the small primes run the generic core too."""
-    from reescurve import _native
+    native kernel is hidden, so the small primes run the generic core too.
+    Over Q the generic core is installed by hand; "q-modular" runs the same
+    cases on the core RowReducer picks for Q, whose stop ranks bisect."""
+    from reescurve import _native, modular
     from reescurve.linalg import _FractionCore
 
     monkeypatch.setattr(_native, "get_kernel", lambda: None)
@@ -457,7 +460,9 @@ def test_generic_core_matches_textbook_gauss_jordan(field, monkeypatch):
             a, b = rng.choice(rows), rng.choice(rows)
             rows.insert(rng.randrange(len(rows) + 1), [x - 2 * y for x, y in zip(a, b)])
         red = RowReducer(field, ncols)
-        assert isinstance(red._core, _FractionCore)
+        if core == "generic" and field is QQ:
+            red._core = _FractionCore(field, ncols)
+        assert isinstance(red._core, _FractionCore if core == "generic" else modular._ModularCore)
         mode = case % 3
         if mode == 0:          # all rows at once
             red.add_rows(rows)

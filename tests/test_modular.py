@@ -1,12 +1,14 @@
 """Certified modular RREF over Q (modular.py) against the Fraction core.
 
-Every Q elimination of a report is answered from images mod 62-bit primes
-and checked in integers.  Here the answers are held to RowReducer over Q,
-which runs the generic Fraction core, on random integer matrices: rank
-deficient ones, ones with bad reduction at the first prime, and ones whose
-entries need several primes.  A corrupted lift and a corrupted modular rank
-must each be refused, with the next prime taken.
+Every Q elimination is answered from images mod 62-bit primes and checked in
+integers: RowReducer over Q runs modular.py's core.  Here the answers are
+held to the generic Fraction core, installed by hand, on random integer
+matrices: rank deficient ones, ones with bad reduction at the first prime,
+and ones whose entries need several primes.  A corrupted lift and a
+corrupted modular rank must each be refused, with the next prime taken, in
+the report's questions and in the oracle's.
 """
+import json
 import math
 import random
 from fractions import Fraction
@@ -15,13 +17,13 @@ from itertools import islice
 import pytest
 
 from curves import monomial_odd
-from test_cli import BAD_MIRROR
+from test_cli import BAD_MIRROR, _in_process
 from reescurve import linalg, modular
 from reescurve.fields import DEFAULT_PRIME, QQ
 from reescurve.linalg import ExactMatrix, RowReducer, normalized
-from reescurve.oracle import ideal_piece_membership, independent_mod
+from reescurve.oracle import Oracle, ideal_piece_membership, independent_mod
 from reescurve.poly import parse_bipoly
-from reescurve.report import build_report, curve_from_json
+from reescurve.report import build_report, curve_from_json, curve_to_json
 from reescurve.sampling import sample_mild, sample_very_singular
 from reescurve.syzygy import implicit_equation, mu_basis
 
@@ -30,9 +32,18 @@ FIRST, SECOND = islice(modular._primes(), 2)
 
 def _fraction_rref(rows, ncols):
     red = RowReducer(QQ, ncols)
-    assert type(red._core) is linalg._FractionCore
+    red._core = linalg._FractionCore(QQ, ncols)
     red.add_rows(rows)
     return red.rref()
+
+
+def _on_the_fraction_core(ask):
+    """ask() with every reducer over Q on the Fraction core."""
+    make = linalg._make_core
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_make_core",
+                   lambda F, n: linalg._FractionCore(F, n) if F == QQ else make(F, n))
+        return ask()
 
 
 def _fraction_kernel(rows, ncols):
@@ -73,7 +84,10 @@ def _low_rank(rng, nrows, ncols, rank, entry):
 def _check(rows, ncols):
     piv, ref = _fraction_rref(rows, ncols)
     kernel = _fraction_kernel(rows, ncols)
-    assert modular.rref(rows, ncols) == (piv, ref)
+    red = RowReducer(QQ, ncols)
+    assert type(red._core) is modular._ModularCore
+    red.add_rows(rows)
+    assert red.rref() == (piv, ref)
     m = ExactMatrix(QQ, rows)
     assert m.nullspace() == kernel
     assert m.rank() == len(piv)
@@ -166,29 +180,45 @@ RANK_DEFICIENT = [[1, 2, 3, 4, 5], [2, 4, 6, 8, 10], [1, 0, 1, 0, 1], [0, 3, 1, 
 
 
 def _questions():
-    mb = mu_basis(monomial_odd(3))
+    """(ask, expected) per question; expected builds the reference answer
+    (oracle questions on the Fraction core)."""
+    par = monomial_odd(3)
+    mb = mu_basis(par)
     P = lambda text: parse_bipoly(QQ, text)
+    oracle = {
+        "slice-dim": lambda: Oracle(par).kernel_dim(2, 2),
+        "slice-basis": lambda: Oracle(par).kernel_basis(2, 2).basis,
+        "table-cell": lambda: Oracle(par).mingen_table(1, 2).counts,
+    }
     # at bidegree (5, 2) the multiples of P and Q satisfy one Koszul relation
     return {
         "kernel": (lambda: ExactMatrix(QQ, RANK_DEFICIENT).nullspace(),
-                   _fraction_kernel(RANK_DEFICIENT, 5)),
-        "membership": (lambda: ideal_piece_membership(P("T0^3*X0") * mb.p, [mb.p, mb.q]), True),
-        "non-membership": (lambda: ideal_piece_membership(P("T0^5*X0^2"), [mb.p, mb.q]), False),
-        "independence": (lambda: independent_mod([mb.q, P("T0") * mb.p], [mb.p]), False),
-        "full-rank": (lambda: independent_mod([mb.q], [mb.p]), True),
+                   lambda: _fraction_kernel(RANK_DEFICIENT, 5)),
+        "membership": (lambda: ideal_piece_membership(P("T0^3*X0") * mb.p, [mb.p, mb.q]),
+                       lambda: True),
+        "non-membership": (lambda: ideal_piece_membership(P("T0^5*X0^2"), [mb.p, mb.q]),
+                           lambda: False),
+        "independence": (lambda: independent_mod([mb.q, P("T0") * mb.p], [mb.p]),
+                         lambda: False),
+        "full-rank": (lambda: independent_mod([mb.q], [mb.p]), lambda: True),
+        **{q: (ask, lambda ask=ask: _on_the_fraction_core(ask)) for q, ask in oracle.items()},
     }
 
 
 @pytest.mark.parametrize("question, corruption", [
     (q, c) for c in ("witness", "rank")
-    for q in ("kernel", "membership", "non-membership", "independence", "full-rank")
+    for q in ("kernel", "membership", "non-membership", "independence", "full-rank",
+              "slice-dim", "slice-basis", "table-cell")
     if (q, c) != ("full-rank", "witness")      # full rank mod p lifts nothing
 ])
 def test_a_corrupted_image_or_lift_is_refused(question, corruption, monkeypatch, primes_used):
     """A lift with every numerator off by one fails the integer check; an
     image that lost a pivot row claims a kernel vector too many, which
-    fails it too.  Either way the answer comes from the next prime."""
-    ask, expected = _questions()[question]
+    fails it too.  Either way the answer comes from the next prime, and it
+    equals the reference: Gauss-Jordan on Fractions, or the oracle's slice
+    dimension, canonical slice basis and table cells on the Fraction core."""
+    ask, reference = _questions()[question]
+    expected = reference()
     (_corrupt_first_lift if corruption == "witness" else _drop_first_pivot_row)(monkeypatch)
     assert ask() == expected
     assert [FIRST, SECOND] in primes_used
@@ -203,16 +233,22 @@ def test_bad_mirror_mu_basis_matches_the_fraction_core(primes_used, monkeypatch)
     mb = mu_basis(par)
     assert FIRST in mb.p.coeffs.values()
     assert any(len(q) > 1 for q in primes_used)
-    monkeypatch.setattr(modular, "rref", _fraction_rref)
-    ref = mu_basis(par)
+    ref = _on_the_fraction_core(lambda: mu_basis(par))
     assert (mb.p, mb.q, mb.mu) == (ref.p, ref.q, ref.mu)
 
 
-@pytest.mark.parametrize("sample", [sample_mild, sample_very_singular], ids=["mild", "verysingular"])
-def test_q_report_builds_no_fraction_reducer(sample, monkeypatch):
+@pytest.mark.parametrize("sample, command", [
+    pytest.param(sample_mild, "gens", id="mild"),
+    pytest.param(sample_very_singular, "gens", id="verysingular"),
+    pytest.param(sample_very_singular, "oracle-table", id="oracle-table"),
+    pytest.param(sample_very_singular, "adjoint-dims", id="adjoint-dims"),
+    pytest.param(sample_mild, "inverse", id="inverse"),
+])
+def test_q_report_builds_no_fraction_reducer(sample, command, monkeypatch, tmp_path):
     """A Q gens report builds no reducer on the Fraction core, in the
     analysis and identities stages or anywhere else: its eliminations run
-    on images mod primes and the table on the F_p mirror."""
+    on images mod primes and the table on the F_p mirror.  Neither do the
+    Q oracle commands, whose slices and counts run on the modular core."""
     par = sample(QQ, 6, random.Random(601)).par
     made = []
     make = linalg._make_core
@@ -223,5 +259,11 @@ def test_q_report_builds_no_fraction_reducer(sample, monkeypatch):
         return core
 
     monkeypatch.setattr(linalg, "_make_core", counted)
-    assert build_report(par).all_pass
-    assert made and linalg._FractionCore not in made
+    if command == "gens":
+        assert build_report(par).all_pass
+    else:
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(curve_to_json(par)))
+        code, _, err = _in_process([command, str(path)])
+        assert code == 0, err
+    assert modular._ModularCore in made and linalg._FractionCore not in made

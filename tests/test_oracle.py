@@ -193,8 +193,8 @@ def test_oracle_agrees_across_cores(kind, d, jbox, monkeypatch):
     and kernel bases.
 
     The native table is checked whole against the theorems; the slower
-    generic core, over F_p (its packed label) and over Q, on the boxes
-    j <= jbox and j <= 3 of the same table.  The no-kernel mirror is sampled
+    generic core over F_p (its packed label) and the modular core over Q on
+    the boxes j <= jbox and j <= 3 of the same table.  The no-kernel mirror is sampled
     with the kernel hidden, so its power table is built by Kronecker
     products, not by the kernel."""
     from reescurve import _native
@@ -234,10 +234,11 @@ def test_kernel_slice_membership(core, monkeypatch):
     The core parameter picks the core that builds the slices behind
     kernel_basis/_kernel_data and the zero-form answers (dim K_{i,j} > 0):
     "packed" is the generic core over F_p with the kernel hidden, under its
-    _FpPackedCore label.  A nonzero form is tested by a product with no
-    elimination."""
+    _FpPackedCore label, and "q" the certified modular core.  A nonzero form
+    is tested by a product with no elimination."""
     from reescurve import _native
-    from reescurve.linalg import _FpNativeCore, _FpPackedCore, _FractionCore
+    from reescurve.linalg import _FpNativeCore, _FpPackedCore
+    from reescurve.modular import _ModularCore
 
     parq, parp = _sampled_mirror("mild", 6, 3)
     if core == "native" and _native.get_kernel() is None:
@@ -252,7 +253,7 @@ def test_kernel_slice_membership(core, monkeypatch):
     members = [mb.p, mb.q, eq, BiPoly.zero(F, 2, 1)] + orc.kernel_basis(2, 2).basis
     for g in members:
         assert orc.contains(g), g.text()
-    kind = {"native": _FpNativeCore, "packed": _FpPackedCore, "q": _FractionCore}[core]
+    kind = {"native": _FpNativeCore, "packed": _FpPackedCore, "q": _ModularCore}[core]
     assert isinstance(orc._kernel_data(2, 1).reducer._core, kind)
     for g in (mb.p, mb.q, eq):
         i, j = g.bidegree
@@ -355,8 +356,8 @@ def test_mingen_table_equals_the_cellwise_reference(spec):
 
 
 def test_q_mingen_table_equals_the_cellwise_reference():
-    """Over Q (the Fraction core), on curves with small coefficients: the
-    brute-force reference is slow over Q on random ones."""
+    """Over Q (the modular core), on curves with small coefficients, which
+    keep the brute-force reference quick."""
     mild = parametrization(QQ, [1, 0, 0, 0, 0, 2], [0, 1, 0, 3, 0, 0], [0, 0, 0, 0, 0, 1])
     for par, extra in [(monomial_odd(3), 1), (monomial_odd(4), 0), (mild, 0)]:
         imax, jmax = par.d - 2 + extra, par.d + extra
@@ -448,7 +449,7 @@ def test_slice_rows_hold_the_convolved_powers(field):
         cols = monomials_of_bidegree(i, j)
         assert len(rows) == i + j * d + 1
         for r, row in enumerate(rows):
-            assert isinstance(row, array) if orc.powers.words else type(row) is list
+            assert isinstance(row, array) if orc.powers.kernel is not None else type(row) is list
             want = []
             for a0, a1, *b in cols:
                 pw = reference(b)
