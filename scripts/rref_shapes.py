@@ -20,7 +20,19 @@ the solvers and the span stacks), and the slices (imax, j), j = 1..d, that
 rows, as the oracle reads them.  Prints one JSON line per matrix: question,
 rows, columns, rank, modular and fraction seconds (best of --repeat runs).
 
-Usage: python scripts/rref_shapes.py [--parts fp q] [--cores native generic] [--repeat 3]
+Tower: times the oracle table's order basis of U_j = (u^b), |b| = j, at the
+shapes (imax, j), j = d-2..d, of the very singular curves of
+`reescurve sample-verysingular --degree d --seed 100*d` over F_p for d in
+--degrees (d = 10 is the curve above), beside the elimination of the slice
+(imax, j) it replaces, on each core: the native C kernel (fp_order_basis,
+skipped when it is not built) and the generic pure-Python versions (the
+Python order basis, the generic core).  Each line checks that the rows of
+degree <= imax, times 1, t, ..., give the slice's kernel dimension.  Prints
+one JSON line per shape and core: slice rows, columns and rank, basis size
+and order, syzygy count, slice and tower seconds (best of --repeat runs).
+
+Usage: python scripts/rref_shapes.py [--parts fp tower q] [--cores native generic]
+       [--degrees 10 14 18] [--repeat 3]
 """
 import argparse
 import json
@@ -31,9 +43,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from reescurve import _native, linalg, modular
+from reescurve import _native, linalg, modular, oracle as oracle_mod
 from reescurve.fields import DEFAULT_PRIME, QQ, PrimeField
 from reescurve.oracle import Oracle
+from reescurve.poly import pack, x_monomials
 from reescurve.report import build_report
 from reescurve.sampling import sample_mild, sample_very_singular
 
@@ -56,6 +69,36 @@ def time_core(make, field, rows, ncols, repeat):
         best = dt if best is None else min(best, dt)
         rank = red.rank
     return rank, best
+
+
+def tower(core, oracle, imax, j):
+    """The order basis behind E_{0..imax, j}: on the C kernel through the
+    oracle, or in Python on the same powers."""
+    if core == "native":
+        return oracle._order_basis(imax, j)
+    cols = [list(oracle.powers.power(pack(m))) for m in x_monomials(j)]
+    return oracle_mod._python_order_basis(cols, imax + j * oracle.d + 1, imax, oracle.powers.modulus)
+
+
+def tower_shapes(cores, degrees, repeat):
+    field = PrimeField(DEFAULT_PRIME)
+    for d in degrees:
+        oracle = Oracle(sample_very_singular(field, d, random.Random(100 * d)).par)
+        imax = d - oracle.mu
+        for j in (d - 2, d - 1, d):
+            rows = oracle.slice_rows(imax, j)
+            ncols = len(rows[0])
+            for core in cores:
+                rank, slice_s = time_core(CORES[core], field, rows, ncols, repeat)
+                (deltas, _), tower_s = best_of(repeat, lambda: tower(core, oracle, imax, j))
+                syz = [delta for delta in deltas if delta <= imax]
+                assert sum(imax + 1 - delta for delta in syz) == ncols - rank, (d, j, core)
+                print(json.dumps({
+                    "d": d, "shape": [imax, j], "core": core,
+                    "slice": [len(rows), ncols], "rank": rank,
+                    "order_basis": [len(deltas), imax + j * d + 1], "syzygies": len(syz),
+                    "slice_s": round(slice_s, 6), "tower_s": round(tower_s, 6),
+                }), flush=True)
 
 
 def best_of(repeat, fn):
@@ -103,15 +146,16 @@ def q_question(core, rows, ncols):
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--parts", nargs="+", choices=["fp", "q"], default=["fp", "q"])
+    ap.add_argument("--parts", nargs="+", choices=["fp", "tower", "q"], default=["fp", "tower", "q"])
     ap.add_argument("--cores", nargs="+", choices=sorted(CORES), default=["native", "generic"])
+    ap.add_argument("--degrees", nargs="+", type=int, default=[10, 14, 18])
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
+    cores = [c for c in args.cores if c != "native" or _native.get_kernel() is not None]
     if "fp" in args.parts:
         field = PrimeField(DEFAULT_PRIME)
         par = sample_very_singular(field, 10, random.Random(1000)).par
         oracle = Oracle(par)
-        cores = [c for c in args.cores if c != "native" or _native.get_kernel() is not None]
         for i, j in SHAPES:
             rows = oracle.slice_rows(i, j)
             ncols = len(rows[0])
@@ -121,6 +165,8 @@ def main():
                     "shape": [i, j], "rows": len(rows), "cols": ncols,
                     "core": core, "rank": rank, "seconds": round(secs, 6),
                 }), flush=True)
+    if "tower" in args.parts:
+        tower_shapes(cores, args.degrees, args.repeat)
     if "q" in args.parts:
         for label, rows, ncols in q_questions():
             got, mod_s = best_of(args.repeat, lambda: q_question(None, rows, ncols))

@@ -15,7 +15,10 @@ eliminations, so we compile a few small C helpers at first use (cached under
   * fp_convolve multiplies two dense residue vectors (one power u^b from
     u^(b - e_k) and u_k);
   * fp_shifted_sum adds residue vectors times scalars, each at its own
-    offset (a substitution G(T, u(T)): c u^b at offset a1 per term).
+    offset (a substitution G(T, u(T)): c u^b at offset a1 per term);
+  * fp_order_basis computes an order basis of the powers (u^b), |b| = j,
+    by iterative M-Basis, keeping only residuals, degrees and leading
+    coefficient rows: the oracle's tower E_{0..imax, j} (oracle.py).
 
 All of them use delayed modular reduction (the FFLAS/FFPACK scheme of Dumas,
 Gautier, Giorgi & Pernet).  A product of two residues is below 2^124 for
@@ -23,7 +26,8 @@ p < 2^62, so a 128-bit accumulator takes 15 of them on top of a residue
 before it must be reduced mod p: it reduces once per 15 products, not once
 per product.  fp_convolve keeps one such accumulator per output entry;
 fp_shifted_sum and fp_accumulate keep a row of them, as hi:lo words, and
-flush the row once per 15 terms or row operations.
+flush the row once per 15 terms or row operations; fp_order_basis keeps one
+such row per residual.
 
 fp_accumulate eliminates left-looking.  Phase 1 reduces each incoming row
 against the block in insertion order, in the accumulator, and appends it
@@ -98,13 +102,19 @@ static void acc_load(acc_t *a, const uint64_t *row)
     a->pending = 0;
 }
 
-/* Reduce every entry from `dirty` on to its residue (hi becomes 0). */
+/* Reduce n accumulator entries hi:lo to their residues (hi becomes 0). */
+static void reduce_words(uint64_t *lo, uint64_t *hi, long n, uint64_t p)
+{
+    for (long k = 0; k < n; ++k) {
+        lo[k] = red128(hi[k], lo[k], p);
+        hi[k] = 0;
+    }
+}
+
+/* Reduce every entry from `dirty` on to its residue. */
 static void acc_flush(acc_t *a)
 {
-    for (long k = a->dirty; k < a->ncols; ++k) {
-        a->lo[k] = red128(a->hi[k], a->lo[k], a->p);
-        a->hi[k] = 0;
-    }
+    reduce_words(a->lo + a->dirty, a->hi + a->dirty, a->ncols - a->dirty, a->p);
     a->dirty = a->ncols;
     a->pending = 0;
 }
@@ -243,6 +253,79 @@ void fp_kernel_rows(const uint64_t *piv, const long *pivcols, long npiv,
         }
     }
 }
+
+/* Iterative M-Basis (Giorgi, Jeannerod & Villard, ISSAC 2003) of the column
+   U of n polynomials at order sigma, shift 0, keeping only the rows of
+   degree <= imax.  Row r of the basis P is never stored: only its residual
+   P_r U mod t^sigma (row r of res, lo words, with the high words of its
+   accumulators in hi; coefficient m sits at position m - off[r], so that
+   multiplying by t is off[r] += 1), its degree delta[r] and its leading
+   coefficient row lc (n x n).  On entry res holds U (residues, zero padded
+   to sigma); hi, lc, delta and work (3n longs) are written here.
+
+   Step k takes as pivot the live row with a nonzero coefficient k and the
+   least degree (the first one on a tie), clears coefficient k of every
+   other live row with it (and their lc rows when their degrees are equal),
+   then multiplies it by t.  A row whose degree passes imax is dropped: from
+   then on it could only be the pivot for rows of degree above imax.  A row
+   takes 15 products between flushes, as in acc_eliminate; a pivot is
+   flushed before it is read.  On return the rows of degree <= imax satisfy
+   P_r U = 0, and delta[r] = imax + 1 marks the others. */
+void fp_order_basis(uint64_t *res, uint64_t *hi, long n, long sigma, long imax,
+                    uint64_t p, uint64_t *lc, long *delta, long *work)
+{
+    long *off = work, *pending = work + n, *live = work + 2 * n, nlive = n;
+    memset(hi, 0, (size_t)(n * sigma) * sizeof(uint64_t));
+    memset(lc, 0, (size_t)(n * n) * sizeof(uint64_t));
+    for (long r = 0; r < n; ++r) {
+        lc[r * n + r] = 1;
+        delta[r] = off[r] = pending[r] = 0;
+        live[r] = r;
+    }
+    for (long k = 0; k < sigma && nlive; ++k) {
+        long piv = -1, len = sigma - k - 1;
+        for (long s = 0; s < nlive; ++s) {
+            long r = live[s], at = r * sigma + k - off[r];
+            res[at] = red128(hi[at], res[at], p);
+            hi[at] = 0;
+            if (res[at] && (piv < 0 || delta[r] < delta[piv])) piv = r;
+        }
+        if (piv < 0) continue;
+        long pat = piv * sigma + k - off[piv];
+        uint64_t *pl = res + pat + 1;
+        reduce_words(pl, hi + pat + 1, len, p);
+        pending[piv] = 0;
+        uint64_t inv = invmod(res[pat], p);
+        for (long s = 0; s < nlive; ++s) {
+            long r = live[s], at = r * sigma + k - off[r];
+            if (r == piv || !res[at]) continue;
+            uint64_t c = (uint64_t)((u128)res[at] * inv % p);
+            res[at] = 0;
+            uint64_t *rl = res + at + 1, *rh = hi + at + 1;
+            if (pending[r] == 15) {
+                reduce_words(rl, rh, len, p);
+                pending[r] = 0;
+            }
+            for (long m = 0; m < len; ++m) {
+                u128 x = (u128)(p - c) * pl[m] + rl[m];
+                rl[m] = (uint64_t)x;
+                rh[m] += (uint64_t)(x >> 64);
+            }
+            pending[r]++;
+            if (delta[r] == delta[piv]) {
+                uint64_t *a = lc + r * n, *b = lc + piv * n;
+                for (long t = 0; t < n; ++t)
+                    if (b[t]) a[t] = (uint64_t)(((u128)(p - c) * b[t] + a[t]) % p);
+            }
+        }
+        off[piv]++;
+        if (++delta[piv] > imax) {
+            long s = 0;
+            while (live[s] != piv) ++s;
+            for (--nlive; s < nlive; ++s) live[s] = live[s + 1];
+        }
+    }
+}
 """
 
 
@@ -323,5 +406,7 @@ def get_kernel():
     lib.fp_convolve.argtypes = [vp, c_long, vp, c_long, c_u64, vp]
     lib.fp_shifted_sum.restype = None
     lib.fp_shifted_sum.argtypes = [vp, c_long, vp, c_long, vp, vp, c_long, c_u64, vp]
+    lib.fp_order_basis.restype = None
+    lib.fp_order_basis.argtypes = [vp, vp, c_long, c_long, c_long, c_u64, vp, vp, vp]
     _lib = lib
     return _lib

@@ -4,7 +4,7 @@ Everything here is plain graded linear algebra on explicit matrices — no
 constructive formulas — so it can cross-check the pipeline modules:
   * kernel_basis: the (i, j) slice as the nullspace of the substitution map,
   * mingen_table: minimal-generator counts via the graded Nakayama quotient,
-    read off one slice per j (below),
+    read off one order basis per j (below),
   * mingen_count: the same count for one cell, straight from the definition
     (the reference the tests hold mingen_table to),
   * Oracle.contains: membership of a form in its kernel slice, as one
@@ -16,7 +16,7 @@ constructive formulas — so it can cross-check the pipeline modules:
 The matrix of slice (i, j) is banded: the column of T0^a0 T1^a1 X^b is the
 dense power u^b shifted down by a1, read from the curve's PowerTable (the one
 every substitution into the curve uses).  For dimensions, bases and the
-Nakayama counts a slice is kept as the pivot block of that matrix's RREF
+cell-by-cell counts a slice is kept as the pivot block of that matrix's RREF
 (inside a RowReducer), not as kernel vectors: the matrix is written into one
 flat buffer (``array('Q')`` over F_p) by one strided slice assignment per
 column.  Kernel rows are written from the pivot block through
@@ -31,12 +31,41 @@ divided out, so
 
     count(i, j) = dim E_{i,j} - dim(E_{i-1,j} + X0·E_{i,j-1} + X1·E_{i,j-1} + X2·E_{i,j-1})
 
-(pi of T1·K_{i-1,j} is E_{i-1,j}; pi of T0·K_{i-1,j} is 0).  Multiplying by
+(pi of T1·K_{i-1,j} is E_{i-1,j}; pi of T0·K_{i-1,j} is 0).
+
+The tower E_{0..imax, j} comes from one order basis (Beckermann & Labahn,
+SIAM J. Matrix Anal. Appl. 15, 1994).  With t = T1/T0, K_{i,j} is the set
+of vectors p of nx polynomials of degree <= i with p·U_j = 0, where U_j =
+(u^b), |b| = j, has degree j*d; for deg p <= imax, p·U_j = 0 mod t^sigma
+with sigma = imax + j*d + 1 already means p·U_j = 0.  Take an order basis
+of U_j at order sigma, shift 0: rows p_k of degrees delta_k whose leading
+coefficient rows lc_k (at t^delta_k) are independent.  By the
+predictable-degree property every p of degree <= i is sum q_k p_k with
+deg q_k <= i - delta_k, so its t^i coefficient is a combination of the
+lc_k with delta_k <= i:
+
+    E_{i,j} = span{lc_k : delta_k <= i},   dim E_{i,j} = #{k : delta_k <= i}.
+
+Iterative M-Basis (Giorgi, Jeannerod & Villard, ISSAC 2003) builds it from
+the residuals p_k·U_j mod t^sigma, the degrees and the lc rows alone: at
+each order, the row of least degree with a nonzero residual clears that
+coefficient from the others and is multiplied by t (the C kernel's
+fp_order_basis; _python_order_basis is the same algorithm in Python).  The
+counts of one j are then ranks along one chain on nx columns,
+
+    S_0 ⊆ E_{0,j} ⊆ S_1 ⊆ E_{1,j} ⊆ ...,   S_i = E_{i-1,j} + X·E_{i,j-1},
+
+fed to one reducer level by level: the X-shifts of the rows E_{i,j-1} adds
+at level i, then the rows E_{i,j} adds, after which the rank must be
+dim E_{i,j}, or the towers of j - 1 and j disagree (VerificationError).
+
+Over Q the table keeps the certified slices (imax, j), because the order
+basis on Fractions ran 3.9-11x slower than they do at d = 7.  Multiplying by
 T0^(imax-i) embeds K_{i,j} in K_{imax,j} as the forms with no T1 power above
 i, and the RREF kernel rows of slice (imax, j) are echelon by their trailing
 (free) column; so E_{i,j} is spanned by the T1^i blocks of the kernel rows
-whose free column lies in block i.  One slice per j gives every E_{i,j}, and
-each count is a rank on nx columns.
+whose free column lies in block i, and they feed the same chain.  A Q
+report's table runs on the F_p mirror, so it takes the order basis.
 """
 from __future__ import annotations
 
@@ -45,7 +74,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import add, itemgetter, mul
 
-from .errors import PreconditionError
+from .errors import PreconditionError, VerificationError
 from .fields import Rationals, ensure_same_field
 from .linalg import RowReducer, normalized
 from .poly import (
@@ -281,29 +310,66 @@ class Oracle:
             red.add_rows(src.reducer.kernel_rows(colmap, ncols), stop_rank=n_target)
         return n_target - red.rank
 
-    def _top_blocks(self, imax, j):
-        """E_{i,j} for i = 0..imax from the one slice (imax, j): per i, the
-        free columns inside block i (local indices) and the block-i parts of
-        their kernel rows.  Each row has 1 at its own free column and 0 at
-        the others, so a block seeds a reducer as it is."""
+    def _order_basis(self, imax, j):
+        """(deltas, lcs) of the order basis of U_j = (u^b), |b| = j, in the
+        order of x_monomials(j), at order imax + j*d + 1 (F_p only): row k
+        has degree deltas[k] and leading coefficient row lcs[k]; the rows of
+        degree <= imax are the syzygies, the others read imax + 1.  On the C
+        kernel exactly when the curve's PowerTable uses it, else in Python."""
+        cols = [self.powers.power(pack(m)) for m in x_monomials(j)]
+        sigma = imax + j * self.d + 1
+        kernel, p = self.powers.kernel, self.powers.modulus
+        if kernel is None:
+            return _python_order_basis(cols, sigma, imax, p)
+        n = len(cols)
+        res = array("Q", bytes(8 * n * sigma))
+        for r, col in enumerate(cols):
+            res[r * sigma : r * sigma + len(col)] = col
+        hi, lc = array("Q", bytes(8 * n * sigma)), array("Q", bytes(8 * n * n))
+        deltas, work = array("l", [0]) * n, array("l", [0]) * (3 * n)
+        kernel.fp_order_basis(
+            res.buffer_info()[0], hi.buffer_info()[0], n, sigma, imax, p,
+            lc.buffer_info()[0], deltas.buffer_info()[0], work.buffer_info()[0],
+        )
+        return deltas.tolist(), [lc[r * n : (r + 1) * n] for r in range(n)]
+
+    def _tower(self, imax, j):
+        """The tower E_{0..imax, j} as levels: levels[i] holds the rows that
+        E_{i,j} adds to E_{i-1,j}, so dim E_{i,j} is the number of rows in
+        levels 0..i.  Over F_p the leading coefficient rows of the order
+        basis, by degree; over Q the certified slice (imax, j) (module
+        docstring)."""
+        levels = [[] for _ in range(imax + 1)]
+        if self.powers.modulus is not None:
+            for delta, row in zip(*self._order_basis(imax, j)):
+                if delta <= imax:
+                    levels[delta].append(row)
+            return levels
+        # the T1^i blocks of the kernel rows whose free column lies in block
+        # i span E_{i,j}; echelon by their free (trailing) column, those whose
+        # column is no trailing column of E_{i-1,j} are the new ones
         data = self._kernel_data(imax, j)
         nx = (j + 1) * (j + 2) // 2
         ncols = (imax + 1) * nx
-        blocks = [([], []) for _ in range(imax + 1)]
-        for f, row in zip(data.freecols, data.reducer.kernel_rows(range(ncols), ncols)):
-            i, local = divmod(f, nx)
-            blocks[i][0].append(local)
-            blocks[i][1].append(row[i * nx : (i + 1) * nx])
-        return blocks
+        trailing = [set() for _ in range(imax + 2)]     # [i]: those of E_{i-1,j}
+        for f in data.freecols:
+            trailing[f // nx + 1].add(f % nx)
+        new = [f for f in data.freecols if f % nx not in trailing[f // nx]]
+        for f, row in zip(new, data.reducer.kernel_rows(range(ncols), ncols, new)):
+            i = f // nx
+            levels[i].append(row[i * nx : (i + 1) * nx])
+        # every cached slice (the mu slices too) is spent once j is done
+        for key in [k for k in self._kernels if k[1] <= j]:
+            del self._kernels[key]
+        return levels
 
     def mingen_table(self, imax=None, jmax=None) -> MinGenTable:
         """Minimal-generator counts for i <= imax, j <= jmax (default: the
-        box (d - mu, d)), as count(i, j) = dim E_{i,j} - dim(E_{i-1,j} +
-        X0·E_{i,j-1} + X1·E_{i,j-1} + X2·E_{i,j-1}), where E_{i,j} is the
-        space of T1^i coefficients of K_{i,j}: the kernel of that projection
-        is T0·K_{i-1,j} (see the module docstring).  Each j builds the one
-        slice (imax, j), takes its blocks and drops it; each rank is on
-        (j+1)(j+2)/2 columns, with E_{i,j-1} moved by the X-shifts."""
+        box (d - mu, d)), as count(i, j) = dim E_{i,j} - dim S_i with S_i =
+        E_{i-1,j} + X0·E_{i,j-1} + X1·E_{i,j-1} + X2·E_{i,j-1}, where E_{i,j}
+        is the space of T1^i coefficients of K_{i,j}.  Each j reads its
+        tower (_tower) and ranks the chain S_0 ⊆ E_{0,j} ⊆ S_1 ⊆ E_{1,j} ⊆
+        ... on one reducer over (j+1)(j+2)/2 columns (module docstring)."""
         mu = self.mu
         if imax is None:
             imax = self.d - mu
@@ -313,26 +379,65 @@ class Oracle:
             raise PreconditionError("table_box", f"negative box ({imax}, {jmax})")
         F = self.field
         counts = {}
-        prev = [([], [])] * (imax + 1)     # the blocks of j - 1 (E_{i,0} = 0)
+        prev = [[]] * (imax + 1)        # the tower of j - 1 (E_{i,0} = 0)
         for j in range(1, jmax + 1):
-            cur = self._top_blocks(imax, j)
-            # every cached slice (the mu slices too) is spent once j is done
-            for key in [k for k in self._kernels if k[1] <= j]:
-                del self._kernels[key]
+            levels = self._tower(imax, j)
             shifts = _x_gathers(j)
-            for i in range(imax + 1):
-                n = len(cur[i][1])
-                below = cur[i - 1] if i else ([], [])
-                if n == len(below[1]):       # E_{i-1,j} is all of E_{i,j}
-                    continue
-                red = RowReducer(F, (j + 1) * (j + 2) // 2)
-                red.seed(*below)
-                padded = [list(row) + [F.zero] for row in prev[i][1]]
-                red.add_rows([get(row) for get in shifts for row in padded], stop_rank=n)
-                if n > red.rank:
-                    counts[(i, j)] = n - red.rank
-            prev = cur
+            red = RowReducer(F, (j + 1) * (j + 2) // 2)
+            dim = 0
+            for i, rows in enumerate(levels):
+                padded = [list(row) + [F.zero] for row in prev[i]]
+                if padded:
+                    red.add_rows([get(row) for get in shifts for row in padded])
+                dim += len(rows)
+                if dim > red.rank:
+                    counts[(i, j)] = dim - red.rank
+                if rows:
+                    red.add_rows(rows)
+                if red.rank != dim:
+                    raise VerificationError(
+                        f"oracle table: E_({i},{j}) has dimension {dim}, "
+                        f"but it spans {red.rank} with X*E_({i},{j - 1})"
+                    )
+            prev = levels
         return MinGenTable(counts=counts, imax=imax, jmax=jmax, d=self.d, mu=mu)
+
+
+def _python_order_basis(cols, sigma, imax, p):
+    """fp_order_basis (_native.py) in Python, step for step: the order basis
+    of the polynomials cols (dense residue lists) at order sigma, shift 0,
+    as (deltas, leading coefficient rows), dropping a row once its degree
+    passes imax."""
+    n = len(cols)
+    res = [list(col) + [0] * (sigma - len(col)) for col in cols]
+    lc = [[int(r == t) for t in range(n)] for r in range(n)]
+    deltas, off, live = [0] * n, [0] * n, list(range(n))
+    for k in range(sigma):
+        if not live:
+            break
+        piv = None
+        for r in live:
+            if res[r][k - off[r]] and (piv is None or deltas[r] < deltas[piv]):
+                piv = r
+        if piv is None:
+            continue
+        at = k + 1 - off[piv]
+        src = res[piv][at:at + sigma - k - 1]
+        inv = pow(res[piv][at - 1], -1, p)
+        for r in live:
+            row, at = res[r], k + 1 - off[r]
+            if r == piv or not row[at - 1]:
+                continue
+            c = row[at - 1] * inv % p
+            row[at - 1] = 0
+            row[at:at + len(src)] = [(x - c * y) % p for x, y in zip(row[at:], src)]
+            if deltas[r] == deltas[piv]:
+                lc[r] = [(x - c * y) % p for x, y in zip(lc[r], lc[piv])]
+        off[piv] += 1
+        deltas[piv] += 1
+        if deltas[piv] > imax:
+            live.remove(piv)
+    return deltas, lc
 
 
 def _terms(g: BiPoly):

@@ -336,23 +336,136 @@ def _within(counts, imax, jmax):
     return {(i, j): c for (i, j), c in counts.items() if i <= imax and j <= jmax}
 
 
-@pytest.mark.parametrize("spec", ["fp:2", "fp:3", "fp:7", f"fp:{DEFAULT_PRIME}"])
-def test_mingen_table_equals_the_cellwise_reference(spec):
-    """The table read from one slice per j equals mingen_count cell by cell,
-    for both classes at d = 5..8, on the box (d - mu, d) and one larger."""
+@pytest.mark.parametrize(
+    "spec", ["fp:2", "fp:3", "fp:7", f"fp:{DEFAULT_PRIME}", f"fp:{(1 << 127) - 1}"]
+)
+def test_mingen_table_equals_the_cellwise_reference(spec, monkeypatch):
+    """The table read from one order basis per j equals mingen_count cell by
+    cell, for both classes at d = 5..8, on the box (d - mu, d) and one
+    larger: on the C kernel, then with the kernel hidden (the Python order
+    basis, on curves sampled again without it).  Over p = 2^127 - 1 the
+    kernel never serves and the reference runs on the generic core, so
+    d <= 6 keeps it quick."""
+    from reescurve import _native
     from reescurve.fields import field_from_spec
     from reescurve.sampling import sample_mild, sample_very_singular
 
     F = field_from_spec(spec)
-    for d in range(5, 9):
-        for sampler in (sample_mild, sample_very_singular):
+    dmax = 8 if F.p < _native.P_BOUND else 6
+    cases = [(d, sampler) for d in range(5, dmax + 1) for sampler in (sample_mild, sample_very_singular)]
+    refs = []
+    for d, sampler in cases:
+        par = sampler(F, d, random.Random(d)).par
+        box = (d - Oracle(par).mu, d)
+        ref = _reference_counts(par, box[0] + 1, box[1] + 1)
+        assert ref
+        refs.append((box, ref))
+
+    def check():
+        for (d, sampler), (box, ref) in zip(cases, refs):
             par = sampler(F, d, random.Random(d)).par
-            box = (d - Oracle(par).mu, d)
-            ref = _reference_counts(par, box[0] + 1, box[1] + 1)
-            assert ref
             for imax, jmax in (box, (box[0] + 1, box[1] + 1)):
                 table = Oracle(par).mingen_table(imax, jmax)
                 assert table.counts == _within(ref, imax, jmax), (spec, d, sampler)
+        return par.powers.kernel
+
+    check()
+    monkeypatch.setattr(_native, "get_kernel", lambda: None)
+    assert check() is None
+
+
+@pytest.mark.parametrize("spec", ["fp:2", "fp:3", "fp:7", f"fp:{DEFAULT_PRIME}"])
+def test_order_basis_is_the_same_in_c_and_python(spec, monkeypatch):
+    """fp_order_basis and its Python version return the same degrees and
+    leading coefficient rows for every j, for both classes at d = 5..8."""
+    from reescurve import _native
+    from reescurve.fields import field_from_spec
+    from reescurve.sampling import sample_mild, sample_very_singular
+
+    if _native.get_kernel() is None:
+        pytest.skip("no C compiler: the native order basis is not built")
+    F = field_from_spec(spec)
+
+    def bases(native):
+        out = []
+        for d in range(5, 9):
+            for sampler in (sample_mild, sample_very_singular):
+                orc = Oracle(sampler(F, d, random.Random(d)).par)
+                assert (orc.powers.kernel is not None) is native
+                imax = d - orc.mu
+                for j in range(1, d + 1):
+                    deltas, lcs = orc._order_basis(imax, j)
+                    out.append((deltas, [list(row) for row in lcs]))
+        return out
+
+    native = bases(True)
+    monkeypatch.setattr(_native, "get_kernel", lambda: None)
+    assert bases(False) == native
+
+
+@pytest.mark.parametrize("spec", ["fp:3", f"fp:{DEFAULT_PRIME}"])
+def test_tower_levels_span_the_blocks_of_the_top_slice(spec):
+    """E_{i,j} from the order basis (the rows of levels 0..i) spans the T1^i
+    blocks of the kernel rows of slice (imax, j) whose free (trailing)
+    column lies in block i, for every (i, j)."""
+    from reescurve.fields import field_from_spec
+    from reescurve.linalg import RowReducer
+    from reescurve.sampling import sample_mild, sample_very_singular
+
+    F = field_from_spec(spec)
+
+    def rref(rows, n):
+        red = RowReducer(F, n)
+        red.add_rows(rows)
+        return red.rref()
+
+    for d in (6, 7):
+        for sampler in (sample_mild, sample_very_singular):
+            orc = Oracle(sampler(F, d, random.Random(d)).par)
+            imax = d - orc.mu
+            for j in range(1, d + 1):
+                nx = (j + 1) * (j + 2) // 2
+                levels = orc._tower(imax, j)
+                kernel = orc.kernel_rows(imax, j)
+                trailing = [max(c for c, x in enumerate(row) if x) for row in kernel]
+                for i in range(imax + 1):
+                    tower = [row for level in levels[: i + 1] for row in level]
+                    blocks = [
+                        row[i * nx : (i + 1) * nx]
+                        for row, f in zip(kernel, trailing) if f // nx == i
+                    ]
+                    assert len(tower) == len(blocks), (d, i, j)
+                    assert rref(tower, nx) == rref(blocks, nx), (d, i, j)
+
+
+def test_an_inconsistent_tower_fails_verification(monkeypatch, tmp_path, capsys):
+    """A tower with a level-0 row duplicated at j = d claims dim E_{0,d} = 2,
+    which the curve equation alone cannot span: mingen_table raises
+    VerificationError, and gens on the curve exits 3 without a report."""
+    import json
+
+    from reescurve import cli
+    from reescurve.errors import VerificationError
+    from reescurve.sampling import sample_very_singular
+
+    original = Oracle._tower
+
+    def corrupted(self, imax, j):
+        levels = original(self, imax, j)
+        if j == self.d:
+            levels[0].append(levels[0][0])
+        return levels
+
+    monkeypatch.setattr(Oracle, "_tower", corrupted)
+    with pytest.raises(VerificationError, match="E_\\(0,7\\)"):
+        Oracle(sample_very_singular(FP, 7, random.Random(1)).par).mingen_table()
+    assert cli.main(["--field", "fp", "sample-verysingular", "--degree", "7", "--seed", "1"]) == 0
+    path = tmp_path / "curve.json"
+    path.write_text(capsys.readouterr().out)
+    assert cli.main(["gens", str(path)]) == cli.EXIT_VERIFICATION == 3
+    out, err = capsys.readouterr()
+    assert "verification failed" in err
+    assert json.loads(out)["error"] == "verification"
 
 
 def test_q_mingen_table_equals_the_cellwise_reference():
@@ -377,27 +490,37 @@ def test_mu3_tables_equal_the_cellwise_reference():
 
 
 def test_mingen_table_on_the_packed_core_equals_the_reference(monkeypatch):
-    """With the kernel hidden, the F_p table runs on the generic core under
-    its _FpPackedCore label and equals the definition's counts."""
-    from reescurve import _native
+    """With the kernel hidden, the F_p table reads its towers from the Python
+    order basis, its slices run on the generic core under the _FpPackedCore
+    label, and it equals the definition's counts."""
+    from reescurve import _native, oracle
     from reescurve.linalg import _FpPackedCore
     from reescurve.sampling import sample_very_singular
 
     monkeypatch.setattr(_native, "get_kernel", lambda: None)
+    python_bases = []
+    order_basis = oracle._python_order_basis
+
+    def counted(cols, sigma, imax, p):
+        python_bases.append(len(cols))
+        return order_basis(cols, sigma, imax, p)
+
+    monkeypatch.setattr(oracle, "_python_order_basis", counted)
     par = sample_very_singular(FP, 6, random.Random(4)).par
     assert isinstance(Oracle(par)._kernel_data(4, 2).reducer._core, _FpPackedCore)
     table = Oracle(par).mingen_table()
+    assert python_bases == [(j + 1) * (j + 2) // 2 for j in range(1, 7)]
     assert table.counts == _reference_counts(par, 4, 6)
     assert table.multiset() == predicted_multiset(6, "very-singular")
 
 
 @pytest.mark.parametrize("box", [(None, None), (7, 9), (6, 3)])
 def test_mingen_table_builds_one_slice_per_j(box, monkeypatch):
-    """One slice (imax, j) per j, besides the (s, 1) slices behind mu; none
-    of them stays cached below jmax once the table is done."""
+    """Over Q the table builds one slice (imax, j) per j besides the (s, 1)
+    slices behind mu, and none of them stays cached below jmax once the
+    table is done.  Over F_p it builds no slice but those behind mu."""
     from reescurve.sampling import sample_mild
 
-    par = sample_mild(FP, 8, random.Random(5)).par
     built = []
     original = Oracle._kernel_data
 
@@ -407,12 +530,17 @@ def test_mingen_table_builds_one_slice_per_j(box, monkeypatch):
         return original(self, i, j)
 
     monkeypatch.setattr(Oracle, "_kernel_data", counted)
-    orc = Oracle(par)
-    table = orc.mingen_table(*box)
-    mu_slices = [(s, 1) for s in range(table.mu + 1)]
-    top = [(table.imax, j) for j in range(1, table.jmax + 1)]
-    assert sorted(built) == sorted(set(mu_slices + top))
-    assert [key for key in orc._kernels if key[1] < table.jmax] == []
+    for field, d in ((FP, 8), (QQ, 6)):
+        built.clear()
+        orc = Oracle(sample_mild(field, d, random.Random(5)).par)
+        table = orc.mingen_table(*box)
+        mu_slices = [(s, 1) for s in range(table.mu + 1)]
+        if field is FP:
+            assert sorted(built) == mu_slices
+            continue
+        top = [(table.imax, j) for j in range(1, table.jmax + 1)]
+        assert sorted(built) == sorted(set(mu_slices + top))
+        assert [key for key in orc._kernels if key[1] < table.jmax] == []
 
 
 @pytest.mark.parametrize(
