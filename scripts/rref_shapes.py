@@ -23,16 +23,18 @@ rows, columns, rank, modular and fraction seconds (best of --repeat runs).
 Tower: times the oracle table's order basis of U_j = (u^b), |b| = j, at the
 shapes (imax, j), j = d-2..d, of the very singular curves of
 `reescurve sample-verysingular --degree d --seed 100*d` over F_p for d in
---degrees (d = 10 is the curve above), beside the elimination of the slice
-(imax, j) it replaces, on each core: the native C kernel (fp_order_basis,
-skipped when it is not built) and the generic pure-Python versions (the
-Python order basis, the generic core).  Each line checks that the rows of
+--degrees (default 10, the curve above; `--degrees 10 14 18` adds larger
+curves, whose generic slices take minutes), beside the elimination of the
+slice (imax, j) it replaces, on each core: the native C kernel
+(fp_order_basis, skipped when it is not built) and the generic pure-Python
+versions (the curve sampled with the kernel hidden, so Oracle._order_basis
+runs in Python; the generic core).  Each line checks that the rows of
 degree <= imax, times 1, t, ..., give the slice's kernel dimension.  Prints
 one JSON line per shape and core: slice rows, columns and rank, basis size
 and order, syzygy count, slice and tower seconds (best of --repeat runs).
 
 Usage: python scripts/rref_shapes.py [--parts fp tower q] [--cores native generic]
-       [--degrees 10 14 18] [--repeat 3]
+       [--degrees 10] [--repeat 3]
 """
 import argparse
 import json
@@ -43,10 +45,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from reescurve import _native, linalg, modular, oracle as oracle_mod
+from reescurve import _native, linalg, modular
 from reescurve.fields import DEFAULT_PRIME, QQ, PrimeField
 from reescurve.oracle import Oracle
-from reescurve.poly import pack, x_monomials
 from reescurve.report import build_report
 from reescurve.sampling import sample_mild, sample_very_singular
 
@@ -71,26 +72,30 @@ def time_core(make, field, rows, ncols, repeat):
     return rank, best
 
 
-def tower(core, oracle, imax, j):
-    """The order basis behind E_{0..imax, j}: on the C kernel through the
-    oracle, or in Python on the same powers."""
-    if core == "native":
-        return oracle._order_basis(imax, j)
-    cols = [list(oracle.powers.power(pack(m))) for m in x_monomials(j)]
-    return oracle_mod._python_order_basis(cols, imax + j * oracle.d + 1, imax, oracle.powers.modulus)
+def tower_oracle(core, field, d):
+    """The oracle of the very singular curve of degree d, seed 100*d; for the
+    generic core sampled with the C kernel hidden, so that its PowerTable and
+    its order basis run in Python."""
+    get_kernel = _native.get_kernel
+    if core == "generic":
+        _native.get_kernel = lambda: None
+    try:
+        return Oracle(sample_very_singular(field, d, random.Random(100 * d)).par)
+    finally:
+        _native.get_kernel = get_kernel
 
 
 def tower_shapes(cores, degrees, repeat):
     field = PrimeField(DEFAULT_PRIME)
     for d in degrees:
-        oracle = Oracle(sample_very_singular(field, d, random.Random(100 * d)).par)
-        imax = d - oracle.mu
+        oracles = {core: tower_oracle(core, field, d) for core in cores}
+        imax = d - next(iter(oracles.values())).mu
         for j in (d - 2, d - 1, d):
-            rows = oracle.slice_rows(imax, j)
-            ncols = len(rows[0])
-            for core in cores:
+            for core, oracle in oracles.items():
+                rows = oracle.slice_rows(imax, j)
+                ncols = len(rows[0])
                 rank, slice_s = time_core(CORES[core], field, rows, ncols, repeat)
-                (deltas, _), tower_s = best_of(repeat, lambda: tower(core, oracle, imax, j))
+                (deltas, _), tower_s = best_of(repeat, lambda: oracle._order_basis(imax, j))
                 syz = [delta for delta in deltas if delta <= imax]
                 assert sum(imax + 1 - delta for delta in syz) == ncols - rank, (d, j, core)
                 print(json.dumps({
@@ -148,7 +153,7 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--parts", nargs="+", choices=["fp", "tower", "q"], default=["fp", "tower", "q"])
     ap.add_argument("--cores", nargs="+", choices=sorted(CORES), default=["native", "generic"])
-    ap.add_argument("--degrees", nargs="+", type=int, default=[10, 14, 18])
+    ap.add_argument("--degrees", nargs="+", type=int, default=[10])
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
     cores = [c for c in args.cores if c != "native" or _native.get_kernel() is not None]

@@ -307,23 +307,20 @@ class RowReducer:
         pivset = set(self._core.pivcols)
         return [f for f in range(self.ncols) if f not in pivset]
 
-    def kernel_rows(self, colmap, width, freecols=None):
+    def kernel_rows(self, colmap, width):
         """Raw RREF kernel rows, sent through a column map.
 
-        One row per free column f, ascending (or per f in `freecols`, some of
-        the free columns): 1 at colmap[f] and -R[t][f] at colmap[p_t] for
-        each pivot row R[t] with pivot column p_t, zero elsewhere, `width`
-        entries long.  With the identity map these are the nullspace vectors
-        before normalization; over F_p on the native core they come back as
-        ``array('Q')`` rows.
+        One row per free column f, ascending: 1 at colmap[f] and -R[t][f] at
+        colmap[p_t] for each pivot row R[t] with pivot column p_t, zero
+        elsewhere, `width` entries long.  With the identity map these are the
+        nullspace vectors before normalization; over F_p on the native core
+        they come back as ``array('Q')`` rows.
         """
         if len(colmap) != self.ncols or (
             self.ncols and not 0 <= min(colmap) <= max(colmap) < width
         ):
             raise ShapeMismatch("column map does not send the columns into the width")
-        if freecols is None:
-            freecols = self.free_columns()
-        return self._core.kernel_rows(freecols, colmap, width)
+        return self._core.kernel_rows(self.free_columns(), colmap, width)
 
 
 # ---------------------------------------------------------------------------

@@ -354,13 +354,10 @@ class Oracle:
         trailing = [set() for _ in range(imax + 2)]     # [i]: those of E_{i-1,j}
         for f in data.freecols:
             trailing[f // nx + 1].add(f % nx)
-        new = [f for f in data.freecols if f % nx not in trailing[f // nx]]
-        for f, row in zip(new, data.reducer.kernel_rows(range(ncols), ncols, new)):
+        for f, row in zip(data.freecols, data.reducer.kernel_rows(range(ncols), ncols)):
             i = f // nx
-            levels[i].append(row[i * nx : (i + 1) * nx])
-        # every cached slice (the mu slices too) is spent once j is done
-        for key in [k for k in self._kernels if k[1] <= j]:
-            del self._kernels[key]
+            if f % nx not in trailing[i]:
+                levels[i].append(row[i * nx : (i + 1) * nx])
         return levels
 
     def mingen_table(self, imax=None, jmax=None) -> MinGenTable:
@@ -382,6 +379,9 @@ class Oracle:
         prev = [[]] * (imax + 1)        # the tower of j - 1 (E_{i,0} = 0)
         for j in range(1, jmax + 1):
             levels = self._tower(imax, j)
+            # every cached slice (the mu slices too) is spent once j is done
+            for key in [k for k in self._kernels if k[1] <= j]:
+                del self._kernels[key]
             shifts = _x_gathers(j)
             red = RowReducer(F, (j + 1) * (j + 2) // 2)
             dim = 0
