@@ -7,11 +7,15 @@ Samples the curve of `reescurve sample-verysingular --degree 10 --seed 1000`
     `adjoint-dims` reads), on a fresh table;
   * the substitutions a `gens` report of that curve makes (recorded from one
     report, into the curve and into its axial frame), on a table whose
-    powers are already built.
+    powers are already built;
+  * the `in-kernel-span` checks of one report of the F_p mild curve of
+    `reescurve sample-mild --degree 8 --seed 1000` (its Oracle.contains
+    operands, recorded from one report), on a fresh oracle whose table has
+    the powers they read built and nothing packed, as in a report.
 The "native" route is skipped when the kernel is not built; "kronecker" is
 the route F_p takes without a compiler.  Prints one JSON line per case and
-route: case, route, count (powers or substitutions), seconds (best of
---repeat runs).
+route: case, route, count (powers, substitutions or checks), seconds (best
+of --repeat runs).
 
 Usage: python scripts/power_shapes.py [--paths native kronecker] [--repeat 3]
 """
@@ -20,15 +24,18 @@ import json
 import random
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from reescurve import _native
 from reescurve.fields import DEFAULT_PRIME, PrimeField
-from reescurve.poly import PowerTable, pack
+from reescurve.oracle import Oracle
+from reescurve.poly import X_MASK, PowerTable, pack
 from reescurve.report import build_report
-from reescurve.sampling import sample_very_singular
+from reescurve.sampling import sample_mild, sample_very_singular
+from reescurve.syzygy import Parametrization
 
 TOPS = (10, 12)
 
@@ -39,16 +46,50 @@ def exponents(top):
             for b0 in range(n + 1) for b1 in range(n - b0 + 1)]
 
 
-def fresh_table(triple, path):
-    """A PowerTable of triple on the given route (the kernel hidden for
-    "kronecker" while the table is built)."""
+@contextmanager
+def on_route(path):
+    """The kernel hidden inside the block for "kronecker"."""
     saved = _native.get_kernel
     if path == "kronecker":
         _native.get_kernel = lambda: None
     try:
-        return PowerTable(*triple)
+        yield
     finally:
         _native.get_kernel = saved
+
+
+def fresh_table(triple, path):
+    """A PowerTable of triple on the given route."""
+    with on_route(path):
+        return PowerTable(*triple)
+
+
+def fresh_oracle(triple, forms, path):
+    """An Oracle on a fresh curve of triple, its table on the given route
+    with the powers the forms read built and none packed."""
+    with on_route(path):
+        par = Parametrization(*triple)
+        for g in forms:
+            for m in g.coeffs:
+                par.powers.power(m & X_MASK)
+        return Oracle(par)
+
+
+def recorded_contains(par):
+    """The forms Oracle.contains tests in one gens report of par."""
+    forms = []
+    contains = Oracle.contains
+
+    def record(orc, g):
+        forms.append(g)
+        return contains(orc, g)
+
+    Oracle.contains = record
+    try:
+        build_report(par)
+    finally:
+        Oracle.contains = contains
+    return forms
 
 
 def recorded_substitutions(par):
@@ -87,6 +128,8 @@ def main():
     args = ap.parse_args()
     par = sample_very_singular(PrimeField(DEFAULT_PRIME), 10, random.Random(1000)).par
     calls = recorded_substitutions(par)
+    mild = sample_mild(PrimeField(DEFAULT_PRIME), 8, random.Random(1000)).par
+    forms = recorded_contains(mild)
     triples = list(dict.fromkeys(t for t, _ in calls))
     paths = [p for p in args.paths if p != "native" or _native.get_kernel() is not None]
     for path in paths:
@@ -114,6 +157,14 @@ def main():
         secs = best_of(args.repeat, warm_tables, substitute_all)
         print(json.dumps({"case": "report-substitutions", "path": path,
                           "count": len(calls), "seconds": round(secs, 6)}), flush=True)
+
+        def check_all(orc):
+            for g in forms:
+                assert orc.contains(g)
+
+        secs = best_of(args.repeat, lambda: fresh_oracle(mild.triple, forms, path), check_all)
+        print(json.dumps({"case": "report-contains", "path": path,
+                          "count": len(forms), "seconds": round(secs, 6)}), flush=True)
 
 
 if __name__ == "__main__":

@@ -388,20 +388,16 @@ def get_kernel():
     except OSError:
         _failed = True
         return None
-    u64p = ctypes.POINTER(ctypes.c_uint64)
-    longp = ctypes.POINTER(ctypes.c_long)
-    lib.fp_accumulate.restype = ctypes.c_long
+    # every array argument is an address (array.buffer_info()[0])
+    vp, c_long, c_u64 = ctypes.c_void_p, ctypes.c_long, ctypes.c_uint64
+    lib.fp_accumulate.restype = c_long
     lib.fp_accumulate.argtypes = [
-        u64p, longp, ctypes.c_long, ctypes.c_long, ctypes.c_long,
-        u64p, ctypes.c_long, ctypes.c_long,
-        ctypes.c_uint64, ctypes.c_long, u64p,
+        vp, vp, c_long, c_long, c_long, vp, c_long, c_long, c_u64, c_long, vp,
     ]
     lib.fp_kernel_rows.restype = None
     lib.fp_kernel_rows.argtypes = [
-        u64p, longp, ctypes.c_long, ctypes.c_long, longp, ctypes.c_long,
-        longp, u64p, ctypes.c_long, ctypes.c_uint64,
+        vp, vp, c_long, c_long, vp, c_long, vp, vp, c_long, c_u64,
     ]
-    vp, c_long, c_u64 = ctypes.c_void_p, ctypes.c_long, ctypes.c_uint64
     lib.fp_convolve.restype = None
     lib.fp_convolve.argtypes = [vp, c_long, vp, c_long, c_u64, vp]
     lib.fp_shifted_sum.restype = None

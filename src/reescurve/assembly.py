@@ -16,6 +16,9 @@ class Generator:
     poly: BiPoly            # original input coordinates, normalized
     bidegree: tuple
     label: str
+    # assembly substituted the raw form into the curve and got zero, so the
+    # report need not substitute it again (normalizing is a nonzero rescale)
+    substituted: bool = False
 
 
 @dataclass

@@ -27,7 +27,6 @@ Canonical conventions (shared by every consumer in this package):
 """
 from __future__ import annotations
 
-import ctypes
 from array import array
 
 from .fields import PrimeField, Rationals
@@ -163,17 +162,17 @@ class _FpNativeCore:
         batch = self._flat(rows)
         self._reserve(self.npiv + len(rows))
         npiv = self.kernel.fp_accumulate(
-            _c_array(ctypes.c_uint64, self.buf),
-            _c_array(ctypes.c_long, self.pivbuf),
+            self.buf.buffer_info()[0],
+            self.pivbuf.buffer_info()[0],
             self.npiv,
             self.nseed,
             self.cap,
-            _c_array(ctypes.c_uint64, batch),
+            batch.buffer_info()[0],
             len(rows),
             self.ncols,
             self.p,
             -1 if stop is None else stop,
-            _c_array(ctypes.c_uint64, self.scratch),
+            self.scratch.buffer_info()[0],
         )
         if npiv < 0:
             raise RuntimeError("native accumulator capacity underflow")
@@ -189,24 +188,21 @@ class _FpNativeCore:
         if not nfree:
             return []
         out = array("Q", bytes(8 * nfree * width))
+        # held in locals, so the arrays outlive the call that reads them
+        free, cmap = array("l", freecols), array("l", colmap)
         self.kernel.fp_kernel_rows(
-            _c_array(ctypes.c_uint64, self.buf),
-            _c_array(ctypes.c_long, self.pivbuf),
+            self.buf.buffer_info()[0],
+            self.pivbuf.buffer_info()[0],
             self.npiv,
             self.ncols,
-            _c_array(ctypes.c_long, array("l", freecols)),
+            free.buffer_info()[0],
             nfree,
-            _c_array(ctypes.c_long, array("l", colmap)),
-            _c_array(ctypes.c_uint64, out),
+            cmap.buffer_info()[0],
+            out.buffer_info()[0],
             width,
             self.p,
         )
         return [out[r * width : (r + 1) * width] for r in range(nfree)]
-
-
-def _c_array(ctype, buf):
-    """A ctypes view of an array's memory, passed to C as a pointer."""
-    return (ctype * len(buf)).from_buffer(buf)
 
 
 def _rref_kernel_rows(F, piv, rows, freecols, colmap, width):

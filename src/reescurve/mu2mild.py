@@ -291,26 +291,29 @@ def assemble_mild(ctx: MildContext) -> Assembly:
         raise PreconditionError("degree_range", "mild assembly needs d >= 4")
     morley = morley_coeffs(ctx)
     deltas = delta_sylvester(ctx, morley)
+    # (form, label, substituted): delta_sylvester and minor_family
+    # substitute each form they return into the curve
     gens = [
-        (ctx.implicit.equation, "implicit-equation"),
-        (ctx.mb.p, "low-moving-line"),
-        (ctx.mb.q, "high-moving-line"),
-        (deltas[(1, 0)], "sylvester-form[(1,0)]"),
-        (deltas[(0, 1)], "sylvester-form[(0,1)]"),
+        (ctx.implicit.equation, "implicit-equation", False),
+        (ctx.mb.p, "low-moving-line", False),
+        (ctx.mb.q, "high-moving-line", False),
+        (deltas[(1, 0)], "sylvester-form[(1,0)]", True),
+        (deltas[(0, 1)], "sylvester-form[(0,1)]", True),
     ]
     minors = {}
     for i in range(1, d - 3):
         minors[i] = minor_family(ctx, i, morley)
         for t, minor in enumerate(minors[i]):
             v = (d - 2 - i - t, t)
-            gens.append((minor, f"morley-minor[i={i},v={v}]"))
+            gens.append((minor, f"morley-minor[i={i},v={v}]", True))
     expected = (d + 1) * (d - 4) // 2 + 5
     if not ctx.boundary and len(gens) != expected:
         raise VerificationError(
             f"assembled {len(gens)} generators, count formula says {expected}"
         )
     out = [
-        Generator(poly=poly.normalized(), bidegree=poly.bidegree, label=label)
-        for poly, label in gens
+        Generator(poly=poly.normalized(), bidegree=poly.bidegree, label=label,
+                  substituted=substituted)
+        for poly, label, substituted in gens
     ]
     return Assembly(generators=out, deltas=deltas, morley=morley, minors=minors)

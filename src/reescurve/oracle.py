@@ -8,7 +8,9 @@ constructive formulas — so it can cross-check the pipeline modules:
   * mingen_count: the same count for one cell, straight from the definition
     (the reference the tests hold mingen_table to),
   * Oracle.contains: membership of a form in its kernel slice, as one
-    matrix-vector product in plain ints (no elimination, no slice built),
+    matrix-vector product (no elimination, no slice built): sum h_b·u^b
+    over g's X-monomials b, one Kronecker product per b on the curve's
+    packed powers, one unpack, every slot tested,
   * ideal_piece_membership, independent_mod: span tests against the monomial
     multiples of given forms at one bidegree, as pivot tests on one matrix
     (over Q, like every elimination here, certified from images mod primes).
@@ -71,15 +73,14 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add, itemgetter, mul
+from operator import itemgetter
 
 from .errors import PreconditionError, VerificationError
 from .fields import Rationals, ensure_same_field
 from .linalg import RowReducer, normalized
 from .poly import (
-    EXP_MASK, T1_SHIFT, X_MASK, BiPoly, cleared_denominators, monomials_of_bidegree, pack,
-    x_monomials,
+    EXP_MASK, T1_SHIFT, X_MASK, BiPoly, _unpack_slots, cleared_denominators,
+    monomials_of_bidegree, pack, x_monomials,
 )
 from .syzygy import Parametrization
 
@@ -239,25 +240,24 @@ class Oracle:
 
         K_{i,j} is the kernel of the slice matrix, so a nonzero g is in it
         exactly when the product of that matrix with g's coefficient vector
-        vanishes: sum c_m (column of m), with no elimination.  Over Q, g's
-        denominators are cleared first; over F_p, one ``% p`` at the end.
-        The columns are read here, not through ``subst_x``, so a report's
-        in-kernel-span and substitutes-to-zero checks stay two code paths.
+        vanishes, with no elimination.  Written g = sum over b of h_b(T)·X^b,
+        that product is sum h_b·u^b: one Kronecker product per X-monomial b
+        on the curve's packed powers, one unpack, and every one of the
+        i + j*d + 1 slots tested (_product_sum).  Over Q, g's denominators
+        are cleared first.  It shares the powers, their slot widths and the
+        pack/unpack helpers with PowerTable.substitute, not the summation,
+        so a report's in-kernel-span and substitutes-to-zero checks stay two
+        code paths.
         """
         ensure_same_field(self.field, g.field)
         i, j = g.bidegree
         if g.is_zero():
             return self.kernel_dim(i, j) > 0
-        p = self.powers.modulus       # None over Q
-        acc = [0] * (i + j * self.d + 1)
-        for m, c in _terms(g):
-            pw = self.powers.power(m & X_MASK)
-            lo = m >> T1_SHIFT & EXP_MASK
-            hi = lo + len(pw)
-            acc[lo:hi] = map(add, acc[lo:hi], map(mul, repeat(c), pw))
-        if p is None:
-            return not any(acc)
-        return not any(v % p for v in acc)
+        terms = _terms(g)
+        powers = self.powers
+        return not any(_product_sum(
+            terms, powers.packed, i + j * self.d + 1, powers.slot_bytes(terms), powers.modulus
+        ))
 
     @property
     def mu(self) -> int:
@@ -440,12 +440,29 @@ def _python_order_basis(cols, sigma, imax, p):
     return deltas, lc
 
 
+def _product_sum(terms, packed, n, nbytes, p):
+    """The n coefficients of g(u) = sum over b of h_b·u^b, g's terms
+    {key: int c} grouped by their X part b: each h_b is packed once in
+    nbytes-byte slots (index = T1 exponent, by shifts, signed over Q), times
+    packed(b, nbytes), the packed u^b, and the sum is unpacked once (poly's
+    Kronecker slots: residues over F_p, signed ints over Q, p None)."""
+    slot = 8 * nbytes
+    parts = {}
+    for m, c in terms.items():
+        b = m & X_MASK
+        parts[b] = parts.get(b, 0) + (c << (m >> T1_SHIFT & EXP_MASK) * slot)
+    acc = 0
+    for b, h in parts.items():
+        acc += h * packed(b, nbytes)
+    return _unpack_slots(acc, n, nbytes, p)
+
+
 def _terms(g: BiPoly):
-    """g's (key, coefficient) terms; over Q the integer numerators over one
+    """g's coefficients {key: c}; over Q the integer numerators over one
     common denominator, a nonzero rescale that keeps every span."""
     if isinstance(g.field, Rationals):
-        return cleared_denominators(g.coeffs)[1].items()
-    return g.coeffs.items()
+        return cleared_denominators(g.coeffs)[1]
+    return g.coeffs
 
 
 def _multiples(i, j, gens):
@@ -455,7 +472,7 @@ def _multiples(i, j, gens):
         ig, jg = gen.bidegree
         if gen.is_zero() or ig > i or jg > j:
             continue
-        terms = _terms(gen)
+        terms = _terms(gen).items()
         for s in monomials_of_bidegree(i - ig, j - jg):
             yield terms, pack(s)
 
@@ -480,7 +497,7 @@ def independent_mod(forms: list, modulus: list) -> bool:
     if any(f.bidegree != (i, j) for f in forms):
         raise PreconditionError("same_bidegree", "independent_mod forms differ in bidegree")
     index = {pack(m): t for t, m in enumerate(monomials_of_bidegree(i, j))}
-    cols = [*_multiples(i, j, modulus), *((_terms(f), 0) for f in forms)]
+    cols = [*_multiples(i, j, modulus), *((_terms(f).items(), 0) for f in forms)]
     rows = [[0] * len(cols) for _ in index]      # one row per monomial
     for k, (terms, s) in enumerate(cols):
         for m, c in terms:

@@ -41,6 +41,7 @@ coordinates through syzygy.pullback_through_change.
 from __future__ import annotations
 
 import re
+import sys
 from array import array
 from fractions import Fraction
 from itertools import repeat
@@ -60,6 +61,9 @@ GUARD = sum(1 << FIELD_BITS - 1 + k * FIELD_BITS for k in range(5))
 
 _VAR_INDEX = {"T0": 0, "T1": 1, "X0": 2, "X1": 3, "X2": 4}
 _VAR_SHIFTS = (("T0", T0_SHIFT), ("T1", T1_SHIFT), ("X0", X0_SHIFT), ("X1", X1_SHIFT), ("X2", 0))
+#: key -> its factor string ("T0^2*X1"; "" for the constant), built once
+#: per key printed: the minors of one level share their bidegree's keys
+_FACTORS: dict = {}
 
 
 class GradingError(ValueError):
@@ -391,17 +395,19 @@ class BiPoly:
             neg = cs.startswith("-")
             if neg:
                 cs = cs[1:]
-            factors = [
-                f"{name}^{e}" if e > 1 else name
-                for name, shift in _VAR_SHIFTS
-                if (e := m >> shift & EXP_MASK)
-            ]
+            factors = _FACTORS.get(m)
+            if factors is None:
+                factors = _FACTORS[m] = "*".join(
+                    f"{name}^{e}" if e > 1 else name
+                    for name, shift in _VAR_SHIFTS
+                    if (e := m >> shift & EXP_MASK)
+                )
             if not factors:
                 body = cs
             elif cs == "1":
-                body = "*".join(factors)
+                body = factors
             else:
-                body = cs + "*" + "*".join(factors)
+                body = cs + "*" + factors
             if not pieces:
                 pieces.append(("-" if neg else "") + body)
             else:
@@ -511,10 +517,18 @@ def _pack_slots(vals, nbytes, p):
     """sum vals[i] * 2^(8 nbytes i): one int, one value per slot of nbytes
     bytes.  Over Q (p None) the values are signed, each below 2^(8 nbytes - 1)
     in absolute value: written with that added, which is taken off the whole
-    int once, so the int is the exact sum, borrows included."""
+    int once, so the int is the exact sum, borrows included.  An
+    ``array('Q')`` of residues in word-aligned slots is one strided copy of
+    its words, with no conversion per entry."""
     if p is None:
         half = 1 << (8 * nbytes - 1)
         return _pack_slots([v + half for v in vals], nbytes, 0) - _half_slots(len(vals), nbytes)
+    if isinstance(vals, array) and not nbytes % 8:
+        words = array("Q", bytes(nbytes * len(vals)))
+        words[:: nbytes // 8] = vals
+        if sys.byteorder == "big":
+            words.byteswap()
+        return int.from_bytes(words, "little")
     return int.from_bytes(b"".join([v.to_bytes(nbytes, "little") for v in vals]), "little")
 
 
@@ -545,7 +559,7 @@ class PowerTable:
       * Over F_p with p < 2^62, when the C kernel of _native is built
         (``kernel`` is set): one ``fp_convolve`` into a fresh ``array('Q')``
         of residues, and a substitution is one ``fp_shifted_sum`` of the
-        terms' powers.  Nothing is packed.
+        terms' powers.  Neither packs anything.
       * Otherwise by Kronecker substitution (Harvey, J. Symb. Comp. 2009).
         Each factor is packed into one int, one coefficient per slot of 8*B
         bits, and the product of the two ints holds the product's
@@ -553,9 +567,11 @@ class PowerTable:
         |entry| of u^(b - e_k), those of the base triple, the bit length of
         the d + 1 terms of a slot and, over Q, a sign bit; one unpack reads
         the slots.  `substitute` sums the packed powers of a form's terms the
-        same way, one slot width per call.  A power is packed when it is
-        first used at a slot width and kept per width, as each u_k is, so
-        nothing is packed twice at one width.
+        same way, one slot width (`slot_bytes`) per call.
+    A power is packed when it is first used at a slot width and kept per
+    width (`packed`), as each u_k is, so nothing is packed twice at one
+    width.  Oracle.contains reads packed powers on both routes: on the kernel
+    at three words a slot, each one strided copy of the power's words.
     Over F_p the table holds residues, as an ``array('Q')`` exactly when the
     kernel serves it, so the oracle can copy it into strided slices of its
     flat matrix buffer.  Over Q it holds powers of the primitive integer
@@ -618,7 +634,7 @@ class PowerTable:
                                         len(uk), self.modulus, out.buffer_info()[0])
             else:
                 nbytes = (self._entry_bits(prev) + self._extra + 7) // 8
-                x = self._packed_power(prev, nbytes)
+                x = self.packed(prev, nbytes)
                 uk = self._packed_base.get((k, nbytes))
                 if uk is None:
                     uk = self._packed_base[k, nbytes] = _pack_slots(self.base[k], nbytes, self.modulus)
@@ -635,12 +651,26 @@ class PowerTable:
             bits = self._bits[b] = max(map(abs, self.power(b))).bit_length()
         return bits
 
-    def _packed_power(self, b, nbytes):
+    def packed(self, b, nbytes):
         """u^b packed in nbytes-byte slots; packed on first use, then kept."""
         x = self._packed.get((b, nbytes))
         if x is None:
             x = self._packed[b, nbytes] = _pack_slots(self.power(b), nbytes, self.modulus)
         return x
+
+    def slot_bytes(self, terms):
+        """Slot bytes of a packed sum of c·T1^a1·u^b over terms {key: int c}:
+        a slot sums at most len(terms) products of a c and an entry, so it
+        covers the bits of both, the term count's and, over Q, a sign bit.
+        On the C kernel three words: products below p^2 < 2^124."""
+        if self.kernel is not None:
+            return 24
+        if self.modulus is None:
+            bits = (max(map(abs, terms.values())).bit_length()
+                    + max(map(self._entry_bits, {m & X_MASK for m in terms})) + 1)
+        else:
+            bits = 2 * (self.modulus - 1).bit_length()
+        return (bits + len(terms).bit_length() + 7) // 8
 
     def substitute(self, g: BiPoly) -> BiPoly:
         """G(T, u(T)) as a T-form of degree tdeg + xdeg * d.
@@ -660,20 +690,14 @@ class PowerTable:
             vals = self._shifted_sum(g, top)
             coeffs = {(top - k) << T0_SHIFT | k << T1_SHIFT: v for k, v in enumerate(vals) if v}
             return BiPoly(self.field, top, 0, coeffs, _clean=True)
-        if p is None:
-            den, terms = cleared_denominators(g.coeffs)
-            bits = (max(map(abs, terms.values())).bit_length()
-                    + max(map(self._entry_bits, {m & X_MASK for m in terms})) + 1)
-        else:
-            terms = g.coeffs
-            bits = 2 * (p - 1).bit_length()       # c and the entries are below p
-        nbytes = (bits + len(terms).bit_length() + 7) // 8
+        den, terms = cleared_denominators(g.coeffs) if p is None else (1, g.coeffs)
+        nbytes = self.slot_bytes(terms)
         slot = 8 * nbytes
         packed = self._packed
         acc = 0
         for m, c in terms.items():
             b = m & X_MASK
-            x = packed.get((b, nbytes)) or self._packed_power(b, nbytes)
+            x = packed.get((b, nbytes)) or self.packed(b, nbytes)
             acc += c * x << (m >> T1_SHIFT & EXP_MASK) * slot
         vals = _unpack_slots(acc, top + 1, nbytes, p)
         s = 1 if p is not None else self.scale ** g.xdeg / den

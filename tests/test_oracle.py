@@ -14,7 +14,7 @@ from reescurve.oracle import (
     kernel_basis,
     mingen_table,
 )
-from reescurve.poly import BiPoly, parse_bipoly
+from reescurve.poly import EXP_MASK, T1_SHIFT, X_MASK, BiPoly, parse_bipoly
 from reescurve.syzygy import implicit_equation, mu_basis, parametrization
 
 FP = PrimeField(DEFAULT_PRIME)
@@ -322,6 +322,81 @@ def test_contains_matches_a_span_test_against_the_kernel_basis(field, monkeypatc
     assert not orc.contains(parse_bipoly(F, "T0^3 + T1^3"))       # j = 0
     assert not orc.contains(parse_bipoly(F, "2*T0^2"))
     assert orc._kernels == {}
+
+
+def _schoolbook_sum(terms, powers, n):
+    """sum c·T1^a1·u^b over terms, coefficient by coefficient."""
+    out = [0] * n
+    for m, c in terms.items():
+        a1 = m >> T1_SHIFT & EXP_MASK
+        for k, v in enumerate(powers[m & X_MASK]):
+            out[a1 + k] += c * v
+    return out
+
+
+@pytest.mark.parametrize("route", ["native", "hidden", "q"])
+def test_product_sum_packs_multiplies_and_unpacks_every_slot(route, monkeypatch):
+    """_product_sum, the pack -> multiply -> unpack step of Oracle.contains,
+    on hand-built terms and powers, slot by slot against the schoolbook sum,
+    at the slot width of each route: three words on the C kernel ("native",
+    array('Q') powers packed by strided copy), PowerTable.slot_bytes with
+    the kernel hidden, and signed one-byte slots over Q.  Cases: a sum
+    nonzero only in the first slot, one nonzero only in the last; over Q a
+    nonzero slot between negative ones (each borrows from the next); over F_p
+    all coefficients p - 1 on the largest term count of a d = 8 report
+    (bidegree (2, 5), 63 terms), so the middle slots hold their largest
+    sums."""
+    from array import array
+
+    from reescurve import _native
+    from reescurve.oracle import _product_sum
+    from reescurve.poly import _pack_slots, pack, x_monomials
+
+    if route == "native" and _native.get_kernel() is None:
+        pytest.skip("no C compiler: the native core is not built")
+    if route == "hidden":
+        monkeypatch.setattr(_native, "get_kernel", lambda: None)
+    F = QQ if route == "q" else FP
+    table = monomial_odd(3, F).powers
+    assert (table.kernel is not None) == (route == "native")
+    p = table.modulus
+    neg = -1 if p is None else p - 1
+    b1, b2 = pack((0, 0, 1, 0, 0)), pack((0, 0, 0, 1, 0))
+
+    def key(i, a1, b):          # T0^(i-a1) T1^a1 X^b
+        return pack((i - a1, a1, 0, 0, 0)) | b
+
+    # (terms, powers, expected nonzero slots); T-degree 1 and 4 slots first
+    cases = [
+        ({key(1, 0, b1): 1, key(1, 0, b2): neg}, {b1: [5, 7, 9], b2: [0, 7, 9]}, [0]),
+        ({key(1, 1, b1): 1, key(1, 1, b2): neg}, {b1: [5, 7, 9], b2: [5, 7, 0]}, [3]),
+    ]
+    if p is None:
+        cases.append(({key(1, 0, b1): 1, key(1, 1, b2): -2},
+                      {b1: [-4, 6, -1], b2: [1, -3, 2]}, [0, 1, 2, 3]))
+    else:
+        xs = [pack(m) for m in x_monomials(5)]
+        top = {key(2, a1, b): p - 1 for a1 in range(3) for b in xs}
+        assert len(top) == 63
+        cases.append((top, {b: [p - 1] * 41 for b in xs}, list(range(43))))
+    for terms, powers, nonzero in cases:
+        n = max(m >> T1_SHIFT & EXP_MASK for m in terms) + len(next(iter(powers.values())))
+        want = _schoolbook_sum(terms, powers, n)
+        if p is None:
+            nbytes = 1
+            assert max(map(abs, want)) < 1 << 7
+        else:
+            nbytes = table.slot_bytes(terms)
+            assert nbytes == 24 if route == "native" else nbytes < 24
+            assert len(terms) * (p - 1) ** 2 < 1 << 8 * nbytes
+            want = [v % p for v in want]
+        assert [k for k, v in enumerate(want) if v] == nonzero
+        if route == "native":
+            powers = {b: array("Q", pw) for b, pw in powers.items()}
+        got = _product_sum(terms, lambda b, nb: _pack_slots(powers[b], nb, p), n, nbytes, p)
+        assert got == want
+    if p is None:
+        assert want == [-4, 4, 5, -4]
 
 
 def _reference_counts(par, imax, jmax):

@@ -118,3 +118,92 @@ def test_mirror_ignores_any_rational_scaling():
     for c in (Fraction(7, 12), DEFAULT_PRIME, Fraction(1, DEFAULT_PRIME)):
         scaled = parametrization(QQ, *[[x * c for x in u] for u in coeffs])
         assert report.mirror_to_prime_field(scaled) == mirror
+
+
+def _after_assembly(monkeypatch, module, name, change=None):
+    """Wrap module.name (an assembly): apply change to each Assembly it
+    returns, keep it, and record every form substituted into a curve from
+    then on.  Returns (assemblies, forms substituted after assembly)."""
+    assemblies, seen = [], []
+    assemble = getattr(module, name)
+    substitute = syzygy.Parametrization.substitute
+
+    def wrapped(ctx):
+        asm = assemble(ctx)
+        if change is not None:
+            change(asm)
+        assemblies.append(asm)
+        seen.clear()
+        return asm
+
+    def recording(par, g):
+        seen.append(g)
+        return substitute(par, g)
+
+    monkeypatch.setattr(module, name, wrapped)
+    monkeypatch.setattr(syzygy.Parametrization, "substitute", recording)
+    return assemblies, seen
+
+
+def _substituted_labels(assembly, seen):
+    return [g.label for g in assembly.generators if any(f is g.poly for f in seen)]
+
+
+@pytest.mark.parametrize("drop", [False, True], ids=["recorded", "record-dropped"])
+def test_per_generator_stage_substitutes_only_unrecorded_generators(monkeypatch, drop):
+    """A mild assembly records the Sylvester forms and minors it substituted
+    to zero, so the per-generator stage substitutes only E, P and Q.  A
+    generator whose record is dropped is substituted there as well, and its
+    checks still pass."""
+    def drop_last(asm):
+        asm.generators[-1].substituted = False
+
+    asms, seen = _after_assembly(monkeypatch, mu2mild, "assemble_mild", drop_last if drop else None)
+    rep = report.build_report(sample_mild(FP, 7, random.Random(1)).par)
+    assert rep.all_pass
+    gens = asms[0].generators
+    assert [g.label for g in gens if not g.substituted] == _substituted_labels(asms[0], seen)
+    want = ["implicit-equation", "low-moving-line", "high-moving-line"]
+    assert _substituted_labels(asms[0], seen) == want + [gens[-1].label] * drop
+    assert gens[-1].label.startswith("morley-minor")
+    assert rep.generators[-1].checks == {"substitutes-to-zero": True, "in-kernel-span": True}
+
+
+def test_very_singular_report_substitutes_every_generator(monkeypatch):
+    """Very singular assembly tests its forms in the transformed frame, so
+    the per-generator stage substitutes each pulled-back generator."""
+    asms, seen = _after_assembly(monkeypatch, mu2sing, "assemble_very_singular")
+    rep = report.build_report(sample_very_singular(FP, 8, random.Random(2)).par)
+    assert rep.all_pass
+    gens = asms[0].generators
+    assert not any(g.substituted for g in gens)
+    assert _substituted_labels(asms[0], seen) == [g.label for g in gens]
+
+
+def test_a_flipped_coefficient_fails_in_kernel_span_and_exits_3(monkeypatch, tmp_path, capsys):
+    """One coefficient of a recorded minor changed after assembly: its
+    substitution is not repeated, so in-kernel-span alone refuses it, the
+    report does not pass and gens exits 3."""
+    import json
+
+    from reescurve import cli
+    from reescurve.poly import BiPoly, unpack
+
+    flipped = []
+
+    def flip(asm):
+        g = next(g for g in asm.generators if g.label.startswith("morley-minor") and g.substituted)
+        key = max(g.poly.coeffs)
+        g.poly = g.poly + BiPoly.monomial(FP, unpack(key))
+        flipped.append(g.label)
+
+    assert cli.main(["--field", "fp", "sample-mild", "--degree", "7", "--seed", "1"]) == 0
+    path = tmp_path / "curve.json"
+    path.write_text(capsys.readouterr().out)
+    _after_assembly(monkeypatch, mu2mild, "assemble_mild", flip)
+    assert cli.main(["gens", str(path)]) == cli.EXIT_VERIFICATION == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["all_pass"] is False
+    failed = [g for g in doc["generators"] if not g["verified"]]
+    assert [g["label"] for g in failed] == flipped
+    assert failed[0]["checks"]["in-kernel-span"] is False
