@@ -17,7 +17,8 @@ class Generator:
     bidegree: tuple
     label: str
     # assembly substituted the raw form into the curve and got zero, so the
-    # report need not substitute it again (normalizing is a nonzero rescale)
+    # report need not substitute it again (normalizing is a nonzero rescale).
+    # It certifies the form assembly built: poly must not change after it.
     substituted: bool = False
 
 

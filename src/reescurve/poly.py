@@ -41,9 +41,9 @@ coordinates through syzygy.pullback_through_change.
 from __future__ import annotations
 
 import re
-import sys
 from array import array
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat
 from math import gcd, lcm
 
@@ -61,9 +61,6 @@ GUARD = sum(1 << FIELD_BITS - 1 + k * FIELD_BITS for k in range(5))
 
 _VAR_INDEX = {"T0": 0, "T1": 1, "X0": 2, "X1": 3, "X2": 4}
 _VAR_SHIFTS = (("T0", T0_SHIFT), ("T1", T1_SHIFT), ("X0", X0_SHIFT), ("X1", X1_SHIFT), ("X2", 0))
-#: key -> its factor string ("T0^2*X1"; "" for the constant), built once
-#: per key printed: the minors of one level share their bidegree's keys
-_FACTORS: dict = {}
 
 
 class GradingError(ValueError):
@@ -395,13 +392,7 @@ class BiPoly:
             neg = cs.startswith("-")
             if neg:
                 cs = cs[1:]
-            factors = _FACTORS.get(m)
-            if factors is None:
-                factors = _FACTORS[m] = "*".join(
-                    f"{name}^{e}" if e > 1 else name
-                    for name, shift in _VAR_SHIFTS
-                    if (e := m >> shift & EXP_MASK)
-                )
+            factors = _factor_string(m)
             if not factors:
                 body = cs
             elif cs == "1":
@@ -508,6 +499,18 @@ def numerators(forms):
     return den, [cleared_denominators(f.coeffs, den)[1] for f in forms]
 
 
+@lru_cache(maxsize=4096)
+def _factor_string(m):
+    """Key m's factor string ("T0^2*X1"; "" for the constant).  Kept for
+    the most recent keys printed: the minors of one level share their
+    bidegree's keys (a d = 8 report prints about 330)."""
+    return "*".join(
+        f"{name}^{e}" if e > 1 else name
+        for name, shift in _VAR_SHIFTS
+        if (e := m >> shift & EXP_MASK)
+    )
+
+
 def _half_slots(n, nbytes):
     """2^(8 nbytes - 1) in each of n slots of nbytes bytes."""
     return int.from_bytes((1 << (8 * nbytes - 1)).to_bytes(nbytes, "little") * n, "little")
@@ -517,18 +520,10 @@ def _pack_slots(vals, nbytes, p):
     """sum vals[i] * 2^(8 nbytes i): one int, one value per slot of nbytes
     bytes.  Over Q (p None) the values are signed, each below 2^(8 nbytes - 1)
     in absolute value: written with that added, which is taken off the whole
-    int once, so the int is the exact sum, borrows included.  An
-    ``array('Q')`` of residues in word-aligned slots is one strided copy of
-    its words, with no conversion per entry."""
+    int once, so the int is the exact sum, borrows included."""
     if p is None:
         half = 1 << (8 * nbytes - 1)
         return _pack_slots([v + half for v in vals], nbytes, 0) - _half_slots(len(vals), nbytes)
-    if isinstance(vals, array) and not nbytes % 8:
-        words = array("Q", bytes(nbytes * len(vals)))
-        words[:: nbytes // 8] = vals
-        if sys.byteorder == "big":
-            words.byteswap()
-        return int.from_bytes(words, "little")
     return int.from_bytes(b"".join([v.to_bytes(nbytes, "little") for v in vals]), "little")
 
 
@@ -570,8 +565,9 @@ class PowerTable:
         same way, one slot width (`slot_bytes`) per call.
     A power is packed when it is first used at a slot width and kept per
     width (`packed`), as each u_k is, so nothing is packed twice at one
-    width.  Oracle.contains reads packed powers on both routes: on the kernel
-    at three words a slot, each one strided copy of the power's words.
+    width.  Oracle.contains reads packed powers on both routes, at the slot
+    width `slot_bytes` gives its terms (on the kernel route each packed from
+    the power's ``array('Q')``).
     Over F_p the table holds residues, as an ``array('Q')`` exactly when the
     kernel serves it, so the oracle can copy it into strided slices of its
     flat matrix buffer.  Over Q it holds powers of the primitive integer
@@ -661,10 +657,7 @@ class PowerTable:
     def slot_bytes(self, terms):
         """Slot bytes of a packed sum of c·T1^a1·u^b over terms {key: int c}:
         a slot sums at most len(terms) products of a c and an entry, so it
-        covers the bits of both, the term count's and, over Q, a sign bit.
-        On the C kernel three words: products below p^2 < 2^124."""
-        if self.kernel is not None:
-            return 24
+        covers the bits of both, the term count's and, over Q, a sign bit."""
         if self.modulus is None:
             bits = (max(map(abs, terms.values())).bit_length()
                     + max(map(self._entry_bits, {m & X_MASK for m in terms})) + 1)
