@@ -146,7 +146,7 @@ def q_question(core, rows, ncols):
     if core is not None:
         red._core = core(QQ, ncols)
     rank = red.add_rows(rows)
-    return rank, red.kernel_rows(range(ncols), ncols)
+    return rank, red.kernel_rows()
 
 
 def main():

@@ -10,8 +10,7 @@ eliminations, so we compile a few small C helpers at first use (cached under
   * fp_accumulate absorbs a batch of rows into a mutually reduced pivot
     block (incremental canonical RREF, with early stop);
   * fp_kernel_rows writes the RREF kernel rows of such a block, one per free
-    column, with their columns sent through an index map (the oracle's
-    monomial-multiplication shifts);
+    column;
   * fp_convolve multiplies two dense residue vectors (one power u^b from
     u^(b - e_k) and u_k);
   * fp_shifted_sum adds residue vectors times scalars, each at its own
@@ -35,9 +34,8 @@ normalized; earlier rows are not touched.  Phase 2 back-substitutes once per
 batch, last row first, each row against the rows after it.  Both give the
 same block as eager Gauss-Jordan: a reduced row is the incoming row minus
 the one combination of block rows that matches it on the pivot columns,
-whatever the order of elimination.  Rows the kernel appends are zero left of
-their pivot, so it sweeps them from there; rows installed by RowReducer.seed
-need not be, and are swept in full.
+whatever the order of elimination.  Every row of the block is zero left of
+its pivot, so it is swept from there.
 
 linalg.py hands this kernel every F_p elimination with p < P_BOUND (so the
 images mod primes behind every Q elimination), and poly.PowerTable every F_p
@@ -120,21 +118,21 @@ static void acc_flush(acc_t *a)
 }
 
 /* Clear the accumulator at column pc with the pivot row `row` (1 at pc, 0
-   at every other pivot column of the block), which is zero left of `from`. */
-static inline void acc_eliminate(acc_t *a, const uint64_t *row, long pc, long from)
+   at every other pivot column of the block), which is zero left of pc. */
+static inline void acc_eliminate(acc_t *a, const uint64_t *row, long pc)
 {
     uint64_t c = red128(a->hi[pc], a->lo[pc], a->p);
     if (!c) return;
     if (a->pending == 15) acc_flush(a);
     c = a->p - c;
     uint64_t *lo = a->lo, *hi = a->hi;
-    for (long k = from; k < a->ncols; ++k) {
+    for (long k = pc; k < a->ncols; ++k) {
         u128 x = (u128)c * row[k] + lo[k];
         lo[k] = (uint64_t)x;
         hi[k] += (uint64_t)(x >> 64);
     }
     a->pending++;
-    if (from < a->dirty) a->dirty = from;
+    if (pc < a->dirty) a->dirty = pc;
 }
 
 /* Absorb `nrows` rows (row-major, ncols wide, residues) into the pivot block
@@ -148,13 +146,11 @@ static inline void acc_eliminate(acc_t *a, const uint64_t *row, long pc, long fr
      rows appended after it, which are final by then (also after an early
      stop).
 
-   A row appended here is zero left of its pivot and stays so, so it is
-   swept from its pivot column on.  The first `nseed` rows were installed by
-   seed() and may be nonzero left of their pivot: they are swept in full.
-   `scratch` holds 2 * ncols words.  Stops early once the rank reaches
-   `stop` (pass stop < 0 to disable).  Returns the new pivot count, or -1
-   when the block would outgrow its `cap` rows. */
-long fp_accumulate(uint64_t *piv, long *pivcols, long npiv, long nseed, long cap,
+   A row of the block is zero left of its pivot and stays so, so it is swept
+   from its pivot column on.  `scratch` holds 2 * ncols words.  Stops early
+   once the rank reaches `stop` (pass stop < 0 to disable).  Returns the new
+   pivot count, or -1 when the block would outgrow its `cap` rows. */
+long fp_accumulate(uint64_t *piv, long *pivcols, long npiv, long cap,
                    const uint64_t *rows, long nrows, long ncols,
                    uint64_t p, long stop, uint64_t *scratch)
 {
@@ -166,7 +162,7 @@ long fp_accumulate(uint64_t *piv, long *pivcols, long npiv, long nseed, long cap
         if (stop >= 0 && npiv >= stop) break;
         acc_load(&a, rows + r * ncols);
         for (long t = 0; t < npiv; ++t)
-            acc_eliminate(&a, piv + t * ncols, pivcols[t], t < nseed ? 0 : pivcols[t]);
+            acc_eliminate(&a, piv + t * ncols, pivcols[t]);
         acc_flush(&a);
         long lead = -1;
         for (long k = 0; k < ncols; ++k)
@@ -189,7 +185,7 @@ long fp_accumulate(uint64_t *piv, long *pivcols, long npiv, long nseed, long cap
         if (s == npiv) continue;
         acc_load(&a, w);
         for (; s < npiv; ++s)
-            acc_eliminate(&a, piv + s * ncols, pivcols[s], pivcols[s]);
+            acc_eliminate(&a, piv + s * ncols, pivcols[s]);
         acc_flush(&a);
         memcpy(w, a.lo, (size_t)ncols * sizeof(uint64_t));
     }
@@ -237,19 +233,19 @@ void fp_shifted_sum(uint64_t *out, long nout, const uint64_t *const *src, long l
 }
 
 /* Kernel rows of the pivot block `piv` (npiv rows, ncols wide): row r has 1
-   at colmap[freecols[r]] and -piv[t][freecols[r]] at colmap[pivcols[t]].
-   `out` holds nfree zeroed rows, width wide. */
+   at freecols[r] and -piv[t][freecols[r]] at pivcols[t].  `out` holds nfree
+   zeroed rows, ncols wide. */
 void fp_kernel_rows(const uint64_t *piv, const long *pivcols, long npiv,
                     long ncols, const long *freecols, long nfree,
-                    const long *colmap, uint64_t *out, long width, uint64_t p)
+                    uint64_t *out, uint64_t p)
 {
     for (long r = 0; r < nfree; ++r) {
-        uint64_t *w = out + r * width;
+        uint64_t *w = out + r * ncols;
         long f = freecols[r];
-        w[colmap[f]] = 1;
+        w[f] = 1;
         for (long t = 0; t < npiv; ++t) {
             uint64_t c = piv[t * ncols + f];
-            if (c) w[colmap[pivcols[t]]] = p - c;
+            if (c) w[pivcols[t]] = p - c;
         }
     }
 }
@@ -392,12 +388,10 @@ def get_kernel():
     vp, c_long, c_u64 = ctypes.c_void_p, ctypes.c_long, ctypes.c_uint64
     lib.fp_accumulate.restype = c_long
     lib.fp_accumulate.argtypes = [
-        vp, vp, c_long, c_long, c_long, vp, c_long, c_long, c_u64, c_long, vp,
+        vp, vp, c_long, c_long, vp, c_long, c_long, c_u64, c_long, vp,
     ]
     lib.fp_kernel_rows.restype = None
-    lib.fp_kernel_rows.argtypes = [
-        vp, vp, c_long, c_long, vp, c_long, vp, vp, c_long, c_u64,
-    ]
+    lib.fp_kernel_rows.argtypes = [vp, vp, c_long, c_long, vp, c_long, vp, c_u64]
     lib.fp_convolve.restype = None
     lib.fp_convolve.argtypes = [vp, c_long, vp, c_long, c_u64, vp]
     lib.fp_shifted_sum.restype = None

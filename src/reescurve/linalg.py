@@ -16,8 +16,7 @@ _make_core alone picks one, by the field and by whether the C kernel is built:
     on exact ints (labelled _FpPackedCore for p < 2^62, so traces tell).
 All cores produce the same canonical output; determinism does not depend on
 which one runs.  Besides absorbing rows, a core writes the kernel rows of its
-RREF through a column map: that is how the oracle moves a kernel slice into
-the next bidegree without building kernel vectors.
+RREF, so the oracle reads a kernel slice without building normalized vectors.
 
 Canonical conventions (shared by every consumer in this package):
   * pivot search is leftmost-column-first;
@@ -83,16 +82,11 @@ class _FractionCore:
             self.rows.append(w)
             self.pivcols.append(lead)
 
-    def seed(self, pivcols, rows):
-        F = self.field
-        self.rows = [[F.coerce(x) for x in row] for row in rows]
-        self.pivcols = list(pivcols)
-
     def snapshot(self):
         return list(self.pivcols), [list(r) for r in self.rows]
 
-    def kernel_rows(self, freecols, colmap, width):
-        return _rref_kernel_rows(self.field, *self.snapshot(), freecols, colmap, width)
+    def kernel_rows(self, freecols):
+        return _rref_kernel_rows(self.field, *self.snapshot(), freecols, self.ncols)
 
 
 class _FpPackedCore(_FractionCore):
@@ -109,10 +103,9 @@ class _FpNativeCore:
 
     The pivot block is one row-major ``array('Q')`` of ``cap`` rows, with the
     pivot columns in a parallel ``array('l')`` (C long, as the kernel takes).
-    ``nseed`` counts the leading rows installed by seed(), which the kernel
-    sweeps over all columns.  ``scratch`` is the kernel's accumulator for the
-    row being reduced, 2 * ncols words (one 128-bit value per column), kept
-    here so it is allocated once per reducer.
+    ``scratch`` is the kernel's accumulator for the row being reduced,
+    2 * ncols words (one 128-bit value per column), kept here so it is
+    allocated once per reducer.
     """
 
     def __init__(self, field, ncols, kernel):
@@ -124,7 +117,6 @@ class _FpNativeCore:
         self.buf = array("Q", [0]) * (self.cap * ncols)
         self.pivbuf = array("l", [0]) * self.cap
         self.npiv = 0
-        self.nseed = 0
         self.scratch = array("Q", bytes(16 * ncols))
 
     @property
@@ -148,13 +140,6 @@ class _FpNativeCore:
             raise ShapeMismatch("row length does not match the column count")
         return flat
 
-    def seed(self, pivcols, rows):
-        flat = self._flat(rows)
-        self._reserve(len(rows))
-        self.buf[: len(flat)] = flat
-        self.pivbuf[: len(rows)] = array("l", pivcols)
-        self.npiv = self.nseed = len(rows)
-
     def add_rows(self, rows, stop):
         rows = list(rows)
         if not rows:
@@ -165,7 +150,6 @@ class _FpNativeCore:
             self.buf.buffer_info()[0],
             self.pivbuf.buffer_info()[0],
             self.npiv,
-            self.nseed,
             self.cap,
             batch.buffer_info()[0],
             len(rows),
@@ -183,38 +167,35 @@ class _FpNativeCore:
         buf = self.buf
         return self.pivcols, [buf[t * n : (t + 1) * n].tolist() for t in range(self.npiv)]
 
-    def kernel_rows(self, freecols, colmap, width):
-        nfree = len(freecols)
+    def kernel_rows(self, freecols):
+        n, nfree = self.ncols, len(freecols)
         if not nfree:
             return []
-        out = array("Q", bytes(8 * nfree * width))
-        # held in locals, so the arrays outlive the call that reads them
-        free, cmap = array("l", freecols), array("l", colmap)
+        out = array("Q", bytes(8 * nfree * n))
+        free = array("l", freecols)     # a local, so it outlives the call
         self.kernel.fp_kernel_rows(
             self.buf.buffer_info()[0],
             self.pivbuf.buffer_info()[0],
             self.npiv,
-            self.ncols,
+            n,
             free.buffer_info()[0],
             nfree,
-            cmap.buffer_info()[0],
             out.buffer_info()[0],
-            width,
             self.p,
         )
-        return [out[r * width : (r + 1) * width] for r in range(nfree)]
+        return [out[r * n : (r + 1) * n] for r in range(nfree)]
 
 
-def _rref_kernel_rows(F, piv, rows, freecols, colmap, width):
-    """Kernel rows of an RREF (piv, rows): for each free column f, 1 at
-    colmap[f] and -rows[t][f] at colmap[piv[t]], in rows `width` wide."""
+def _rref_kernel_rows(F, piv, rows, freecols, ncols):
+    """Kernel rows of an RREF (piv, rows), ncols wide: for each free column
+    f, 1 at f and -rows[t][f] at piv[t]."""
     out = []
     for f in freecols:
-        w = [F.zero] * width
-        w[colmap[f]] = F.one
+        w = [F.zero] * ncols
+        w[f] = F.one
         for pc, row in zip(piv, rows):
             if not F.is_zero(row[f]):
-                w[colmap[pc]] = F.neg(row[f])
+                w[pc] = F.neg(row[f])
         out.append(w)
     return out
 
@@ -265,22 +246,15 @@ class RowReducer:
         return len(self._core.pivcols)
 
     def add_rows(self, rows, stop_rank=None):
+        """Absorb rows in order and return the new rank.
+
+        With a stop rank, absorbing ends at the row that brings the rank to
+        stop_rank: the rows after it are not absorbed, so the RREF is that of
+        the shortest prefix that reaches the stop (all rows if none does).
+        """
         self._snap = None
         self._core.add_rows(rows, stop_rank)
         return self.rank
-
-    def seed(self, pivcols, rows):
-        """Install an already mutually-reduced pivot block without elimination.
-
-        Caller contract: the reducer is empty, each rows[t] has a 1 at
-        pivcols[t] and zeros at every other pivcols[*] entry.  Used to absorb
-        a block that is known to be in RREF (e.g. a kernel basis shifted by a
-        monomial-multiplication index map) at zero cost.
-        """
-        if self.rank:
-            raise ValueError("seed() requires an empty reducer")
-        self._snap = None
-        self._core.seed(pivcols, rows)
 
     def add_row(self, vec):
         before = self.rank
@@ -303,20 +277,15 @@ class RowReducer:
         pivset = set(self._core.pivcols)
         return [f for f in range(self.ncols) if f not in pivset]
 
-    def kernel_rows(self, colmap, width):
-        """Raw RREF kernel rows, sent through a column map.
+    def kernel_rows(self):
+        """Raw RREF kernel rows: the nullspace vectors before normalization.
 
-        One row per free column f, ascending: 1 at colmap[f] and -R[t][f] at
-        colmap[p_t] for each pivot row R[t] with pivot column p_t, zero
-        elsewhere, `width` entries long.  With the identity map these are the
-        nullspace vectors before normalization; over F_p on the native core
-        they come back as ``array('Q')`` rows.
+        One row per free column f, ascending: 1 at f and -R[t][f] at p_t for
+        each pivot row R[t] with pivot column p_t, zero elsewhere, ncols
+        entries long.  Over F_p on the native core they come back as
+        ``array('Q')`` rows.
         """
-        if len(colmap) != self.ncols or (
-            self.ncols and not 0 <= min(colmap) <= max(colmap) < width
-        ):
-            raise ShapeMismatch("column map does not send the columns into the width")
-        return self._core.kernel_rows(self.free_columns(), colmap, width)
+        return self._core.kernel_rows(self.free_columns())
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +330,7 @@ class ExactMatrix:
 
     def nullspace(self):
         """Canonical kernel basis; see module docstring for the conventions."""
-        n = self.ncols
-        return [normalized(self.field, v) for v in self._reduced().kernel_rows(range(n), n)]
+        return [normalized(self.field, v) for v in self._reduced().kernel_rows()]
 
     def det(self):
         """Gaussian elimination with row swaps, on the field operations."""

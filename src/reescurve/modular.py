@@ -19,7 +19,11 @@ Span questions are pivot questions (oracle.independent_mod): a column of
 [B; forms] is independent of those before it exactly when it is a pivot
 column, even when B is itself dependent (the multiples of [p, q]).  Rows fed
 after the one that reaches a stop rank do not count; past the stop, that row
-is found by bisecting on certified prefix ranks.
+is found by bisecting on certified prefix ranks.  No batch reaches the
+bisection today: the one caller that passes a stop, the tests' reference
+Oracle.mingen_count, feeds rows whose span cannot pass it.  The stop stays
+in every core's add_rows(core, rows, stop), because perfbench/tracer.py
+wraps that signature by position and tests/test_tracer_names.py binds it.
 
 A lift that does not reconstruct or fails the check takes the next prime.
 Images with the same pivot columns are combined by CRT, so large entries
@@ -180,9 +184,6 @@ class _ModularCore:
             del self.rows[prefixes[bisect_left(prefixes, stop, key=rank)]:]
             self._cert = None
 
-    def seed(self, pivcols, rows):
-        self.add_rows(rows, None)
-
     def snapshot(self):
         piv, free, cols, den = self._certificate()
         zero, one = Fraction(0), Fraction(1)
@@ -193,5 +194,5 @@ class _ModularCore:
                     row[f] = Fraction(x, den)
         return list(piv), rows
 
-    def kernel_rows(self, freecols, colmap, width):
-        return _rref_kernel_rows(self.field, *self.snapshot(), freecols, colmap, width)
+    def kernel_rows(self, freecols):
+        return _rref_kernel_rows(self.field, *self.snapshot(), freecols, self.ncols)

@@ -21,9 +21,8 @@ every substitution into the curve uses).  For dimensions, bases and the
 cell-by-cell counts a slice is kept as the pivot block of that matrix's RREF
 (inside a RowReducer), not as kernel vectors: the matrix is written into one
 flat buffer (``array('Q')`` over F_p) by one strided slice assignment per
-column.  Kernel rows are written from the pivot block through
-monomial-multiplication column maps; canonical normalized vectors are built
-only when kernel_basis asks for them.
+column.  Kernel rows are written from the pivot block; canonical normalized
+vectors are built only when kernel_basis asks for them.
 
 The table needs no Nakayama quotient of full slices.  Let pi send a form of
 K_{i,j} to its T1^i coefficient, a vector over the nx = (j+1)(j+2)/2
@@ -124,35 +123,17 @@ class MinGenTable:
         return out
 
 
-class _KernelData:
-    """One kernel slice: the reducer holding the RREF of its substitution
-    matrix, and the free columns (one kernel vector each)."""
-
-    __slots__ = ("reducer", "freecols")
-
-    def __init__(self, reducer):
-        self.reducer = reducer
-        self.freecols = reducer.free_columns()
-
-
-def _x_shifts(j):
-    """Index maps x_monomials(j - 1) -> x_monomials(j) under X0, X1, X2."""
-    index = {m: t for t, m in enumerate(x_monomials(j))}
-    return [
-        [index[(0, 0, m[2] + e0, m[3] + e1, m[4] + e2)] for m in x_monomials(j - 1)]
-        for e0, e1, e2 in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    ]
-
-
 def _x_gathers(j):
     """X0, X1, X2 as gathers from a row over x_monomials(j - 1), padded with
     one zero, to a row over x_monomials(j): entry x reads entry t of the row
     when x is X_l times monomial t, and the pad otherwise."""
+    index = {m: x for x, m in enumerate(x_monomials(j))}
+    lower = x_monomials(j - 1)
     out = []
-    for xs in _x_shifts(j):
-        g = [len(xs)] * ((j + 1) * (j + 2) // 2)
-        for t, x in enumerate(xs):
-            g[x] = t
+    for e0, e1, e2 in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        g = [len(lower)] * len(index)
+        for t, m in enumerate(lower):
+            g[index[(0, 0, m[2] + e0, m[3] + e1, m[4] + e2)]] = t
         out.append(itemgetter(*g))
     return out
 
@@ -196,20 +177,24 @@ class Oracle:
                 buf[start : start + (length - 1) * ncols + 1 : ncols] = upow
         return [buf[r * ncols : (r + 1) * ncols] for r in range(nrows)]
 
-    def _kernel_data(self, i, j) -> _KernelData:
-        data = self._kernels.get((i, j))
-        if data is None:
-            red = RowReducer(self.field, (i + 1) * (j + 1) * (j + 2) // 2)
+    def _slice_reducer(self, i, j) -> RowReducer:
+        """The reducer holding the RREF of slice (i, j)'s substitution
+        matrix (cached): one kernel vector per free column."""
+        red = self._kernels.get((i, j))
+        if red is None:
+            red = self._kernels[(i, j)] = RowReducer(
+                self.field, (i + 1) * (j + 1) * (j + 2) // 2
+            )
             red.add_rows(self.slice_rows(i, j))
-            data = self._kernels[(i, j)] = _KernelData(red)
-        return data
+        return red
 
     def kernel_dim(self, i, j) -> int:
         if i < 0 or j < 0:
             return 0
         if j == 0:
             return 0  # nonzero T-forms never vanish under the substitution
-        return len(self._kernel_data(i, j).freecols)
+        red = self._slice_reducer(i, j)
+        return red.ncols - red.rank
 
     def kernel_rows(self, i, j) -> list:
         """The raw RREF kernel rows of slice (i, j) over
@@ -219,8 +204,7 @@ class Oracle:
             raise ValueError("bidegree components must be nonnegative")
         if j == 0:
             return []
-        n = (i + 1) * (j + 1) * (j + 2) // 2
-        return self._kernel_data(i, j).reducer.kernel_rows(range(n), n)
+        return self._slice_reducer(i, j).kernel_rows()
 
     def kernel_basis(self, i, j) -> GradedPiece:
         """Canonical basis of the bidegree-(i, j) slice of the kernel ideal."""
@@ -280,34 +264,29 @@ class Oracle:
         n_target = self.kernel_dim(i, j)
         if n_target == 0:
             return 0
+        F = self.field
         nx = (j + 1) * (j + 2) // 2
-        ncols = (i + 1) * nx
-        # (source slice, column map into slice (i, j)) per multiplication
-        blocks = []
-        if i >= 1 and self.kernel_dim(i - 1, j) > 0:
-            src = self._kernel_data(i - 1, j)
-            # T0 keeps a1, T1 raises it: columns move by 0 or by nx
-            blocks += [(src, range(i * nx)), (src, range(nx, nx + i * nx))]
-        if j >= 1 and self.kernel_dim(i, j - 1) > 0:
-            src = self._kernel_data(i, j - 1)
-            for xs in _x_shifts(j):
-                blocks.append((src, [a1 * nx + x for a1 in range(i + 1) for x in xs]))
-        if not blocks:
-            return n_target
-        red = RowReducer(self.field, ncols)
-        blocks.sort(key=lambda blk: -len(blk[0].freecols))
-        # a shifted kernel block is already mutually reduced: row f has 1 at
-        # the image of free column f and 0 at the images of the other free
-        # columns, so it seeds the reducer as it is
-        seed_src, seed_map = blocks[0]
-        red.seed(
-            [seed_map[f] for f in seed_src.freecols],
-            seed_src.reducer.kernel_rows(seed_map, ncols),
-        )
-        for src, colmap in blocks[1:]:
-            if red.rank >= n_target:
+        zeros = [F.zero] * nx
+
+        def multiples():
+            # the column of T0^(i-a1) T1^a1 X^b is a1 * nx + (index of b)
+            if i >= 1:
+                rows = self.kernel_rows(i - 1, j)
+                # T0 keeps a1, T1 raises it: nx zeros after or before the row
+                yield [[*row, *zeros] for row in rows]
+                yield [[*zeros, *row] for row in rows]
+            rows = self.kernel_rows(i, j - 1)
+            m = j * (j + 1) // 2        # the X-monomials of degree j - 1
+            for get in _x_gathers(j):
+                yield [
+                    [x for a1 in range(i + 1) for x in get([*row[a1 * m : (a1 + 1) * m], F.zero])]
+                    for row in rows
+                ]
+
+        red = RowReducer(F, (i + 1) * nx)
+        for rows in multiples():
+            if red.add_rows(rows, stop_rank=n_target) >= n_target:
                 break
-            red.add_rows(src.reducer.kernel_rows(colmap, ncols), stop_rank=n_target)
         return n_target - red.rank
 
     def _order_basis(self, imax, j):
@@ -348,13 +327,13 @@ class Oracle:
         # the T1^i blocks of the kernel rows whose free column lies in block
         # i span E_{i,j}; echelon by their free (trailing) column, those whose
         # column is no trailing column of E_{i-1,j} are the new ones
-        data = self._kernel_data(imax, j)
+        red = self._slice_reducer(imax, j)
+        freecols = red.free_columns()
         nx = (j + 1) * (j + 2) // 2
-        ncols = (imax + 1) * nx
         trailing = [set() for _ in range(imax + 2)]     # [i]: those of E_{i-1,j}
-        for f in data.freecols:
+        for f in freecols:
             trailing[f // nx + 1].add(f % nx)
-        for f, row in zip(data.freecols, data.reducer.kernel_rows(range(ncols), ncols)):
+        for f, row in zip(freecols, red.kernel_rows()):
             i = f // nx
             if f % nx not in trailing[i]:
                 levels[i].append(row[i * nx : (i + 1) * nx])

@@ -203,13 +203,10 @@ def test_row_reducer_matches_across_cores():
         red.add_rows(rows)
     assert reducers[0].rref() == reducers[1].rref()
     assert reducers[0].rank == reducers[1].rank == 20  # 2 dependent rows added
-    # kernel rows through a column map: 30 columns spread over 70, reversed
-    colmap = [69 - 2 * c for c in range(30)]
-    kernels = [[list(r) for r in red.kernel_rows(colmap, 70)] for red in reducers]
+    kernels = [[list(r) for r in red.kernel_rows()] for red in reducers]
     assert kernels[0] == kernels[1]
     assert len(kernels[0]) == 10
-    null = ExactMatrix(FP, rows).nullspace()
-    assert [normalized(FP, [r[colmap[c]] for c in range(30)]) for r in kernels[0]] == null
+    assert [normalized(FP, r) for r in kernels[0]] == ExactMatrix(FP, rows).nullspace()
 
     # more pivots than the native core's initial 32 rows, fed in batches
     wide = [[rng.randrange(FP.p) for _ in range(60)] for _ in range(45)]
@@ -221,15 +218,15 @@ def test_row_reducer_matches_across_cores():
         assert reducers[0].rref() == reducers[1].rref()
     assert reducers[0].rank == 45
 
-    # seed() with a 45-row block already in RREF, then add_rows
+    # a 45-row block already in RREF as one batch, then more rows
     piv, block = reducers[0].rref()
     extra = [[rng.randrange(FP.p) for _ in range(60)] for _ in range(10)]
-    seeded = _native_and_packed(60)
-    for red in seeded:
-        red.seed(piv, block)
+    reducers = _native_and_packed(60)
+    for red in reducers:
+        red.add_rows(block)
         red.add_rows(extra)
-    assert seeded[0].rref() == seeded[1].rref()
-    assert seeded[0].rank == 55
+    assert reducers[0].rref() == reducers[1].rref()
+    assert reducers[0].rank == 55
 
 
 def test_solver_agrees_across_cores():
@@ -269,42 +266,32 @@ def _native_and_fraction(field, ncols):
 def _assert_cores_agree(native, generic):
     assert native.rref() == generic.rref()
     assert native.free_columns() == generic.free_columns()
-    n = native.ncols
-    colmap = [2 * n - 1 - 2 * c for c in range(n)]     # reversed, spread over 2n
-    assert [list(r) for r in native.kernel_rows(colmap, 2 * n)] == generic.kernel_rows(
-        colmap, 2 * n
-    )
+    assert [list(r) for r in native.kernel_rows()] == generic.kernel_rows()
 
 
 @st.composite
-def _seeded_batches(draw):
-    """A prime, a seed block in RREF on its pivot columns but with entries
-    left of them, batches of rows and an optional stop rank."""
+def _batches(draw):
+    """A prime, a first batch of rows, more batches and an optional stop
+    rank."""
     p = draw(st.sampled_from([2, 3, 7, (1 << 61) - 1, DEFAULT_PRIME]))
     ncols = draw(st.integers(1, 24))
     entry = st.one_of(st.just(0), st.just(1), st.just(p - 1), st.integers(0, p - 1))
-    pivcols = draw(st.lists(st.integers(0, ncols - 1), unique=True, max_size=min(ncols, 8)))
-    block = []
-    for pc in pivcols:
-        row = draw(st.lists(entry, min_size=ncols, max_size=ncols))
-        for c in pivcols:
-            row[c] = 1 if c == pc else 0
-        block.append(row)
     row = st.lists(entry, min_size=ncols, max_size=ncols)
+    first = draw(st.lists(row, max_size=8))
     batches = draw(st.lists(st.lists(row, max_size=8), min_size=1, max_size=4))
     stop = draw(st.one_of(st.none(), st.integers(0, ncols)))
-    return PrimeField(p), ncols, pivcols, block, batches, stop
+    return PrimeField(p), ncols, first, batches, stop
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(_seeded_batches())
+@given(_batches())
 def test_native_core_matches_generic_core(case):
     """The left-looking native elimination gives the generic core's RREF
-    and kernel rows, on seeded blocks and under stop ranks."""
-    F, ncols, pivcols, block, batches, stop = case
+    and kernel rows, batch after batch, under stop ranks."""
+    F, ncols, first, batches, stop = case
     reducers = _native_and_fraction(F, ncols)
     for red in reducers:
-        red.seed(pivcols, block)
+        red.add_rows(first)
     for batch in batches:
         for red in reducers:
             red.add_rows(batch, stop_rank=stop)
@@ -313,24 +300,28 @@ def test_native_core_matches_generic_core(case):
 
 
 def test_native_core_at_the_accumulator_bound():
-    """Entries p - 1 at the default prime: 20 seeded pivot rows and 20
-    nonzero multipliers per row, so the accumulators take (p - 1)^2 terms
-    past the 15-product flush, in both phases of the elimination.  Column 0
-    of the block is 1, so an overflow would not just rescale the row."""
+    """Entries p - 1 at the default prime, so every product below is
+    (p - 1)^2, and more than 15 of them reach one row in each phase of the
+    elimination.  F is an RREF block of 20 rows: 1 at its pivot, p - 1 at
+    every non-pivot column right of it.  The first batch is U_t = F_t +
+    F_(t+1) + ... + F_19, which is zero left of its pivot and 1 at every
+    later pivot: phase 1 appends it untouched, and phase 2 clears U_t against
+    F_(t+1), ..., F_19 with multiplier p - 1 each, 19 - t products.  The next
+    row is 1 at every pivot and p - 1 elsewhere: phase 1 clears it against
+    all 20 rows of F with multiplier p - 1 each."""
     p, ncols, k = FP.p, 64, 20
-    pivcols = [4 + 3 * t for t in range(k)]          # entries left of every pivot
-    block = [[1] + [p - 1] * (ncols - 1) for _ in range(k)]
-    for pc, row in zip(pivcols, block):
-        for c in pivcols:
-            row[c] = 1 if c == pc else 0
-    # multiplier p - 1 at every seeded pivot: each product is (p - 1)^2
+    pivcols = [4 + 3 * t for t in range(k)]
+    block = [[0] * pc + [1] + [0 if c in pivcols else p - 1 for c in range(pc + 1, ncols)]
+             for pc in pivcols]
+    summed = [[sum(col) % p for col in zip(*block[t:])] for t in range(k)]
     ones_at_pivots = [[1 if c in pivcols else p - 1 for c in range(ncols)]]
     rng = random.Random(5)
     fresh = [[rng.choice((p - 1, p - 1, 1, rng.randrange(p))) for _ in range(ncols)]
              for _ in range(30)]
     reducers = _native_and_fraction(FP, ncols)
     for red in reducers:
-        red.seed(pivcols, block)
+        red.add_rows(summed)
+        assert red.rref() == (pivcols, block)
     for batch, stop in ((ones_at_pivots, None), ([[p - 1] * ncols] + fresh[:20], None),
                         (fresh[20:], k + 30)):
         for red in reducers:
@@ -379,19 +370,6 @@ def test_row_reducer_early_stop():
     assert red.rank == 2
 
 
-@pytest.mark.parametrize("field", [QQ, FP])
-def test_kernel_rows_reject_a_column_map_outside_the_width(field):
-    red = RowReducer(field, 3)
-    red.add_rows([[1, 1, 0]])
-    assert [list(r) for r in red.kernel_rows([2, 1, 0], 3)] == [
-        [0, 1, field.neg(1)],
-        [1, 0, 0],
-    ]
-    for colmap, width in (([0, 1, 3], 3), ([-1, 0, 1], 3), ([0, 1], 3)):
-        with pytest.raises(ShapeMismatch):
-            red.kernel_rows(colmap, width)
-
-
 def _gauss_jordan(F, rows, ncols):
     """Textbook Gauss-Jordan on the field operations: (pivot columns, RREF
     rows) of the given rows, pivots searched column by column."""
@@ -413,13 +391,13 @@ def _gauss_jordan(F, rows, ncols):
     return piv, m[: len(piv)]
 
 
-def _textbook_kernel_rows(F, piv, rows, ncols, colmap, width):
+def _textbook_kernel_rows(F, piv, rows, ncols):
     out = []
     for f in (c for c in range(ncols) if c not in piv):
-        w = [F.zero] * width
-        w[colmap[f]] = F.one
+        w = [F.zero] * ncols
+        w[f] = F.one
         for pc, row in zip(piv, rows):
-            w[colmap[pc]] = F.neg(row[f])
+            w[pc] = F.neg(row[f])
         out.append(w)
     return out
 
@@ -442,7 +420,7 @@ def _raw_entry(F, rng):
 def test_generic_core_matches_textbook_gauss_jordan(field, core, monkeypatch):
     """RowReducer on the generic core against Gauss-Jordan on the field
     operations: rref, rank and kernel rows, for zero, repeated and dependent
-    rows, under stop ranks, and after seed() with an RREF block.  The
+    rows, under stop ranks, and row by row after a first batch.  The
     native kernel is hidden, so the small primes run the generic core too.
     Over Q the generic core is installed by hand; "q-modular" runs the same
     cases on the core RowReducer picks for Q, whose stop ranks bisect."""
@@ -475,19 +453,16 @@ def test_generic_core_matches_textbook_gauss_jordan(field, core, monkeypatch):
                 if len(_gauss_jordan(field, fed, ncols)[0]) >= stop:
                     break
                 fed.append(row)
-        else:                  # seed an RREF block, then add rows one at a time
+        else:                  # a first batch, then rows one at a time
             block = [[_raw_entry(field, rng) for _ in range(ncols)] for _ in range(3)]
-            red.seed(*_gauss_jordan(field, block, ncols))
+            red.add_rows(block)
             for row in rows:
                 red.add_row(row)
             fed = block + rows
         piv, ref = _gauss_jordan(field, fed, ncols)
         assert red.rref() == (piv, ref), case
         assert red.rank == len(piv)
-        colmap = [2 * ncols - 1 - 2 * c for c in range(ncols)]
-        assert red.kernel_rows(colmap, 2 * ncols) == _textbook_kernel_rows(
-            field, piv, ref, ncols, colmap, 2 * ncols
-        ), case
+        assert red.kernel_rows() == _textbook_kernel_rows(field, piv, ref, ncols), case
 
 
 class _WidthRecordingField(PrimeField):

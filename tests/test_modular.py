@@ -49,7 +49,7 @@ def _on_the_fraction_core(ask):
 def _fraction_kernel(rows, ncols):
     piv, ref = _fraction_rref(rows, ncols)
     free = [f for f in range(ncols) if f not in piv]
-    kernel = linalg._rref_kernel_rows(QQ, piv, ref, free, range(ncols), ncols)
+    kernel = linalg._rref_kernel_rows(QQ, piv, ref, free, ncols)
     return [normalized(QQ, v) for v in kernel]
 
 

@@ -138,12 +138,11 @@ def test_q_oracle_ignores_a_rational_scaling():
     assert a.mingen_table().counts == b.mingen_table().counts
 
 
-def test_random_kernel_vectors_with_seeded_reducer():
-    """The seeding fast-path inside mingen_count must not change counts.
-
-    The d = 7 cell is past the old 4096-cell native threshold in both the
-    slice and the Nakayama reducer.  Each slice's raw kernel rows, normalized,
-    must be the nullspace of the substitution matrix built term by term."""
+def test_mingen_count_and_kernel_rows_match_term_by_term_builds():
+    """mingen_count equals the count from the multiples T0·b, T1·b, X_l·b
+    of the kernel bases, built as BiPoly products and stacked row by row.
+    Each slice's raw kernel rows, normalized, must be the nullspace of the
+    substitution matrix built term by term."""
     from reescurve.linalg import ExactMatrix, RowReducer, normalized
     from reescurve.poly import monomials_of_bidegree, tpoly_dense
     from reescurve.sampling import sample_mild
@@ -151,7 +150,7 @@ def test_random_kernel_vectors_with_seeded_reducer():
     for d, (i, j) in [(5, (2, 2)), (7, (4, 5))]:
         sample = sample_mild(FP, d, random.Random(9))
         orc = Oracle(sample.par)
-        # recompute one cell by stacking everything without seeding
+        # recompute one cell from the products, one row at a time
         n = orc.kernel_dim(i, j)
         monomials = monomials_of_bidegree(i, j)
         red = RowReducer(FP, len(monomials))
@@ -172,9 +171,7 @@ def test_random_kernel_vectors_with_seeded_reducer():
         ]
         null = ExactMatrix(FP, [list(row) for row in zip(*cols)]).nullspace()
         assert len(null) == n
-        ncols = len(monomials)
-        rows = orc._kernel_data(i, j).reducer.kernel_rows(range(ncols), ncols)
-        assert [normalized(FP, r) for r in rows] == null
+        assert [normalized(FP, r) for r in orc.kernel_rows(i, j)] == null
         assert [b.to_vector(monomials) for b in orc.kernel_basis(i, j).basis] == null
 
 
@@ -232,7 +229,7 @@ def test_oracle_agrees_across_cores(kind, d, jbox, monkeypatch):
 def test_kernel_slice_membership(core, monkeypatch):
     """Oracle.contains accepts kernel elements and refuses everything else.
     The core parameter picks the core that builds the slices behind
-    kernel_basis/_kernel_data and the zero-form answers (dim K_{i,j} > 0):
+    kernel_basis/_slice_reducer and the zero-form answers (dim K_{i,j} > 0):
     "packed" is the generic core over F_p with the kernel hidden, under its
     _FpPackedCore label, and "q" the certified modular core.  A nonzero form
     is tested by a product with no elimination."""
@@ -254,7 +251,7 @@ def test_kernel_slice_membership(core, monkeypatch):
     for g in members:
         assert orc.contains(g), g.text()
     kind = {"native": _FpNativeCore, "packed": _FpPackedCore, "q": _ModularCore}[core]
-    assert isinstance(orc._kernel_data(2, 1).reducer._core, kind)
+    assert isinstance(orc._slice_reducer(2, 1)._core, kind)
     for g in (mb.p, mb.q, eq):
         i, j = g.bidegree
         assert not orc.contains(g + BiPoly.monomial(F, (i, 0, j, 0, 0)))
@@ -580,7 +577,7 @@ def test_mingen_table_on_the_packed_core_equals_the_reference(monkeypatch):
 
     monkeypatch.setattr(oracle, "_python_order_basis", counted)
     par = sample_very_singular(FP, 6, random.Random(4)).par
-    assert isinstance(Oracle(par)._kernel_data(4, 2).reducer._core, _FpPackedCore)
+    assert isinstance(Oracle(par)._slice_reducer(4, 2)._core, _FpPackedCore)
     table = Oracle(par).mingen_table()
     assert python_bases == [(j + 1) * (j + 2) // 2 for j in range(1, 7)]
     assert table.counts == _reference_counts(par, 4, 6)
@@ -596,14 +593,14 @@ def test_mingen_table_builds_one_slice_per_j(box, monkeypatch):
     from reescurve.sampling import sample_mild
 
     built = []
-    original = Oracle._kernel_data
+    original = Oracle._slice_reducer
 
     def counted(self, i, j):
         if (i, j) not in self._kernels:
             built.append((i, j))
         return original(self, i, j)
 
-    monkeypatch.setattr(Oracle, "_kernel_data", counted)
+    monkeypatch.setattr(Oracle, "_slice_reducer", counted)
     for field, d in ((FP, 8), (QQ, 6)):
         built.clear()
         orc = Oracle(sample_mild(field, d, random.Random(5)).par)
