@@ -2,10 +2,10 @@
 
 The hot loops of the brute-force oracle and of every substitution into a
 curve run over a 62-bit prime field: Gaussian eliminations on matrices with a
-few hundred rows/columns, and the products and sums of the dense powers u^b
-of a parametrization.  CPython is two orders of magnitude too slow for the
-eliminations, so we compile a few small C helpers at first use (cached under
-~/.cache) and call them through ctypes:
+few hundred rows/columns, the products and sums of the dense powers u^b
+of a parametrization, and the products of sparse forms.  CPython is two
+orders of magnitude too slow for the eliminations, so we compile a few small
+C helpers at first use (cached under ~/.cache) and call them through ctypes:
 
   * fp_accumulate absorbs a batch of rows into a mutually reduced pivot
     block (incremental canonical RREF, with early stop);
@@ -17,16 +17,20 @@ eliminations, so we compile a few small C helpers at first use (cached under
     offset (a substitution G(T, u(T)): c u^b at offset a1 per term);
   * fp_order_basis computes an order basis of the powers (u^b), |b| = j,
     by iterative M-Basis, keeping only residuals, degrees and leading
-    coefficient rows: the oracle's tower E_{0..imax, j} (oracle.py).
+    coefficient rows: the oracle's tower E_{0..imax, j} (oracle.py);
+  * fp_sum_of_products is poly._sum_of_products over F_p: it reads the
+    coefficient dicts of a list of pairs (x, y) with PyDict_Next and returns
+    the dict of the sum of the x*y, keys in first appearance as in the
+    Python loop.  A product key is one hash-table lookup of key1 + key2.
 
 All of them use delayed modular reduction (the FFLAS/FFPACK scheme of Dumas,
 Gautier, Giorgi & Pernet).  A product of two residues is below 2^124 for
 p < 2^62, so a 128-bit accumulator takes 15 of them on top of a residue
 before it must be reduced mod p: it reduces once per 15 products, not once
-per product.  fp_convolve keeps one such accumulator per output entry;
-fp_shifted_sum and fp_accumulate keep a row of them, as hi:lo words, and
-flush the row once per 15 terms or row operations; fp_order_basis keeps one
-such row per residual.
+per product.  fp_convolve and fp_sum_of_products keep one such accumulator
+per output entry; fp_shifted_sum and fp_accumulate keep a row of them, as
+hi:lo words, and flush the row once per 15 terms or row operations;
+fp_order_basis keeps one such row per residual.
 
 fp_accumulate eliminates left-looking.  Phase 1 reduces each incoming row
 against the block in insertion order, in the accumulator, and appends it
@@ -38,12 +42,18 @@ whatever the order of elimination.  Every row of the block is zero left of
 its pivot, so it is swept from there.
 
 linalg.py hands this kernel every F_p elimination with p < P_BOUND (so the
-images mod primes behind every Q elimination), and poly.PowerTable every F_p
-power and substitution.  Without a compiler, or when the cache directory
-cannot be written, those go to the pure-Python paths (linalg's generic core,
-PowerTable's Kronecker products), as F_p with p >= P_BOUND and Q's powers
-always do.  Both paths give the identical results, which the tests
-cross-check.
+images mod primes behind every Q elimination), poly.PowerTable every F_p
+power and substitution, and poly._sum_of_products every F_p product.
+Without a compiler or the interpreter's headers (the source includes
+Python.h), or when the cache directory cannot be written, those go to the
+pure-Python paths (linalg's generic core, PowerTable's Kronecker products,
+the Python product loop), as F_p with p >= P_BOUND and Q always do.  Both
+paths give the identical results, which the tests cross-check.
+
+The library is loaded with ctypes.PyDLL, not CDLL: a call holds the GIL,
+which fp_sum_of_products needs to touch Python objects, and ctypes checks
+the error flag after every call, so a TypeError or OverflowError that the
+kernel sets on a malformed argument is raised in the caller.
 
 Set REESCURVE_NO_NATIVE=1 to force the pure-Python paths.
 """
@@ -52,10 +62,13 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import sys
 
 P_BOUND = 1 << 62   # the kernel's residues and accumulators need p below this
 
 _SOURCE = r"""
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -322,13 +335,152 @@ void fp_order_basis(uint64_t *res, uint64_t *hi, long n, long sigma, long imax,
         }
     }
 }
+
+/* One term of a coefficient dict: its key and its value's residue. */
+typedef struct { uint64_t key, res; } term_t;
+
+/* The terms of the dict d, in its order, into t (room for cap): keys are
+   ints below 2^63, so that a sum of two fits a word; values are ints that
+   fit a signed word, reduced mod p.  Returns the count, or -1 with
+   TypeError or OverflowError set. */
+static Py_ssize_t read_terms(PyObject *d, term_t *t, Py_ssize_t cap, uint64_t p)
+{
+    Py_ssize_t pos = 0, n = 0;
+    PyObject *k, *v;
+    while (n < cap && PyDict_Next(d, &pos, &k, &v)) {
+        if (!PyLong_Check(k) || !PyLong_Check(v)) {
+            PyErr_SetString(PyExc_TypeError, "coefficient dicts map int keys to int values");
+            return -1;
+        }
+        unsigned long long key = PyLong_AsUnsignedLongLong(k);
+        if (key == (unsigned long long)-1 && PyErr_Occurred()) return -1;
+        if (key >> 63) {
+            PyErr_SetString(PyExc_OverflowError, "key does not fit 63 bits");
+            return -1;
+        }
+        long long c = PyLong_AsLongLong(v);
+        if (c == -1 && PyErr_Occurred()) return -1;
+        int64_t r = c % (int64_t)p;
+        t[n].key = key;
+        t[n++].res = r < 0 ? (uint64_t)r + p : (uint64_t)r;
+    }
+    return n;
+}
+
+/* One key of the product: its 128-bit accumulator hi:lo and the products
+   added since its last reduction, flushed before the 16th as in acc_t. */
+typedef struct { uint64_t key, lo, hi; uint32_t pending; } entry_t;
+
+/* The sum of x*y over `pairs`, a list of (x, y) tuples of coefficient dicts
+   {key: value}, values in (-p, p), as a new dict of residues mod p, zero
+   terms dropped: poly._sum_of_products over F_p.  The shorter operand is
+   the outer loop and keys enter in first appearance, as in the Python loop,
+   so the key order is the same.  Keys of the product are looked up in an
+   open-addressing table (linear probing) of at least 2 sum |x||y| slots
+   that holds the index of each key's entry; the entries sit in first
+   appearance order.  Returns NULL with TypeError, OverflowError, ValueError
+   or MemoryError set on a bad argument. */
+PyObject *fp_sum_of_products(PyObject *pairs, uint64_t p)
+{
+    if (p < 2 || p >> 62) {
+        PyErr_SetString(PyExc_ValueError, "modulus outside [2, 2^62)");
+        return NULL;
+    }
+    if (!PyList_Check(pairs)) {
+        PyErr_SetString(PyExc_TypeError, "pairs must be a list");
+        return NULL;
+    }
+    Py_ssize_t npairs = PyList_GET_SIZE(pairs), nterm = 0;
+    size_t nprod = 0;
+    for (Py_ssize_t i = 0; i < npairs; ++i) {
+        PyObject *pr = PyList_GET_ITEM(pairs, i);
+        if (!PyTuple_Check(pr) || PyTuple_GET_SIZE(pr) != 2
+            || !PyDict_Check(PyTuple_GET_ITEM(pr, 0)) || !PyDict_Check(PyTuple_GET_ITEM(pr, 1))) {
+            PyErr_SetString(PyExc_TypeError, "each pair must be a tuple of two dicts");
+            return NULL;
+        }
+        Py_ssize_t nx = PyDict_GET_SIZE(PyTuple_GET_ITEM(pr, 0));
+        Py_ssize_t ny = PyDict_GET_SIZE(PyTuple_GET_ITEM(pr, 1));
+        if (nx + ny > nterm) nterm = nx + ny;
+        if (ny && (size_t)nx > ((size_t)1 << 30) / (size_t)ny) return PyErr_NoMemory();
+        nprod += (size_t)nx * (size_t)ny;
+        if (nprod > (size_t)1 << 30) return PyErr_NoMemory();
+    }
+    PyObject *out = NULL;
+    int bits = 1;
+    while (((size_t)1 << bits) < 2 * nprod) ++bits;
+    size_t mask = ((size_t)1 << bits) - 1, n = 0;
+    uint32_t *slot = calloc(mask + 1, sizeof *slot);     /* 0 empty, else 1 + entry */
+    entry_t *e = malloc((nprod ? nprod : 1) * sizeof *e);
+    term_t *t = malloc((nterm ? nterm : 1) * sizeof *t);
+    if (!slot || !e || !t) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < npairs; ++i) {
+        PyObject *pr = PyList_GET_ITEM(pairs, i);
+        Py_ssize_t nx = read_terms(PyTuple_GET_ITEM(pr, 0), t, nterm, p);
+        if (nx < 0) goto done;
+        Py_ssize_t ny = read_terms(PyTuple_GET_ITEM(pr, 1), t + nx, nterm - nx, p);
+        if (ny < 0) goto done;
+        term_t *x = t, *y = t + nx;
+        if (nx > ny) {
+            x = t + nx; y = t;
+            Py_ssize_t tmp = nx; nx = ny; ny = tmp;
+        }
+        for (Py_ssize_t a = 0; a < nx; ++a) {
+            for (Py_ssize_t b = 0; b < ny; ++b) {
+                uint64_t k = x[a].key + y[b].key;
+                size_t h = (size_t)((k * 0x9E3779B97F4A7C15ull) >> (64 - bits));
+                while (slot[h] && e[slot[h] - 1].key != k) h = (h + 1) & mask;
+                entry_t *s;
+                if (slot[h]) {
+                    s = e + slot[h] - 1;
+                } else {
+                    s = e + n;
+                    slot[h] = (uint32_t)++n;
+                    s->key = k;
+                    s->lo = s->hi = 0;
+                    s->pending = 0;
+                }
+                if (s->pending == 15) {
+                    s->lo = red128(s->hi, s->lo, p);
+                    s->hi = 0;
+                    s->pending = 0;
+                }
+                u128 v = (u128)x[a].res * y[b].res + s->lo;
+                s->lo = (uint64_t)v;
+                s->hi += (uint64_t)(v >> 64);
+                s->pending++;
+            }
+        }
+    }
+    out = PyDict_New();
+    for (size_t i = 0; out && i < n; ++i) {
+        uint64_t r = red128(e[i].hi, e[i].lo, p);
+        if (!r) continue;
+        PyObject *k = PyLong_FromUnsignedLongLong(e[i].key);
+        PyObject *v = k ? PyLong_FromUnsignedLongLong(r) : NULL;
+        if (!v || PyDict_SetItem(out, k, v) < 0)
+            Py_CLEAR(out);
+        Py_XDECREF(k);
+        Py_XDECREF(v);
+    }
+done:
+    free(slot);
+    free(e);
+    free(t);
+    return out;
+}
 """
 
 
 def _build() -> str | None:
     """Path of the compiled kernel, compiling it into the cache on first use;
     None when no compiler works or the cache directory is unusable."""
-    tag = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
+    # the kernel includes Python.h, so a build serves one interpreter ABI
+    abi = sys.implementation.cache_tag + sys.abiflags
+    tag = hashlib.sha256((abi + _SOURCE).encode()).hexdigest()[:16]
     cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(
         os.path.expanduser("~"), ".cache"
     )
@@ -337,8 +489,10 @@ def _build() -> str | None:
     if os.path.exists(sopath):
         return sopath
     import subprocess   # only a build needs these, not loading a cached kernel
+    import sysconfig
     import tempfile
 
+    include = sysconfig.get_paths()["include"]
     try:
         os.makedirs(outdir, exist_ok=True)
         # compile next to the target, so the final rename stays in one directory
@@ -350,7 +504,7 @@ def _build() -> str | None:
             for cc in ("cc", "gcc", "clang"):
                 try:
                     subprocess.run(
-                        [cc, "-O2", "-shared", "-fPIC", "-o", tmpso, cpath],
+                        [cc, "-O2", "-shared", "-fPIC", "-I", include, "-o", tmpso, cpath],
                         check=True,
                         capture_output=True,
                         timeout=120,
@@ -380,7 +534,8 @@ def get_kernel():
         _failed = True
         return None
     try:
-        lib = ctypes.CDLL(path)
+        # PyDLL: every call holds the GIL and raises the error a call sets
+        lib = ctypes.PyDLL(path)
     except OSError:
         _failed = True
         return None
@@ -398,5 +553,7 @@ def get_kernel():
     lib.fp_shifted_sum.argtypes = [vp, c_long, vp, c_long, vp, vp, c_long, c_u64, vp]
     lib.fp_order_basis.restype = None
     lib.fp_order_basis.argtypes = [vp, vp, c_long, c_long, c_long, c_u64, vp, vp, vp]
+    lib.fp_sum_of_products.restype = ctypes.py_object     # a new reference
+    lib.fp_sum_of_products.argtypes = [ctypes.py_object, c_u64]
     _lib = lib
     return _lib

@@ -86,10 +86,6 @@ class AdjointRow:
     def bound_attained(self) -> bool:
         return self.z_dim == self.bound
 
-    @property
-    def within_bound(self) -> bool:
-        return self.z_dim <= self.bound
-
 
 @dataclass
 class AdjointReport:

@@ -357,16 +357,6 @@ class ExactMatrix:
     def solver(self):
         return LinearSolver(self)
 
-    def solve(self, b):
-        """One particular solution of self.x = b (free vars zero), or None."""
-        return self.solver().solve(b)
-
-    def mul_vec(self, v):
-        F = self.field
-        if len(v) != self.ncols:
-            raise ShapeMismatch("matrix/vector shape mismatch")
-        return [_dot(F, row, v) for row in self.rows]
-
 
 class LinearSolver:
     """Reusable solver: factor the matrix once, solve many right-hand sides.

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .assembly import Assembly, Generator
 from .errors import ImproperParametrization, PreconditionError, VerificationError
-from .poly import EXP_MASK, X0_SHIFT, X_UNITS, BiPoly, morley_form, tpoly_dense, x_parts
+from .poly import X_UNITS, BiPoly, morley_form, tpoly_dense, x_parts
 from .syzygy import (
     ImplicitEquation,
     MuBasis,
@@ -162,28 +162,6 @@ def apply_dt(ctx: VerySingularContext, g: BiPoly) -> BiPoly:
         xmono = BiPoly(F, 0, j, {b: F.one}, _clean=True)
         out = out + (x0 * g0 + x1 * g1) * xmono
     return out
-
-
-def apply_dx(ctx: VerySingularContext, g: BiPoly) -> BiPoly:
-    """The reverse shift: g = X0 g0 + X1 g1 |-> p0 g0 + p1 g1 (mod P).
-
-    Input must lie in <X0, X1>; the canonical split sends every monomial
-    divisible by X0 to the X0 slot.
-    """
-    F = ctx.field
-    i, j = g.bidegree
-    if not g.in_x01_power(1):
-        raise PreconditionError("x01_membership", "input not in <X0, X1>")
-    g0 = {}
-    g1 = {}
-    for m, c in g.coeffs.items():
-        if m >> X0_SHIFT & EXP_MASK:
-            g0[m - X_UNITS[0]] = c
-        else:
-            g1[m - X_UNITS[1]] = c
-    part0 = BiPoly(F, i, max(j - 1, 0), g0, _clean=True)
-    part1 = BiPoly(F, i, max(j - 1, 0), g1, _clean=True)
-    return ctx.p0 * part0 + ctx.p1 * part1
 
 
 # ---------------------------------------------------------------------------

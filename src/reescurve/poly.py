@@ -19,14 +19,16 @@ appear only at the boundary: the constructor, `monomial`, `terms`,
 
 There is one product loop on coefficient dicts (`_sum_of_products`) and one
 exact division (`_exact_quotient`, terms leaving a heap of keys).  Over F_p
-raw products are summed and each coefficient reduced by one ``% p``; over Q
-they run on integer numerators over one denominator per form, and the
-denominators divide the result once.  BiPoly.__mul__ and exact_div, the
-Bareiss determinant (poly_det_bareiss), the T-resultant (resultant_t) and
-the band of the mild pipeline (mu2mild.Band) all run on them.  A resultant
-with an argument of T-degree 1 or 2 (every one under mu = 2) is one
-pseudo-remainder and a norm; otherwise it is the determinant of the
-Sylvester matrix.
+raw products are summed and each coefficient reduced by one ``% p``: with
+p < 2^62 the loop is the C kernel's fp_sum_of_products when _native builds
+it (dicts in, one dict out, the same keys in the same order), else Python.
+Over Q the loop runs in Python on integer numerators over one denominator
+per form, and the denominators divide the result once.  BiPoly.__mul__ and
+exact_div, the Bareiss determinant (poly_det_bareiss), the T-resultant
+(resultant_t) and the band of the mild pipeline (mu2mild.Band) all run on
+them.  A resultant with an argument of T-degree 1 or 2 (every one under
+mu = 2) is one pseudo-remainder and a norm; otherwise it is the determinant
+of the Sylvester matrix.
 
 Substitution X -> u(T) runs on a PowerTable: dense integer powers u^b of one
 parametrization, keyed by the X part of a key, built once per curve (a
@@ -405,10 +407,6 @@ class BiPoly:
                 pieces.append((" - " if neg else " + ") + body)
         return "".join(pieces)
 
-    def to_vector(self, monomials):
-        F = self.field
-        return [self.coeffs.get(pack(m), F.zero) for m in monomials]
-
 
 _TERM_RE = re.compile(r"(?=[+-])")
 
@@ -733,10 +731,6 @@ def monomials_of_bidegree(i, j):
     ]
 
 
-def bidegree_dimension(i, j):
-    return (i + 1) * (j + 1) * (j + 2) // 2
-
-
 # ---------------------------------------------------------------------------
 # univariate (T-form) gcd
 # ---------------------------------------------------------------------------
@@ -824,9 +818,15 @@ def _neg(x):
 
 
 def _sum_of_products(pairs, p):
-    """The sum of x*y over pairs of coefficient dicts, zero terms dropped;
-    over F_p (p given) each coefficient reduced by one ``% p``.  The one
-    product loop: a product of two monomials is one key addition."""
+    """The sum of x*y over a list of pairs of coefficient dicts, zero terms
+    dropped; over F_p (p given) each coefficient reduced by one ``% p``.  The
+    one product loop: a product of two monomials is one key addition.  Over
+    F_p with p < 2^62 the C kernel of _native runs it when built (values in
+    (-p, p)), with the same keys in the same order."""
+    if p is not None and p < _native.P_BOUND:
+        kernel = _native.get_kernel()
+        if kernel is not None:
+            return kernel.fp_sum_of_products(pairs, p)
     acc = {}
     get = acc.get
     for x, y in pairs:
@@ -906,9 +906,8 @@ def poly_det_bareiss(mat):
     arithmetic runs inside.  A product of two minors has degree at most
     twice the sum over rows of the largest entry degree; that bound must fit
     a key field (check_width).
-      * Over F_p, the first step reduces x*y - a*b by one ``% p`` per
-        coefficient; later steps hand the raw sums to the exact division,
-        which reduces each term as it takes it.
+      * Over F_p, every step reduces x*y - a*b by one ``% p`` per
+        coefficient, and later steps divide that by the exact division.
       * Over Q, each row is cleared to integer numerators over its lcm
         denominator, the elimination runs over Z[T, X] with exact ``divmod``
         quotients, and the product of the row denominators divides the
@@ -954,10 +953,9 @@ def poly_det_bareiss(mat):
                 if x and a and b and dx != db:
                     raise GradingError(f"bidegree mismatch in sum: {dx} vs {db}")
                 td, xd = dx if x else db
-                if prev is None:
-                    num = _sum_of_products([(x, piv), (a, b)], p)
-                else:
-                    num = _exact_quotient(_sum_of_products([(x, piv), (a, b)], None), prev, p)
+                num = _sum_of_products([(x, piv), (a, b)], p)
+                if prev is not None:
+                    num = _exact_quotient(num, prev, p)
                     td, xd = td - vt, xd - vx
                     if not num:
                         td, xd = max(td, 0), max(xd, 0)

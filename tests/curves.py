@@ -1,8 +1,10 @@
-"""Shared curve constructions and theorem-side predictions for the tests."""
+"""Shared curve constructions and theorem-side predictions for the tests,
+and the helpers that only the tests call (mul_vec, to_vector, apply_dx)."""
 from collections import Counter
 
+from reescurve.errors import PreconditionError
 from reescurve.fields import QQ
-from reescurve.poly import BiPoly, parse_bipoly
+from reescurve.poly import EXP_MASK, X0_SHIFT, X_UNITS, BiPoly, pack, parse_bipoly
 from reescurve.syzygy import (
     Parametrization,
     classify_singularity,
@@ -138,3 +140,44 @@ def closed_form_generators_odd(k, field=QQ):
 assert Counter(g.bidegree for g in closed_form_generators_odd(3)) == Counter(
     predicted_multiset(5, "very-singular")
 )
+
+
+def mul_vec(m, v):
+    """The ExactMatrix m times the column v, on the field operations."""
+    F = m.field
+    assert len(v) == m.ncols
+    out = []
+    for row in m.rows:
+        acc = F.zero
+        for x, y in zip(row, v):
+            acc = F.add(acc, F.mul(x, y))
+        out.append(acc)
+    return out
+
+
+def to_vector(g, monomials):
+    """g's coefficients on the exponent tuples `monomials`, zero where absent."""
+    return [g.coeffs.get(pack(m), g.field.zero) for m in monomials]
+
+
+def apply_dx(ctx, g):
+    """The reverse of mu2sing.apply_dt: g = X0 g0 + X1 g1 |-> p0 g0 + p1 g1
+    (mod P), for a very singular context.
+
+    Input must lie in <X0, X1>; the canonical split sends every monomial
+    divisible by X0 to the X0 slot.
+    """
+    F = ctx.field
+    i, j = g.bidegree
+    if not g.in_x01_power(1):
+        raise PreconditionError("x01_membership", "input not in <X0, X1>")
+    g0 = {}
+    g1 = {}
+    for m, c in g.coeffs.items():
+        if m >> X0_SHIFT & EXP_MASK:
+            g0[m - X_UNITS[0]] = c
+        else:
+            g1[m - X_UNITS[1]] = c
+    part0 = BiPoly(F, i, max(j - 1, 0), g0, _clean=True)
+    part1 = BiPoly(F, i, max(j - 1, 0), g1, _clean=True)
+    return ctx.p0 * part0 + ctx.p1 * part1

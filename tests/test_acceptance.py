@@ -15,6 +15,7 @@ import pytest
 from curves import (
     MU3_CURVE1_BIDEGREES,
     MU3_CURVE2_BIDEGREES,
+    apply_dx,
     binomial_even,
     closed_form_generators_odd,
     expected_count,
@@ -152,7 +153,7 @@ SURVEY_PLAN = (
 def _survey_case(case):
     kind, d, seed = case
     from reescurve.adjoint import adjoint_report
-    from reescurve.mu2sing import apply_dt, apply_dx, very_singular_context
+    from reescurve.mu2sing import apply_dt, very_singular_context
     from reescurve.oracle import Oracle, ideal_piece_membership
     from reescurve.sampling import sample_mild, sample_very_singular
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from curves import binomial_even, invariants, monomial_odd
+from curves import binomial_even, invariants, monomial_odd, to_vector
 from reescurve.adjoint import (
     adjoint_report,
     adjoint_slice_bound,
@@ -46,7 +46,7 @@ def test_oracle_agrees_with_formula_on_examples():
         assert rep.all_formulas_agree()
         for row in rep.rows:
             assert row.z_dim <= row.k1_oracle
-            assert row.within_bound
+            assert row.z_dim <= row.bound
 
 
 def test_z_dimension_monomial_example():
@@ -68,7 +68,7 @@ def test_z_dimension_equals_the_low_rank_of_the_normalized_basis(field):
         for ell in range(d + 3):
             basis = orc.kernel_basis(1, ell).basis
             low = [m for m in monomials_of_bidegree(1, ell) if m[2] + m[3] < d - 3]
-            rank = ExactMatrix(field, [b.to_vector(low) for b in basis]).rank() if low else 0
+            rank = ExactMatrix(field, [to_vector(b, low) for b in basis]).rank() if low else 0
             assert z_dimension(orc, ell) == len(basis) - rank, (d, ell)
 
 
@@ -116,7 +116,7 @@ def test_generic_samples_attain_bound():
             for row in rep.rows:
                 if d - 2 <= row.ell <= d + 2:
                     total += 1
-                    assert row.within_bound
+                    assert row.z_dim <= row.bound
                     hits += row.bound_attained
     assert hits / total >= 0.9
 

@@ -7,7 +7,7 @@ from itertools import permutations
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from reescurve import _native
+from reescurve import _native, poly
 from reescurve.fields import DEFAULT_PRIME, PrimeField, QQ
 from reescurve.errors import PreconditionError
 from reescurve.poly import (
@@ -16,7 +16,6 @@ from reescurve.poly import (
     GradingError,
     InexactDivision,
     PowerTable,
-    bidegree_dimension,
     monomials_of_bidegree,
     pack,
     parse_bipoly,
@@ -445,6 +444,111 @@ def _check_substitute(field, path):
         _check_path(table, path)
 
 
+def _sum_of_products_routes(pairs, p):
+    """(kernel route, Python loop) of poly._sum_of_products on the same
+    pairs: the kernel hidden for the second, as without a compiler."""
+    if _native.get_kernel() is None:
+        pytest.skip("the C kernel is not built (no compiler, or REESCURVE_NO_NATIVE set)")
+    got = poly._sum_of_products(pairs, p)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_native, "get_kernel", lambda: None)
+        want = poly._sum_of_products(pairs, p)
+    return got, want
+
+
+def _check_sum_of_products(pairs, p):
+    """Both routes give equal dicts with the keys in the same order, residues
+    in [1, p), and leave the operands as they were."""
+    before = [(dict(x), dict(y)) for x, y in pairs]
+    got, want = _sum_of_products_routes(pairs, p)
+    assert list(got.items()) == list(want.items())
+    assert all(type(c) is int and 0 < c < p for c in got.values())
+    assert pairs == before
+
+
+@st.composite
+def _product_pairs(draw, p):
+    """Up to 8 pairs of coefficient dicts over F_p: values anywhere in
+    (-p, p); each exponent 0, 1 or near MAX_EXPONENT // 2, so that the keys
+    of two monomials add without carrying and many products share a key."""
+    half = MAX_EXPONENT // 2
+    exps = st.sampled_from([0, 1, half - 1, half])
+    keys = st.tuples(exps, exps, exps, exps, exps).map(pack)
+    values = st.one_of(st.sampled_from([-(p - 1), 0, p - 1]), st.integers(-(p - 1), p - 1))
+    dicts = st.dictionaries(keys, values, max_size=10)
+    return draw(st.lists(st.tuples(dicts, dicts), max_size=8))
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_kernel_sum_of_products_matches_the_python_loop(field, data):
+    """fp_sum_of_products equals the Python product loop, key order included,
+    on random pairs over F_p."""
+    _check_sum_of_products(data.draw(_product_pairs(field.p)), field.p)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_kernel_sum_of_products_edges(field):
+    """The same on fixed operands: no pair and empty dicts; 21 products
+    (one pair) and 17 (one per pair) on one key, all of value (p - 1)^2, so
+    the key's 128-bit accumulator is reduced before its 16th product; a sum
+    that cancels to zero; exponents at MAX_EXPONENT // 2 in every field."""
+    p, half = field.p, MAX_EXPONENT // 2
+    n = 20
+    row = {pack((a, n - a, 0, 0, 0)): p - 1 for a in range(n + 1)}
+    x = {pack((1, 0, 2, 0, 0)): 1, pack((0, 1, 0, 1, 1)): p - 1, pack((0, 1, 2, 0, 0)): 1 - p}
+    y = {pack((half, 0, half, 0, 0)): p - 1, pack((0, half, 0, half, 0)): 1,
+         pack((half, 0, 0, 0, half)): 1 - p}
+    neg_x = {k: -c for k, c in x.items()}
+    top = {pack((half,) * 5): p - 1}
+    for pairs in [
+        [],
+        [({}, {})],
+        [({}, x), (y, {})],
+        [(row, row)],
+        [({0: p - 1}, {0: 1 - p})] * 17,
+        [(x, y), (neg_x, y)],
+        [(x, y), (y, neg_x), (top, top)],
+        [(top, x), (y, top), (x, x), (row, y)],
+    ]:
+        _check_sum_of_products(pairs, p)
+    assert _sum_of_products_routes([(x, y), (neg_x, y)], p)[0] == {}
+    assert _sum_of_products_routes([(row, row)], p)[0].get(pack((n, n, 0, 0, 0)), 0) == (n + 1) % p
+
+
+_GOOD_PAIR = ({0: 1}, {1: 2})
+
+
+@pytest.mark.parametrize(
+    "pairs, error",
+    [
+        ((_GOOD_PAIR,), TypeError),
+        ([list(_GOOD_PAIR)], TypeError),
+        ([_GOOD_PAIR + ({},)], TypeError),
+        ([({0: 1}, [(1, 2)])], TypeError),
+        ([({0: 1.0}, {0: 1})], TypeError),
+        ([({"X0": 1}, {0: 1})], TypeError),
+        ([_GOOD_PAIR, ({0: 1 << 64}, {0: 1})], OverflowError),
+        ([({0: 1}, {0: -(1 << 64)})], OverflowError),
+        ([({-1: 1}, {0: 1})], OverflowError),
+    ],
+    ids=["tuple-of-pairs", "list-pair", "triple", "list-operand", "float-value", "str-key",
+         "value-2^64", "value--2^64", "negative-key"],
+)
+def test_kernel_sum_of_products_refuses_a_malformed_argument(pairs, error):
+    """A malformed argument raises in the caller (PyDLL checks the error flag
+    after each call), and the kernel keeps working."""
+    kernel = _native.get_kernel()
+    if kernel is None:
+        pytest.skip("the C kernel is not built (no compiler, or REESCURVE_NO_NATIVE set)")
+    with pytest.raises(error):
+        poly._sum_of_products(pairs, FP.p)
+    with pytest.raises(ValueError):
+        kernel.fp_sum_of_products([_GOOD_PAIR], 1)
+    assert poly._sum_of_products([_GOOD_PAIR], FP.p) == {1: 2}
+
+
 def test_subst_x_rejects_a_foreign_power_table():
     u = [t_poly(QQ, [1, 2]), t_poly(QQ, [0, 1]), t_poly(QQ, [3, 0])]
     other = PowerTable(t_poly(QQ, [1, 0]), *u[1:])
@@ -754,7 +858,7 @@ def test_det_runs_no_bipoly_arithmetic(field, monkeypatch):
 
 def test_monomial_enumeration():
     mons = monomials_of_bidegree(1, 2)
-    assert len(mons) == bidegree_dimension(1, 2) == 12
+    assert len(mons) == (1 + 1) * (2 + 1) * (2 + 2) // 2 == 12
     assert mons == sorted(mons, reverse=True)
     assert x_monomials(1) == [(0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)]
 

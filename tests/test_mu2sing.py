@@ -3,12 +3,18 @@ import random
 
 import pytest
 
-from curves import binomial_even, closed_form_generators_odd, invariants, monomial_odd
+from curves import (
+    apply_dx,
+    binomial_even,
+    closed_form_generators_odd,
+    invariants,
+    monomial_odd,
+    to_vector,
+)
 from reescurve.errors import PreconditionError
 from reescurve.fields import DEFAULT_PRIME, PrimeField, QQ
 from reescurve.mu2sing import (
     apply_dt,
-    apply_dx,
     assemble_very_singular,
     family,
     split_degree,
@@ -162,8 +168,8 @@ def test_top_generators_even_oracle_span():
     monomials = monomials_of_bidegree(1, 3)
     for t in (t0, t1):
         red = RowReducer(QQ, len(monomials))
-        red.add_rows([b.to_vector(monomials) for b in piece.basis])
-        assert not red.add_row(t.to_vector(monomials))
+        red.add_rows([to_vector(b, monomials) for b in piece.basis])
+        assert not red.add_row(to_vector(t, monomials))
     r = resultant_t(t0, t1)
     assert r.proportional_to(ctx.implicit.equation)
 

@@ -10,7 +10,9 @@ perfbench modules are loaded from their files and nothing there is written.
 """
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -59,3 +61,40 @@ def test_reports_match_pinned_digests(name, tmp_path):
         digest, why = bench.op_digest(op, wl, kind, d)
         assert why is None, f"{entry}: {why}"
         assert digest == pins[entry]["report"], entry
+
+
+def test_a_failed_kernel_build_keeps_the_pinned_report(tmp_path):
+    """The kernel's source includes Python.h: without the interpreter's
+    headers it does not build, get_kernel() returns None without raising,
+    and every F_p path runs in Python.  In a fresh interpreter with an empty
+    kernel cache and sysconfig pointing at a missing include directory,
+    `gens` on an fp-mild pool curve exits 0 with the pinned masked report."""
+    from reescurve import cli
+
+    wl = workloads.WORKLOADS["fp-mild"]
+    entry, kind, d, seed = workloads.entries(wl)[0]
+    argv = ["--field", wl.field, f"sample-{kind}", "--degree", str(d), "--seed", str(seed)]
+    sampled = worker.call(cli, argv)
+    assert sampled["code"] == 0, sampled["stderr"]
+    path = tmp_path / f"{entry}.json"
+    path.write_text(sampled["stdout"])
+    code = (
+        "import sys, sysconfig\n"
+        "paths = sysconfig.get_paths\n"
+        "sysconfig.get_paths = lambda *a, **k: {**paths(*a, **k), 'include': sys.argv[1]}\n"
+        "from reescurve import _native, cli\n"
+        "print('kernel', _native.get_kernel(), file=sys.stderr)\n"
+        "sys.exit(cli.main(['gens', sys.argv[2]]))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "REESCURVE_NO_NATIVE"}
+    env.update(PYTHONPATH=str(PERFBENCH.parent / "src"), XDG_CACHE_HOME=str(tmp_path / "cache"))
+    r = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "missing"), str(path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert "kernel None" in r.stderr.splitlines(), r.stderr
+    assert not list((tmp_path / "cache").rglob("*.so"))
+    op = {"gens": {"code": r.returncode, "stdout": r.stdout, "stderr": r.stderr}, "adjoint": None}
+    digest, why = bench.op_digest(op, wl, kind, d)
+    assert why is None, f"{entry}: {why}"
+    assert digest == PINS["fp-mild"][entry]["report"], entry
