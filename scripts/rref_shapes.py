@@ -7,8 +7,13 @@ F_p: samples the curve of `reescurve sample-verysingular --degree 10 --seed
 matrices of the kernel slices (8, 8), (8, 9), (8, 10) and (1, 12), and feeds
 each one to a RowReducer on each core, in one batch as the oracle does: the
 native C kernel (skipped when it is not built) and the generic pure-Python
-core, the one F_p runs on without a compiler.  Prints one JSON line per
-shape and core: shape, rows, columns, rank, seconds (best of --repeat runs).
+core, the one F_p runs on without a compiler.  Each shape is timed twice per
+core: as a rank question (the rows fed, the rank read, as the oracle's
+slices and chains ask) and as an RREF read (the rows fed, then rref(), as
+the mu-basis and the solvers ask).  The native core back-substitutes only
+for the second; the generic core reduces eagerly, so it pays the same for
+both.  Prints one JSON line per shape and core: shape, rows, columns, rank,
+rank_s and rref_s (best of --repeat runs each).
 
 Q: times RowReducer over Q, the certified modular core, against the
 Fraction core on the same rows: the Q eliminations of a gens report on the
@@ -59,13 +64,17 @@ CORES = {
 }
 
 
-def time_core(make, field, rows, ncols, repeat):
+def time_core(make, field, rows, ncols, repeat, rref=False):
+    """(rank, best seconds) of feeding rows to a fresh reducer on one core
+    and reading its rank, or with rref=True its RREF."""
     best, rank = None, None
     for _ in range(repeat):
         red = linalg.RowReducer(field, ncols)
         red._core = make(field, ncols)
         t0 = time.perf_counter()
         red.add_rows(rows)
+        if rref:
+            red.rref()
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
         rank = red.rank
@@ -165,10 +174,11 @@ def main():
             rows = oracle.slice_rows(i, j)
             ncols = len(rows[0])
             for core in cores:
-                rank, secs = time_core(CORES[core], field, rows, ncols, args.repeat)
+                rank, rank_s = time_core(CORES[core], field, rows, ncols, args.repeat)
+                _, rref_s = time_core(CORES[core], field, rows, ncols, args.repeat, rref=True)
                 print(json.dumps({
-                    "shape": [i, j], "rows": len(rows), "cols": ncols,
-                    "core": core, "rank": rank, "seconds": round(secs, 6),
+                    "shape": [i, j], "rows": len(rows), "cols": ncols, "core": core,
+                    "rank": rank, "rank_s": round(rank_s, 6), "rref_s": round(rref_s, 6),
                 }), flush=True)
     if "tower" in args.parts:
         tower_shapes(cores, args.degrees, args.repeat)

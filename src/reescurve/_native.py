@@ -7,10 +7,13 @@ of a parametrization, and the products of sparse forms.  CPython is two
 orders of magnitude too slow for the eliminations, so we compile a few small
 C helpers at first use (cached under ~/.cache) and call them through ctypes:
 
-  * fp_accumulate absorbs a batch of rows into a mutually reduced pivot
-    block (incremental canonical RREF, with early stop);
-  * fp_kernel_rows writes the RREF kernel rows of such a block, one per free
-    column;
+  * fp_accumulate absorbs a batch of rows into a pivot block in echelon
+    form (forward elimination, with early stop): enough for ranks and pivot
+    columns;
+  * fp_back_substitute brings such a block to its canonical RREF, for a
+    caller that reads the RREF;
+  * fp_kernel_rows writes the RREF kernel rows of a reduced block, one per
+    free column;
   * fp_convolve multiplies two dense residue vectors (one power u^b from
     u^(b - e_k) and u_k);
   * fp_shifted_sum adds residue vectors times scalars, each at its own
@@ -32,14 +35,17 @@ per output entry; fp_shifted_sum and fp_accumulate keep a row of them, as
 hi:lo words, and flush the row once per 15 terms or row operations;
 fp_order_basis keeps one such row per residual.
 
-fp_accumulate eliminates left-looking.  Phase 1 reduces each incoming row
-against the block in insertion order, in the accumulator, and appends it
-normalized; earlier rows are not touched.  Phase 2 back-substitutes once per
-batch, last row first, each row against the rows after it.  Both give the
-same block as eager Gauss-Jordan: a reduced row is the incoming row minus
-the one combination of block rows that matches it on the pivot columns,
-whatever the order of elimination.  Every row of the block is zero left of
-its pivot, so it is swept from there.
+The elimination is left-looking and its back-substitution lazy.  Phase 1
+(fp_accumulate) reduces each incoming row against the block in insertion
+order, in the accumulator, and appends it normalized; earlier rows are not
+touched.  Phase 2 (fp_back_substitute) runs on the first read of the RREF
+after a batch, not once per batch: last row first, each row against the
+rows after it, skipping the leading rows an earlier phase 2 already reduced
+against each other.  A rank question never pays for it.  Every order gives
+the same block as eager Gauss-Jordan: a reduced incoming row is the row
+minus the one combination of block rows that matches it on the pivot
+columns, and the block rows span the same space, reduced or not.  Every row
+of the block is zero left of its pivot, so it is swept from there.
 
 linalg.py hands this kernel every F_p elimination with p < P_BOUND (so the
 images mod primes behind every Q elimination), poly.PowerTable every F_p
@@ -48,7 +54,9 @@ Without a compiler or the interpreter's headers (the source includes
 Python.h), or when the cache directory cannot be written, those go to the
 pure-Python paths (linalg's generic core, PowerTable's Kronecker products,
 the Python product loop), as F_p with p >= P_BOUND and Q always do.  Both
-paths give the identical results, which the tests cross-check.
+paths give the identical results, which the tests cross-check.  A failed
+build is recorded in the cache, so later starts do not try it again
+(_build).
 
 The library is loaded with ctypes.PyDLL, not CDLL: a call holds the GIL,
 which fp_sum_of_products needs to touch Python objects, and ctypes checks
@@ -149,20 +157,16 @@ static inline void acc_eliminate(acc_t *a, const uint64_t *row, long pc)
 }
 
 /* Absorb `nrows` rows (row-major, ncols wide, residues) into the pivot block
-   `piv` (mutually reduced rows, pivot columns in pivcols), left-looking:
-
-   phase 1: each row is reduced against the block in insertion order in the
-     accumulator, normalized and appended; earlier rows are left alone.  In
-     insertion order row t is zero at the pivot columns of the rows before
-     it, so clearing column pivcols[t] keeps the columns cleared so far.
-   phase 2: one back-substitution, last row first, each row against the
-     rows appended after it, which are final by then (also after an early
-     stop).
-
-   A row of the block is zero left of its pivot and stays so, so it is swept
-   from its pivot column on.  `scratch` holds 2 * ncols words.  Stops early
-   once the rank reaches `stop` (pass stop < 0 to disable).  Returns the new
-   pivot count, or -1 when the block would outgrow its `cap` rows. */
+   `piv` (pivot columns in pivcols), forward only: each row is reduced
+   against the block in insertion order in the accumulator, normalized and
+   appended; earlier rows are left alone.  In insertion order row t is zero
+   at the pivot columns of the rows before it, so clearing column pivcols[t]
+   keeps the columns cleared so far, whether or not the rows are also
+   reduced against the rows after them (fp_back_substitute).  A row of the
+   block is zero left of its pivot, so it is swept from its pivot column on.
+   `scratch` holds 2 * ncols words.  Stops early once the rank reaches `stop`
+   (pass stop < 0 to disable).  Returns the new pivot count, or -1 when the
+   block would outgrow its `cap` rows. */
 long fp_accumulate(uint64_t *piv, long *pivcols, long npiv, long cap,
                    const uint64_t *rows, long nrows, long ncols,
                    uint64_t p, long stop, uint64_t *scratch)
@@ -170,7 +174,6 @@ long fp_accumulate(uint64_t *piv, long *pivcols, long npiv, long cap,
     /* every flush leaves hi all zero, so it is cleared once per call */
     acc_t a = {scratch, scratch + ncols, ncols, ncols, 0, p};
     memset(a.hi, 0, (size_t)ncols * sizeof(uint64_t));
-    long npiv0 = npiv;
     for (long r = 0; r < nrows; ++r) {
         if (stop >= 0 && npiv >= stop) break;
         acc_load(&a, rows + r * ncols);
@@ -189,11 +192,22 @@ long fp_accumulate(uint64_t *piv, long *pivcols, long npiv, long cap,
             w[k] = (uint64_t)((u128)a.lo[k] * inv % p);
         pivcols[npiv++] = lead;
     }
+    return npiv;
+}
 
-    /* phase 2; rows before npiv0 are already reduced against each other */
+/* Bring the block that fp_accumulate built to its RREF: one
+   back-substitution, last row first, each row against the rows after it,
+   which are final by then.  The first `nred` rows are already reduced
+   against each other (an earlier back-substitution), so they are reduced
+   only against the rows from nred on.  `scratch` holds 2 * ncols words. */
+void fp_back_substitute(uint64_t *piv, const long *pivcols, long npiv, long nred,
+                        long ncols, uint64_t p, uint64_t *scratch)
+{
+    acc_t a = {scratch, scratch + ncols, ncols, ncols, 0, p};
+    memset(a.hi, 0, (size_t)ncols * sizeof(uint64_t));
     for (long t = npiv - 1; t >= 0; --t) {
         uint64_t *w = piv + t * ncols;
-        long s = t + 1 > npiv0 ? t + 1 : npiv0;
+        long s = t + 1 > nred ? t + 1 : nred;
         while (s < npiv && !w[pivcols[s]]) s++;
         if (s == npiv) continue;
         acc_load(&a, w);
@@ -202,7 +216,6 @@ long fp_accumulate(uint64_t *piv, long *pivcols, long npiv, long cap,
         acc_flush(&a);
         memcpy(w, a.lo, (size_t)ncols * sizeof(uint64_t));
     }
-    return npiv;
 }
 
 /* out = a * b mod p, na + nb - 1 entries: one 128-bit accumulator per entry,
@@ -477,7 +490,15 @@ done:
 
 def _build() -> str | None:
     """Path of the compiled kernel, compiling it into the cache on first use;
-    None when no compiler works or the cache directory is unusable."""
+    None when no compiler works or the cache directory is unusable.
+
+    A build is named fprref-<abi>-<tag>.so, the tag hashing the ABI and the
+    source.  A failed build leaves the marker fprref-<abi>-<tag>.failed, so
+    later starts fall back to Python at once instead of failing again; it
+    holds the compilers' errors, and deleting it retries the build.
+    Writing either file deletes the other builds and markers of that ABI,
+    which no start of this source loads, and the builds named before the
+    ABI was part of the name."""
     # the kernel includes Python.h, so a build serves one interpreter ABI
     abi = sys.implementation.cache_tag + sys.abiflags
     tag = hashlib.sha256((abi + _SOURCE).encode()).hexdigest()[:16]
@@ -485,9 +506,12 @@ def _build() -> str | None:
         os.path.expanduser("~"), ".cache"
     )
     outdir = os.path.join(cache, "reescurve")
-    sopath = os.path.join(outdir, f"fprref-{tag}.so")
+    sopath = os.path.join(outdir, f"fprref-{abi}-{tag}.so")
+    failpath = os.path.join(outdir, f"fprref-{abi}-{tag}.failed")
     if os.path.exists(sopath):
         return sopath
+    if os.path.exists(failpath):
+        return None
     import subprocess   # only a build needs these, not loading a cached kernel
     import sysconfig
     import tempfile
@@ -501,6 +525,7 @@ def _build() -> str | None:
             with open(cpath, "w") as fh:
                 fh.write(_SOURCE)
             tmpso = os.path.join(tmp, "fprref.so")
+            errors = []
             for cc in ("cc", "gcc", "clang"):
                 try:
                     subprocess.run(
@@ -509,13 +534,34 @@ def _build() -> str | None:
                         capture_output=True,
                         timeout=120,
                     )
-                except (OSError, subprocess.SubprocessError):
+                except (OSError, subprocess.SubprocessError) as exc:
+                    stderr = getattr(exc, "stderr", None) or b""
+                    errors.append(f"{cc}: {exc}\n{stderr.decode(errors='replace')}")
                     continue
                 os.replace(tmpso, sopath)
+                _prune(outdir, abi, sopath)
                 return sopath
+        with open(failpath, "w") as fh:
+            fh.write("\n".join(errors))
+        _prune(outdir, abi, failpath)
     except OSError:
         pass        # the cache directory is unusable: no kernel
     return None
+
+
+def _prune(outdir, abi, keep):
+    """Delete the kernel builds and failure markers in outdir for `abi`,
+    and the builds named without an ABI, except the file `keep`."""
+    import re
+
+    stale = re.compile(rf"fprref-(?:{re.escape(abi)}-)?[0-9a-f]+\.(?:so|failed)")
+    for name in os.listdir(outdir):
+        path = os.path.join(outdir, name)
+        if stale.fullmatch(name) and path != keep:
+            try:
+                os.remove(path)
+            except OSError:
+                pass    # removed by a concurrent start, or not ours to remove
 
 
 _lib = None
@@ -545,6 +591,8 @@ def get_kernel():
     lib.fp_accumulate.argtypes = [
         vp, vp, c_long, c_long, vp, c_long, c_long, c_u64, c_long, vp,
     ]
+    lib.fp_back_substitute.restype = None
+    lib.fp_back_substitute.argtypes = [vp, vp, c_long, c_long, c_long, c_u64, vp]
     lib.fp_kernel_rows.restype = None
     lib.fp_kernel_rows.argtypes = [vp, vp, c_long, c_long, vp, c_long, vp, c_u64]
     lib.fp_convolve.restype = None

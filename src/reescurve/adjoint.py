@@ -9,11 +9,9 @@ by generic curves in this family.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .errors import PreconditionError
-from .linalg import RowReducer
 from .oracle import Oracle
 from .poly import monomials_of_bidegree
 from .syzygy import Parametrization
@@ -48,35 +46,38 @@ def adjoint_slice_bound(d: int, ell: int) -> int:
 
 
 def z_dimension(oracle: Oracle, ell: int) -> int:
-    """dim of Z_ell = <X0,X1>^(d-3) ∩ K_{1,ell} by stacked-rank arithmetic.
+    """dim of Z_ell = <X0,X1>^(d-3) ∩ K_{1,ell}, by rank arithmetic.
 
     `oracle` is the Oracle of a curve already in normalized coordinates
     (very singular point at (0:0:1)); callers coming from
-    classify_singularity should build it on the transformed curve.  Z_ell is
-    the kernel of the projection of K_{1,ell} on the monomials with
-    X0, X1-degree below d - 3, so its dimension is dim K_{1,ell} minus the
-    rank of the raw kernel rows on those columns (row scaling keeps ranks).
+    classify_singularity should build it on the transformed curve.  Z_ell
+    is the part of K_{1,ell} supported on the "high" monomials, those of
+    X0, X1-degree at least d - 3: the kernel of the substitution matrix M
+    restricted to those columns, of dimension |high| - rank M[:, high].
+    That is read off one elimination of slice (1, ell) with the high columns
+    first (Oracle.kernel_dim_on): no kernel row is read and no RREF built,
+    and kernel_dim(1, ell) then reads the same elimination.
     """
     d = oracle.d
     if d < 4:
         raise PreconditionError("degree_range", "needs d >= 4")
-    rows = oracle.kernel_rows(1, ell)
-    if not rows:
-        return 0
-    low = [k for k, m in enumerate(monomials_of_bidegree(1, ell)) if m[2] + m[3] < d - 3]
-    if not low:
-        return len(rows)
-    red = RowReducer(oracle.field, len(low))
-    return len(rows) - red.add_rows([[row[k] for k in low] for row in rows])
+    if ell < 0:
+        raise ValueError("bidegree components must be nonnegative")
+    high = tuple(
+        k for k, m in enumerate(monomials_of_bidegree(1, ell)) if m[2] + m[3] >= d - 3
+    )
+    return oracle.kernel_dim_on(1, ell, high)
 
 
-@dataclass
 class AdjointRow:
-    ell: int
-    k1_formula: int
-    k1_oracle: int
-    z_dim: int
-    bound: int
+    __slots__ = ("ell", "k1_formula", "k1_oracle", "z_dim", "bound")
+
+    def __init__(self, ell: int, k1_formula: int, k1_oracle: int, z_dim: int, bound: int):
+        self.ell = ell
+        self.k1_formula = k1_formula
+        self.k1_oracle = k1_oracle
+        self.z_dim = z_dim
+        self.bound = bound
 
     @property
     def formula_agrees(self) -> bool:
@@ -87,10 +88,12 @@ class AdjointRow:
         return self.z_dim == self.bound
 
 
-@dataclass
 class AdjointReport:
-    d: int
-    rows: list
+    __slots__ = ("d", "rows")
+
+    def __init__(self, d: int, rows: list):
+        self.d = d
+        self.rows = rows
 
     def all_formulas_agree(self) -> bool:
         return all(r.formula_agrees for r in self.rows)
@@ -111,12 +114,14 @@ def adjoint_report(par: Parametrization, ell_max: int | None = None) -> AdjointR
     orc = Oracle(par)
     rows = []
     for ell in range(0, ell_max + 1):
+        # z first: its elimination of slice (1, ell) serves kernel_dim too
+        z_dim = z_dimension(orc, ell)
         rows.append(
             AdjointRow(
                 ell=ell,
                 k1_formula=k1_dimension_formula(d, ell),
                 k1_oracle=orc.kernel_dim(1, ell),
-                z_dim=z_dimension(orc, ell),
+                z_dim=z_dim,
                 bound=adjoint_slice_bound(d, ell),
             )
         )

@@ -1,19 +1,23 @@
 """Dense exact linear algebra: canonical RREF, rank, nullspace, det, solve.
 
 Everything reduces to one primitive, an incremental row-space accumulator
-(`RowReducer`) that keeps a mutually reduced pivot basis — i.e. the unique
-reduced row echelon form of whatever rows were fed in.  ExactMatrix and
-LinearSolver feed one too.  Three interchangeable cores implement it, and
-_make_core alone picks one, by the field and by whether the C kernel is built:
+(`RowReducer`) that keeps a pivot basis of whatever rows were fed in, and
+answers with its rank, its pivot columns, the unique reduced row echelon
+form or the kernel rows.  ExactMatrix and LinearSolver feed one too.  Three
+interchangeable cores implement it, and _make_core alone picks one, by the
+field and by whether the C kernel is built:
   * Q: modular.py's core (imported on the first Q reducer), which reduces
     the integer rows mod 62-bit primes on the F_p cores and lifts the RREF,
     checked exactly in integers: no elimination runs on Fractions;
   * F_p with p < 2^62 and a C compiler: the elimination routines of the C
     kernel in _native.py (which also serves poly.PowerTable's power products
     and substitutions), whose pivot block and batches live in `array('Q')`
-    buffers handed to C through ctypes;
+    buffers handed to C through ctypes.  It eliminates forward as rows
+    arrive and back-substitutes only when the RREF or the kernel rows are
+    read, so a rank question never pays for that;
   * F_p with p >= 2^62, or without a compiler: the generic pure-Python core
-    on exact ints (labelled _FpPackedCore for p < 2^62, so traces tell).
+    on exact ints (labelled _FpPackedCore for p < 2^62, so traces tell),
+    which keeps its rows mutually reduced as they arrive.
 All cores produce the same canonical output; determinism does not depend on
 which one runs.  Besides absorbing rows, a core writes the kernel rows of its
 RREF, so the oracle reads a kernel slice without building normalized vectors.
@@ -56,6 +60,10 @@ class _FractionCore:
         self.ncols = ncols
         self.rows = []          # mutually reduced rows (lists of scalars)
         self.pivcols = []
+
+    @property
+    def rank(self):
+        return len(self.pivcols)
 
     def add_rows(self, rows, stop):
         coerce = self.field.coerce
@@ -103,9 +111,13 @@ class _FpNativeCore:
 
     The pivot block is one row-major ``array('Q')`` of ``cap`` rows, with the
     pivot columns in a parallel ``array('l')`` (C long, as the kernel takes).
-    ``scratch`` is the kernel's accumulator for the row being reduced,
-    2 * ncols words (one 128-bit value per column), kept here so it is
-    allocated once per reducer.
+    ``add_rows`` eliminates forward only, which fixes the rank and the pivot
+    columns; the block is brought to its RREF (back-substituted) on the
+    first read of the RREF or the kernel rows after a batch.  The first
+    ``nred`` rows are already reduced against each other.  ``scratch`` is
+    the kernel's accumulator for the row being reduced, 2 * ncols words (one
+    128-bit value per column), kept here so it is allocated once per
+    reducer.
     """
 
     def __init__(self, field, ncols, kernel):
@@ -117,7 +129,12 @@ class _FpNativeCore:
         self.buf = array("Q", [0]) * (self.cap * ncols)
         self.pivbuf = array("l", [0]) * self.cap
         self.npiv = 0
+        self.nred = 0
         self.scratch = array("Q", bytes(16 * ncols))
+
+    @property
+    def rank(self):
+        return self.npiv
 
     @property
     def pivcols(self):
@@ -162,7 +179,21 @@ class _FpNativeCore:
             raise RuntimeError("native accumulator capacity underflow")
         self.npiv = npiv
 
+    def _back_substitute(self):
+        if self.nred < self.npiv:
+            self.kernel.fp_back_substitute(
+                self.buf.buffer_info()[0],
+                self.pivbuf.buffer_info()[0],
+                self.npiv,
+                self.nred,
+                self.ncols,
+                self.p,
+                self.scratch.buffer_info()[0],
+            )
+            self.nred = self.npiv
+
     def snapshot(self):
+        self._back_substitute()
         n = self.ncols
         buf = self.buf
         return self.pivcols, [buf[t * n : (t + 1) * n].tolist() for t in range(self.npiv)]
@@ -171,6 +202,7 @@ class _FpNativeCore:
         n, nfree = self.ncols, len(freecols)
         if not nfree:
             return []
+        self._back_substitute()
         out = array("Q", bytes(8 * nfree * n))
         free = array("l", freecols)     # a local, so it outlives the call
         self.kernel.fp_kernel_rows(
@@ -226,7 +258,10 @@ class RowReducer:
     """Incremental canonical row-space basis over a field.
 
     Feed rows with add_row/add_rows; `rank` grows as independent rows arrive.
-    `rref()` returns the unique RREF of everything fed so far.
+    `rref()` returns the unique RREF of everything fed so far.  The rank and
+    free_columns() cost no more than the elimination itself; on the native
+    core the first rref() or kernel_rows() after a batch also
+    back-substitutes.
     Rows are sequences of scalars; over F_p an ``array('Q')`` row is taken
     to hold residues already in [0, p), as kernel_rows returns them.
     ``size_hint`` is accepted and ignored (some callers still pass it): the
@@ -243,7 +278,7 @@ class RowReducer:
 
     @property
     def rank(self):
-        return len(self._core.pivcols)
+        return self._core.rank
 
     def add_rows(self, rows, stop_rank=None):
         """Absorb rows in order and return the new rank.

@@ -170,6 +170,10 @@ class _ModularCore:
     def pivcols(self):
         return self._certificate()[0]
 
+    @property
+    def rank(self):
+        return len(self.pivcols)
+
     def add_rows(self, rows, stop):
         # the rank is at most the row count: a stop above it certifies nothing
         if stop is not None and len(self.rows) >= stop and len(self.pivcols) >= stop:

@@ -18,8 +18,6 @@ reference they are tested against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .assembly import Assembly, Generator
 from .errors import ImproperParametrization, PreconditionError, VerificationError
 from .poly import (
@@ -36,13 +34,16 @@ from .syzygy import (
 )
 
 
-@dataclass
 class MildContext:
-    par: Parametrization
-    mb: MuBasis
-    implicit: ImplicitEquation
-    band: Band                 # P = T0^2 L0 + T0T1 L* + T1^2 L1, shared by every level
-    boundary: bool = False     # d = 4 (2 mu = d) boundary: counts not asserted
+    __slots__ = ("par", "mb", "implicit", "band", "boundary")
+
+    def __init__(self, par: Parametrization, mb: MuBasis, implicit: ImplicitEquation,
+                 band: Band, boundary: bool = False):
+        self.par = par
+        self.mb = mb
+        self.implicit = implicit
+        self.band = band            # P = T0^2 L0 + T0T1 L* + T1^2 L1, shared by every level
+        self.boundary = boundary    # d = 4 (2 mu = d) boundary: counts not asserted
 
     @property
     def d(self) -> int:
@@ -82,10 +83,12 @@ def mild_context(
 # the Morley form and the Sylvester forms
 # ---------------------------------------------------------------------------
 
-@dataclass
 class MorleyData:
-    coeffs: dict     # {(v0, v1): BiPoly of bidegree (d-2-|v|, 2)}
-    d: int
+    __slots__ = ("coeffs", "d")
+
+    def __init__(self, coeffs: dict, d: int):
+        self.coeffs = coeffs    # {(v0, v1): BiPoly of bidegree (d-2-|v|, 2)}
+        self.d = d
 
     def block(self, i):
         """Matrix of X-quadratic entries: rows v with |v| = d-2-i (descending

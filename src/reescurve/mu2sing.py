@@ -12,8 +12,6 @@ F^(0,1) for d even.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .assembly import Assembly, Generator
 from .errors import ImproperParametrization, PreconditionError, VerificationError
 from .poly import X_UNITS, BiPoly, morley_form, tpoly_dense, x_parts
@@ -29,19 +27,21 @@ from .syzygy import (
 )
 
 
-@dataclass
 class VerySingularContext:
-    par: Parametrization          # transformed: singular point at (0:0:1)
-    mb: MuBasis                   # transformed mu-basis {P, Q}
-    p0: BiPoly                    # axial pair: P = p1 X0 - p0 X1, gcd(p0,p1)=1
-    p1: BiPoly
-    q: BiPoly                     # v0 = p0 q, v1 = p1 q
-    k: int
-    r: int
-    change: list                  # Y = M X
-    implicit: ImplicitEquation    # in the transformed frame
-    # _PairSolver cache, by T-degree
-    solvers: dict = dc_field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("par", "mb", "p0", "p1", "q", "k", "r", "change", "implicit", "solvers")
+
+    def __init__(self, par: Parametrization, mb: MuBasis, p0: BiPoly, p1: BiPoly,
+                 q: BiPoly, k: int, r: int, change: list, implicit: ImplicitEquation):
+        self.par = par              # transformed: singular point at (0:0:1)
+        self.mb = mb                # transformed mu-basis {P, Q}
+        self.p0 = p0                # axial pair: P = p1 X0 - p0 X1, gcd(p0,p1)=1
+        self.p1 = p1
+        self.q = q                  # v0 = p0 q, v1 = p1 q
+        self.k = k
+        self.r = r
+        self.change = change        # Y = M X
+        self.implicit = implicit    # in the transformed frame
+        self.solvers = {}           # _PairSolver cache, by T-degree
 
     @property
     def mu(self) -> int:

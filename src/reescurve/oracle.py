@@ -3,6 +3,9 @@
 Everything here is plain graded linear algebra on explicit matrices — no
 constructive formulas — so it can cross-check the pipeline modules:
   * kernel_basis: the (i, j) slice as the nullspace of the substitution map,
+  * kernel_dim_on: the dimension of the part of a slice supported on given
+    columns, from one elimination with those columns first (the adjoint
+    dimensions of adjoint.py),
   * mingen_table: minimal-generator counts via the graded Nakayama quotient,
     read off one order basis per j (below),
   * mingen_count: the same count for one cell, straight from the definition
@@ -71,7 +74,6 @@ report's table runs on the F_p mirror, so it takes the order basis.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import PreconditionError, VerificationError
@@ -84,23 +86,27 @@ from .poly import (
 from .syzygy import Parametrization
 
 
-@dataclass
 class GradedPiece:
-    bidegree: tuple
-    basis: list          # BiPolys, canonical order
+    __slots__ = ("bidegree", "basis")
+
+    def __init__(self, bidegree: tuple, basis: list):
+        self.bidegree = bidegree
+        self.basis = basis          # BiPolys, canonical order
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
 
-@dataclass
 class MinGenTable:
-    counts: dict          # {(i, j): count > 0}
-    imax: int
-    jmax: int
-    d: int
-    mu: int
+    __slots__ = ("counts", "imax", "jmax", "d", "mu")
+
+    def __init__(self, counts: dict, imax: int, jmax: int, d: int, mu: int):
+        self.counts = counts        # {(i, j): count > 0}
+        self.imax = imax
+        self.jmax = jmax
+        self.d = d
+        self.mu = mu
 
     def multiset(self):
         out = []
@@ -156,10 +162,12 @@ class Oracle:
 
     # -- kernels -------------------------------------------------------------
 
-    def slice_rows(self, i, j):
+    def slice_rows(self, i, j, first=()):
         """The rows of the substitution matrix of slice (i, j): one row per
         T-monomial of degree i + j*d (the coefficients of a substituted
-        form), one column per monomial of monomials_of_bidegree(i, j).
+        form), one column per monomial of monomials_of_bidegree(i, j), in
+        that order, except that the columns listed in `first` (indices in
+        that order) are moved before the others, in their own order.
         Over Q the entries are the plain-int powers w^b of the primitive
         triple (u = scale * w), so the matrix is scale^j times the one of u:
         same kernel and RREF."""
@@ -168,33 +176,53 @@ class Oracle:
         xmons = x_monomials(j)
         nx = len(xmons)
         ncols = (i + 1) * nx
+        pos = list(range(ncols))      # where each column goes
+        if first:
+            for k, c in enumerate([*first, *sorted(set(pos).difference(first))]):
+                pos[c] = k
         buf = self._zeros(nrows * ncols)
         # the column of T0^(i-a1) T1^a1 X^b is a1 * nx + (index of b)
         for xidx, m in enumerate(xmons):
             upow = self.powers.power(pack(m))
             for a1 in range(i + 1):
-                start = a1 * ncols + a1 * nx + xidx
+                start = a1 * ncols + pos[a1 * nx + xidx]
                 buf[start : start + (length - 1) * ncols + 1 : ncols] = upow
         return [buf[r * ncols : (r + 1) * ncols] for r in range(nrows)]
 
-    def _slice_reducer(self, i, j) -> RowReducer:
+    def _slice_reducer(self, i, j, first=()) -> RowReducer:
         """The reducer holding the RREF of slice (i, j)'s substitution
-        matrix (cached): one kernel vector per free column."""
-        red = self._kernels.get((i, j))
-        if red is None:
-            red = self._kernels[(i, j)] = RowReducer(
-                self.field, (i + 1) * (j + 1) * (j + 2) // 2
-            )
-            red.add_rows(self.slice_rows(i, j))
-        return red
+        matrix, its columns ordered as slice_rows(i, j, first) orders them:
+        one kernel vector per free column.  The slice is cached with its
+        column order, one order at a time: a request for another order
+        eliminates the slice again."""
+        got = self._kernels.get((i, j))
+        if got is None or got[0] != first:
+            red = RowReducer(self.field, (i + 1) * (j + 1) * (j + 2) // 2)
+            red.add_rows(self.slice_rows(i, j, first))
+            got = self._kernels[(i, j)] = (first, red)
+        return got[1]
 
     def kernel_dim(self, i, j) -> int:
         if i < 0 or j < 0:
             return 0
         if j == 0:
             return 0  # nonzero T-forms never vanish under the substitution
-        red = self._slice_reducer(i, j)
+        # the rank does not depend on the column order: any cached one serves
+        got = self._kernels.get((i, j))
+        red = got[1] if got is not None else self._slice_reducer(i, j)
         return red.ncols - red.rank
+
+    def kernel_dim_on(self, i, j, cols) -> int:
+        """dim of the forms of K_{i,j} supported on the columns `cols` (a
+        tuple of indices into monomials_of_bidegree(i, j)), i.e. the kernel
+        dimension of the substitution matrix restricted to those columns:
+        with them eliminated first (leftmost pivots), the free columns among
+        them.  Ranks only, so no RREF is read; the elimination is the one
+        kernel_dim(i, j) then reads."""
+        if not cols:
+            return 0
+        red = self._slice_reducer(i, j, cols)
+        return sum(1 for f in red.free_columns() if f < len(cols))
 
     def kernel_rows(self, i, j) -> list:
         """The raw RREF kernel rows of slice (i, j) over
@@ -354,6 +382,9 @@ class Oracle:
         if imax < 0 or jmax < 0:
             raise PreconditionError("table_box", f"negative box ({imax}, {jmax})")
         F = self.field
+        # the native core joins residue rows as bytes instead of reducing
+        # every entry mod p again
+        native = self.powers.kernel is not None
         counts = {}
         prev = [[]] * (imax + 1)        # the tower of j - 1 (E_{i,0} = 0)
         for j in range(1, jmax + 1):
@@ -367,7 +398,8 @@ class Oracle:
             for i, rows in enumerate(levels):
                 padded = [list(row) + [F.zero] for row in prev[i]]
                 if padded:
-                    red.add_rows([get(row) for get in shifts for row in padded])
+                    shifted = [get(row) for get in shifts for row in padded]
+                    red.add_rows([array("Q", r) for r in shifted] if native else shifted)
                 dim += len(rows)
                 if dim > red.rank:
                     counts[(i, j)] = dim - red.rank

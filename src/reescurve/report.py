@@ -9,7 +9,6 @@ re-verified from the file alone.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
 
 from .errors import ImproperParametrization, PreconditionError, VerificationError
 from .fields import DEFAULT_PRIME, PrimeField, Rationals, field_from_spec
@@ -120,32 +119,42 @@ def _good_mirror(par: Parametrization, kind: str, primes, notes) -> Parametrizat
 # report structures
 # ---------------------------------------------------------------------------
 
-@dataclass
 class GeneratorRecord:
-    bidegree: tuple
-    label: str
-    text: str
-    checks: dict
+    __slots__ = ("bidegree", "label", "text", "checks")
+
+    def __init__(self, bidegree: tuple, label: str, text: str, checks: dict):
+        self.bidegree = bidegree
+        self.label = label
+        self.text = text
+        self.checks = checks
 
     @property
     def verified(self) -> bool:
         return all(self.checks.values())
 
 
-@dataclass
 class GeneratorReport:
-    curve: dict
-    d: int
-    mu: int
-    properness_degree: int
-    singularity: dict
-    generators: list
-    table_cells: list
-    table_field: str
-    table_box: tuple
-    verdicts: dict
-    notes: list = dc_field(default_factory=list)
-    timings: dict = dc_field(default_factory=dict)
+    __slots__ = (
+        "curve", "d", "mu", "properness_degree", "singularity", "generators",
+        "table_cells", "table_field", "table_box", "verdicts", "notes", "timings",
+    )
+
+    def __init__(self, curve: dict, d: int, mu: int, properness_degree: int,
+                 singularity: dict, generators: list, table_cells: list,
+                 table_field: str, table_box: tuple, verdicts: dict,
+                 notes: list | None = None, timings: dict | None = None):
+        self.curve = curve
+        self.d = d
+        self.mu = mu
+        self.properness_degree = properness_degree
+        self.singularity = singularity
+        self.generators = generators
+        self.table_cells = table_cells
+        self.table_field = table_field
+        self.table_box = table_box
+        self.verdicts = verdicts
+        self.notes = [] if notes is None else notes
+        self.timings = {} if timings is None else timings
 
     @property
     def all_pass(self) -> bool:
@@ -188,8 +197,6 @@ class GeneratorReport:
 # ---------------------------------------------------------------------------
 
 def build_report(par: Parametrization) -> GeneratorReport:
-    from . import mu2mild, mu2sing
-
     t_start = time.perf_counter()
     timings = {}
     F = par.field
@@ -207,10 +214,15 @@ def build_report(par: Parametrization) -> GeneratorReport:
     timings["analysis"] = time.perf_counter() - t_start
 
     t0 = time.perf_counter()
+    # each class imports only its own pipeline
     if sing.kind == VERY_SINGULAR:
+        from . import mu2sing
+
         ctx = mu2sing.very_singular_context(par, mb, sing, imp)
         asm = mu2sing.assemble_very_singular(ctx)
     else:
+        from . import mu2mild
+
         if sing.kind == NOT_APPLICABLE:
             notes.append(
                 "2*mu = d boundary: emitting the double-point family without "

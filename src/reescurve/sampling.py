@@ -10,8 +10,6 @@ MAX_ATTEMPTS times, so the output distribution is deterministic per seed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import PreconditionError
 from .fields import PrimeField
 from .linalg import ExactMatrix
@@ -33,12 +31,15 @@ from .syzygy import (
 MAX_ATTEMPTS = 200
 
 
-@dataclass
 class Sample:
-    par: Parametrization
-    mb: MuBasis
-    sing: SingularityClass
-    attempts: int
+    __slots__ = ("par", "mb", "sing", "attempts")
+
+    def __init__(self, par: Parametrization, mb: MuBasis, sing: SingularityClass,
+                 attempts: int):
+        self.par = par
+        self.mb = mb
+        self.sing = sing
+        self.attempts = attempts
 
 
 def _rand_scalar(field, rng):

@@ -8,8 +8,6 @@ PowerTable of its triple; `substitute` evaluates a form on the curve through it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import ImproperParametrization, PreconditionError, VerificationError
 from .fields import ensure_same_field
@@ -35,13 +33,30 @@ NOT_APPLICABLE = "not-applicable"
 _X_VARS = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]     # the exponents b of X0, X1, X2
 
 
-@dataclass(frozen=True)
 class Parametrization:
-    """Three coprime T-forms of one degree d, as a projective map P^1 -> P^2."""
+    """Three coprime T-forms of one degree d, as a projective map P^1 -> P^2.
 
-    u0: BiPoly
-    u1: BiPoly
-    u2: BiPoly
+    Immutable, and equal and hashed by its triple."""
+
+    __slots__ = ("u0", "u1", "u2", "_powers")
+
+    def __init__(self, u0: BiPoly, u1: BiPoly, u2: BiPoly):
+        for name, value in (("u0", u0), ("u1", u1), ("u2", u2), ("_powers", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Parametrization is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Parametrization is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.triple == other.triple
+
+    def __hash__(self):
+        return hash(self.triple)
 
     @property
     def field(self):
@@ -55,11 +70,13 @@ class Parametrization:
     def triple(self):
         return (self.u0, self.u1, self.u2)
 
-    @cached_property
+    @property
     def powers(self) -> PowerTable:
         """The dense power table of u, built lazily and shared by every
         substitution into this curve and by its Oracle."""
-        return PowerTable(*self.triple)
+        if self._powers is None:
+            object.__setattr__(self, "_powers", PowerTable(*self.triple))
+        return self._powers
 
     def substitute(self, g: BiPoly) -> BiPoly:
         """G(T, u(T)), through the curve's power table."""
@@ -92,11 +109,13 @@ def parametrization(field, u0, u1, u2) -> Parametrization:
 # mu-basis
 # ---------------------------------------------------------------------------
 
-@dataclass
 class MuBasis:
-    p: BiPoly          # bidegree (mu, 1)
-    q: BiPoly          # bidegree (d - mu, 1)
-    mu: int
+    __slots__ = ("p", "q", "mu")
+
+    def __init__(self, p: BiPoly, q: BiPoly, mu: int):
+        self.p = p          # bidegree (mu, 1)
+        self.q = q          # bidegree (d - mu, 1)
+        self.mu = mu
 
     @property
     def d(self) -> int:
@@ -227,11 +246,13 @@ def _check_hilbert_burch(par: Parametrization, mb: MuBasis):
 # implicit equation and properness
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ImplicitEquation:
-    equation: BiPoly          # normalized irreducible X-form of degree d/e
-    properness_degree: int    # e; e == 1 iff the map is birational
-    resultant: BiPoly         # Res_T(P, Q), equal to lambda * equation^e
+    __slots__ = ("equation", "properness_degree", "resultant")
+
+    def __init__(self, equation: BiPoly, properness_degree: int, resultant: BiPoly):
+        self.equation = equation                    # normalized irreducible X-form of degree d/e
+        self.properness_degree = properness_degree  # e; e == 1 iff the map is birational
+        self.resultant = resultant                  # Res_T(P, Q), equal to lambda * equation^e
 
 
 def _slice_is_squarefree(res: BiPoly, line) -> bool:
@@ -326,13 +347,16 @@ def implicit_equation(mb: MuBasis) -> ImplicitEquation:
 # singularity classification
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SingularityClass:
-    kind: str                                  # very-singular | mild | not-applicable
-    change: list | None = None                 # rows of M: new coords Y = M X
-    change_inv: list | None = None
-    axial_pair: tuple | None = None            # (p0, p1) with P = p1 Y0 - p0 Y1
-    note: str = ""
+    __slots__ = ("kind", "change", "change_inv", "axial_pair", "note")
+
+    def __init__(self, kind: str, change: list | None = None, change_inv: list | None = None,
+                 axial_pair: tuple | None = None, note: str = ""):
+        self.kind = kind                # very-singular | mild | not-applicable
+        self.change = change            # rows of M: new coords Y = M X
+        self.change_inv = change_inv
+        self.axial_pair = axial_pair    # (p0, p1) with P = p1 Y0 - p0 Y1
+        self.note = note
 
 
 def moving_line_content(p: BiPoly) -> ExactMatrix:
@@ -498,11 +522,13 @@ def pullback_through_change(forms, m_rows) -> list:
 # inverse of a proper parametrization
 # ---------------------------------------------------------------------------
 
-@dataclass
 class InverseMap:
-    a: BiPoly     # psi = (a : b) on the curve
-    b: BiPoly
-    ell: int
+    __slots__ = ("a", "b", "ell")
+
+    def __init__(self, a: BiPoly, b: BiPoly, ell: int):
+        self.a = a      # psi = (a : b) on the curve
+        self.b = b
+        self.ell = ell
 
 
 def inverse_map(par: Parametrization) -> InverseMap:

@@ -12,7 +12,7 @@ from reescurve.adjoint import (
 )
 from reescurve.errors import PreconditionError
 from reescurve.fields import DEFAULT_PRIME, PrimeField, QQ
-from reescurve.linalg import ExactMatrix
+from reescurve.linalg import ExactMatrix, RowReducer
 from reescurve.mu2sing import apply_dt, family, top_generator_odd, very_singular_context
 from reescurve.oracle import Oracle
 from reescurve.poly import monomials_of_bidegree
@@ -58,9 +58,8 @@ def test_z_dimension_monomial_example():
 
 @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(7), FP, QQ], ids=lambda F: F.name)
 def test_z_dimension_equals_the_low_rank_of_the_normalized_basis(field):
-    """z_dimension, which ranks the raw kernel rows on the low columns,
-    equals dim K_{1,ell} minus the rank of the normalized kernel_basis forms
-    on the monomials with X0, X1-degree below d - 3."""
+    """z_dimension equals dim K_{1,ell} minus the rank of the normalized
+    kernel_basis forms on the monomials with X0, X1-degree below d - 3."""
     rng = random.Random(15)
     for d in (5, 6):
         sample = sample_very_singular(field, d, rng)
@@ -70,6 +69,33 @@ def test_z_dimension_equals_the_low_rank_of_the_normalized_basis(field):
             low = [m for m in monomials_of_bidegree(1, ell) if m[2] + m[3] < d - 3]
             rank = ExactMatrix(field, [to_vector(b, low) for b in basis]).rank() if low else 0
             assert z_dimension(orc, ell) == len(basis) - rank, (d, ell)
+
+
+def _kernel_row_route(orc, ell):
+    """(dim K_{1,ell}, dim Z_ell) as adjoint_report read them from the raw
+    kernel rows of slice (1, ell): their count, and their count minus
+    their rank on the columns of X0, X1-degree below d - 3."""
+    rows = orc.kernel_rows(1, ell)
+    low = [k for k, m in enumerate(monomials_of_bidegree(1, ell)) if m[2] + m[3] < orc.d - 3]
+    if not (rows and low):
+        return len(rows), len(rows)
+    rank = RowReducer(orc.field, len(low)).add_rows([[row[k] for k in low] for row in rows])
+    return len(rows), len(rows) - rank
+
+
+@pytest.mark.parametrize("field, degrees", [(FP, range(5, 13)), (QQ, (5, 6, 7))], ids=["fp", "q"])
+def test_adjoint_report_equals_the_kernel_row_route(field, degrees):
+    """Each row's dim K_{1,ell} and dim Z_ell, read off one elimination of
+    slice (1, ell) with the high columns first, equal the kernel-row route
+    on sampled very singular curves."""
+    rng = random.Random(36)
+    for d in degrees:
+        sample = sample_very_singular(field, d, rng)
+        tpar = apply_x_change(sample.par, sample.sing.change)
+        rep = adjoint_report(tpar)
+        orc = Oracle(tpar)
+        want = [_kernel_row_route(orc, row.ell) for row in rep.rows]
+        assert [(row.k1_oracle, row.z_dim) for row in rep.rows] == want, (field.name, d)
 
 
 def test_quotient_dimension_remark():

@@ -326,6 +326,28 @@ def test_no_third_party_modules_at_run_time():
     assert r.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("kind, other", [("very_singular", "mu2mild"), ("mild", "mu2sing")])
+def test_a_report_imports_only_its_own_pipeline(kind, other):
+    """build_report imports the assembly of the curve's class alone."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import random, sys\n"
+        "from reescurve import build_report, sampling\n"
+        "from reescurve.fields import DEFAULT_PRIME, PrimeField\n"
+        f"sample = sampling.sample_{kind}(PrimeField(DEFAULT_PRIME), 6, random.Random(1))\n"
+        "assert build_report(sample.par).all_pass\n"
+        "print(sorted(m[10:] for m in sys.modules if m.startswith('reescurve.mu2')))\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == [str(sorted({"mu2mild", "mu2sing"} - {other}))]
+
+
 def test_loading_the_cached_kernel_imports_no_build_module():
     """With the kernel already compiled into the cache, starting up (import
     reescurve.cli, then get_kernel) leaves subprocess unimported: only a
@@ -352,6 +374,69 @@ def test_loading_the_cached_kernel_imports_no_build_module():
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == [str(not disabled), "False"]
+
+
+def _fresh_start(code, cache, *args):
+    """Run code in a fresh interpreter (-S, so site hooks import nothing)
+    with src on the path and the kernel cache at `cache`, the kernel
+    enabled; its stdout split into words."""
+    env = {k: v for k, v in os.environ.items() if k != "REESCURVE_NO_NATIVE"}
+    env.update(PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"),
+               XDG_CACHE_HOME=str(cache))
+    r = subprocess.run([sys.executable, "-S", "-c", code, *args],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    return r.stdout.split()
+
+
+def test_a_failed_kernel_build_is_tried_once(tmp_path):
+    """A build that fails (here: sysconfig points at a missing include
+    directory, so Python.h is not found) leaves a marker in the cache.  The
+    next start on that cache, with the headers back, finds the marker: it
+    returns no kernel and imports no build module, so it runs no compiler."""
+    failing = (
+        "import sys, sysconfig\n"
+        "paths = sysconfig.get_paths\n"
+        "sysconfig.get_paths = lambda *a, **k: {**paths(*a, **k), 'include': sys.argv[1]}\n"
+        "from reescurve import _native\n"
+        "print(_native.get_kernel() is None, 'subprocess' in sys.modules)\n"
+    )
+    cache = tmp_path / "cache"
+    assert _fresh_start(failing, cache, str(tmp_path / "missing")) == ["True", "True"]
+    built = sorted(p.name for p in (cache / "reescurve").iterdir())
+    assert len(built) == 1 and built[0].endswith(".failed"), built
+    again = (
+        "import sys\n"
+        "from reescurve import _native\n"
+        "print(_native.get_kernel() is None, 'subprocess' in sys.modules)\n"
+    )
+    assert _fresh_start(again, cache) == ["True", "False"]
+    assert sorted(p.name for p in (cache / "reescurve").iterdir()) == built
+
+
+def test_a_new_kernel_build_prunes_the_stale_ones(tmp_path):
+    """Writing a new build deletes the builds and failure markers of the
+    same interpreter ABI and the builds named without an ABI; another ABI's
+    build and unrelated files stay."""
+    from reescurve import _native
+
+    if _native.get_kernel() is None and not os.environ.get("REESCURVE_NO_NATIVE"):
+        pytest.skip("no working C compiler: no build to write")
+    abi = sys.implementation.cache_tag + sys.abiflags
+    outdir = tmp_path / "cache" / "reescurve"
+    outdir.mkdir(parents=True)
+    stale = [f"fprref-{abi}-0123456789abcdef.so", f"fprref-{abi}-fedcba9876543210.failed",
+             "fprref-1b43a90dc2ea7c35.so", "fprref-5c44f899.so"]
+    kept = ["fprref-cpython-0-0123456789abcdef.so", "notes.txt"]
+    for name in stale + kept:
+        (outdir / name).write_bytes(b"")
+    code = (
+        "from reescurve import _native\n"
+        "print(_native.get_kernel()._name)\n"
+    )
+    path = pathlib.Path(_fresh_start(code, tmp_path / "cache")[0])
+    assert path.parent == outdir and path.name.startswith(f"fprref-{abi}-")
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(kept + [path.name])
 
 
 # A mild sextic over Q whose low moving line T0^2 X0 + P T0T1 X1 + T1^2 X2

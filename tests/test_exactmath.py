@@ -300,6 +300,47 @@ def test_native_core_matches_generic_core(case):
     _assert_cores_agree(*reducers)
 
 
+@st.composite
+def _reads_between_batches(draw, p):
+    """A column count and steps (batch, stop rank, what to read after the
+    rank): nothing more, the RREF or the kernel rows."""
+    ncols = draw(st.integers(1, 20))
+    entry = st.one_of(st.just(0), st.just(1), st.just(p - 1), st.integers(0, p - 1))
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    step = st.tuples(
+        st.lists(row, max_size=8),
+        st.one_of(st.none(), st.integers(0, ncols)),
+        st.sampled_from(["rank", "rref", "kernel"]),
+    )
+    return ncols, draw(st.lists(step, min_size=1, max_size=6))
+
+
+@pytest.mark.parametrize("p", [2, 3, DEFAULT_PRIME], ids=["fp2", "fp3", "fp62"])
+def test_lazy_back_substitution_gives_the_canonical_rref(p):
+    """The native core back-substitutes only when its RREF or kernel rows
+    are read.  Whatever the pattern of batches, stop ranks and reads in
+    between (so a read may find some rows reduced by an earlier one and
+    some not), it reads the generic core's RREF and kernel rows."""
+    F = PrimeField(p)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_reads_between_batches(p))
+    def check(case):
+        ncols, steps = case
+        reducers = _native_and_fraction(F, ncols)
+        for batch, stop, read in steps:
+            for red in reducers:
+                red.add_rows(batch, stop_rank=stop)
+            assert reducers[0].rank == reducers[1].rank
+            if read == "rref":
+                assert reducers[0].rref() == reducers[1].rref()
+            elif read == "kernel":
+                assert [list(r) for r in reducers[0].kernel_rows()] == reducers[1].kernel_rows()
+        _assert_cores_agree(*reducers)
+
+    check()
+
+
 def test_native_core_at_the_accumulator_bound():
     """Entries p - 1 at the default prime, so every product below is
     (p - 1)^2, and more than 15 of them reach one row in each phase of the

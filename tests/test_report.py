@@ -208,3 +208,55 @@ def test_a_flipped_coefficient_fails_in_kernel_span_and_exits_3(monkeypatch, tmp
     failed = [g for g in doc["generators"] if not g["verified"]]
     assert [g["label"] for g in failed] == flipped
     assert failed[0]["checks"] == {"substitutes-to-zero": True, "in-kernel-span": False}
+
+
+# the reducers of an F_p report that read their RREF, by the function that
+# builds them; every other one (the oracle's slices and chains, the span
+# tests, the content rank) asks only for ranks or pivot columns
+_RREF_READERS = ("mu_basis", "solver", "axial_change")
+_RANK_ONLY = ("mingen_table", "independent_mod", "kernel_dim", "classify_singularity")
+
+
+def _builder(frame):
+    while frame is not None:
+        if frame.f_code.co_name in _RREF_READERS + _RANK_ONLY:
+            return frame.f_code.co_name
+        frame = frame.f_back
+    return None
+
+
+@pytest.mark.parametrize("sampler, d, want", [
+    (sample_very_singular, 7, {"mu_basis": 3, "axial_change": 1, "solver": 3}),
+    (sample_mild, 7, {"mu_basis": 3}),
+])
+def test_fp_report_back_substitutes_only_where_the_rref_is_read(monkeypatch, sampler, d, want):
+    """The native core back-substitutes (phase 2) on the first read of the
+    RREF after a batch.  In an F_p gens report that is the mu-basis, the
+    solvers and the axial change: the reducers of the table, the span tests
+    and the content rank are built and fed but never run phase 2."""
+    import sys
+
+    from reescurve import _native, linalg
+
+    if _native.get_kernel() is None:
+        pytest.skip("native kernel unavailable (no C compiler, or REESCURVE_NO_NATIVE set)")
+    par = sampler(FP, d, random.Random(d)).par
+    built, phase2 = Counter(), Counter()
+    init, back_substitute = linalg._FpNativeCore.__init__, linalg._FpNativeCore._back_substitute
+
+    def counted_init(core, *args):
+        built[_builder(sys._getframe(1))] += 1
+        init(core, *args)
+
+    def counted_back_substitute(core):
+        if core.nred < core.npiv:
+            phase2[_builder(sys._getframe(1))] += 1
+        back_substitute(core)
+
+    monkeypatch.setattr(linalg._FpNativeCore, "__init__", counted_init)
+    monkeypatch.setattr(linalg._FpNativeCore, "_back_substitute", counted_back_substitute)
+    assert report.build_report(par).all_pass
+    # mu_basis: the nullspaces at degrees mu and d - mu, then the RREF that
+    # reads Q off them
+    assert dict(phase2) == want
+    assert all(built[name] for name in _RANK_ONLY), built
