@@ -6,16 +6,12 @@ Samples the curve of `reescurve sample-verysingular --degree 10 --seed 1000`
   * building every power u^b with |b| <= 10, and with |b| <= 12 (what
     `adjoint-dims` reads), on a fresh table;
   * the substitutions a `gens` report of that curve makes (recorded from one
-    report, into the curve and into its axial frame), on a table whose
-    powers are already built;
-  * the `in-kernel-span` checks of one report of the F_p mild curve of
-    `reescurve sample-mild --degree 8 --seed 1000` (its Oracle.contains
-    operands, recorded from one report), on a fresh oracle whose table has
-    the powers they read built and nothing packed, as in a report.
+    report, into the curve and into its axial frame, the per-generator
+    checks included), on a table whose powers are already built.
 The "native" route is skipped when the kernel is not built; "kronecker" is
 the route F_p takes without a compiler.  Prints one JSON line per case and
-route: case, route, count (powers, substitutions or checks), seconds (best
-of --repeat runs).
+route: case, route, count (powers or substitutions), seconds (best of
+--repeat runs).
 
 Usage: python scripts/power_shapes.py [--paths native kronecker] [--repeat 3]
 """
@@ -31,11 +27,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from reescurve import _native
 from reescurve.fields import DEFAULT_PRIME, PrimeField
-from reescurve.oracle import Oracle
-from reescurve.poly import X_MASK, PowerTable, pack
+from reescurve.poly import PowerTable, pack
 from reescurve.report import build_report
-from reescurve.sampling import sample_mild, sample_very_singular
-from reescurve.syzygy import Parametrization
+from reescurve.sampling import sample_very_singular
 
 TOPS = (10, 12)
 
@@ -62,34 +56,6 @@ def fresh_table(triple, path):
     """A PowerTable of triple on the given route."""
     with on_route(path):
         return PowerTable(*triple)
-
-
-def fresh_oracle(triple, forms, path):
-    """An Oracle on a fresh curve of triple, its table on the given route
-    with the powers the forms read built and none packed."""
-    with on_route(path):
-        par = Parametrization(*triple)
-        for g in forms:
-            for m in g.coeffs:
-                par.powers.power(m & X_MASK)
-        return Oracle(par)
-
-
-def recorded_contains(par):
-    """The forms Oracle.contains tests in one gens report of par."""
-    forms = []
-    contains = Oracle.contains
-
-    def record(orc, g):
-        forms.append(g)
-        return contains(orc, g)
-
-    Oracle.contains = record
-    try:
-        build_report(par)
-    finally:
-        Oracle.contains = contains
-    return forms
 
 
 def recorded_substitutions(par):
@@ -128,8 +94,6 @@ def main():
     args = ap.parse_args()
     par = sample_very_singular(PrimeField(DEFAULT_PRIME), 10, random.Random(1000)).par
     calls = recorded_substitutions(par)
-    mild = sample_mild(PrimeField(DEFAULT_PRIME), 8, random.Random(1000)).par
-    forms = recorded_contains(mild)
     triples = list(dict.fromkeys(t for t, _ in calls))
     paths = [p for p in args.paths if p != "native" or _native.get_kernel() is not None]
     for path in paths:
@@ -157,14 +121,6 @@ def main():
         secs = best_of(args.repeat, warm_tables, substitute_all)
         print(json.dumps({"case": "report-substitutions", "path": path,
                           "count": len(calls), "seconds": round(secs, 6)}), flush=True)
-
-        def check_all(orc):
-            for g in forms:
-                assert orc.contains(g)
-
-        secs = best_of(args.repeat, lambda: fresh_oracle(mild.triple, forms, path), check_all)
-        print(json.dumps({"case": "report-contains", "path": path,
-                          "count": len(forms), "seconds": round(secs, 6)}), flush=True)
 
 
 if __name__ == "__main__":

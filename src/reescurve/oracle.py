@@ -10,10 +10,6 @@ constructive formulas — so it can cross-check the pipeline modules:
     read off one order basis per j (below),
   * mingen_count: the same count for one cell, straight from the definition
     (the reference the tests hold mingen_table to),
-  * Oracle.contains: membership of a form in its kernel slice, as one
-    matrix-vector product (no elimination, no slice built): sum h_b·u^b
-    over g's X-monomials b, one Kronecker product per b on the curve's
-    packed powers, one unpack, every slot tested,
   * ideal_piece_membership, independent_mod: span tests against the monomial
     multiples of given forms at one bidegree, as pivot tests on one matrix
     (over Q, like every elimination here, certified from images mod primes).
@@ -77,12 +73,9 @@ from array import array
 from operator import itemgetter
 
 from .errors import PreconditionError, VerificationError
-from .fields import Rationals, ensure_same_field
+from .fields import Rationals
 from .linalg import RowReducer, normalized
-from .poly import (
-    EXP_MASK, T1_SHIFT, X_MASK, BiPoly, _unpack_slots, cleared_denominators,
-    monomials_of_bidegree, pack, x_monomials,
-)
+from .poly import BiPoly, cleared_denominators, monomials_of_bidegree, pack, x_monomials
 from .syzygy import Parametrization
 
 
@@ -246,30 +239,6 @@ class Oracle:
             }
             basis.append(BiPoly(F, i, j, coeffs, _clean=True))
         return GradedPiece(bidegree=(i, j), basis=basis)
-
-    def contains(self, g: BiPoly) -> bool:
-        """Is g in the kernel slice of its bidegree?  False for an empty slice.
-
-        K_{i,j} is the kernel of the slice matrix, so a nonzero g is in it
-        exactly when the product of that matrix with g's coefficient vector
-        vanishes, with no elimination.  Written g = sum over b of h_b(T)·X^b,
-        that product is sum h_b·u^b: one Kronecker product per X-monomial b
-        on the curve's packed powers, one unpack, and every one of the
-        i + j*d + 1 slots tested (_product_sum).  Over Q, g's denominators
-        are cleared first.  It shares the powers, their slot widths and the
-        pack/unpack helpers with PowerTable.substitute, not the summation,
-        so a report's in-kernel-span and substitutes-to-zero checks stay two
-        code paths.
-        """
-        ensure_same_field(self.field, g.field)
-        i, j = g.bidegree
-        if g.is_zero():
-            return self.kernel_dim(i, j) > 0
-        terms = _terms(g)
-        powers = self.powers
-        return not any(_product_sum(
-            terms, powers.packed, i + j * self.d + 1, powers.slot_bytes(terms), powers.modulus
-        ))
 
     @property
     def mu(self) -> int:
@@ -449,23 +418,6 @@ def _python_order_basis(cols, sigma, imax, p):
         if deltas[piv] > imax:
             live.remove(piv)
     return deltas, lc
-
-
-def _product_sum(terms, packed, n, nbytes, p):
-    """The n coefficients of g(u) = sum over b of h_b·u^b, g's terms
-    {key: int c} grouped by their X part b: each h_b is packed once in
-    nbytes-byte slots (index = T1 exponent, by shifts, signed over Q), times
-    packed(b, nbytes), the packed u^b, and the sum is unpacked once (poly's
-    Kronecker slots: residues over F_p, signed ints over Q, p None)."""
-    slot = 8 * nbytes
-    parts = {}
-    for m, c in terms.items():
-        b = m & X_MASK
-        parts[b] = parts.get(b, 0) + (c << (m >> T1_SHIFT & EXP_MASK) * slot)
-    acc = 0
-    for b, h in parts.items():
-        acc += h * packed(b, nbytes)
-    return _unpack_slots(acc, n, nbytes, p)
 
 
 def _terms(g: BiPoly):

@@ -560,12 +560,11 @@ class PowerTable:
         |entry| of u^(b - e_k), those of the base triple, the bit length of
         the d + 1 terms of a slot and, over Q, a sign bit; one unpack reads
         the slots.  `substitute` sums the packed powers of a form's terms the
-        same way, one slot width (`slot_bytes`) per call.
-    A power is packed when it is first used at a slot width and kept per
-    width (`packed`), as each u_k is, so nothing is packed twice at one
-    width.  Oracle.contains reads packed powers on both routes, at the slot
-    width `slot_bytes` gives its terms (on the kernel route each packed from
-    the power's ``array('Q')``).
+        same way, one slot width per call.
+    The table starts with u^0 and each u_k = u^(e_k), the base triple.  A
+    power is packed when it is first used at a slot width and kept per width
+    (`packed`), u_k too, so nothing is packed twice at one width; the kernel
+    route never packs.
     Over F_p the table holds residues, as an ``array('Q')`` exactly when the
     kernel serves it, so the oracle can copy it into strided slices of its
     flat matrix buffer.  Over Q it holds powers of the primitive integer
@@ -610,8 +609,8 @@ class PowerTable:
             + (d + 1).bit_length()
             + (self.modulus is None)
         )
-        self._packed_base = {}      # (k, B) -> u_k packed in B-byte slots
         self._powers = {0: array("Q", [1]) if self.kernel is not None else [1]}
+        self._powers.update(zip(X_UNITS, self.base))
         self._packed = {}           # (b, B) -> u^b packed in B-byte slots
         self._bits = {}             # b -> bit length of the largest |entry| of u^b (over Q)
 
@@ -628,11 +627,8 @@ class PowerTable:
                                         len(uk), self.modulus, out.buffer_info()[0])
             else:
                 nbytes = (self._entry_bits(prev) + self._extra + 7) // 8
-                x = self.packed(prev, nbytes)
-                uk = self._packed_base.get((k, nbytes))
-                if uk is None:
-                    uk = self._packed_base[k, nbytes] = _pack_slots(self.base[k], nbytes, self.modulus)
-                out = _unpack_slots(x * uk, len(self._powers[prev]) + self.d, nbytes, self.modulus)
+                x = self.packed(prev, nbytes) * self.packed(X_UNITS[k], nbytes)
+                out = _unpack_slots(x, len(self._powers[prev]) + self.d, nbytes, self.modulus)
             self._powers[b] = out
         return out
 
@@ -652,17 +648,6 @@ class PowerTable:
             x = self._packed[b, nbytes] = _pack_slots(self.power(b), nbytes, self.modulus)
         return x
 
-    def slot_bytes(self, terms):
-        """Slot bytes of a packed sum of c·T1^a1·u^b over terms {key: int c}:
-        a slot sums at most len(terms) products of a c and an entry, so it
-        covers the bits of both, the term count's and, over Q, a sign bit."""
-        if self.modulus is None:
-            bits = (max(map(abs, terms.values())).bit_length()
-                    + max(map(self._entry_bits, {m & X_MASK for m in terms})) + 1)
-        else:
-            bits = 2 * (self.modulus - 1).bit_length()
-        return (bits + len(terms).bit_length() + 7) // 8
-
     def substitute(self, g: BiPoly) -> BiPoly:
         """G(T, u(T)) as a T-form of degree tdeg + xdeg * d.
 
@@ -681,8 +666,15 @@ class PowerTable:
             vals = self._shifted_sum(g, top)
             coeffs = {(top - k) << T0_SHIFT | k << T1_SHIFT: v for k, v in enumerate(vals) if v}
             return BiPoly(self.field, top, 0, coeffs, _clean=True)
-        den, terms = cleared_denominators(g.coeffs) if p is None else (1, g.coeffs)
-        nbytes = self.slot_bytes(terms)
+        # a slot sums at most len(terms) products of a c and an entry
+        if p is None:
+            den, terms = cleared_denominators(g.coeffs)
+            bits = (max(map(abs, terms.values())).bit_length()
+                    + max(map(self._entry_bits, {m & X_MASK for m in terms})) + 1)
+        else:
+            den, terms = 1, g.coeffs
+            bits = 2 * (p - 1).bit_length()
+        nbytes = (bits + len(terms).bit_length() + 7) // 8
         slot = 8 * nbytes
         packed = self._packed
         acc = 0

@@ -22,6 +22,7 @@ from reescurve.poly import (
     poly_det_bareiss,
     resultant_t,
     t_poly,
+    tpoly_dense,
     tpoly_gcd,
     x_monomials,
 )
@@ -312,7 +313,7 @@ def _check_path(table, path):
     """The table took `path`; the native route packs nothing."""
     assert (table.kernel is not None) == (path == "native")
     if path == "native":
-        assert not table._packed and not table._packed_base
+        assert not table._packed
 
 
 @pytest.mark.parametrize(
@@ -395,7 +396,9 @@ def test_packed_substitute_matches_the_term_by_term_sum(field):
     each slot with 936 products near the largest; a full (11, 1) form on that triple sums 33 products of
     (p - 1)^2 in its middle entries, more than the C kernel takes between two
     reductions; a kernel element of bidegree (d, 1) substitutes to zero; so
-    does the zero form."""
+    does the zero form.  At the slot edges: sums nonzero only in the first
+    slot and only in the last and, over Q, a nonzero slot between negative
+    ones (each borrows from the next)."""
     _check_substitute(field, _on_the_kernel(field))
 
 
@@ -441,6 +444,20 @@ def _check_substitute(field, path):
         assert _substitute_reference(table, kernel).is_zero()
         zero = table.substitute(BiPoly.zero(field, 2, 3))
         assert zero.is_zero() and zero.bidegree == (2 + 3 * d, 0)
+        _check_path(table, path)
+    # u1 differs from u0 only in its first entry, u2 only in its last
+    edge = [5, 7, 9] + [0] * (d - 3) + [1]
+    edges = [edge, [0] + edge[1:], edge[:-1] + [0]]
+    cases = [(edges, "T0*X0 - T0*X1", [5]), (edges, "T1*X0 - T1*X2", [0] * (d + 1) + [1])]
+    if field == QQ:
+        cases.append(([[-4, 6, -1] + [0] * (d - 3) + [1], [1, -3, 2] + [0] * (d - 2), edge],
+                      "T0*X0 - 2*T1*X1", [-4, 4, 5, -4] + [0] * (d - 4) + [1]))
+    for dense, text, want in cases:
+        table = PowerTable(*(t_poly(field, u) for u in dense))
+        g = parse_bipoly(field, text)
+        got = table.substitute(g)
+        assert got == _substitute_reference(table, g)
+        assert tpoly_dense(got) == [field.coerce(v) for v in want + [0] * (d + 2 - len(want))]
         _check_path(table, path)
 
 

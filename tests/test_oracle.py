@@ -14,7 +14,7 @@ from reescurve.oracle import (
     kernel_basis,
     mingen_table,
 )
-from reescurve.poly import EXP_MASK, T1_SHIFT, X_MASK, BiPoly, parse_bipoly
+from reescurve.poly import BiPoly, parse_bipoly
 from reescurve.syzygy import implicit_equation, mu_basis, parametrization
 
 FP = PrimeField(DEFAULT_PRIME)
@@ -227,12 +227,12 @@ def test_oracle_agrees_across_cores(kind, d, jbox, monkeypatch):
 
 @pytest.mark.parametrize("core", ["native", "packed", "q"])
 def test_kernel_slice_membership(core, monkeypatch):
-    """Oracle.contains accepts kernel elements and refuses everything else.
-    The core parameter picks the core that builds the slices behind
-    kernel_basis/_slice_reducer and the zero-form answers (dim K_{i,j} > 0):
-    "packed" is the generic core over F_p with the kernel hidden, under its
-    _FpPackedCore label, and "q" the certified modular core.  A nonzero form
-    is tested by a product with no elimination."""
+    """K_{i,j} is the kernel of the substitution, so a form is in its slice
+    exactly when par.substitute sends it to zero: kernel elements do, and
+    nothing else does.  The core parameter picks the core that builds the
+    slices behind kernel_basis/_slice_reducer: "packed" is the generic core
+    over F_p with the kernel hidden, under its _FpPackedCore label, and "q"
+    the certified modular core."""
     from reescurve import _native
     from reescurve.linalg import _FpNativeCore, _FpPackedCore
     from reescurve.modular import _ModularCore
@@ -247,27 +247,24 @@ def test_kernel_slice_membership(core, monkeypatch):
     orc = Oracle(par)
     mb = mu_basis(par)
     eq = implicit_equation(mb).equation
-    members = [mb.p, mb.q, eq, BiPoly.zero(F, 2, 1)] + orc.kernel_basis(2, 2).basis
-    for g in members:
-        assert orc.contains(g), g.text()
+    for g in [mb.p, mb.q, eq] + orc.kernel_basis(2, 2).basis:
+        assert par.substitute(g).is_zero(), g.text()
     kind = {"native": _FpNativeCore, "packed": _FpPackedCore, "q": _ModularCore}[core]
     assert isinstance(orc._slice_reducer(2, 1)._core, kind)
     for g in (mb.p, mb.q, eq):
         i, j = g.bidegree
-        assert not orc.contains(g + BiPoly.monomial(F, (i, 0, j, 0, 0)))
-    # j = 0 forms never vanish on the curve; below mu the (s, 1) slices are empty
-    assert not orc.contains(parse_bipoly(F, "T0^3 + T1^3"))
-    assert not orc.contains(parse_bipoly(F, "T0*X0 - T1*X2"))
-    assert not orc.contains(BiPoly.zero(F, 1, 1))
+        assert not par.substitute(g + BiPoly.monomial(F, (i, 0, j, 0, 0))).is_zero()
+    # below mu the (s, 1) slices are empty
+    assert not par.substitute(parse_bipoly(F, "T0*X0 - T1*X2")).is_zero()
 
 
 @pytest.mark.parametrize("field", ["fp", "q"])
-def test_contains_matches_a_span_test_against_the_kernel_basis(field, monkeypatch):
-    """Oracle.contains equals a brute-force span test against kernel_basis on
-    random combinations of basis elements (with and without an off-kernel
-    monomial) and on Q forms with non-integer coefficients.  A nonzero form
-    is answered by a product alone: with every reducer refused, no slice is
-    built."""
+def test_substitution_matches_a_span_test_against_the_kernel_basis(field, monkeypatch):
+    """par.substitute(g).is_zero() equals a brute-force span test against
+    kernel_basis on random combinations of basis elements (with and without
+    an off-kernel monomial) and on Q forms with non-integer coefficients.
+    The substitution builds no slice: with every reducer refused, each form
+    is still answered."""
     from reescurve import linalg
     from reescurve.linalg import RowReducer
     from reescurve.poly import monomials_of_bidegree
@@ -304,94 +301,13 @@ def test_contains_matches_a_span_test_against_the_kernel_basis(field, monkeypatc
                 span.add_rows(vectors)
                 cases.append((g, not span.add_row(to_vector(g, monomials))))
     assert {want for _, want in cases} == {True, False}
-    # the zero form: True exactly when its slice is nonempty
-    assert ref.contains(BiPoly.zero(F, 2, 2))
-    assert not ref.contains(BiPoly.zero(F, 1, 1))
-    assert ref.kernel_dim(1, 1) == 0 < ref.kernel_dim(2, 2)
 
     def refuse(*args):
         raise AssertionError("a reducer was built")
 
     monkeypatch.setattr(linalg, "_make_core", refuse)
-    orc = Oracle(par)
     for g, want in cases:
-        assert orc.contains(g) is want, g.text()
-    assert not orc.contains(parse_bipoly(F, "T0^3 + T1^3"))       # j = 0
-    assert not orc.contains(parse_bipoly(F, "2*T0^2"))
-    assert orc._kernels == {}
-
-
-def _schoolbook_sum(terms, powers, n):
-    """sum c·T1^a1·u^b over terms, coefficient by coefficient."""
-    out = [0] * n
-    for m, c in terms.items():
-        a1 = m >> T1_SHIFT & EXP_MASK
-        for k, v in enumerate(powers[m & X_MASK]):
-            out[a1 + k] += c * v
-    return out
-
-
-@pytest.mark.parametrize("route", ["native", "hidden", "q"])
-def test_product_sum_packs_multiplies_and_unpacks_every_slot(route, monkeypatch):
-    """_product_sum, the pack -> multiply -> unpack step of Oracle.contains,
-    on hand-built terms and powers, slot by slot against the schoolbook sum,
-    at the slot width of each route: PowerTable.slot_bytes on the C kernel
-    ("native", array('Q') powers) and with the kernel hidden, and signed
-    one-byte slots over Q.  Cases: a sum nonzero only in the first slot, one
-    nonzero only in the last; over Q a nonzero slot between negative ones
-    (each borrows from the next); over F_p all coefficients p - 1 on the
-    largest term count of a d = 8 report (bidegree (2, 5), 63 terms), so the
-    middle slots hold their largest sums."""
-    from array import array
-
-    from reescurve import _native
-    from reescurve.oracle import _product_sum
-    from reescurve.poly import _pack_slots, pack, x_monomials
-
-    if route == "native" and _native.get_kernel() is None:
-        pytest.skip("no C compiler: the native core is not built")
-    if route == "hidden":
-        monkeypatch.setattr(_native, "get_kernel", lambda: None)
-    F = QQ if route == "q" else FP
-    table = monomial_odd(3, F).powers
-    assert (table.kernel is not None) == (route == "native")
-    p = table.modulus
-    neg = -1 if p is None else p - 1
-    b1, b2 = pack((0, 0, 1, 0, 0)), pack((0, 0, 0, 1, 0))
-
-    def key(i, a1, b):          # T0^(i-a1) T1^a1 X^b
-        return pack((i - a1, a1, 0, 0, 0)) | b
-
-    # (terms, powers, expected nonzero slots); T-degree 1 and 4 slots first
-    cases = [
-        ({key(1, 0, b1): 1, key(1, 0, b2): neg}, {b1: [5, 7, 9], b2: [0, 7, 9]}, [0]),
-        ({key(1, 1, b1): 1, key(1, 1, b2): neg}, {b1: [5, 7, 9], b2: [5, 7, 0]}, [3]),
-    ]
-    if p is None:
-        cases.append(({key(1, 0, b1): 1, key(1, 1, b2): -2},
-                      {b1: [-4, 6, -1], b2: [1, -3, 2]}, [0, 1, 2, 3]))
-    else:
-        xs = [pack(m) for m in x_monomials(5)]
-        top = {key(2, a1, b): p - 1 for a1 in range(3) for b in xs}
-        assert len(top) == 63
-        cases.append((top, {b: [p - 1] * 41 for b in xs}, list(range(43))))
-    for terms, powers, nonzero in cases:
-        n = max(m >> T1_SHIFT & EXP_MASK for m in terms) + len(next(iter(powers.values())))
-        want = _schoolbook_sum(terms, powers, n)
-        if p is None:
-            nbytes = 1
-            assert max(map(abs, want)) < 1 << 7
-        else:
-            nbytes = table.slot_bytes(terms)
-            assert len(terms) * (p - 1) ** 2 < 1 << 8 * nbytes
-            want = [v % p for v in want]
-        assert [k for k, v in enumerate(want) if v] == nonzero
-        if route == "native":
-            powers = {b: array("Q", pw) for b, pw in powers.items()}
-        got = _product_sum(terms, lambda b, nb: _pack_slots(powers[b], nb, p), n, nbytes, p)
-        assert got == want
-    if p is None:
-        assert want == [-4, 4, 5, -4]
+        assert par.substitute(g).is_zero() is want, g.text()
 
 
 def _reference_counts(par, imax, jmax):

@@ -150,11 +150,11 @@ def _substituted_labels(assembly, seen):
 
 
 @pytest.mark.parametrize("drop", [False, True], ids=["recorded", "record-dropped"])
-def test_per_generator_stage_substitutes_only_unrecorded_generators(monkeypatch, drop):
-    """A mild assembly records the Sylvester forms and minors it substituted
-    to zero, so the per-generator stage substitutes only E, P and Q.  A
-    generator whose record is dropped is substituted there as well, and its
-    checks still pass."""
+def test_per_generator_stage_substitutes_every_generator_once(monkeypatch, drop):
+    """The per-generator stage substitutes each generator's printed form
+    exactly once, and both checks read that one result, whether assembly
+    recorded the form (the Sylvester forms and minors) or not (E, P and Q).
+    A generator whose record is dropped passes its checks as well."""
     def drop_last(asm):
         asm.generators[-1].substituted = False
 
@@ -162,9 +162,10 @@ def test_per_generator_stage_substitutes_only_unrecorded_generators(monkeypatch,
     rep = report.build_report(sample_mild(FP, 7, random.Random(1)).par)
     assert rep.all_pass
     gens = asms[0].generators
-    assert [g.label for g in gens if not g.substituted] == _substituted_labels(asms[0], seen)
+    assert len(seen) == len(gens)
+    assert [sum(f is g.poly for f in seen) for g in gens] == [1] * len(gens)
     want = ["implicit-equation", "low-moving-line", "high-moving-line"]
-    assert _substituted_labels(asms[0], seen) == want + [gens[-1].label] * drop
+    assert [g.label for g in gens if not g.substituted] == want + [gens[-1].label] * drop
     assert gens[-1].label.startswith("morley-minor")
     assert rep.generators[-1].checks == {"substitutes-to-zero": True, "in-kernel-span": True}
 
