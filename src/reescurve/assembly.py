@@ -2,7 +2,9 @@
 
 An Assembly carries the generators together with the objects they were built
 from, so the report's verdict stages read them instead of computing them a
-second time.
+second time.  Assembly checks only the cheap facts of its forms (shape,
+bidegree, nonzero, count); the report's per-generator stage is the one place
+where a generator is substituted into the curve.
 """
 from __future__ import annotations
 
@@ -10,17 +12,12 @@ from .poly import BiPoly
 
 
 class Generator:
-    __slots__ = ("poly", "bidegree", "label", "substituted")
+    __slots__ = ("poly", "bidegree", "label")
 
-    def __init__(self, poly: BiPoly, bidegree: tuple, label: str, substituted: bool = False):
+    def __init__(self, poly: BiPoly, bidegree: tuple, label: str):
         self.poly = poly            # original input coordinates, normalized
         self.bidegree = bidegree
         self.label = label
-        # assembly substituted the raw form into the curve and got zero, so
-        # the report need not substitute it again (normalizing is a nonzero
-        # rescale).  It certifies the form assembly built: poly must not
-        # change after it.
-        self.substituted = substituted
 
 
 class Assembly:

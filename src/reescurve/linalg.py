@@ -1,4 +1,4 @@
-"""Dense exact linear algebra: canonical RREF, rank, nullspace, det, solve.
+"""Dense exact linear algebra: canonical RREF, rank, nullspace, solve.
 
 Everything reduces to one primitive, an incremental row-space accumulator
 (`RowReducer`) that keeps a pivot basis of whatever rows were fed in, and
@@ -366,28 +366,6 @@ class ExactMatrix:
     def nullspace(self):
         """Canonical kernel basis; see module docstring for the conventions."""
         return [normalized(self.field, v) for v in self._reduced().kernel_rows()]
-
-    def det(self):
-        """Gaussian elimination with row swaps, on the field operations."""
-        if self.nrows != self.ncols:
-            raise ShapeMismatch("determinant of a non-square matrix")
-        F = self.field
-        m = [list(row) for row in self.rows]
-        det = F.one
-        for c in range(self.ncols):
-            pr = next((r for r in range(c, self.nrows) if not F.is_zero(m[r][c])), None)
-            if pr is None:
-                return F.zero
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
-                det = F.neg(det)
-            det = F.mul(det, m[c][c])
-            inv = F.inv(m[c][c])
-            for r in range(c + 1, self.nrows):
-                f = F.mul(m[r][c], inv)
-                if not F.is_zero(f):
-                    m[r] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[r], m[c])]
-        return det
 
     def solver(self):
         return LinearSolver(self)

@@ -127,8 +127,6 @@ def delta_sylvester(ctx: MildContext, morley: MorleyData):
         want = (ctx.d - 2 - sum(v), 2)
         if delta.is_zero() or delta.bidegree != want:
             raise VerificationError(f"Sylvester form at v={v} has wrong shape")
-        if not ctx.par.substitute(delta).is_zero():
-            raise VerificationError(f"Sylvester form at v={v} left the kernel")
         out[v] = delta
     return out
 
@@ -211,8 +209,7 @@ def minor_family(ctx: MildContext, i: int, morley: MorleyData):
     Valid for 1 <= i <= d-4; the minor deleting row t carries sign (-1)^t in
     the row order of decreasing first exponent.  Each is read off the band's
     closed form (Band.minors), not eliminated; over Q the F^v are cleared to
-    integer numerators over one denominator.  Each minor is checked nonzero
-    and in the kernel.
+    integer numerators over one denominator.  Each minor is checked nonzero.
     """
     d = ctx.d
     if not 1 <= i <= d - 4:
@@ -224,8 +221,6 @@ def minor_family(ctx: MildContext, i: int, morley: MorleyData):
         minor = _bipoly(ctx.field, coeffs, i, d - 1 - i, den * band.den ** (n - 1))
         if minor.is_zero():
             raise VerificationError(f"minor (i={i}, row {t}) has wrong shape")
-        if not ctx.par.substitute(minor).is_zero():
-            raise VerificationError(f"minor (i={i}, row {t}) left the kernel")
         out.append(minor)
     return out
 
@@ -294,29 +289,26 @@ def assemble_mild(ctx: MildContext) -> Assembly:
         raise PreconditionError("degree_range", "mild assembly needs d >= 4")
     morley = morley_coeffs(ctx)
     deltas = delta_sylvester(ctx, morley)
-    # (form, label, substituted): delta_sylvester and minor_family
-    # substitute each form they return into the curve
     gens = [
-        (ctx.implicit.equation, "implicit-equation", False),
-        (ctx.mb.p, "low-moving-line", False),
-        (ctx.mb.q, "high-moving-line", False),
-        (deltas[(1, 0)], "sylvester-form[(1,0)]", True),
-        (deltas[(0, 1)], "sylvester-form[(0,1)]", True),
+        (ctx.implicit.equation, "implicit-equation"),
+        (ctx.mb.p, "low-moving-line"),
+        (ctx.mb.q, "high-moving-line"),
+        (deltas[(1, 0)], "sylvester-form[(1,0)]"),
+        (deltas[(0, 1)], "sylvester-form[(0,1)]"),
     ]
     minors = {}
     for i in range(1, d - 3):
         minors[i] = minor_family(ctx, i, morley)
         for t, minor in enumerate(minors[i]):
             v = (d - 2 - i - t, t)
-            gens.append((minor, f"morley-minor[i={i},v={v}]", True))
+            gens.append((minor, f"morley-minor[i={i},v={v}]"))
     expected = (d + 1) * (d - 4) // 2 + 5
     if not ctx.boundary and len(gens) != expected:
         raise VerificationError(
             f"assembled {len(gens)} generators, count formula says {expected}"
         )
     out = [
-        Generator(poly=poly.normalized(), bidegree=poly.bidegree, label=label,
-                  substituted=substituted)
-        for poly, label, substituted in gens
+        Generator(poly=poly.normalized(), bidegree=poly.bidegree, label=label)
+        for poly, label in gens
     ]
     return Assembly(generators=out, deltas=deltas, morley=morley, minors=minors)

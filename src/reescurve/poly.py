@@ -36,9 +36,8 @@ Parametrization owns one) and read by every substitution into that curve and
 by its oracle.  Over F_p with p < 2^62 the C kernel of _native builds each
 power by one convolution and makes each substitution one shifted sum of the
 terms' powers; otherwise a power is one Kronecker product and a substitution
-one packed sum and one unpack.  Forms substituted into forms (an inverse map
-put into a moving line) go through BiPoly.compose; a linear change of X
-coordinates through syzygy.pullback_through_change.
+one packed sum and one unpack.  A linear change of X coordinates goes through
+syzygy.pullback_through_change.
 """
 from __future__ import annotations
 
@@ -311,44 +310,6 @@ class BiPoly:
         elif powers.triple != (u0, u1, u2):
             raise ValueError("power table of another parametrization")
         return powers.substitute(self)
-
-    def compose(self, t0, t1, x0, x1, x2):
-        """G(t0, t1, x0, x1, x2): each variable replaced by a form.
-
-        The two T-images share one bidegree, and so do the three X-images;
-        the result has bidegree tdeg * bidegree(t0) + xdeg * bidegree(x0).
-        Linear X-forms with T0, T1 kept give a change of X coordinates.
-        """
-        F = self.field
-        for f in (t0, t1, x0, x1, x2):
-            ensure_same_field(F, f.field)
-        if t0.bidegree != t1.bidegree:
-            raise GradingError("the two T-images must share one bidegree")
-        if not x0.bidegree == x1.bidegree == x2.bidegree:
-            raise GradingError("the three X-images must share one bidegree")
-        one = BiPoly.constant(F, 1)
-        tpowers = {(0, 0): one}
-        xpowers = {(0, 0, 0): one}
-
-        def power(cache, images, e):
-            # built from the entry with the first nonzero exponent lowered by one
-            val = cache.get(e)
-            if val is None:
-                i = next(i for i, n in enumerate(e) if n)
-                lower = e[:i] + (e[i] - 1,) + e[i + 1 :]
-                val = cache[e] = power(cache, images, lower) * images[i]
-            return val
-
-        out = BiPoly.zero(
-            F,
-            self.tdeg * t0.tdeg + self.xdeg * x0.tdeg,
-            self.tdeg * t0.xdeg + self.xdeg * x0.xdeg,
-        )
-        for m, c in self.terms():
-            tpart = power(tpowers, (t0, t1), m[:2])
-            xpart = power(xpowers, (x0, x1, x2), m[2:])
-            out = out + tpart.scale(c) * xpart
-        return out
 
     # -- coefficient extraction ----------------------------------------------
 

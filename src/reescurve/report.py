@@ -236,15 +236,11 @@ def build_report(par: Parametrization) -> GeneratorReport:
     t0 = time.perf_counter()
     records = []
     for g in gens:
-        # K_{i,j} is the kernel of the substitution, so one substitution of
-        # the printed form answers in-kernel-span; substitutes-to-zero reads
-        # assembly's record where it has one (a very singular assembly has
-        # none: it tested its forms in the transformed frame)
+        # the one place a generator meets the curve: K_{i,j} is the kernel
+        # of the substitution, so both checks read one substitution of the
+        # printed form
         in_kernel = par.substitute(g.poly).is_zero()
-        checks = {
-            "substitutes-to-zero": g.substituted or in_kernel,
-            "in-kernel-span": in_kernel,
-        }
+        checks = {"substitutes-to-zero": in_kernel, "in-kernel-span": in_kernel}
         records.append(
             GeneratorRecord(
                 bidegree=g.bidegree, label=g.label, text=g.poly.text(), checks=checks

@@ -53,10 +53,10 @@ def _rand_tpoly(field, deg, rng):
 
 
 def random_x_change(field, rng):
-    """A uniformly drawn invertible 3x3 matrix (redraw until det != 0)."""
+    """A uniformly drawn invertible 3x3 matrix (redraw until rank 3)."""
     while True:
         rows = [[_rand_scalar(field, rng) for _ in range(3)] for _ in range(3)]
-        if not field.is_zero(ExactMatrix(field, rows).det()):
+        if ExactMatrix(field, rows).rank() == 3:
             return rows
 
 

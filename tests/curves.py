@@ -1,10 +1,11 @@
 """Shared curve constructions and theorem-side predictions for the tests,
-and the helpers that only the tests call (mul_vec, to_vector, apply_dx)."""
+and the helpers that only the tests call (mul_vec, naive_cofactor_det,
+to_vector, compose, apply_dx)."""
 from collections import Counter
 
 from reescurve.errors import PreconditionError
-from reescurve.fields import QQ
-from reescurve.poly import EXP_MASK, X0_SHIFT, X_UNITS, BiPoly, pack, parse_bipoly
+from reescurve.fields import QQ, ensure_same_field
+from reescurve.poly import EXP_MASK, X0_SHIFT, X_UNITS, BiPoly, GradingError, pack, parse_bipoly
 from reescurve.syzygy import (
     Parametrization,
     classify_singularity,
@@ -155,9 +156,63 @@ def mul_vec(m, v):
     return out
 
 
+def naive_cofactor_det(rows, field):
+    """Independent determinant oracle (Laplace expansion)."""
+    n = len(rows)
+    if n == 0:
+        return field.one
+    if n == 1:
+        return rows[0][0]
+    acc = field.zero
+    for j in range(n):
+        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        term = field.mul(rows[0][j], naive_cofactor_det(minor, field))
+        acc = field.add(acc, term) if j % 2 == 0 else field.sub(acc, term)
+    return acc
+
+
 def to_vector(g, monomials):
     """g's coefficients on the exponent tuples `monomials`, zero where absent."""
     return [g.coeffs.get(pack(m), g.field.zero) for m in monomials]
+
+
+def compose(g, t0, t1, x0, x1, x2):
+    """G(t0, t1, x0, x1, x2): each variable of g replaced by a form.
+
+    The two T-images share one bidegree, and so do the three X-images;
+    the result has bidegree tdeg * bidegree(t0) + xdeg * bidegree(x0).
+    Linear X-forms with T0, T1 kept give a change of X coordinates.
+    """
+    F = g.field
+    for f in (t0, t1, x0, x1, x2):
+        ensure_same_field(F, f.field)
+    if t0.bidegree != t1.bidegree:
+        raise GradingError("the two T-images must share one bidegree")
+    if not x0.bidegree == x1.bidegree == x2.bidegree:
+        raise GradingError("the three X-images must share one bidegree")
+    one = BiPoly.constant(F, 1)
+    tpowers = {(0, 0): one}
+    xpowers = {(0, 0, 0): one}
+
+    def power(cache, images, e):
+        # built from the entry with the first nonzero exponent lowered by one
+        val = cache.get(e)
+        if val is None:
+            i = next(i for i, n in enumerate(e) if n)
+            lower = e[:i] + (e[i] - 1,) + e[i + 1 :]
+            val = cache[e] = power(cache, images, lower) * images[i]
+        return val
+
+    out = BiPoly.zero(
+        F,
+        g.tdeg * t0.tdeg + g.xdeg * x0.tdeg,
+        g.tdeg * t0.xdeg + g.xdeg * x0.xdeg,
+    )
+    for m, c in g.terms():
+        tpart = power(tpowers, (t0, t1), m[:2])
+        xpart = power(xpowers, (x0, x1, x2), m[2:])
+        out = out + tpart.scale(c) * xpart
+    return out
 
 
 def apply_dx(ctx, g):

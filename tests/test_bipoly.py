@@ -7,6 +7,7 @@ from itertools import permutations
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from curves import compose, naive_cofactor_det
 from reescurve import _native, poly
 from reescurve.fields import DEFAULT_PRIME, PrimeField, QQ
 from reescurve.errors import PreconditionError
@@ -575,12 +576,12 @@ def test_subst_x_rejects_a_foreign_power_table():
 
 def test_subst_t_tautological():
     g = P("T0*X1 - T1*X0")
-    assert g.compose(P("X0"), P("X1"), P("X0"), P("X1"), P("X2")).is_zero()
+    assert compose(g, P("X0"), P("X1"), P("X0"), P("X1"), P("X2")).is_zero()
 
 
 def test_subst_t_degree():
     g = P("T0^2*X1 - T1^2*X0")
-    out = g.compose(P("X0*X2"), P("X1^2"), P("X0"), P("X1"), P("X2"))
+    out = compose(g, P("X0*X2"), P("X1^2"), P("X0"), P("X1"), P("X2"))
     assert out.bidegree == (0, 2 * 2 + 1)
 
 
@@ -621,36 +622,36 @@ def test_compose_matches_term_by_term_reference(field):
     for i, j in ((2, 3), (3, 1), (0, 3), (2, 0), (1, 2)):
         g = form(i, j)
         # a linear change of the X coordinates keeps the bidegree
-        assert g.compose(*tvars, *xvars) == g
+        assert compose(g, *tvars, *xvars) == g
         change = [form(0, 1) for _ in range(3)]
-        got = g.compose(*tvars, *change)
+        got = compose(g, *tvars, *change)
         assert got.bidegree == (i, j)
         assert got == compose_reference(g, tvars + change, (i, j))
         # T replaced by X-forms of degree ell: bidegree (0, i * ell + j)
         for ell in (1, 2):
             pair = [form(0, ell), form(0, ell)]
             for xs in (xvars, change):
-                got = g.compose(*pair, *xs)
+                got = compose(g, *pair, *xs)
                 assert got.bidegree == (0, i * ell + j)
                 assert got == compose_reference(g, pair + xs, (0, i * ell + j))
         # the zero form keeps the bidegree its images give it
         zero = BiPoly.zero(field, i, j)
-        assert zero.compose(*tvars, *change).bidegree == (i, j)
-        out = zero.compose(form(0, 2), form(0, 2), *xvars)
+        assert compose(zero, *tvars, *change).bidegree == (i, j)
+        out = compose(zero, form(0, 2), form(0, 2), *xvars)
         assert out.is_zero() and out.bidegree == (0, 2 * i + j)
     # pairing T0 X1 - T1 X0 with (X0, X1) is the tautological zero
     g = BiPoly(field, 1, 1, {(1, 0, 0, 1, 0): 1, (0, 1, 1, 0, 0): -1})
-    out = g.compose(*xvars[:2], *xvars)
+    out = compose(g, *xvars[:2], *xvars)
     assert out.is_zero() and out.bidegree == (0, 2)
 
     # one term, so only the images' own bidegree check can refuse
     g = BiPoly.monomial(field, (2, 0, 2, 0, 0), scalar() or 1)
     with pytest.raises(GradingError):
-        g.compose(form(0, 1), form(0, 2), *xvars)
+        compose(g, form(0, 1), form(0, 2), *xvars)
     with pytest.raises(GradingError):
-        g.compose(*tvars, xvars[0], xvars[1], form(0, 2))
+        compose(g, *tvars, xvars[0], xvars[1], form(0, 2))
     with pytest.raises(GradingError):
-        g.compose(*tvars, xvars[0], xvars[1], form(1, 1))
+        compose(g, *tvars, xvars[0], xvars[1], form(1, 1))
 
 
 def test_resultant_2x2():
@@ -692,10 +693,8 @@ def test_poly_det_bareiss_matches_scalar_det():
     for n in (2, 3, 4):
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         mat = [[BiPoly.constant(QQ, c) for c in row] for row in rows]
-        from reescurve.linalg import ExactMatrix
-
         det = poly_det_bareiss(mat)
-        expected = ExactMatrix(QQ, rows).det()
+        expected = naive_cofactor_det(rows, QQ)
         got = dict(det.terms()).get((0, 0, 0, 0, 0), QQ.zero)
         assert got == expected
 

@@ -594,8 +594,8 @@ Q_INVERSE_D10 = "068105f10d53a52d37a065d94f6c25af523c7f213f9e1c685bfd2d1e97b5209
 
 def test_q_inverse_at_degree_10(tmp_path):
     """Q `inverse` at d = 10, in process: exit 0 and the recorded output.
-    Each kernel_basis(1, ell) runs on the certified modular core; about 3 s
-    on a 2-vCPU VM, most of it in the mod-E check of the inverse."""
+    Each kernel_basis(1, ell) runs on the certified modular core; about
+    0.1 s on a 2-vCPU VM."""
     code, curve, err = _in_process(["--field", "q", "sample-mild", "--degree", "10", "--seed", "0"])
     assert code == 0, err
     path = tmp_path / "curve.json"

@@ -179,7 +179,9 @@ def test_morley_top_coefficient_matches_discrete_jacobian():
 
 def test_top_forms_are_sylvester_forms_of_the_family_top():
     """The very singular top forms are -Delta^(0,0) of (P, F_{1,k-1}) for d
-    odd, and -Delta^(1,0), +Delta^(0,1) of (P, F_{2,k-1}) for d even."""
+    odd, and -Delta^(1,0), +Delta^(0,1) of (P, F_{2,k-1}) for d even.  They
+    and the family lie in the kernel of the transformed frame, the tops in
+    <X0, X1> (the constructions substitute and test neither)."""
     curves = [monomial_odd(3), binomial_even(3)]
     for field in IDENTITY_FIELDS:
         curves += [sample_very_singular(field, d, random.Random(d)).par for d in (5, 6, 7, 8)]
@@ -188,10 +190,13 @@ def test_top_forms_are_sylvester_forms_of_the_family_top():
         fam = family(ctx)
         p, top = ctx.mb.p, fam[-1]
         if ctx.r == -1:
-            assert top_generator_odd(ctx, fam) == -sylvester_reference(p, top, (0, 0))
+            tops = [top_generator_odd(ctx, fam)]
+            assert tops == [-sylvester_reference(p, top, (0, 0))]
         else:
-            want = (-sylvester_reference(p, top, (1, 0)), sylvester_reference(p, top, (0, 1)))
-            assert top_generators_even(ctx, fam) == want
+            tops = list(top_generators_even(ctx, fam))
+            assert tops == [-sylvester_reference(p, top, (1, 0)), sylvester_reference(p, top, (0, 1))]
+        assert all(ctx.par.substitute(f).is_zero() for f in fam + tops)
+        assert all(t.in_x01_power(1) for t in tops)
 
 
 def test_minor_family_membership_and_counts():

@@ -120,95 +120,58 @@ def test_mirror_ignores_any_rational_scaling():
         assert report.mirror_to_prime_field(scaled) == mirror
 
 
-def _after_assembly(monkeypatch, module, name, change=None):
-    """Wrap module.name (an assembly): apply change to each Assembly it
-    returns, keep it, and record every form substituted into a curve from
-    then on.  Returns (assemblies, forms substituted after assembly)."""
-    assemblies, seen = [], []
-    assemble = getattr(module, name)
+@pytest.mark.parametrize("sampler, d, seed, count", [
+    (sample_mild, 7, 1, 17),
+    (sample_very_singular, 8, 2, 7),
+], ids=["mild", "very-singular"])
+def test_a_report_substitutes_each_generator_once(monkeypatch, sampler, d, seed, count):
+    """In one build_report, Parametrization.substitute runs exactly once per
+    generator, on its printed form, and on nothing else: assembly
+    substitutes none of its forms, in either frame, and both per-generator
+    checks read the one result."""
+    seen = []
     substitute = syzygy.Parametrization.substitute
-
-    def wrapped(ctx):
-        asm = assemble(ctx)
-        if change is not None:
-            change(asm)
-        assemblies.append(asm)
-        seen.clear()
-        return asm
 
     def recording(par, g):
         seen.append(g)
         return substitute(par, g)
 
-    monkeypatch.setattr(module, name, wrapped)
     monkeypatch.setattr(syzygy.Parametrization, "substitute", recording)
-    return assemblies, seen
-
-
-def _substituted_labels(assembly, seen):
-    return [g.label for g in assembly.generators if any(f is g.poly for f in seen)]
-
-
-@pytest.mark.parametrize("drop", [False, True], ids=["recorded", "record-dropped"])
-def test_per_generator_stage_substitutes_every_generator_once(monkeypatch, drop):
-    """The per-generator stage substitutes each generator's printed form
-    exactly once, and both checks read that one result, whether assembly
-    recorded the form (the Sylvester forms and minors) or not (E, P and Q).
-    A generator whose record is dropped passes its checks as well."""
-    def drop_last(asm):
-        asm.generators[-1].substituted = False
-
-    asms, seen = _after_assembly(monkeypatch, mu2mild, "assemble_mild", drop_last if drop else None)
-    rep = report.build_report(sample_mild(FP, 7, random.Random(1)).par)
+    rep = report.build_report(sampler(FP, d, random.Random(seed)).par)
     assert rep.all_pass
-    gens = asms[0].generators
-    assert len(seen) == len(gens)
-    assert [sum(f is g.poly for f in seen) for g in gens] == [1] * len(gens)
-    want = ["implicit-equation", "low-moving-line", "high-moving-line"]
-    assert [g.label for g in gens if not g.substituted] == want + [gens[-1].label] * drop
-    assert gens[-1].label.startswith("morley-minor")
-    assert rep.generators[-1].checks == {"substitutes-to-zero": True, "in-kernel-span": True}
-
-
-def test_very_singular_report_substitutes_every_generator(monkeypatch):
-    """Very singular assembly tests its forms in the transformed frame, so
-    the per-generator stage substitutes each pulled-back generator."""
-    asms, seen = _after_assembly(monkeypatch, mu2sing, "assemble_very_singular")
-    rep = report.build_report(sample_very_singular(FP, 8, random.Random(2)).par)
-    assert rep.all_pass
-    gens = asms[0].generators
-    assert not any(g.substituted for g in gens)
-    assert _substituted_labels(asms[0], seen) == [g.label for g in gens]
+    assert len(seen) == len(rep.generators) == count
+    assert [g.text() for g in seen] == [r.text for r in rep.generators]
 
 
 def test_a_flipped_coefficient_fails_in_kernel_span_and_exits_3(monkeypatch, tmp_path, capsys):
-    """One coefficient of a recorded minor changed after assembly: its
-    substitution is not repeated, so in-kernel-span alone refuses it, the
-    report does not pass and gens exits 3.  substitutes-to-zero stays true:
-    it certifies the form assembly built, not one changed after it."""
+    """One coefficient of a minor changed after assembly: the per-generator
+    stage substitutes the changed form, so both checks refuse it, the report
+    names that generator and does not pass, and gens exits 3."""
     import json
 
     from reescurve import cli
     from reescurve.poly import BiPoly, unpack
 
     flipped = []
+    assemble = mu2mild.assemble_mild
 
-    def flip(asm):
-        g = next(g for g in asm.generators if g.label.startswith("morley-minor") and g.substituted)
-        key = max(g.poly.coeffs)
-        g.poly = g.poly + BiPoly.monomial(FP, unpack(key))
+    def flipped_assembly(ctx):
+        asm = assemble(ctx)
+        g = next(g for g in asm.generators if g.label.startswith("morley-minor"))
+        g.poly = g.poly + BiPoly.monomial(FP, unpack(max(g.poly.coeffs)))
         flipped.append(g.label)
+        return asm
 
     assert cli.main(["--field", "fp", "sample-mild", "--degree", "7", "--seed", "1"]) == 0
     path = tmp_path / "curve.json"
     path.write_text(capsys.readouterr().out)
-    _after_assembly(monkeypatch, mu2mild, "assemble_mild", flip)
+    monkeypatch.setattr(mu2mild, "assemble_mild", flipped_assembly)
     assert cli.main(["gens", str(path)]) == cli.EXIT_VERIFICATION == 3
     doc = json.loads(capsys.readouterr().out)
     assert doc["all_pass"] is False
     failed = [g for g in doc["generators"] if not g["verified"]]
     assert [g["label"] for g in failed] == flipped
-    assert failed[0]["checks"] == {"substitutes-to-zero": True, "in-kernel-span": False}
+    assert failed[0]["checks"] == {"substitutes-to-zero": False, "in-kernel-span": False}
 
 
 # the reducers of an F_p report that read their RREF, by the function that

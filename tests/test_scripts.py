@@ -13,10 +13,19 @@ import pytest
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
-@pytest.mark.parametrize("script", ["power_shapes.py", "poly_shapes.py"])
+@pytest.mark.parametrize("script", [
+    ["power_shapes.py"],
+    ["poly_shapes.py"],
+    ["rref_shapes.py", "--parts", "fp", "tower", "--cores", "native"],
+], ids=lambda args: args[0])
 def test_timing_script_runs_and_prints_json_lines(script):
+    if script[0] == "rref_shapes.py":
+        from reescurve import _native
+
+        if _native.get_kernel() is None:
+            pytest.skip("rref_shapes.py times the native core only here, and it is not built")
     r = subprocess.run(
-        [sys.executable, str(SCRIPTS / script), "--repeat", "1"],
+        [sys.executable, str(SCRIPTS / script[0]), *script[1:], "--repeat", "1"],
         capture_output=True,
         text=True,
     )
