@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from reescurve import mu2mild, mu2sing, report, syzygy
+from reescurve.assembly import Generator
 from reescurve.fields import DEFAULT_PRIME, PrimeField, QQ
 from reescurve.sampling import sample_mild, sample_very_singular
 from reescurve.syzygy import parametrization
@@ -141,6 +142,53 @@ def test_a_report_substitutes_each_generator_once(monkeypatch, sampler, d, seed,
     assert rep.all_pass
     assert len(seen) == len(rep.generators) == count
     assert [g.text() for g in seen] == [r.text for r in rep.generators]
+
+
+def _after_assembly(monkeypatch, module, name, change=None):
+    """Wrap module.name: apply change to the assembly it returns, keep it,
+    and record every form substituted into a curve from then on.  Returns
+    (assemblies, forms substituted after assembly)."""
+    assemblies, seen = [], []
+    assemble = getattr(module, name)
+    substitute = syzygy.Parametrization.substitute
+
+    def wrapped(ctx):
+        asm = assemble(ctx)
+        if change is not None:
+            change(asm)
+        assemblies.append(asm)
+        seen.clear()
+        return asm
+
+    def recording(par, g):
+        seen.append(g)
+        return substitute(par, g)
+
+    monkeypatch.setattr(module, name, wrapped)
+    monkeypatch.setattr(syzygy.Parametrization, "substitute", recording)
+    return assemblies, seen
+
+
+@pytest.mark.parametrize("drop", [False, True], ids=["recorded", "record-dropped"])
+def test_per_generator_stage_substitutes_every_generator_once(monkeypatch, drop):
+    """After assembly returns, the per-generator stage substitutes each
+    generator object it was handed exactly once, and both checks read that
+    one result.  A generator rebuilt from its form, bidegree and label alone
+    (whatever else assembly may have recorded on it dropped) passes its
+    checks as well."""
+    def rebuild_last(asm):
+        g = asm.generators[-1]
+        asm.generators[-1] = Generator(g.poly, g.bidegree, g.label)
+
+    asms, seen = _after_assembly(monkeypatch, mu2mild, "assemble_mild", rebuild_last if drop else None)
+    rep = report.build_report(sample_mild(FP, 7, random.Random(1)).par)
+    assert rep.all_pass
+    gens = asms[0].generators
+    assert len(seen) == len(gens)
+    assert [sum(f is g.poly for f in seen) for g in gens] == [1] * len(gens)
+    assert gens[-1].label.startswith("morley-minor")
+    assert rep.generators[-1].label == gens[-1].label
+    assert rep.generators[-1].checks == {"substitutes-to-zero": True, "in-kernel-span": True}
 
 
 def test_a_flipped_coefficient_fails_in_kernel_span_and_exits_3(monkeypatch, tmp_path, capsys):
